@@ -391,14 +391,15 @@ def diff_matrix(grid: ParameterGrid, axis: int) -> sp.csr_matrix:
     """
     n = grid.shape[axis]
     dx = grid.spacing[axis]
-    d1 = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        d1[i, i - 1] = -0.5 / dx
-        d1[i, i + 1] = 0.5 / dx
-    d1[0, 0], d1[0, 1], d1[0, 2] = -1.5 / dx, 2.0 / dx, -0.5 / dx
-    d1[n - 1, n - 1], d1[n - 1, n - 2], d1[n - 1, n - 3] = 1.5 / dx, -2.0 / dx, 0.5 / dx
+    inner = np.arange(1, n - 1)
+    rows = np.concatenate([inner, inner, [0, 0, 0, n - 1, n - 1, n - 1]])
+    cols = np.concatenate([inner - 1, inner + 1, [0, 1, 2, n - 1, n - 2, n - 3]])
+    vals = np.concatenate([
+        np.full(n - 2, -0.5 / dx), np.full(n - 2, 0.5 / dx),
+        [-1.5 / dx, 2.0 / dx, -0.5 / dx, 1.5 / dx, -2.0 / dx, 0.5 / dx],
+    ])
     mats = [sp.identity(m, format="csr") for m in grid.shape]
-    mats[axis] = sp.csr_matrix(d1)
+    mats[axis] = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     out = mats[0]
     for m in mats[1:]:
         out = sp.kron(out, m, format="csr")

@@ -15,7 +15,8 @@ preserved on the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import warnings
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +39,23 @@ from .grids import (
 
 SOLVE_RTOL = 1e-8          # target relative residual of the sparse solve
 RANGE_RTOL = 1e-6          # above this residual the RHS is declared out of range
-DIRECT_SOLVE_MAX_DIM = 2   # direct factorization for p <= 2, CG beyond
+CG_MAXITER = 5000          # PCG cap, over 5x the worst count measured on 2-D 321^2 grids (919)
+
+
+@dataclass(frozen=True)
+class SolveInfo:
+    """How one field-equation system was solved (deterministic, no timings).
+
+    ``iterations`` counts PCG iterations, also those of a PCG attempt that
+    gave way to the direct solve; ``fallback`` is None or the reason.
+    """
+
+    solver: str
+    iterations: int
+    relative_residual: float
+    unknowns: int
+    nnz: int
+    fallback: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,9 +66,10 @@ class OperatorL:
     interior fields v, w (component blocks concatenated),
     ``w @ matrix @ v`` equals the discrete inner product <w, Lv>_rho, and
     ``weight`` is the diagonal of quadrature weights so that
-    ``w @ weight @ v`` is <w, v>_rho.  ``apply`` evaluates the operator on a
-    full-grid field (boundary values included) with the composition of
-    divergence and gradient stencils, for pointwise diagnostics.
+    ``w @ weight @ v`` is <w, v>_rho (``node_weights``: the same weights at
+    every node, flattened).  ``apply`` evaluates the operator on a full-grid
+    field (boundary values included) with the composition of divergence and
+    gradient stencils, for pointwise diagnostics.
     """
 
     grid: ParameterGrid
@@ -62,14 +80,11 @@ class OperatorL:
     weight: np.ndarray
     interior: np.ndarray  # flat indices of interior nodes
     rho_floor: float
+    node_weights: np.ndarray
 
     def inner(self, v: VectorField, u: VectorField) -> float:
         """<v, u>_rho over the full grid."""
-        w = (
-            self.grid.trapezoid_weights
-            * metric_sqrt_det(self.model.metric, self.grid)
-            * self.rho.values
-        )
+        w = self.node_weights.reshape(self.grid.shape)
         return float(np.sum(w * np.einsum("...a,...a->...", v.values, u.values)))
 
     def apply(self, v: VectorField) -> VectorField:
@@ -97,13 +112,67 @@ class OperatorL:
         return float(flat_interior @ (self.matrix @ flat_interior))
 
 
-def _interior_flat_indices(grid: ParameterGrid) -> np.ndarray:
-    return np.flatnonzero(~grid.boundary_mask.ravel())
+@dataclass(frozen=True, eq=False)
+class LeastFavorableField(VectorField):
+    """Solution of Lv = u, with how its system was solved."""
+
+    solve: SolveInfo | None = None
 
 
-def _component_blocks(flat_idx: np.ndarray, num_nodes: int, p: int) -> np.ndarray:
-    """Indices of the interior dofs inside a (num_nodes * p) block vector."""
-    return np.concatenate([flat_idx + a * num_nodes for a in range(p)])
+def _interior_dofs(values: np.ndarray, interior: np.ndarray) -> np.ndarray:
+    """Interior values of a full-grid vector field, component blocks concatenated."""
+    return values.reshape(-1, values.shape[-1])[interior].T.ravel()
+
+
+def _full_grid(grid: ParameterGrid, interior: np.ndarray, dofs: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_interior_dofs`, zero on the boundary."""
+    out = np.zeros((grid.num_nodes, grid.dim))
+    out[interior] = dofs.reshape(grid.dim, -1).T
+    return out.reshape(grid.shape + (grid.dim,))
+
+
+def _assemble_system(
+    model: StatisticalModel,
+    prior: ScalarField,
+    n: float,
+    rho_floor: float,
+    gamma_inv: np.ndarray,
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """The q x q block field-equation matrix on interior unknowns.
+
+    Block (j, k) is  n g^{jk} W F + D^T (g^{jk} W) D  with W the node
+    quadrature weights, F the information blocks and D the divergence
+    matrix restricted to interior columns; ``gamma_inv`` holds g per node,
+    shape ``(num_nodes, q, q)``.  q = 1 with g = 1 is the operator L.
+    Returns the matrix, the node weights (flat, full grid) and the flat
+    interior node indices.
+    """
+    grid = model.grid
+    if n < 0:
+        raise GridValueError(f"n must be nonnegative, got {n}")
+    p = grid.dim
+    num = grid.num_nodes
+
+    w = (grid.trapezoid_weights * metric_sqrt_det(model.metric, grid) * prior.values).ravel()
+    interior = np.flatnonzero(~grid.boundary_mask.ravel())
+    div = divergence_matrix(grid, prior, model.metric, rho_floor)  # (num, num*p)
+    div_int = sp.csr_matrix(div[:, np.concatenate([interior + a * num for a in range(p)])])
+
+    f_int = model.fisher.values.reshape(num, p, p)[interior]
+
+    q = gamma_inv.shape[-1]
+    blocks = []
+    for j in range(q):
+        row = []
+        for k in range(q):
+            wg = w * gamma_inv[:, j, k]
+            # the information term couples components a, b of each node
+            info_term = sp.bmat([[sp.diags(wg[interior] * f_int[:, a, b]) for b in range(p)]
+                                 for a in range(p)])
+            prior_term = div_int.T @ sp.diags(wg) @ div_int
+            row.append((n * info_term + prior_term).tocsr())
+        blocks.append(row)
+    return sp.bmat(blocks, format="csr"), w, interior
 
 
 def assemble_L(
@@ -115,92 +184,94 @@ def assemble_L(
     """Build the discrete operator n*F + (prior-curvature term)."""
     grid = model.grid
     grid.require_same(prior.grid, "assemble_L prior")
-    if n < 0:
-        raise GridValueError(f"n must be nonnegative, got {n}")
-    p = grid.dim
-    num = grid.num_nodes
-
-    sqrtg = metric_sqrt_det(model.metric, grid)
-    w_scal = (grid.trapezoid_weights * sqrtg * prior.values).ravel()
-
-    div = divergence_matrix(grid, prior, model.metric, rho_floor)  # (num, num*p)
-    interior = _interior_flat_indices(grid)
-    cols = _component_blocks(interior, num, p)
-    div_int = sp.csr_matrix(div[:, cols])
-    prior_term = (div_int.T @ sp.diags(w_scal) @ div_int).tocsr()
-
-    # information term: block-diagonal per node, weighted by the quadrature
-    f_flat = model.fisher.values.reshape(num, p, p)
-    rows, cols_f, vals = [], [], []
-    n_int = len(interior)
-    for a in range(p):
-        for b in range(p):
-            rows.append(np.arange(n_int) + a * n_int)
-            cols_f.append(np.arange(n_int) + b * n_int)
-            vals.append(w_scal[interior] * f_flat[interior, a, b])
-    fisher_term = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols_f))),
-        shape=(n_int * p, n_int * p),
-    )
-
-    matrix = (n * fisher_term + prior_term).tocsr()
-    weight = np.concatenate([w_scal[interior]] * p)
-    return OperatorL(grid, float(n), prior, model, matrix, weight, interior, rho_floor)
+    matrix, w, interior = _assemble_system(
+        model, prior, n, rho_floor, np.ones((grid.num_nodes, 1, 1)))
+    weight = np.tile(w[interior], grid.dim)
+    return OperatorL(grid, float(n), prior, model, matrix, weight, interior, rho_floor, w)
 
 
-def _flat_interior(op: OperatorL, field_values: np.ndarray) -> np.ndarray:
-    num = op.grid.num_nodes
-    p = op.grid.dim
-    flat = field_values.reshape(num, p)
-    return np.concatenate([flat[op.interior, a] for a in range(p)])
+def _pcg(matrix: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Jacobi-preconditioned CG capped at CG_MAXITER: solution, flag, iterations."""
+    diag = matrix.diagonal()
+    diag[diag <= 0] = 1.0
+    count = [0]
+
+    def tick(_):
+        count[0] += 1
+
+    # CG tracks a recursive residual; stopping at half the target keeps its
+    # drift from the true residual from failing the SOLVE_RTOL check
+    sol, flag = spla.cg(matrix, rhs, rtol=SOLVE_RTOL / 2, maxiter=CG_MAXITER,
+                        M=sp.diags(1.0 / diag), callback=tick)
+    return sol, int(flag), count[0]
 
 
-def _unflatten(op: OperatorL, flat: np.ndarray) -> np.ndarray:
-    num = op.grid.num_nodes
-    p = op.grid.dim
-    n_int = len(op.interior)
-    out = np.zeros((num, p))
-    for a in range(p):
-        out[op.interior, a] = flat[a * n_int:(a + 1) * n_int]
-    return out.reshape(op.grid.shape + (p,))
+def _solve_system(matrix: sp.csr_matrix, rhs: np.ndarray, p: int) -> tuple[np.ndarray, SolveInfo]:
+    """Direct sparse solve on 1-D grids, Jacobi-PCG on higher-dimensional ones.
+
+    A 1-D system is banded and factors without fill, while 2-D and 3-D
+    factorizations fill in and PCG converges in a few hundred iterations.
+    PCG is accepted only with flag 0 and a true relative residual within
+    SOLVE_RTOL; otherwise the direct solve runs, the reason is recorded as
+    ``fallback`` and a RuntimeWarning is issued.  Raises
+    :class:`OperatorRangeError` when the residual shows ``rhs`` lies outside
+    the numerical range of the operator (no least-favorable field exists).
+    """
+    size = {"unknowns": int(matrix.shape[0]), "nnz": int(matrix.nnz)}
+    if not np.any(rhs):
+        return np.zeros_like(rhs), SolveInfo("direct" if p == 1 else "pcg", 0, 0.0, **size)
+    rhs_norm = max(np.linalg.norm(rhs), 1e-300)
+    iterations, fallback = 0, None
+    if p > 1:
+        sol, flag, iterations = _pcg(matrix, rhs)
+        resid = float(np.linalg.norm(matrix @ sol - rhs) / rhs_norm)
+        if flag == 0 and resid <= SOLVE_RTOL:
+            return sol, SolveInfo("pcg", iterations, resid, **size)
+        fallback = (f"pcg flag {flag} after {iterations} iterations, "
+                    f"relative residual {resid:.3e} (target {SOLVE_RTOL:.0e})")
+        warnings.warn(f"{fallback}; falling back to the direct solve", RuntimeWarning,
+                      stacklevel=3)
+    sol = spla.spsolve(sp.csc_matrix(matrix), rhs)
+    resid = float(np.linalg.norm(matrix @ sol - rhs) / rhs_norm)
+    if not np.all(np.isfinite(sol)) or resid > RANGE_RTOL:
+        raise OperatorRangeError(
+            "weight is outside the numerical range of the operator "
+            f"(relative residual {resid:.3e}); "
+            "no least-favorable field exists for this problem"
+        )
+    return sol, SolveInfo("direct", iterations, resid, fallback=fallback, **size)
 
 
-def _solve_system(matrix: sp.csr_matrix, rhs: np.ndarray, p: int) -> tuple[np.ndarray, dict]:
-    """Direct factorization for small-dimension grids, CG otherwise."""
-    if p <= DIRECT_SOLVE_MAX_DIM:
-        sol = spla.spsolve(sp.csc_matrix(matrix), rhs)
-        info = {"solver": "direct"}
-    else:
-        diag = matrix.diagonal()
-        diag[diag <= 0] = 1.0
-        precond = sp.diags(1.0 / diag)
-        sol, flag = spla.cg(matrix, rhs, rtol=SOLVE_RTOL, maxiter=20 * matrix.shape[0],
-                            M=precond)
-        info = {"solver": "cg", "flag": int(flag)}
-    rhs_norm = np.linalg.norm(rhs)
-    resid = np.linalg.norm(matrix @ sol - rhs) / max(rhs_norm, 1e-300)
-    info["relative_residual"] = float(resid)
-    return sol, info
-
-
-def solve_least_favorable(op: OperatorL, u: VectorField) -> VectorField:
+def solve_least_favorable(op: OperatorL, u: VectorField) -> LeastFavorableField:
     """Solve Lv = u; the solution maximizes the bound over all fields.
 
     Raises :class:`OperatorRangeError` when the residual shows u lies outside
     the numerical range of the operator (no least-favorable field exists).
     """
     op.grid.require_same(u.grid, "solve_least_favorable")
-    rhs = op.weight * _flat_interior(op, u.values)
-    if not np.any(rhs):
-        return VectorField(op.grid, np.zeros(op.grid.shape + (op.grid.dim,)))
+    rhs = op.weight * _interior_dofs(u.values, op.interior)
     sol, info = _solve_system(op.matrix, rhs, op.grid.dim)
-    if not np.all(np.isfinite(sol)) or info["relative_residual"] > RANGE_RTOL:
-        raise OperatorRangeError(
-            "weight field is outside the numerical range of the operator "
-            f"(relative residual {info['relative_residual']:.3e}); "
-            "no least-favorable field exists for this problem"
-        )
-    return VectorField(op.grid, _unflatten(op, sol), variance="contravariant")
+    return LeastFavorableField(op.grid, _full_grid(op.grid, op.interior, sol),
+                               "contravariant", info)
+
+
+def _functionals(model, interior, w, gamma_inv, matrix, rhs, sol, n) -> tuple[float, float, float]:
+    """Alignment, information and prior functional of a block solution.
+
+    The information is sum_jk <v_j, g^{jk} F v_k>; the prior functional is
+    the rest of <v, Lv> once n times the information is taken out.
+    """
+    p = model.grid.dim
+    f_int = model.fisher.values.reshape(-1, p, p)[interior]
+    fields = [np.ascontiguousarray(block.reshape(p, -1).T)
+              for block in np.split(sol, gamma_inv.shape[-1])]
+    information = 0.0
+    for j, vj in enumerate(fields):
+        for k, vk in enumerate(fields):
+            information += float(np.einsum(
+                "n,na,nab,nb->", w[interior] * gamma_inv[interior, j, k], vj, f_int, vk))
+    prior_information = max(float(sol @ (matrix @ sol)) - n * information, 0.0)
+    return float(rhs @ sol), information, prior_information
 
 
 def bmax(
@@ -210,42 +281,26 @@ def bmax(
     rho_floor: float = DEFAULT_RHO_FLOOR,
     v_choice: str = "least_favorable",
 ) -> BoundReport:
-    """The optimal bound <u, L^{-1} u>_rho with the attaining field."""
+    """The optimal bound <u, L^{-1} u>_rho with the attaining field.
+
+    The diagnostics carry the boundary residual, the grid and the
+    :class:`SolveInfo` fields of the solve.
+    """
     if prior is None:
         prior = model.prior
     if prior is None:
         raise GridValueError("bmax needs a prior density")
     op = assemble_L(model, prior, n, rho_floor)
     v = solve_least_favorable(op, model.weight)
-    flat_v = _flat_interior(op, v.values)
-    rhs = op.weight * _flat_interior(op, model.weight.values)
-
-    align = float(rhs @ flat_v)
-    # split the energy so the report carries the two functionals separately
-    p = model.grid.dim
-    num = model.grid.num_nodes
-    f_flat = model.fisher.values.reshape(num, p, p)
-    w_scal = (
-        model.grid.trapezoid_weights
-        * metric_sqrt_det(model.metric, model.grid)
-        * prior.values
-    ).ravel()
-    v_nodes = v.values.reshape(num, p)
-    info_val = float(np.einsum(
-        "n,na,nab,nb->", w_scal[op.interior], v_nodes[op.interior],
-        f_flat[op.interior], v_nodes[op.interior],
-    ))
-    prior_val = max(float(op.quadratic_form(flat_v)) - op.n * info_val, 0.0)
+    rhs = op.weight * _interior_dofs(model.weight.values, op.interior)
+    align, info_val, prior_val = _functionals(
+        model, op.interior, op.node_weights, np.ones((model.grid.num_nodes, 1, 1)),
+        op.matrix, rhs, _interior_dofs(v.values, op.interior), op.n)
     _check_boundary(prior, v)
-    return BoundReport.assemble(
-        align, info_val, prior_val, n, v_choice,
-        {
-            "boundary_residual": boundary_residual(prior, v),
-            "grid": model.grid.describe(),
-        },
-        attaining_v=v,
-        allow_zero=True,
-    )
+    diagnostics = {"boundary_residual": boundary_residual(prior, v),
+                   "grid": model.grid.describe(), **asdict(v.solve)}
+    return BoundReport.assemble(align, info_val, prior_val, n, v_choice, diagnostics,
+                                attaining_v=v, allow_zero=True)
 
 
 def gaussian_closed_form(fisher, prior_curvature, weight, n: float) -> float:
@@ -285,79 +340,13 @@ def vectoral_bmax(
     grid.require_same(weights.grid, "vectoral_bmax weights")
     p = grid.dim
     q = weights.q
-    num = grid.num_nodes
-
-    sqrtg = metric_sqrt_det(model.metric, grid)
-    w_scal = (grid.trapezoid_weights * sqrtg * prior.values).ravel()
-    gamma_inv = weights.gamma_inverse().reshape(num, q, q)
-
-    div = divergence_matrix(grid, prior, model.metric, rho_floor)
-    interior = _interior_flat_indices(grid)
-    cols = _component_blocks(interior, num, p)
-    div_int = sp.csr_matrix(div[:, cols])
-    n_int = len(interior)
-    blk = n_int * p
-
-    f_flat = model.fisher.values.reshape(num, p, p)
-    rows_f, cols_f, vals_f = [], [], []
-    for a in range(p):
-        for b in range(p):
-            rows_f.append(np.arange(n_int) + a * n_int)
-            cols_f.append(np.arange(n_int) + b * n_int)
-            vals_f.append(w_scal[interior] * f_flat[interior, a, b])
-    fisher_int = sp.csr_matrix(
-        (np.concatenate(vals_f), (np.concatenate(rows_f), np.concatenate(cols_f))),
-        shape=(blk, blk),
-    )
-
-    blocks = []
-    for j in range(q):
-        row = []
-        for k in range(q):
-            gjk = gamma_inv[interior, j, k]
-            gjk_full = gamma_inv[:, j, k]
-            prior_jk = div_int.T @ sp.diags(w_scal * gjk_full) @ div_int
-            fish_jk = sp.diags(np.concatenate([gjk] * p)) @ fisher_int
-            row.append((n * fish_jk + prior_jk).tocsr())
-        blocks.append(row)
-    matrix = sp.bmat(blocks, format="csr")
-    matrix = ((matrix + matrix.T) / 2.0).tocsr()
-
-    def flat_int(field: VectorField) -> np.ndarray:
-        vals = field.values.reshape(num, p)
-        return np.concatenate([vals[interior, a] for a in range(p)])
-
-    rhs = np.concatenate([
-        np.concatenate([w_scal[interior]] * p) * flat_int(u) for u in weights.weights
-    ])
+    gamma_inv = weights.gamma_inverse().reshape(grid.num_nodes, q, q)
+    matrix, w, interior = _assemble_system(model, prior, n, rho_floor, gamma_inv)
+    weight = np.tile(w[interior], p)
+    rhs = np.concatenate([weight * _interior_dofs(u.values, interior) for u in weights.weights])
     sol, info = _solve_system(matrix, rhs, p)
-    if not np.all(np.isfinite(sol)) or info["relative_residual"] > RANGE_RTOL:
-        raise OperatorRangeError(
-            "weight fields are outside the numerical range of the block operator "
-            f"(relative residual {info['relative_residual']:.3e})"
-        )
-    align = float(rhs @ sol)
-
-    v_fields = []
-    for j in range(q):
-        out = np.zeros((num, p))
-        for a in range(p):
-            seg = sol[j * blk + a * n_int: j * blk + (a + 1) * n_int]
-            out[interior, a] = seg
-        v_fields.append(VectorField(grid, out.reshape(grid.shape + (p,))))
-
-    info_val = 0.0
-    for j in range(q):
-        for k in range(q):
-            vj = v_fields[j].values.reshape(num, p)
-            vk = v_fields[k].values.reshape(num, p)
-            info_val += float(np.einsum(
-                "n,n,na,nab,nb->", w_scal[interior], gamma_inv[interior, j, k],
-                vj[interior], f_flat[interior], vk[interior],
-            ))
-    prior_val = max(float(sol @ (matrix @ sol)) - n * info_val, 0.0)
+    align, info_val, prior_val = _functionals(
+        model, interior, w, gamma_inv, matrix, rhs, sol, n)
     return BoundReport.assemble(
         align, info_val, prior_val, n, f"vectoral_least_favorable(q={q})",
-        {"relative_residual": info["relative_residual"], "grid": grid.describe()},
-        allow_zero=True,
-    )
+        {"grid": grid.describe(), **asdict(info)}, allow_zero=True)

@@ -183,7 +183,8 @@ def qmax(
 
     When the model also carries a classical information field, the classical
     optimal bound is computed alongside and the ordering Q_max <= B_max is
-    verified; both values land in the report diagnostics.
+    verified; both values, and the classical solve's ``fallback``, land in the
+    report diagnostics.
     """
     if model.helstrom is None:
         raise GridValueError("qmax needs a model with a Helstrom information field")
@@ -193,6 +194,7 @@ def qmax(
     if check_classical and model.fisher is not None:
         classical = bmax(model, prior, n)
         diagnostics["classical_bound"] = classical.bound
+        diagnostics["classical_fallback"] = classical.diagnostics["fallback"]
         if rep.bound > classical.bound + QUANTUM_ORDER_SLACK:
             raise GridValueError(
                 f"quantum bound {rep.bound!r} exceeds the classical bound "

@@ -83,6 +83,18 @@ def bump_scalar_model(lo=0.5, hi=2.0, n_nodes=4001, center=1.2, width2=0.09):
     )
 
 
+def square_model(nodes, fisher_fn, prior_fn, lo=-6.5, hi=6.5, weight=(1.0, 1.0)):
+    """Two-parameter model on the square [lo, hi]^2."""
+    grid = ParameterGrid([(lo, hi), (lo, hi)], [nodes, nodes])
+    return StatisticalModel.from_callables(
+        grid, fisher_fn=fisher_fn, weight_fn=const_vector_fn(list(weight)), prior_fn=prior_fn)
+
+
+def gaussian_2d(c):
+    """Unnormalized standard Gaussian density in two parameters."""
+    return np.exp(-np.sum(np.asarray(c) ** 2, axis=-1) / 2.0)
+
+
 def unit_field(grid):
     return VectorField.constant(grid, [1.0] * grid.dim)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bcrb.errors import GridMismatchError, GridValueError
 from bcrb.grids import (
@@ -22,6 +23,23 @@ from bcrb.grids import (
 
 def line(lo, hi, n):
     return ParameterGrid([(lo, hi)], [n])
+
+
+def loop_diff_matrix(grid, axis):
+    """Entry-by-entry build of the derivative stencil, the reference for diff_matrix."""
+    n = grid.shape[axis]
+    dx = grid.spacing[axis]
+    d1 = sp.lil_matrix((n, n))
+    for i in range(1, n - 1):
+        d1[i, i - 1] = -0.5 / dx
+        d1[i, i + 1] = 0.5 / dx
+    d1[0, 0], d1[0, 1], d1[0, 2] = -1.5 / dx, 2.0 / dx, -0.5 / dx
+    d1[n - 1, n - 1], d1[n - 1, n - 2], d1[n - 1, n - 3] = 1.5 / dx, -2.0 / dx, 0.5 / dx
+    out = sp.csr_matrix(d1) if axis == 0 else sp.identity(grid.shape[0], format="csr")
+    for ax in range(1, grid.dim):
+        m = sp.csr_matrix(d1) if ax == axis else sp.identity(grid.shape[ax], format="csr")
+        out = sp.kron(out, m, format="csr")
+    return out
 
 
 def gauss_density(grid, s2=1.0):
@@ -210,6 +228,15 @@ class TestSparseOperators:
         for ax in range(2):
             got = diff_matrix(g, ax) @ f.values.ravel()
             assert np.allclose(got, grad.values[..., ax].ravel(), atol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(3,), (2001,), (4, 3), (50, 7), (9, 8, 5), (3, 6, 4)])
+    def test_diff_matrix_equals_loop_reference(self, shape):
+        g = ParameterGrid([(-1.0 - ax, 0.5 + 2.0 * ax) for ax in range(len(shape))], shape)
+        for ax in range(len(shape)):
+            ref = loop_diff_matrix(g, ax)
+            got = diff_matrix(g, ax)
+            assert got.shape == ref.shape
+            assert (got != ref).nnz == 0
 
     def test_divergence_matrix_matches_function(self):
         g = line(-4, 4, 801)

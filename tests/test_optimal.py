@@ -3,12 +3,15 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bcrb.bounds import VectoralWeight, gill_levit_bound
 from bcrb.errors import GridValueError, OperatorRangeError
 from bcrb.geometry import StatisticalModel, odd_power_map, pushforward_model
 from bcrb.grids import ParameterGrid, VectorField
+from bcrb import optimal
 from bcrb.optimal import (
+    SOLVE_RTOL,
     assemble_L,
     bmax,
     gaussian_closed_form,
@@ -19,9 +22,11 @@ from bcrb.optimal import (
 from conftest import (
     const_matrix_fn,
     const_vector_fn,
+    gaussian_2d,
     gaussian_prior_fn,
     gaussian_scalar_model,
     line_grid,
+    square_model,
     unit_field,
 )
 
@@ -269,3 +274,94 @@ class TestVectoralBmax:
         b1 = vectoral_bmax(gauss_model, gauss_model.prior, base, 10.0).bound
         b3 = vectoral_bmax(gauss_model, gauss_model.prior, scaled, 10.0).bound
         assert abs(b3 - 3.0 * b1) <= 1e-10 * b1
+
+
+SOLVE_KEYS = {"solver", "iterations", "relative_residual", "unknowns", "nnz", "fallback"}
+
+
+def theta1_squared_fisher(c):
+    """F = diag(theta_1^2, 1): information vanishing quadratically on a line."""
+    c = np.asarray(c)
+    out = np.zeros(c.shape[:-1] + (2, 2))
+    out[..., 0, 0] = c[..., 0] ** 2
+    out[..., 1, 1] = 1.0
+    return out
+
+
+def gaussian_bump_2d(lo, hi):
+    """Gaussian envelope times a sin^4 window on each axis (compact support)."""
+    def fn(c):
+        c = np.asarray(c)
+        s = np.clip((c - lo) / (hi - lo), 0.0, 1.0)
+        window = np.prod(np.sin(np.pi * s) ** 4, axis=-1)
+        return np.exp(-np.sum((c - 1.2) ** 2, axis=-1) / 0.18) * window
+    return fn
+
+
+# the hard set for the 2-D PCG path: name -> (model builder, n)
+HARD_SET = {
+    "theta1_squared": (
+        lambda: square_model(121, theta1_squared_fisher, gaussian_2d, -8.0, 8.0), 1.0),
+    "gaussian_bump": (
+        lambda: square_model(81, const_matrix_fn(np.eye(2)), gaussian_bump_2d(0.5, 2.0),
+                             0.5, 2.0), 1.0),
+    "small_n": (
+        lambda: square_model(121, const_matrix_fn(np.eye(2)), gaussian_2d, -8.0, 8.0), 0.01),
+}
+
+
+def direct_alignment(model, n):
+    """<u, L^{-1} u> from a direct sparse solve of the assembled system."""
+    op = assemble_L(model, model.prior, n)
+    rhs = op.weight * optimal._interior_dofs(model.weight.values, op.interior)
+    return float(rhs @ spla.spsolve(sp.csc_matrix(op.matrix), rhs))
+
+
+class TestSolverPolicy:
+    def test_one_dimensional_is_direct(self, gauss_model):
+        rep = bmax(gauss_model, n=10.0)
+        op = assemble_L(gauss_model, gauss_model.prior, 10.0)
+        assert SOLVE_KEYS <= set(rep.diagnostics)
+        assert rep.diagnostics["solver"] == "direct"
+        assert rep.diagnostics["iterations"] == 0
+        assert rep.diagnostics["fallback"] is None
+        assert rep.diagnostics["unknowns"] == op.matrix.shape[0]
+        assert rep.diagnostics["nnz"] == op.matrix.nnz
+        assert rep.diagnostics["relative_residual"] <= SOLVE_RTOL
+
+    @pytest.mark.parametrize("case", sorted(HARD_SET))
+    def test_pcg_matches_direct_on_hard_set(self, case):
+        build, n = HARD_SET[case]
+        model = build()
+        rep = bmax(model, n=n)
+        assert rep.diagnostics["solver"] == "pcg"
+        assert rep.diagnostics["fallback"] is None
+        assert 0 < rep.diagnostics["iterations"] < optimal.CG_MAXITER
+        assert rep.diagnostics["relative_residual"] <= SOLVE_RTOL
+        ref = direct_alignment(model, n)
+        assert abs(rep.bound - ref) <= 1e-9 * ref
+
+    def test_iteration_cap_forces_recorded_fallback(self, monkeypatch):
+        model = square_model(41, const_matrix_fn(np.eye(2)), gaussian_2d)
+        monkeypatch.setattr(optimal, "CG_MAXITER", 2)
+        with pytest.warns(RuntimeWarning, match="falling back to the direct solve"):
+            rep = bmax(model, n=1.0)
+        assert rep.diagnostics["solver"] == "direct"
+        assert rep.diagnostics["iterations"] == 2
+        assert "pcg flag 2" in rep.diagnostics["fallback"]
+        ref = direct_alignment(model, 1.0)
+        assert rep.alignment == ref
+        assert abs(rep.bound - ref) <= 1e-12 * ref
+
+    def test_vectoral_carries_solve_fields(self):
+        model, u1, u2 = decoupled_setup(41)
+        grid = model.grid
+        weights = VectoralWeight(
+            grid, np.eye(2), (u1, u2),
+            (VectorField.constant(grid, [1.0, 0.0]), VectorField.constant(grid, [0.0, 1.0])),
+        )
+        rep = vectoral_bmax(model, model.prior, weights, 4.0)
+        assert SOLVE_KEYS <= set(rep.diagnostics)
+        assert rep.diagnostics["solver"] == "pcg"
+        assert rep.diagnostics["unknowns"] == 2 * 2 * 39 * 39
+        assert rep.diagnostics["relative_residual"] <= SOLVE_RTOL
