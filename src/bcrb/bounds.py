@@ -16,7 +16,6 @@ the vector-parameter generalization with a positive-definite weight matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -31,13 +30,13 @@ from .geometry import StatisticalModel
 from .grids import (
     BOUNDARY_RESIDUAL_TOL,
     DEFAULT_RHO_FLOOR,
-    MatrixField,
     ParameterGrid,
     ScalarField,
     VectorField,
     boundary_residual,
     gradient,
     metric_sqrt_det,
+    rho_weights,
     weighted_divergence,
 )
 
@@ -102,9 +101,6 @@ class BoundReport:
             "v_choice": self.v_choice,
             "diagnostics": self.diagnostics,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_csv_row(self) -> list[str]:
         res = self.diagnostics.get("boundary_residual", float("nan"))
@@ -173,28 +169,46 @@ def _check_boundary(prior: ScalarField, v: VectorField) -> float:
     return res
 
 
+def _functionals(model, prior, weights, fields, gamma_inv, rho_floor) -> tuple[float, float, float]:
+    """(<A>, <F>, <P>) of q weight/field pairs coupled by ``gamma_inv``.
+
+    ``gamma_inv`` holds the inverse risk-weight matrix g^{jk}, per node with
+    shape ``(*grid, q, q)`` or one ``(q, q)`` matrix for all nodes:
+    <A> = sum_j <v_j . u_j>, <F> = sum_jk <g^{jk} v_j F v_k> and
+    <P> = sum_jk <g^{jk} div_j div_k>, with div_j = (1/rho) div(rho v_j).
+    The scalar bound is q = 1 with g = 1.
+    """
+    grid = model.grid
+    grid.require_same(prior.grid, "functionals prior")
+    for v in fields:
+        grid.require_same(v.grid, "functionals field")
+        _check_boundary(prior, v)
+
+    w = rho_weights(prior, model.metric)
+    a_val = 0.0
+    for u, v in zip(weights, fields):
+        a_val += float(np.sum(w * np.einsum("...a,...a->...", v.values, u.values)))
+
+    divs = [weighted_divergence(prior, v, model.metric, rho_floor).values for v in fields]
+    f_val = 0.0
+    p_val = 0.0
+    for j, vj in enumerate(fields):
+        for k, vk in enumerate(fields):
+            wg = w * gamma_inv[..., j, k]
+            f_val += float(np.sum(wg * np.einsum(
+                "...a,...ab,...b->...", vj.values, model.fisher.values, vk.values)))
+            p_val += float(np.sum(wg * (divs[j] * divs[k])))
+    return a_val, f_val, p_val
+
+
 def functionals(
     model: StatisticalModel,
     prior: ScalarField,
     v: VectorField,
-    metric: MatrixField | None = None,
     rho_floor: float = DEFAULT_RHO_FLOOR,
 ) -> tuple[float, float, float]:
     """The three prior expectations (<A>, <F>, <P>) for a given field v."""
-    grid = model.grid
-    grid.require_same(prior.grid, "functionals prior")
-    grid.require_same(v.grid, "functionals field")
-    if metric is None:
-        metric = model.metric
-    _check_boundary(prior, v)
-
-    w = grid.trapezoid_weights * metric_sqrt_det(metric, grid) * prior.values
-    a_val = float(np.sum(w * np.einsum("...a,...a->...", v.values, model.weight.values)))
-    f_val = float(np.sum(w * np.einsum("...a,...ab,...b->...", v.values,
-                                       model.fisher.values, v.values)))
-    div = weighted_divergence(prior, v, metric, rho_floor)
-    p_val = float(np.sum(w * div.values**2))
-    return a_val, f_val, p_val
+    return _functionals(model, prior, (model.weight,), (v,), np.ones((1, 1)), rho_floor)
 
 
 def gill_levit_bound(
@@ -255,10 +269,9 @@ def van_trees_v(
     """
     grid = model.grid
     grid.require_same(prior.grid, "van_trees prior")
-    sqrtg = metric_sqrt_det(model.metric, grid)
-    w = grid.trapezoid_weights * sqrtg * prior.values
+    w = rho_weights(prior, model.metric)
 
-    pi_vals = prior.values * sqrtg
+    pi_vals = prior.values * metric_sqrt_det(model.metric, grid)
     if np.any(pi_vals <= 0):
         raise GridValueError(
             "van_trees_v needs a strictly positive prior on the grid (log derivative)"
@@ -299,35 +312,9 @@ def vectoral_functionals(
     rho_floor: float = DEFAULT_RHO_FLOOR,
 ) -> tuple[float, float, float]:
     """(<A>, <F>, <P>) for a vector parameter of interest."""
-    grid = model.grid
-    grid.require_same(prior.grid, "vectoral prior")
-    grid.require_same(weights.grid, "vectoral weights")
-    for v in weights.fields:
-        _check_boundary(prior, v)
-
-    gamma_inv = weights.gamma_inverse()
-    w = grid.trapezoid_weights * metric_sqrt_det(model.metric, grid) * prior.values
-
-    a_val = 0.0
-    for u, v in zip(weights.weights, weights.fields):
-        a_val += float(np.sum(w * np.einsum("...a,...a->...", v.values, u.values)))
-
-    q = weights.q
-    divs = [
-        weighted_divergence(prior, v, model.metric, rho_floor).values
-        for v in weights.fields
-    ]
-    f_val = 0.0
-    p_val = 0.0
-    for j in range(q):
-        for k in range(q):
-            gjk = gamma_inv[..., j, k]
-            f_val += float(np.sum(w * gjk * np.einsum(
-                "...a,...ab,...b->...",
-                weights.fields[j].values, model.fisher.values, weights.fields[k].values,
-            )))
-            p_val += float(np.sum(w * gjk * divs[j] * divs[k]))
-    return a_val, f_val, p_val
+    model.grid.require_same(weights.grid, "vectoral weights")
+    return _functionals(model, prior, weights.weights, weights.fields,
+                        weights.gamma_inverse(), rho_floor)
 
 
 def vectoral_bound(

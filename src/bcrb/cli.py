@@ -6,7 +6,7 @@ CSV tables into the output directory, deterministically: identical inputs
 produce byte-identical files.  Exit codes: 0 success, 2 configuration or
 schema violation, 3 numerical failure, 4 unwritable output.
 
-The environment variable BCRB_THREADS caps the worker threads used by
+BCRB_THREADS, a positive integer, caps the worker threads used by
 scenario-internal sweeps (rate fits solve one eigenproblem per n).
 """
 

@@ -360,7 +360,7 @@ def pushforward_model(
         rho_vals = np.clip(_eval_scalar(model.prior, model.prior_fn, pts_src), 0.0, None)
         # re-normalize against the target quadrature so the pushed model is
         # itself valid; the factor is 1 + O(dx^2)
-        norm = float(np.sum(target_grid.trapezoid_weights * rho_vals * np.sqrt(np.linalg.det(g_new))))
+        norm = integrate(ScalarField(target_grid, rho_vals), metric_new)
         prior_new = ScalarField(target_grid, rho_vals / norm)
         if model.prior_fn is not None:
             src_fn = model.prior_fn

@@ -38,6 +38,13 @@ HOLE_NEIGHBOR_RATIO = 1e6
 BOUNDARY_RESIDUAL_TOL = 1e-8
 
 
+def trapezoid_weights_1d(n: int, dx: float) -> np.ndarray:
+    """Trapezoidal quadrature weights of ``n`` uniform nodes ``dx`` apart."""
+    w = np.full(n, dx)
+    w[0] = w[-1] = dx / 2.0
+    return w
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=float)
     arr.setflags(write=False)
@@ -114,11 +121,9 @@ class ParameterGrid:
         """Tensor-product trapezoidal quadrature weights, shape ``shape``."""
         w = np.ones(self.shape)
         for ax, (n, dx) in enumerate(zip(self.shape, self.spacing)):
-            w1 = np.full(n, dx)
-            w1[0] = w1[-1] = dx / 2.0
             shape = [1] * self.dim
             shape[ax] = n
-            w = w * w1.reshape(shape)
+            w = w * trapezoid_weights_1d(n, dx).reshape(shape)
         w.setflags(write=False)
         return w
 
@@ -242,9 +247,6 @@ class MatrixField:
         """Per-node eigenvalues, shape ``(*shape, p)``, ascending."""
         return np.linalg.eigvalsh(self.values)
 
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues().min())
-
 
 def metric_sqrt_det(metric: MatrixField | None, grid: ParameterGrid) -> np.ndarray:
     """sqrt(det g) per node; identity metric when ``metric`` is None.
@@ -254,15 +256,21 @@ def metric_sqrt_det(metric: MatrixField | None, grid: ParameterGrid) -> np.ndarr
     if metric is None:
         return np.ones(grid.shape)
     grid.require_same(metric.grid, "metric")
-    det = np.linalg.det(metric.values)
-    if np.any(det <= 0):
-        bad = np.argwhere(det <= 0)[0]
-        raise GridValueError(f"metric is not positive definite at node index {tuple(bad)}")
     ev = np.linalg.eigvalsh(metric.values)
     if np.any(ev <= 0):
         bad = np.argwhere(ev.min(axis=-1) <= 0)[0]
         raise GridValueError(f"metric is not positive definite at node index {tuple(bad)}")
-    return np.sqrt(det)
+    return np.sqrt(np.linalg.det(metric.values))
+
+
+def rho_weights(rho: ScalarField, metric: MatrixField | None) -> np.ndarray:
+    """Per-node weights of the quadrature ``int (.) rho eps``.
+
+    ``trapezoid * sqrt(det g) * rho``: summing ``rho_weights * f`` gives the
+    prior expectation of ``f``, the building block of <A>, <F> and <P>.
+    """
+    grid = rho.grid
+    return grid.trapezoid_weights * metric_sqrt_det(metric, grid) * rho.values
 
 
 def integrate(field: ScalarField, metric: MatrixField | None = None) -> float:
@@ -474,16 +482,35 @@ def _grid_from_coords(coords: np.ndarray) -> tuple[ParameterGrid, tuple[int, ...
     return grid, shape
 
 
-def _read_csv(path):
+def read_csv(path) -> tuple[list[str], np.ndarray]:
+    """A header row of column names (stripped) and numeric data rows.
+
+    Raises :class:`GridValueError`, naming the path and line, when the file
+    has no header or no data rows, a row's length differs from the header's,
+    or a cell is not a number.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = np.array([[float(x) for x in row] for row in reader])
-    return header, rows
+        header = [h.strip() for h in next(reader, [])]
+        if not header:
+            raise GridValueError(f"{path}: line 1: missing header row")
+        rows = []
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise GridValueError(
+                    f"{where}: {len(row)} cells, the header has {len(header)}")
+            try:
+                rows.append([float(x) for x in row])
+            except ValueError as exc:
+                raise GridValueError(f"{where}: non-numeric cell ({exc})") from exc
+    if not rows:
+        raise GridValueError(f"{path}: no data rows after the header")
+    return header, np.array(rows)
 
 
 def scalar_field_from_csv(path) -> ScalarField:
-    header, rows = _read_csv(path)
+    header, rows = read_csv(path)
     p = sum(1 for h in header if h.startswith("theta_"))
     grid, shape = _grid_from_coords(rows[:, :p])
     order = np.lexsort(tuple(rows[:, a] for a in reversed(range(p))))
@@ -491,7 +518,7 @@ def scalar_field_from_csv(path) -> ScalarField:
 
 
 def vector_field_from_csv(path) -> VectorField:
-    header, rows = _read_csv(path)
+    header, rows = read_csv(path)
     p = sum(1 for h in header if h.startswith("theta_"))
     variance = "contravariant" if header[p].startswith("v_") else "covariant"
     grid, shape = _grid_from_coords(rows[:, :p])
@@ -500,7 +527,7 @@ def vector_field_from_csv(path) -> VectorField:
 
 
 def matrix_field_from_csv(path) -> MatrixField:
-    header, rows = _read_csv(path)
+    header, rows = read_csv(path)
     p = sum(1 for h in header if h.startswith("theta_"))
     grid, shape = _grid_from_coords(rows[:, :p])
     order = np.lexsort(tuple(rows[:, a] for a in reversed(range(p))))

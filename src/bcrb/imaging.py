@@ -27,7 +27,14 @@ from scipy.interpolate import CubicSpline
 
 from .errors import GridValueError, ProjectionError
 from .geometry import StatisticalModel
-from .grids import MatrixField, ParameterGrid, ScalarField, VectorField
+from .grids import (
+    MatrixField,
+    ParameterGrid,
+    ScalarField,
+    VectorField,
+    read_csv,
+    trapezoid_weights_1d,
+)
 from .minimax import RateFitResult, SchrodingerProblem, rate_fit
 from .optimal import bmax
 from .quantum import DensityFamily, helstrom_matrix
@@ -174,12 +181,7 @@ PSF_CATALOG: dict[str, Callable[..., PointSpreadFunction]] = {
 
 def psf_from_csv(path, width: float | None = None) -> PointSpreadFunction:
     """Columns: x, amplitude.  The width defaults to the intensity std dev."""
-    import csv
-
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = np.array([[float(v) for v in row] for row in reader])
+    header, rows = read_csv(path)
     if len(header) < 2:
         raise GridValueError("PSF CSV needs columns x, amplitude")
     order = np.argsort(rows[:, 0])
@@ -245,8 +247,7 @@ def direct_imaging_fisher(
     """
     pos = config.positions
     x = _measurement_grid(psf, pos, span_sigmas, nodes)
-    w = np.full(len(x), x[1] - x[0])
-    w[0] = w[-1] = (x[1] - x[0]) / 2.0
+    w = trapezoid_weights_1d(len(x), x[1] - x[0])
 
     h = np.stack([psf.intensity_at(x - t) for t in pos])
     hp = np.stack([psf.intensity_derivative_at(x - t) for t in pos])
@@ -292,8 +293,7 @@ def information_along(
     reach = np.abs(thetas).max() if len(taus) else 0.0
     half = reach + span_sigmas * psf.width
     x = np.linspace(-half, half, nodes)
-    w = np.full(len(x), x[1] - x[0])
-    w[0] = w[-1] = (x[1] - x[0]) / 2.0
+    w = trapezoid_weights_1d(len(x), x[1] - x[0])
 
     out = np.empty(len(taus))
     for start in range(0, len(taus), INFORMATION_CHUNK):
@@ -445,8 +445,7 @@ def imaging_helstrom(
     """
     pos = config.positions
     x = _measurement_grid(psf, pos, span_sigmas, nodes)
-    w = np.full(len(x), x[1] - x[0])
-    w[0] = w[-1] = (x[1] - x[0]) / 2.0
+    w = trapezoid_weights_1d(len(x), x[1] - x[0])
     sw = np.sqrt(w)
 
     states = [psf.amplitude_at(x - t) for t in pos]

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from .errors import EigensolverError, GridValueError
+from .errors import EigensolverError, GridValueError, ScenarioError
 from .geometry import StatisticalModel
 from .grids import (
     MatrixField,
@@ -39,6 +39,8 @@ from .grids import (
     boundary_residual,
     integrate,
     metric_sqrt_det,
+    rho_weights,
+    trapezoid_weights_1d,
 )
 
 KINETIC_COEFFICIENT = 4.0
@@ -49,14 +51,17 @@ DENSE_SOLVER_MAX_NODES = 2000
 
 
 def thread_cap() -> int:
-    """Worker cap for per-n eigensolves; BCRB_THREADS overrides the CPU count."""
+    """Worker cap for per-n eigensolves; BCRB_THREADS overrides the CPU count.
+
+    Unset or empty means the CPU count; any other value must be a positive
+    integer, else :class:`ScenarioError` is raised.
+    """
     env = os.environ.get("BCRB_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not (env.isdecimal() and int(env) > 0):
+        raise ScenarioError(f"must be a positive integer, got {env!r}", "BCRB_THREADS")
+    return int(env)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,11 +142,6 @@ class DiscretizedHamiltonian:
         pad = np.concatenate([[0.0], np.abs(self.off_diagonal)])
         return float(np.max(np.abs(self.diagonal) + pad + np.append(
             np.abs(self.off_diagonal), 0.0)))
-
-    def energy(self, psi_interior: np.ndarray, dx: float) -> float:
-        """Quadrature energy <psi, H psi> for interior values of psi."""
-        h = self.matrix @ psi_interior
-        return float(dx * (psi_interior @ h))
 
 
 def assemble_H(
@@ -262,16 +262,16 @@ class DegenerateGroundStateError(EigensolverError):
 COSINE_BUMP_NODES = 4001
 
 
-def _trial_profile() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cos^2 bump phi on [-1, 1], its square and derivative-square weights."""
+def _trial_profile() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes y on [-1, 1], their trapezoid weights, the unit-L2 cos^2 bump
+    phi and its derivative."""
     y = np.linspace(-1.0, 1.0, COSINE_BUMP_NODES)
     phi = np.cos(np.pi * y / 2.0) ** 2
     dphi = -(np.pi / 2.0) * np.sin(np.pi * y)
-    w = np.full(len(y), y[1] - y[0])
-    w[0] = w[-1] = (y[1] - y[0]) / 2.0
+    w = trapezoid_weights_1d(len(y), y[1] - y[0])
     # normalize phi to unit L2 so trial energies are Rayleigh quotients
     norm = np.sqrt(np.sum(w * phi**2))
-    return y, phi / norm, dphi / norm
+    return y, w, phi / norm, dphi / norm
 
 
 def _trial_integrals(problem: SchrodingerProblem, widths: np.ndarray):
@@ -280,25 +280,13 @@ def _trial_integrals(problem: SchrodingerProblem, widths: np.ndarray):
     The potential integral int F(W y) phi(y)^2 dy does not depend on n, so
     rate fits evaluate it once per width and sweep n arithmetically.
     """
-    y, phi, dphi = _trial_profile()
-    w = np.full(len(y), y[1] - y[0])
-    w[0] = w[-1] = (y[1] - y[0]) / 2.0
+    y, w, phi, dphi = _trial_profile()
     kin = KINETIC_COEFFICIENT * float(np.sum(w * dphi**2))
     pots = np.array([
         float(np.sum(w * phi**2 * np.asarray(problem.information(width * y))))
         for width in widths
     ])
     return pots, kin
-
-
-def trial_energy_curve(
-    problem: SchrodingerProblem,
-    n: float,
-    widths: np.ndarray,
-) -> np.ndarray:
-    """<psi_W, H psi_W> for the scaled bump family psi_W = phi(tau/W)/sqrt(W)."""
-    pots, kin = _trial_integrals(problem, widths)
-    return n * pots + kin / np.asarray(widths) ** 2
 
 
 @dataclass(frozen=True)
@@ -480,16 +468,11 @@ def wave_functionals(
         raise GridValueError(
             f"psi^2 * v boundary residual {res:.3e}; enlarge the domain"
         )
+    w = rho_weights(rho, model.metric)
+    a_val = float(np.sum(w * np.einsum("...a,...a->...", v.values, model.weight.values)))
+    f_val = float(np.sum(w * np.einsum("...a,...ab,...b->...", v.values,
+                                       model.fisher.values, v.values)))
     sqrtg = metric_sqrt_det(model.metric, grid)
-    w = grid.trapezoid_weights * sqrtg
-
-    a_val = float(np.sum(
-        w * rho.values * np.einsum("...a,...a->...", v.values, model.weight.values)
-    ))
-    f_val = float(np.sum(
-        w * rho.values * np.einsum("...a,...ab,...b->...", v.values,
-                                   model.fisher.values, v.values)
-    ))
     div_v = np.zeros(grid.shape)
     for ax in range(grid.dim):
         div_v += np.gradient(sqrtg * v.values[..., ax], grid.spacing[ax],
@@ -501,5 +484,5 @@ def wave_functionals(
         axis=-1,
     )
     d_psi = div_v * psi.values + 2.0 * np.einsum("...a,...a->...", v.values, grad_psi)
-    p_val = float(np.sum(w * d_psi**2))
+    p_val = float(np.sum(grid.trapezoid_weights * sqrtg * d_psi**2))
     return a_val, f_val, p_val

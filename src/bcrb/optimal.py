@@ -33,7 +33,7 @@ from .grids import (
     boundary_residual,
     divergence_matrix,
     gradient,
-    metric_sqrt_det,
+    rho_weights,
     weighted_divergence,
 )
 
@@ -153,7 +153,7 @@ def _assemble_system(
     p = grid.dim
     num = grid.num_nodes
 
-    w = (grid.trapezoid_weights * metric_sqrt_det(model.metric, grid) * prior.values).ravel()
+    w = rho_weights(prior, model.metric).ravel()
     interior = np.flatnonzero(~grid.boundary_mask.ravel())
     div = divergence_matrix(grid, prior, model.metric, rho_floor)  # (num, num*p)
     div_int = sp.csr_matrix(div[:, np.concatenate([interior + a * num for a in range(p)])])

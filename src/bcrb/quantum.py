@@ -21,7 +21,7 @@ from .bounds import BoundReport
 from .errors import GridValueError
 from .geometry import StatisticalModel
 from .grids import MatrixField, ParameterGrid, ScalarField
-from .optimal import bmax
+from .optimal import bmax, gaussian_closed_form
 
 TRACE_ATOL = 1e-10
 HERMITIAN_ATOL = 1e-12
@@ -101,11 +101,6 @@ class HelstromField:
         ev = self.eigenvalues
         top = ev[..., -1][..., None]
         return (ev > rtol * np.maximum(top, 1e-300)).sum(axis=-1)
-
-    def dominates(self, fisher: MatrixField, atol: float = 1e-8) -> bool:
-        diff = self.matrices.values - fisher.values
-        ev = np.linalg.eigvalsh((diff + np.swapaxes(diff, -1, -2)) / 2.0)
-        return bool(np.all(ev[..., 0] >= -atol * max(1.0, np.abs(self.matrices.values).max())))
 
 
 def sld_scores(family: DensityFamily, theta) -> list[np.ndarray]:
@@ -247,20 +242,8 @@ def gaussian_shift_bounds(
     K/2 and Bayes risk u^T (K/2 + G)^{-1} u.  The pair brackets the best
     achievable risk within a factor of two, which is asserted.
     """
-    k = np.atleast_2d(np.asarray(helstrom, dtype=float))
-    g = np.atleast_2d(np.asarray(prior_curvature, dtype=float))
-    u = np.atleast_1d(np.asarray(weight, dtype=float))
-
-    def solve_pd(mat, vec, label):
-        try:
-            chol = np.linalg.cholesky(mat)
-        except np.linalg.LinAlgError as exc:
-            raise GridValueError(f"{label} is not positive definite: {exc}") from exc
-        half = np.linalg.solve(chol, vec)
-        return float(half @ half)
-
-    q_val = solve_pd(k + g, u, "K + G")
-    risk = solve_pd(k / 2.0 + g, u, "K/2 + G")
+    q_val = gaussian_closed_form(helstrom, prior_curvature, weight, 1.0)
+    risk = gaussian_closed_form(helstrom, prior_curvature, weight, 0.5)
     slack = 1e-10 * max(q_val, risk, 1.0)
     if not (q_val <= risk + slack and risk <= 2.0 * q_val + slack):
         raise GridValueError(

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import bounds, geometry, imaging, minimax, optimal, quantum, waveform
-from .errors import ScenarioError
+from .errors import GridValueError, ScenarioError
 from .grids import ParameterGrid, VectorField
 
 DEFAULT_SEED = 0
@@ -195,7 +195,10 @@ def _n_values(spec: dict) -> np.ndarray:
 
 def _build_psf(spec: dict, path: str) -> imaging.PointSpreadFunction:
     if "csv" in spec:
-        return imaging.psf_from_csv(spec["csv"])
+        try:
+            return imaging.psf_from_csv(spec["csv"])
+        except (GridValueError, OSError) as exc:  # a missing or malformed input file
+            raise ScenarioError(str(exc), f"{path}.csv") from exc
     if "catalog" not in spec:
         raise ScenarioError("psf needs 'catalog' or 'csv'", path)
     return imaging.PSF_CATALOG[spec["catalog"]](float(spec.get("sigma", 1.0)))
@@ -203,8 +206,11 @@ def _build_psf(spec: dict, path: str) -> imaging.PointSpreadFunction:
 
 def _build_spectra(spec: dict, grid_scale: int, path: str) -> waveform.SpectralModel:
     if "csv" in spec:
-        return waveform.SpectralModel.from_csv(spec["csv"],
-                                               hbar=float(spec.get("hbar", 1.0)))
+        try:
+            return waveform.SpectralModel.from_csv(spec["csv"],
+                                                   hbar=float(spec.get("hbar", 1.0)))
+        except (GridValueError, OSError) as exc:
+            raise ScenarioError(str(exc), f"{path}.csv") from exc
     if spec.get("type") != "rectangle":
         raise ScenarioError("spectra needs 'csv' or type 'rectangle'", path)
     return waveform.rectangle_spectra(
@@ -226,12 +232,6 @@ class ScenarioResult:
     tables: dict = dc_field(default_factory=dict)  # name -> (header, rows)
 
 
-def _report_dict(rep: bounds.BoundReport) -> dict:
-    out = rep.to_dict()
-    out["diagnostics"] = {k: v for k, v in rep.diagnostics.items()}
-    return out
-
-
 def _run_bound(config, grid_scale, rng) -> ScenarioResult:
     model = _build_model(config, grid_scale)
     v, label, _ = _build_v(config, model)
@@ -240,7 +240,7 @@ def _run_bound(config, grid_scale, rng) -> ScenarioResult:
     else:
         rep = bounds.gill_levit_bound(model, model.prior, v, float(config["n"]), label)
     return ScenarioResult(
-        {"bound_report": _report_dict(rep)},
+        {"bound_report": rep.to_dict()},
         {"bound": (bounds.CSV_HEADER, [rep.to_csv_row()])},
     )
 
@@ -254,7 +254,7 @@ def _run_optimal(config, grid_scale, rng) -> ScenarioResult:
         rows = [["%.12e" % t, "%.12e" % val]
                 for t, val in zip(th, rep.attaining_v.values[..., 0])]
         tables["least_favorable"] = (["theta_1", "v_1"], rows)
-    return ScenarioResult({"bmax": rep.bound, "bound_report": _report_dict(rep)}, tables)
+    return ScenarioResult({"bmax": rep.bound, "bound_report": rep.to_dict()}, tables)
 
 
 def _run_minimax(config, grid_scale, rng) -> ScenarioResult:

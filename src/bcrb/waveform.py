@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridValueError, SpectralDomainError
+from .grids import read_csv
 
 EDGE_DECAY_RTOL = 1e-6
 EVENNESS_RTOL = 1e-9
@@ -94,12 +95,7 @@ class SpectralModel:
     @classmethod
     def from_csv(cls, path, hbar: float = 1.0) -> "SpectralModel":
         """Columns: omega plus any of s_q, s_theta, s_z, h_abs2, hx_abs2."""
-        import csv
-
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = [h.strip() for h in next(reader)]
-            rows = np.array([[float(x) for x in row] for row in reader])
+        header, rows = read_csv(path)
         if "omega" not in header:
             raise GridValueError("spectra CSV needs an 'omega' column")
         cols = {name: rows[:, i] for i, name in enumerate(header)}

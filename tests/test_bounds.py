@@ -17,10 +17,11 @@ from bcrb.errors import (
     GridValueError,
     SingularInformationError,
 )
-from bcrb.geometry import StatisticalModel
+from bcrb.geometry import StatisticalModel, odd_power_map, pushforward_model
 from bcrb.grids import MatrixField, ParameterGrid, VectorField
 
 from conftest import (
+    bump_scalar_model,
     const_matrix_fn,
     const_vector_fn,
     gaussian_scalar_model,
@@ -250,6 +251,17 @@ class TestVectoralBound:
         rep_vec = vectoral_bound(gauss_model, gauss_model.prior, weights, 10.0)
         rep_scl = gill_levit_bound(gauss_model, gauss_model.prior, v, 10.0)
         assert abs(rep_vec.bound - rep_scl.bound) <= 1e-12
+
+    def test_q1_unit_gamma_equals_scalar_exactly(self):
+        # one functional kernel: with a metric, a varying F and a varying field
+        # the two paths agree bit for bit, not just to rounding
+        model = pushforward_model(bump_scalar_model(n_nodes=1601), odd_power_map(3))
+        v = natural_v(model)
+        weights = VectoralWeight(model.grid, np.array([[1.0]]), (model.weight,), (v,))
+        rep_vec = vectoral_bound(model, model.prior, weights, 2.0)
+        rep_scl = gill_levit_bound(model, model.prior, v, 2.0)
+        for name in ("alignment", "information", "prior_information", "bound"):
+            assert getattr(rep_vec, name) == getattr(rep_scl, name), name
 
     def test_decoupled_alignment_sums(self):
         model = decoupled_2d_model()

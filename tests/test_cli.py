@@ -75,6 +75,14 @@ class TestValidation:
         assert code == 2
         assert "kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [{"seed": 7}, {"transform_v": False},
+                                       {"alignmnet": 1.0}])
+    def test_unknown_top_level_key_exit_2(self, tmp_path, capsys, extra):
+        path = write_config(tmp_path, {**gaussian_optimal_config(nodes=201), **extra})
+        code = main(["optimal", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert repr(next(iter(extra))) in capsys.readouterr().err
+
     def test_unwritable_output_exit_4(self, tmp_path, capsys):
         path = write_config(tmp_path, gaussian_optimal_config(nodes=201))
         blocker = tmp_path / "blocked"
@@ -306,6 +314,33 @@ class TestNumericalFailureExit:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
+
+
+CSV_INPUTS = {
+    "imaging": ("psf", ["x", "amplitude"], {"task": "fisher"}),
+    "waveform": ("spectra", ["omega", "s_q"], {}),
+}
+
+
+class TestMalformedCsvInput:
+    @pytest.mark.parametrize("kind", sorted(CSV_INPUTS))
+    @pytest.mark.parametrize("rows, where", [
+        ([], "no data rows"),
+        ([["0.5", "0.5"], ["0.5"]], "line 3"),
+        ([["0.5", "abc"]], "line 2"),
+        (None, "No such file"),
+    ], ids=["header_only", "ragged_row", "non_numeric_cell", "missing_file"])
+    def test_exit_2_naming_field_file_and_line(self, tmp_path, capsys, kind, rows, where):
+        key, header, extra = CSV_INPUTS[kind]
+        csv_path = tmp_path / "input.csv"
+        if rows is not None:
+            csv_path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+        cfg = {"kind": kind, "name": "malformed-csv", key: {"csv": str(csv_path)}, **extra}
+        code = main([kind, "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{key}.csv" in err and str(csv_path) in err and where in err
 
 
 class TestShippedConfigs:

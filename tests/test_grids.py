@@ -15,7 +15,9 @@ from bcrb.grids import (
     gradient,
     integrate,
     matrix_field_from_csv,
+    read_csv,
     scalar_field_from_csv,
+    trapezoid_weights_1d,
     vector_field_from_csv,
     weighted_divergence,
 )
@@ -298,6 +300,33 @@ class TestCsvRoundTrip:
         assert v2.variance == "contravariant"
         assert np.allclose(v2.values, v.values, atol=1e-11)
         assert np.allclose(m2.values, m.values, atol=1e-11)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(GridValueError, match="line 1: missing header row"):
+            read_csv(path)
+
+
+class TestTrapezoidWeights:
+    @pytest.mark.parametrize("lo, hi, n", [(-1.0, 1.0, 4001), (-12.3, 7.9, 8193),
+                                           (0.0, 0.3, 3), (-3e-3, 5e2, 257)])
+    def test_matches_hand_rolled_bits(self, lo, hi, n):
+        x = np.linspace(lo, hi, n)
+        ref = np.full(len(x), x[1] - x[0])
+        ref[0] = ref[-1] = (x[1] - x[0]) / 2.0
+        assert trapezoid_weights_1d(len(x), x[1] - x[0]).tobytes() == ref.tobytes()
+
+    def test_grid_weights_match_per_axis_loop_bits(self):
+        g = ParameterGrid([(-1.0, 2.5), (0.0, 0.7), (-3.3, 3.3)], [9, 5, 12])
+        ref = np.ones(g.shape)
+        for ax, (n, dx) in enumerate(zip(g.shape, g.spacing)):
+            w1 = np.full(n, dx)
+            w1[0] = w1[-1] = dx / 2.0
+            shape = [1] * g.dim
+            shape[ax] = n
+            ref = ref * w1.reshape(shape)
+        assert g.trapezoid_weights.tobytes() == ref.tobytes()
 
 
 class TestQuadratureExactness:

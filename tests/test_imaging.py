@@ -179,6 +179,15 @@ class TestMinimaxRate:
                            nodes=1501)
         assert abs(res.slope - (-0.5)) <= 0.05
 
+    def test_table_identical_across_thread_counts(self, gpsf, monkeypatch):
+        # the sampled-information spline is resized from worker threads
+        tables = []
+        for threads in ("1", "2", "8"):
+            monkeypatch.setenv("BCRB_THREADS", threads)
+            tables.append(minimax_rate(gpsf, [1.0, -1.0], [1e2, 1e3, 1e4, 1e5, 1e6],
+                                       nodes=1501).table())
+        assert tables[0] == tables[1] == tables[2]
+
     def test_zero_bearing_rate(self, hpsf):
         res = minimax_rate(hpsf, [1.0, -1.0], [1e2, 1e3, 1e4, 1e5, 1e6],
                            nodes=1501)

@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from bcrb.bounds import functionals
-from bcrb.errors import GridValueError
+from bcrb.errors import GridValueError, ScenarioError
 from bcrb.geometry import StatisticalModel
 from bcrb.grids import ScalarField, VectorField
 from bcrb.minimax import (
@@ -294,3 +296,14 @@ class TestThreadCap:
         parallel = rate_fit(prob, ns)
         assert np.array_equal(serial.bounds, parallel.bounds)
         assert serial.slope == parallel.slope
+
+        for unset_or_empty in (None, "", "  "):
+            if unset_or_empty is None:
+                monkeypatch.delenv("BCRB_THREADS")
+            else:
+                monkeypatch.setenv("BCRB_THREADS", unset_or_empty)
+            assert thread_cap() == (os.cpu_count() or 1)
+        for bad in ("abc", "2.5", "0", "-4"):
+            monkeypatch.setenv("BCRB_THREADS", bad)
+            with pytest.raises(ScenarioError, match=f"BCRB_THREADS.*{bad!r}"):
+                thread_cap()

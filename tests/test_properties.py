@@ -8,10 +8,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bcrb.bounds import gill_levit_bound
+from bcrb.geometry import StatisticalModel
 from bcrb.grids import VectorField
 from bcrb.optimal import bmax
+from bcrb.quantum import qmax
 
-from conftest import gaussian_2d, square_model
+from conftest import const_vector_fn, gaussian_2d, gaussian_prior_fn, line_grid, square_model
 
 
 def varying_fisher(c):
@@ -49,3 +51,27 @@ def test_optimality_property_on_pcg_path(pcg_optimum, scale, coeffs):
         warnings.simplefilter("ignore")  # rho v on the boundary is irrelevant here
         b = gill_levit_bound(model, model.prior, v, 3.0).bound
     assert b <= rep.bound * (1.0 + 1e-8)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(f=st.tuples(st.floats(0.05, 3.0), st.floats(0.0, 1.0)),
+       extra=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.1, 3.0)),
+       n=st.floats(0.1, 100.0))
+def test_quantum_bound_below_classical(f, extra, n):
+    """Q_max <= B_max whenever K = F + (PSD): here F = f0 + f2 theta^2 and
+    K - F = e0 + e1 sin^2(w theta) >= 0 on a 1-D grid."""
+    f0, f2 = f
+    e0, e1, freq = extra
+
+    def fisher_fn(c):
+        return (f0 + f2 * np.asarray(c)[..., 0] ** 2)[..., None, None]
+
+    def helstrom_fn(c):
+        th = np.asarray(c)[..., 0]
+        return fisher_fn(c) + (e0 + e1 * np.sin(freq * th) ** 2)[..., None, None]
+
+    model = StatisticalModel.from_callables(
+        line_grid(-6.0, 6.0, 401), fisher_fn=fisher_fn, weight_fn=const_vector_fn([1.0]),
+        prior_fn=gaussian_prior_fn(1.0), helstrom_fn=helstrom_fn)
+    q = qmax(model, n=n, check_classical=False).bound
+    assert q <= bmax(model, n=n).bound * (1.0 + 1e-10)
