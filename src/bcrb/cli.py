@@ -53,25 +53,20 @@ def emit_report(result: ScenarioResult, out_dir) -> list[str]:
     return written
 
 
-def run_scenario(config_path, out_dir, grid_scale: int = 1,
-                 seed: int | None = None, kind: str | None = None) -> int:
+def run_scenario(config_path, out_dir, kind: str, grid_scale: int = 1,
+                 seed: int | None = None) -> int:
     """Load, validate, run, and emit one scenario; returns the exit code."""
     try:
         config = load_config(config_path)
-        if kind is not None and config.get("kind") != kind:
+        if config["kind"] != kind:
             raise ScenarioError(
-                f"config kind {config.get('kind')!r} does not match "
+                f"config kind {config['kind']!r} does not match "
                 f"subcommand {kind!r}", field_path="kind",
             )
+        result = run_scenario_config(config, grid_scale=grid_scale, seed=seed)
     except FileNotFoundError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        result = run_scenario_config(config, grid_scale=grid_scale, seed=seed)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -112,8 +107,7 @@ def main(argv=None) -> int:
     if args.grid_scale < 1:
         print("error: --grid-scale must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
-    return run_scenario(args.config, args.out, args.grid_scale, args.seed,
-                        kind=args.command)
+    return run_scenario(args.config, args.out, args.command, args.grid_scale, args.seed)
 
 
 if __name__ == "__main__":

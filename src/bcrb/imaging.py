@@ -37,7 +37,7 @@ from .grids import (
 )
 from .minimax import RateFitResult, SchrodingerProblem, rate_fit
 from .optimal import bmax
-from .quantum import DensityFamily, helstrom_matrix
+from .quantum import DensityFamily, helstrom_matrix, qmax
 
 INTENSITY_NORMALIZATION_ATOL = 1e-8
 COVERAGE_ATOL = 1e-6
@@ -70,6 +70,8 @@ class PointSpreadFunction:
         amp = np.asarray(self.amplitude, dtype=float)
         if x.ndim != 1 or x.shape != amp.shape or len(x) < 8:
             raise GridValueError("point-spread function needs matching 1-d arrays")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(amp))):
+            raise GridValueError("point-spread function samples must be finite")
         if self.width <= 0:
             raise GridValueError("width scale must be positive")
         norm = np.trapezoid(amp**2, x)
@@ -184,6 +186,8 @@ def psf_from_csv(path, width: float | None = None) -> PointSpreadFunction:
     header, rows = read_csv(path)
     if len(header) < 2:
         raise GridValueError("PSF CSV needs columns x, amplitude")
+    if not np.all(np.isfinite(rows[:, :2])):
+        raise GridValueError(f"{path}: PSF samples must be finite")
     order = np.argsort(rows[:, 0])
     x, amp = rows[order, 0], rows[order, 1]
     if width is None:
@@ -210,14 +214,6 @@ class SourceConfiguration:
     @property
     def p(self) -> int:
         return len(self.positions)
-
-    @property
-    def brightness(self) -> float:
-        return 1.0 / self.p
-
-    @property
-    def centroid_weights(self) -> np.ndarray:
-        return np.full(self.p, 1.0 / self.p)
 
     def scaled(self, factor: float) -> "SourceConfiguration":
         return SourceConfiguration(self.positions * factor)
@@ -571,7 +567,5 @@ def quantum_vs_classical(
         helstrom=MatrixField(grid, k_vals[:, None, None]),
     )
     classical = bmax(model, n=n)
-    from .quantum import qmax
-
     quantum = qmax(model, n=n)
     return classical, quantum

@@ -120,8 +120,8 @@ class SchrodingerProblem:
         if self.nodes < 3:
             raise GridValueError("need at least 3 nodes")
 
-    def grid(self, nodes: int | None = None, domain=None) -> ParameterGrid:
-        return ParameterGrid([domain or self.domain], [nodes or self.nodes])
+    def grid(self, domain=None) -> ParameterGrid:
+        return ParameterGrid([domain or self.domain], [self.nodes])
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +147,6 @@ class DiscretizedHamiltonian:
 def assemble_H(
     problem: SchrodingerProblem,
     n: float,
-    nodes: int | None = None,
     domain: tuple[float, float] | None = None,
     kinetic_coefficient: float = KINETIC_COEFFICIENT,
 ) -> DiscretizedHamiltonian:
@@ -164,7 +163,7 @@ def assemble_H(
         )
     if n < 0:
         raise GridValueError(f"n must be nonnegative, got {n}")
-    grid = problem.grid(nodes, domain)
+    grid = problem.grid(domain)
     tau = grid.axes[0]
     dx = grid.spacing[0]
     pot = n * np.asarray(problem.information(tau[1:-1]), dtype=float)

@@ -10,6 +10,7 @@ identical inputs produce byte-identical outputs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field as dc_field
@@ -76,14 +77,25 @@ def load_schema() -> dict:
         return json.load(fh)
 
 
-def validate_config(config: dict) -> None:
+@functools.cache
+def _validator():
+    """The shipped schema's validator, checked against its metaschema once."""
     import jsonschema
 
-    try:
-        jsonschema.validate(config, load_schema())
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ScenarioError(exc.message, field_path=path) from exc
+    schema = load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_config(config: dict) -> None:
+    """Raise ScenarioError for the error `jsonschema.validate` would report."""
+    import jsonschema
+
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(config))
+    if error is not None:
+        path = ".".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ScenarioError(error.message, field_path=path)
 
 
 def load_config(path) -> dict:
@@ -112,20 +124,15 @@ def _build_grid(spec: dict, grid_scale: int) -> ParameterGrid:
                          [_scaled_nodes(spec["nodes"], grid_scale)])
 
 
-def _field_callable(spec: dict, path: str) -> Callable:
-    kind = spec["type"]
-    if kind == "constant":
-        if "value" not in spec:
-            raise ScenarioError("constant field needs 'value'", path)
+def _field_callable(spec: dict) -> Callable:
+    if spec["type"] == "constant":
         value = float(spec["value"])
         return lambda th: np.full_like(np.asarray(th, dtype=float), value)
-    if "coeffs" not in spec:
-        raise ScenarioError("polynomial field needs 'coeffs'", path)
     coeffs = [float(c) for c in spec["coeffs"]]
     return lambda th: np.polynomial.polynomial.polyval(np.asarray(th, dtype=float), coeffs)
 
 
-def _prior_callable(spec: dict, grid: ParameterGrid, path: str) -> Callable:
+def _prior_callable(spec: dict, grid: ParameterGrid) -> Callable:
     kind = spec["type"]
     (lo, hi), = grid.bounds
     center = float(spec.get("center", 0.5 * (lo + hi) if kind != "gaussian" else 0.0))
@@ -142,16 +149,14 @@ def _prior_callable(spec: dict, grid: ParameterGrid, path: str) -> Callable:
         return lambda th: np.exp(-((th - center) ** 2) / (2 * variance)) * window(th)
     if kind == "bump":
         return window
-    if kind == "uniform":
-        return lambda th: np.ones_like(np.asarray(th, dtype=float))
-    raise ScenarioError(f"unknown prior type {kind!r}", path)
+    return lambda th: np.ones_like(np.asarray(th, dtype=float))  # uniform
 
 
 def _build_model(config: dict, grid_scale: int):
     grid = _build_grid(config["grid"], grid_scale)
-    fisher1d = _field_callable(config["model"]["fisher"], "model.fisher")
-    weight1d = _field_callable(config["model"]["weight"], "model.weight")
-    prior1d = _prior_callable(config["prior"], grid, "prior.type")
+    fisher1d = _field_callable(config["model"]["fisher"])
+    weight1d = _field_callable(config["model"]["weight"])
+    prior1d = _prior_callable(config["prior"], grid)
     model = geometry.StatisticalModel.from_callables(
         grid,
         fisher_fn=lambda c: fisher1d(np.asarray(c)[..., 0])[..., None, None],
@@ -199,8 +204,6 @@ def _build_psf(spec: dict, path: str) -> imaging.PointSpreadFunction:
             return imaging.psf_from_csv(spec["csv"])
         except (GridValueError, OSError) as exc:  # a missing or malformed input file
             raise ScenarioError(str(exc), f"{path}.csv") from exc
-    if "catalog" not in spec:
-        raise ScenarioError("psf needs 'catalog' or 'csv'", path)
     return imaging.PSF_CATALOG[spec["catalog"]](float(spec.get("sigma", 1.0)))
 
 
@@ -211,8 +214,6 @@ def _build_spectra(spec: dict, grid_scale: int, path: str) -> waveform.SpectralM
                                                    hbar=float(spec.get("hbar", 1.0)))
         except (GridValueError, OSError) as exc:
             raise ScenarioError(str(exc), f"{path}.csv") from exc
-    if spec.get("type") != "rectangle":
-        raise ScenarioError("spectra needs 'csv' or type 'rectangle'", path)
     return waveform.rectangle_spectra(
         band=float(spec.get("band", 2.0 * np.pi)),
         s_q_level=float(spec.get("s_q", 0.75)),
@@ -302,9 +303,6 @@ def _run_quantum(config, grid_scale, rng) -> ScenarioResult:
             "all_bounded": bool(best <= k_val + 1e-8),
             "equality_gap": abs(snr_at_score - k_val),
         })
-    for key in ("helstrom", "prior_curvature", "weight_vector"):
-        if key not in config:
-            raise ScenarioError(f"gaussian_shift problem needs {key!r}", key)
     k = np.asarray(config["helstrom"], dtype=float)
     g = np.asarray(config["prior_curvature"], dtype=float)
     u = np.asarray(config["weight_vector"], dtype=float)
@@ -441,7 +439,6 @@ RUNNERS = {
 def run_scenario_config(config: dict, grid_scale: int = 1,
                         seed: int | None = None) -> ScenarioResult:
     """Dispatch a validated config to its runner and wrap provenance."""
-    validate_config(config)
     kind = config["kind"]
     rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
     result = RUNNERS[kind](config, grid_scale, rng)

@@ -205,19 +205,23 @@ def build_circulant_bound(disc: TimeDiscretization, spectra: SpectralModel) -> f
     return float(np.sum(h2[good] / den[good]) / disc.total_time)
 
 
-def _check_edge_decay(omega, integrand):
+def _spectral_integral(omega, num, den) -> float:
+    """(1/2pi) * integral of num/den over the frequencies where den is positive
+    and finite; raises when a zero denominator carries weight or the integrand
+    does not decay at the grid edges."""
+    if np.any((den == 0) & (num > 0)):
+        raise GridValueError("zero denominator at a frequency carrying weight")
+    integrand = np.zeros_like(den)
+    good = (den > 0) & np.isfinite(den)
+    integrand[good] = num[good] / den[good]
     peak = float(np.max(integrand)) if len(integrand) else 0.0
-    if peak <= 0:
-        return
-    edge = max(integrand[0], integrand[-1])
-    if edge > EDGE_DECAY_RTOL * peak:
-        raise SpectralDomainError(
-            f"integrand does not decay at the grid edges "
-            f"(edge {edge:.3e} vs peak {peak:.3e}); widen the frequency grid"
-        )
-
-
-def _frequency_integral(omega, integrand) -> float:
+    if peak > 0:
+        edge = max(integrand[0], integrand[-1])
+        if edge > EDGE_DECAY_RTOL * peak:
+            raise SpectralDomainError(
+                f"integrand does not decay at the grid edges "
+                f"(edge {edge:.3e} vs peak {peak:.3e}); widen the frequency grid"
+            )
     return float(np.trapezoid(integrand, omega) / (2.0 * np.pi))
 
 
@@ -226,14 +230,7 @@ def continuum_qmax(spectra: SpectralModel) -> float:
     if spectra.h_abs2 is None:
         raise GridValueError("continuum_qmax needs the h_abs2 transfer spectrum")
     den = 4.0 * spectra.s_q / spectra.hbar**2 + _inverse_prior(spectra.s_theta)
-    num = spectra.h_abs2
-    if np.any((den == 0) & (num > 0)):
-        raise GridValueError("zero denominator at a frequency carrying weight")
-    integrand = np.zeros_like(den)
-    good = (den > 0) & np.isfinite(den)
-    integrand[good] = num[good] / den[good]
-    _check_edge_decay(spectra.omega, integrand)
-    return _frequency_integral(spectra.omega, integrand)
+    return _spectral_integral(spectra.omega, spectra.h_abs2, den)
 
 
 def wiener_risk(spectra: SpectralModel) -> float:
@@ -246,14 +243,7 @@ def wiener_risk(spectra: SpectralModel) -> float:
     meas = np.where(np.isinf(spectra.s_z), 0.0, meas)
     meas = np.where((spectra.hx_abs2 == 0) & (spectra.s_z == 0), 0.0, meas)
     den = meas + _inverse_prior(spectra.s_theta)
-    num = spectra.h_abs2
-    if np.any((den == 0) & (num > 0)):
-        raise GridValueError("zero denominator at a frequency carrying weight")
-    integrand = np.zeros_like(den)
-    good = (den > 0) & np.isfinite(den)
-    integrand[good] = num[good] / den[good]
-    _check_edge_decay(spectra.omega, integrand)
-    return _frequency_integral(spectra.omega, integrand)
+    return _spectral_integral(spectra.omega, spectra.h_abs2, den)
 
 
 @dataclass(frozen=True)

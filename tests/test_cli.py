@@ -1,12 +1,16 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from bcrb import scenarios
 from bcrb.cli import main
 from bcrb.errors import ScenarioError
-from bcrb.scenarios import canonical_json, load_config, scenario_hash
+from bcrb.scenarios import canonical_json, load_config, load_schema, scenario_hash
+
+SHIPPED_CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def write_config(tmp_path, config, name="scenario.json"):
@@ -369,3 +373,97 @@ class TestShippedConfigs:
         assert main(["imaging", "--config", path, "--out", str(out)]) == 0
         res = json.loads((out / "report.json").read_text())["results"]
         assert abs(res["slope"] + 0.5) <= 0.1
+
+
+def write_psf_csv(tmp_path, bad=None, sigma=2.0):
+    """Gaussian amplitude samples on [-24, 24]; ``bad`` replaces one amplitude."""
+    x = np.linspace(-24.0, 24.0, 481)
+    amp = np.exp(-x**2 / (4.0 * sigma**2))
+    cells = ["%.17g" % a for a in amp]
+    if bad is not None:
+        cells[240] = bad
+    path = tmp_path / "psf.csv"
+    path.write_text("x,amplitude\n" + "".join(
+        "%.17g,%s\n" % (xi, a) for xi, a in zip(x, cells)))
+    return str(path)
+
+
+def gaussian_shift_config():
+    return {"kind": "quantum", "name": "shift", "problem": "gaussian_shift",
+            "helstrom": [[2.0]], "prior_curvature": [[1.0]], "weight_vector": [1.0]}
+
+
+def without(config, key):
+    return {k: v for k, v in config.items() if k != key}
+
+
+class TestSchemaHoldsEveryRule:
+    def test_cli_validates_once(self, tmp_path, monkeypatch):
+        calls = []
+        validate = scenarios.validate_config
+        monkeypatch.setattr(scenarios, "validate_config",
+                            lambda config: calls.append(config) or validate(config))
+        path = os.path.join(SHIPPED_CONFIGS, "quantum_qubit_snr.json")
+        assert main(["quantum", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
+    def test_shipped_schema_is_valid(self):
+        from jsonschema.validators import validator_for
+
+        schema = load_schema()
+        validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize("kind, config, field, key", [
+        ("optimal", {**gaussian_optimal_config(201), "model": {
+            "fisher": {"type": "constant"}, "weight": {"type": "constant", "value": 1.0}}},
+         "model.fisher", "value"),
+        ("optimal", {**gaussian_optimal_config(201), "model": {
+            "fisher": {"type": "constant", "value": 1.0}, "weight": {"type": "polynomial"}}},
+         "model.weight", "coeffs"),
+        ("imaging", {"kind": "imaging", "name": "no-psf", "psf": {}, "task": "fisher"},
+         "psf", "{}"),
+        ("waveform", {"kind": "waveform", "name": "no-spectra", "spectra": {}},
+         "spectra", "{}"),
+        ("quantum", without(gaussian_shift_config(), "helstrom"), "<root>", "helstrom"),
+        ("quantum", without(gaussian_shift_config(), "prior_curvature"),
+         "<root>", "prior_curvature"),
+        ("quantum", without(gaussian_shift_config(), "weight_vector"),
+         "<root>", "weight_vector"),
+    ], ids=["constant_without_value", "polynomial_without_coeffs", "empty_psf",
+            "empty_spectra", "shift_without_helstrom", "shift_without_prior_curvature",
+            "shift_without_weight_vector"])
+    def test_conditional_rule_exit_2_naming_field(self, tmp_path, capsys, kind, config,
+                                                  field, key):
+        code = main([kind, "--config", write_config(tmp_path, config),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and key in err
+
+    def test_psf_with_catalog_and_csv_uses_csv(self, tmp_path):
+        csv_path = write_psf_csv(tmp_path)
+        results = {}
+        for name, psf in [("both", {"catalog": "gaussian", "csv": csv_path}),
+                          ("csv", {"csv": csv_path}), ("catalog", {"catalog": "gaussian"})]:
+            cfg = {"kind": "imaging", "name": name, "psf": psf, "task": "fisher"}
+            out = tmp_path / name
+            assert main(["imaging", "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                         "--out", str(out)]) == 0
+            results[name] = json.loads((out / "report.json").read_text())["results"]
+        assert results["both"] == results["csv"]
+        assert results["both"] != results["catalog"]
+
+
+class TestNonFinitePsf:
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("task", ["fisher", "helstrom_rank"])
+    def test_exit_2_naming_psf_csv(self, tmp_path, capsys, bad, task):
+        cfg = {"kind": "imaging", "name": "non-finite-psf",
+               "psf": {"csv": write_psf_csv(tmp_path, bad)}, "task": task}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["imaging", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "psf.csv" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

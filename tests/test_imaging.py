@@ -51,6 +51,13 @@ class TestPointSpreadFunction:
         pts = np.linspace(-2, 2, 17)
         assert np.max(np.abs(loaded.amplitude_at(pts) - gpsf.amplitude_at(pts))) <= 1e-6
 
+    @pytest.mark.parametrize("array", ["x", "amplitude"])
+    def test_non_finite_samples_rejected(self, gpsf, array):
+        samples = {"x": gpsf.x.copy(), "amplitude": gpsf.amplitude.copy()}
+        samples[array][100] = np.inf
+        with pytest.raises(GridValueError, match="finite"):
+            PointSpreadFunction(samples["x"], samples["amplitude"], 1.0)
+
     def test_spline_fallback_matches_analytic(self, gpsf):
         numeric = PointSpreadFunction(gpsf.x, gpsf.amplitude, 1.0)
         pts = np.linspace(-3, 3, 101)

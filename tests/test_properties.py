@@ -8,12 +8,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bcrb.bounds import gill_levit_bound
-from bcrb.geometry import StatisticalModel
+from bcrb.geometry import (StatisticalModel, affine_map, derive_target_grid,
+                           invariance_report, odd_power_map)
 from bcrb.grids import VectorField
 from bcrb.optimal import bmax
 from bcrb.quantum import qmax
 
-from conftest import const_vector_fn, gaussian_2d, gaussian_prior_fn, line_grid, square_model
+from conftest import (bump_scalar_model, const_vector_fn, gaussian_2d, gaussian_prior_fn,
+                      line_grid, square_model)
 
 
 def varying_fisher(c):
@@ -75,3 +77,32 @@ def test_quantum_bound_below_classical(f, extra, n):
         prior_fn=gaussian_prior_fn(1.0), helstrom_fn=helstrom_fn)
     q = qmax(model, n=n, check_classical=False).bound
     assert q <= bmax(model, n=n).bound * (1.0 + 1e-10)
+
+
+@pytest.fixture(scope="module")
+def shipped_invariance_model():
+    """The shipped invariance model: F = 1 + theta^2, gaussian-bump prior, unit v."""
+    model = bump_scalar_model(n_nodes=2001)
+    unit = lambda c: np.ones_like(np.asarray(c, dtype=float))
+    return model, VectorField.from_callable(model.grid, unit), unit
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(map_obj=st.one_of(
+    st.builds(lambda scale, sign, offset: affine_map([sign * scale], [offset]),
+              st.floats(0.25, 4.0), st.sampled_from([-1.0, 1.0]), st.floats(-10.0, 10.0)),
+    st.sampled_from([3, 5]).map(odd_power_map)))
+def test_bound_invariant_under_reparametrization(shipped_invariance_model, map_obj):
+    """The bound of the contravariantly transformed field is the same in the image
+    coordinates; the untransformed control moves under a nonlinear map only."""
+    model, v, v_fn = shipped_invariance_model
+    target = derive_target_grid(map_obj, model.grid, (20001,))
+    reports = [invariance_report(model, model.prior, v, map_obj, 10.0, target_grid=target,
+                                 transform_v=transform, v_fn=v_fn)
+               for transform in (True, False)]
+    assert reports[0].relative_difference <= 1e-5
+    if map_obj.name == "affine":
+        assert reports[1].relative_difference <= 1e-5
+    else:
+        assert reports[1].relative_difference >= 1e-3
