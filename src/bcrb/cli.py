@@ -64,9 +64,6 @@ def run_scenario(config_path, out_dir, kind: str, grid_scale: int = 1,
                 f"subcommand {kind!r}", field_path="kind",
             )
         result = run_scenario_config(config, grid_scale=grid_scale, seed=seed)
-    except FileNotFoundError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import EigensolverError, GridValueError, ScenarioError
 from .geometry import StatisticalModel
@@ -143,6 +143,29 @@ class DiscretizedHamiltonian:
         return float(np.max(np.abs(self.diagonal) + pad + np.append(
             np.abs(self.off_diagonal), 0.0)))
 
+    def eigh(self, **select) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs from the tridiagonal eigensolver, failing loudly.
+
+        ``select`` is passed to `scipy.linalg.eigh_tridiagonal`.  A solver
+        failure, or an eigenpair residual ||H phi - lambda phi|| above
+        RESIDUAL_RTOL * max(||H||_inf, 1), raises :class:`EigensolverError`.
+        """
+        diag, off = self.diagonal, self.off_diagonal
+        try:
+            vals, vecs = eigh_tridiagonal(diag, off, **select)
+        except Exception as exc:  # LinAlgError or convergence failures
+            raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
+        resid = vecs * (diag[:, None] - vals)
+        resid[:-1] += off[:, None] * vecs[1:]
+        resid[1:] += off[:, None] * vecs[:-1]
+        worst = float(np.max(np.linalg.norm(resid, axis=0)))
+        if not worst <= RESIDUAL_RTOL * max(self.norm_inf(), 1.0):
+            raise EigensolverError(
+                f"eigenpair residual {worst:.3e} exceeds tolerance "
+                f"({RESIDUAL_RTOL:.0e} * ||H||)"
+            )
+        return vals, vecs
+
 
 def assemble_H(
     problem: SchrodingerProblem,
@@ -181,21 +204,9 @@ def ground_state(ham: DiscretizedHamiltonian) -> tuple[float, Wavefunction]:
     Uses the banded symmetric eigensolver (bisection plus inverse iteration,
     the shifted-inverse strategy specialized to tridiagonal form).
     """
-    dx = ham.grid.spacing[0]
-    try:
-        vals, vecs = eigh_tridiagonal(
-            ham.diagonal, ham.off_diagonal, select="i", select_range=(0, 0)
-        )
-    except Exception as exc:  # LinAlgError or convergence failures
-        raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
+    vals, vecs = ham.eigh(select="i", select_range=(0, 0))
     e_min = float(vals[0])
     vec = vecs[:, 0]
-    resid = np.linalg.norm(ham.matrix @ vec - e_min * vec)
-    if resid > RESIDUAL_RTOL * max(ham.norm_inf(), 1.0):
-        raise EigensolverError(
-            f"eigenpair residual {resid:.3e} exceeds tolerance "
-            f"({RESIDUAL_RTOL:.0e} * ||H||)"
-        )
     full = np.zeros(ham.grid.shape)
     full[1:-1] = vec
     if full[np.argmax(np.abs(full))] < 0:
@@ -427,9 +438,10 @@ def lambda_scan(
             f"{DENSE_SOLVER_MAX_NODES} interior nodes"
         )
     inv_sqrt = 1.0 / np.sqrt(a_vals)
-    reduced = inv_sqrt[:, None] * ham.matrix.toarray() * inv_sqrt[None, :]
-    reduced = (reduced + reduced.T) / 2.0
-    lam, phi = eigh(reduced)
+    # A^{-1/2} H A^{-1/2} keeps the tridiagonal structure
+    reduced = DiscretizedHamiltonian(
+        ham.grid, ham.diagonal / a_vals, ham.off_diagonal * inv_sqrt[:-1] * inv_sqrt[1:])
+    lam, phi = reduced.eigh()
     psi = inv_sqrt[:, None] * phi
     norms = np.sqrt(dx * np.sum(psi**2, axis=0))
     psi = psi / norms

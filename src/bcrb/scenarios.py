@@ -104,6 +104,9 @@ def load_config(path) -> dict:
             config = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"config is not valid JSON: {exc}", field_path="<root>") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable
+        reason = getattr(exc, "strerror", None) or exc
+        raise ScenarioError(f"cannot read config {str(path)!r}: {reason}") from exc
     if not isinstance(config, dict):
         raise ScenarioError("config must be a JSON object", field_path="<root>")
     validate_config(config)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .errors import GridValueError, SpectralDomainError
 from .grids import read_csv
@@ -77,15 +78,14 @@ class SpectralModel:
             if val is None:
                 continue
             arr = _as_spectrum(val, n, name)
-            finite = arr[np.isfinite(arr)]
-            if len(finite) and len(arr) == n:
-                mirrored = arr[::-1]
-                both = np.isfinite(arr) & np.isfinite(mirrored)
-                scale = max(finite.max(), 1.0)
-                if np.any(np.abs(arr[both] - mirrored[both]) > EVENNESS_RTOL * scale):
-                    raise GridValueError(f"{name} must be an even function of frequency")
-                if np.any(np.isfinite(arr) != np.isfinite(mirrored)):
-                    raise GridValueError(f"{name} must be an even function of frequency")
+            # infinities must mirror exactly, finite values to within
+            # EVENNESS_RTOL of the largest finite value
+            finite = np.isfinite(arr)
+            scale = max(float(np.max(arr, where=finite, initial=0.0)), 1.0)
+            diff = np.subtract(arr, arr[::-1], out=np.zeros(n), where=finite)
+            if (not np.array_equal(finite, finite[::-1])
+                    or np.max(np.abs(diff, out=diff)) > EVENNESS_RTOL * scale):
+                raise GridValueError(f"{name} must be an even function of frequency")
             object.__setattr__(self, name, arr)
 
     @property
@@ -170,32 +170,36 @@ def _inverse_prior(s_theta):
 
 
 def circulant_covariance(disc: TimeDiscretization, spectrum_at_wj: np.ndarray) -> np.ndarray:
-    """Real symmetric circulant matrix with the given spectral symbol.
+    """Real symmetric Toeplitz covariance with the given spectral symbol.
 
-    Row a, column b holds (dt/p) sum_j S(w_j) exp[i w_j (t_b - t_a)]; used by
-    the consistency tests connecting time-domain covariances to spectra.
+    Entry (a, b) is Re (dt/p) sum_j S(w_j) exp[i w_j (t_b - t_a)], which
+    depends on |a - b| only: row k is Re dt (-1)^k ifft(S)_k, one inverse FFT.
+    For even p the matrix is circulant; for odd p the (-1)^k factor breaks
+    the wrap-around, leaving it Toeplitz.  Used by the consistency tests
+    connecting time-domain covariances to spectra.
     """
-    t = disc.times
-    w = disc.frequencies
-    phase = np.exp(1j * np.outer(w, t))
-    mat = (disc.dt / disc.slots) * (phase.conj().T * spectrum_at_wj) @ phase
-    mat = mat.real
-    return (mat + mat.T) / 2.0
+    row = disc.dt * np.fft.ifft(spectrum_at_wj).real
+    row[1::2] *= -1.0
+    return toeplitz(row)
 
 
 def build_circulant_bound(disc: TimeDiscretization, spectra: SpectralModel) -> float:
     """Discrete optimal bound from the circulant information and prior.
 
     Evaluates u (K + G)^{-1} u with u the slot-weighted estimation weights,
-    using the frequency-domain diagonalization of the circulant matrices.
+    using the frequency-domain diagonalization of the circulant matrices;
+    the weights' transform costs one FFT, O(p log p) time and O(p) memory.
     """
     w_j = disc.frequencies
     s_q = _interp_spectrum(spectra.omega, spectra.s_q, w_j, "s_q")
     s_th = _interp_spectrum(spectra.omega, spectra.s_theta, w_j, "s_theta")
     den = 4.0 * s_q / spectra.hbar**2 + _inverse_prior(s_th)
 
-    transform = disc.dt * np.exp(-1j * np.outer(w_j, disc.times)) @ disc.weights
-    h2 = np.abs(transform) ** 2
+    # exp(-i w_j t_k) = c (-1)^j (-1)^(k+1) exp(-2 pi i j (k+1) / p) with |c| = 1,
+    # so the weights' transform is one FFT of the sign-alternated weights
+    alternating = disc.weights.copy()
+    alternating[1::2] *= -1.0
+    h2 = (disc.dt * np.abs(np.fft.fft(alternating))) ** 2
     if np.any((den == 0) & (h2 > 0)):
         raise GridValueError(
             "zero denominator: no measurement noise and no prior at a "

@@ -59,6 +59,23 @@ class TestValidation:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target, reason", [
+        ("directory", "Is a directory"),
+        ("missing.json", "No such file"),
+        ("binary.json", "can't decode"),
+    ])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, target, reason):
+        path = tmp_path / target
+        if target == "directory":
+            path.mkdir()
+        elif target == "binary.json":
+            path.write_bytes(b"\xff\xfe{}")
+        code = main(["optimal", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert str(path) in err and reason in err and "Traceback" not in err
+
     def test_missing_field_names_path(self, tmp_path):
         cfg = gaussian_optimal_config()
         del cfg["prior"]

@@ -2,9 +2,11 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from bcrb import minimax
 from bcrb.bounds import functionals
-from bcrb.errors import GridValueError, ScenarioError
+from bcrb.errors import EigensolverError, GridValueError, ScenarioError
 from bcrb.geometry import StatisticalModel
 from bcrb.grids import ScalarField, VectorField
 from bcrb.minimax import (
@@ -245,7 +247,56 @@ class TestRateFit:
         assert rows[0][0] == 1e2
 
 
+def dense_lambda_scan(problem, n):
+    """Reference (eigenvalues, candidate bounds) from dense eigh of A^{-1/2} H A^{-1/2}."""
+    grid = problem.grid()
+    tau, dx = grid.axes[0], grid.spacing[0]
+    a_vals = np.asarray(problem.alignment(tau[1:-1]), dtype=float)
+    inv_sqrt = 1.0 / np.sqrt(a_vals)
+    reduced = inv_sqrt[:, None] * assemble_H(problem, n).matrix.toarray() * inv_sqrt[None, :]
+    lam, phi = scipy.linalg.eigh((reduced + reduced.T) / 2.0)
+    psi = inv_sqrt[:, None] * phi
+    psi = psi / np.sqrt(dx * np.sum(psi**2, axis=0))
+    return lam, dx * np.sum(a_vals[:, None] * psi**2, axis=0) / lam
+
+
 class TestLambdaScan:
+    @pytest.mark.parametrize("alignment", [
+        lambda t: 1.0 + 0.1 * np.asarray(t) ** 2,
+        lambda t: 1.5 + np.sin(np.asarray(t)),
+        lambda t: np.exp(-0.05 * np.asarray(t) ** 2),
+    ], ids=["quadratic", "sine", "gaussian"])
+    def test_tridiagonal_matches_dense(self, alignment):
+        prob = SchrodingerProblem((-10.0, 10.0), lambda t: np.asarray(t) ** 2,
+                                  alignment=alignment, nodes=1201)
+        scan = lambda_scan(prob, 100.0)
+        lam, cand = dense_lambda_scan(prob, 100.0)
+        assert np.all(lam > 0)
+        assert np.max(np.abs(scan.eigenvalues - lam) / lam) <= 1e-10
+        assert np.max(np.abs(scan.bounds - cand) / cand) <= 1e-10
+        assert abs(scan.best_bound - cand.max()) <= 1e-10 * cand.max()
+
+    def test_solver_failure_is_loud(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("stemr did not converge")
+
+        monkeypatch.setattr(minimax, "eigh_tridiagonal", failing)
+        with pytest.raises(EigensolverError, match="stemr did not converge"):
+            lambda_scan(harmonic_problem(nodes=201), 100.0)
+
+    def test_inaccurate_eigenvectors_are_loud(self, monkeypatch):
+        exact = scipy.linalg.eigh_tridiagonal
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = exact(*args, **kwargs)
+            vecs = vecs.copy()
+            vecs[:, 7] += 1e-6 * np.random.default_rng(0).normal(size=len(vecs))
+            return vals, vecs
+
+        monkeypatch.setattr(minimax, "eigh_tridiagonal", perturbed)
+        with pytest.raises(EigensolverError, match="residual"):
+            lambda_scan(harmonic_problem(nodes=201), 100.0)
+
     def test_constant_alignment_matches_bworst(self):
         prob = SchrodingerProblem((-10.0, 10.0), lambda t: np.asarray(t) ** 2,
                                   alignment=2.0, nodes=1201)

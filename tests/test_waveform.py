@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bcrb import waveform
 from bcrb.errors import GridValueError, SpectralDomainError
 from bcrb.waveform import (
     NoiseFloorViolation,
@@ -29,6 +32,25 @@ def lorentzian_spectra(n=4001, span=60.0, with_measurement=True, floor_scale=1.0
     return SpectralModel(omega, s_q=s_q, s_theta=s_theta, h_abs2=h_abs2, **kwargs)
 
 
+def dense_circulant_bound(disc, spectra):
+    """Reference bound with the weights' transform as a dense p x p DFT."""
+    w_j = disc.frequencies
+    s_q = waveform._interp_spectrum(spectra.omega, spectra.s_q, w_j, "s_q")
+    s_th = waveform._interp_spectrum(spectra.omega, spectra.s_theta, w_j, "s_theta")
+    den = 4.0 * s_q / spectra.hbar**2 + waveform._inverse_prior(s_th)
+    transform = disc.dt * np.exp(-1j * np.outer(w_j, disc.times)) @ disc.weights
+    h2 = np.abs(transform) ** 2
+    good = den > 0
+    return float(np.sum(h2[good] / den[good]) / disc.total_time)
+
+
+def dense_circulant_covariance(disc, spectrum):
+    """Reference covariance as the dense product (dt/p) Phi^H diag(S) Phi."""
+    phase = np.exp(1j * np.outer(disc.frequencies, disc.times))
+    mat = ((disc.dt / disc.slots) * (phase.conj().T * spectrum) @ phase).real
+    return (mat + mat.T) / 2.0
+
+
 class TestSpectralModel:
     def test_rejects_asymmetric_grid(self):
         with pytest.raises(GridValueError, match="symmetric"):
@@ -38,6 +60,29 @@ class TestSpectralModel:
         omega = np.linspace(-1, 1, 11)
         with pytest.raises(GridValueError, match="even"):
             SpectralModel(omega, s_q=np.abs(omega) + omega * 0.1, s_theta=1.0)
+
+    def test_rejects_infinity_on_one_side(self):
+        omega = np.linspace(-1, 1, 11)
+        s_theta = np.ones(11)
+        s_theta[-2] = np.inf  # at +omega only
+        with pytest.raises(GridValueError, match="s_theta must be an even"):
+            SpectralModel(omega, s_q=1.0, s_theta=s_theta)
+        s_theta[1] = np.inf  # mirrored: accepted
+        assert np.isinf(SpectralModel(omega, s_q=1.0, s_theta=s_theta).s_theta[1])
+
+    @pytest.mark.parametrize("mismatch, accepted", [(2e-9, False), (5e-10, True)])
+    def test_mirror_mismatch_relative_to_largest_finite_value(self, mismatch, accepted):
+        omega = np.linspace(-1, 1, 11)
+        scale = 40.0
+        s_q = scale / (1.0 + omega**2)
+        s_q[0] = np.inf
+        s_q[-1] = np.inf  # infinities must not enter the scale
+        s_q[3] += mismatch * scale
+        if accepted:
+            assert SpectralModel(omega, s_q=s_q, s_theta=1.0).s_q[3] == s_q[3]
+        else:
+            with pytest.raises(GridValueError, match="s_q must be an even"):
+                SpectralModel(omega, s_q=s_q, s_theta=1.0)
 
     def test_rejects_negative(self):
         omega = np.linspace(-1, 1, 11)
@@ -137,6 +182,48 @@ class TestCirculantBound:
             for j in range(0, 64, 7)
         ])
         assert np.allclose(recovered, spectrum[::7], rtol=1e-8, atol=1e-10)
+
+
+class TestCirculantFFT:
+    @pytest.mark.parametrize("p", [2, 3, 127, 128, 1001, 2048])
+    def test_random_weights_match_dense(self, p):
+        spectra = rectangle_spectra(nodes=20001)
+        weights = np.random.default_rng(p).normal(size=p)
+        disc = TimeDiscretization(p * 0.25, p, weights)
+        ref = dense_circulant_bound(disc, spectra)
+        assert abs(build_circulant_bound(disc, spectra) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("p", [128, 512, 2048])
+    def test_instant_weight_bitwise_dense(self, p):
+        spectra = rectangle_spectra(nodes=200001)
+        disc = TimeDiscretization.instant_weight(p * 0.25, p)
+        assert build_circulant_bound(disc, spectra) == dense_circulant_bound(disc, spectra)
+
+    @pytest.mark.parametrize("p", [64, 65, 512])
+    def test_covariance_matches_dense(self, p):
+        disc = TimeDiscretization(p * 0.3, p, np.zeros(p))
+        spectrum = 1.0 / (1.0 + disc.frequencies**2)
+        ref = dense_circulant_covariance(disc, spectrum)
+        cov = circulant_covariance(disc, spectrum)
+        assert np.max(np.abs(cov - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # circulant (first-row entry k equals entry p - k) for even p only
+        row = cov[0, 1:]
+        assert np.allclose(row, row[::-1]) == (p % 2 == 0)
+
+    def test_large_p_memory(self):
+        # the dense p x p phase matrix would need > 100 GB at p = 2^16
+        p = 2**16
+        spectra = rectangle_spectra(nodes=200001)
+        target = 0.5  # closed form of the default rectangle
+        disc = TimeDiscretization.instant_weight(p * 0.25, p)
+        tracemalloc.start()
+        try:
+            value = build_circulant_bound(disc, spectra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert abs(value - target) <= 4.0 / p * target
 
 
 class TestWienerRisk:
