@@ -70,7 +70,6 @@ from .optimal import (
 )
 from .quantum import (
     DensityFamily,
-    HelstromField,
     gaussian_shift_bounds,
     helstrom_matrix,
     qmax,
@@ -102,7 +101,7 @@ __all__ = [
     "ground_state", "lambda_scan", "rate_fit", "wave_functionals",
     "OperatorL", "assemble_L", "bmax", "gaussian_closed_form",
     "solve_least_favorable", "vectoral_bmax",
-    "DensityFamily", "HelstromField", "gaussian_shift_bounds",
+    "DensityFamily", "gaussian_shift_bounds",
     "helstrom_matrix", "qmax", "sld_scores", "snr_observable",
     "SpectralModel", "TimeDiscretization", "build_circulant_bound",
     "continuum_qmax", "noise_floor_check", "wiener_risk",

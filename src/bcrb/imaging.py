@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.hermite import hermval
 from scipy.interpolate import CubicSpline
 
 from .errors import GridValueError, ProjectionError
@@ -54,8 +54,8 @@ class PointSpreadFunction:
 
     ``amplitude_fn`` / ``derivative_fn``, when present (catalog entries),
     evaluate the amplitude and its spatial derivative exactly at arbitrary
-    points; otherwise a cubic spline of the stored samples is used, with
-    zero extension outside the stored window.
+    points; otherwise a cubic spline of the stored samples, fitted once per
+    instance, is used, with zero extension outside the stored window.
     """
 
     x: np.ndarray
@@ -95,19 +95,21 @@ class PointSpreadFunction:
     def intensity_norm(self) -> float:
         return float(np.trapezoid(self.amplitude**2, self.x))
 
-    def _spline(self):
-        return CubicSpline(self.x, self.amplitude, extrapolate=False)
+    @cached_property
+    def _splines(self):
+        spline = CubicSpline(self.x, self.amplitude, extrapolate=False)
+        return spline, spline.derivative()
 
     def amplitude_at(self, pts: np.ndarray) -> np.ndarray:
         if self.amplitude_fn is not None:
             return np.asarray(self.amplitude_fn(pts), dtype=float)
-        vals = self._spline()(pts)
+        vals = self._splines[0](pts)
         return np.nan_to_num(vals, nan=0.0)
 
     def derivative_at(self, pts: np.ndarray) -> np.ndarray:
         if self.derivative_fn is not None:
             return np.asarray(self.derivative_fn(pts), dtype=float)
-        vals = self._spline().derivative()(pts)
+        vals = self._splines[1](pts)
         return np.nan_to_num(vals, nan=0.0)
 
     def intensity_at(self, pts: np.ndarray) -> np.ndarray:
@@ -403,22 +405,13 @@ def minimax_rate(
     return rate_fit(problem, n_list)
 
 
-def _hermite_modes(x: np.ndarray, scale: float, count: int) -> list[np.ndarray]:
-    out = []
-    for k in range(count):
-        c = np.zeros(k + 1)
-        c[k] = 1.0
-        out.append(hermval(x / scale, c) * np.exp(-(x**2) / (2.0 * scale**2)))
-    return out
-
-
 @dataclass(frozen=True)
 class HelstromReport:
     helstrom: np.ndarray
     eigenvalues: np.ndarray
     numerical_rank: int
     projection_deficit: float
-    basis_size: int
+    span_dimension: int
 
     def eigenvalue_row(self) -> list[float]:
         return [float(v) for v in np.sort(self.eigenvalues)[::-1]]
@@ -427,26 +420,25 @@ class HelstromReport:
 def imaging_helstrom(
     psf: PointSpreadFunction,
     config: SourceConfiguration,
-    basis_size: int = 20,
     span_sigmas: float = 16.0,
     nodes: int = 8193,
 ) -> HelstromReport:
-    """Helstrom information of the source mixture in a projected basis.
+    """Helstrom information of the source mixture in the span of its states.
 
-    The basis spans the displaced amplitudes and their derivatives (exact
-    representation of the state and its parameter derivatives) padded with
-    Hermite-Gaussian modes up to ``basis_size``, orthonormalized by a
-    singular-value factorization; the projection deficit of every physical
-    vector is checked against 1e-6.
+    rho = sum_a |psi_a><psi_a| / p and every d_a rho lie in the span of the
+    displaced amplitudes psi_a and their derivatives, at most 2p dimensions,
+    so that span represents the family exactly.  The weighted columns are
+    unit-scaled and orthonormalized by a QR factorization and a singular-value
+    factorization of the small triangular factor, dropping directions below
+    1e-10 of the largest singular value; the projection deficit of every
+    physical vector is checked against 1e-6.
     """
     pos = config.positions
     x = _measurement_grid(psf, pos, span_sigmas, nodes)
     w = trapezoid_weights_1d(len(x), x[1] - x[0])
-    sw = np.sqrt(w)
 
     states = [psf.amplitude_at(x - t) for t in pos]
     dstates = [-psf.derivative_at(x - t) for t in pos]
-    pads = _hermite_modes(x - pos.mean(), np.sqrt(2.0) * psf.width, basis_size)
 
     # norm deficit: each displaced state must carry its continuum norm on the
     # grid, else the window or resolution cannot represent it
@@ -454,29 +446,27 @@ def imaging_helstrom(
     for s in states:
         deficit = max(deficit, abs(float(np.sum(w * s**2)) - 1.0))
 
-    raw = np.array(states + dstates + pads).T * sw[:, None]
+    raw = np.array(states + dstates).T * np.sqrt(w)[:, None]
     norms = np.linalg.norm(raw, axis=0)
     if np.any(norms == 0):
         raise ProjectionError("a basis vector vanished on the image grid")
-    raw = raw / norms
-    u_mat, svals, _ = np.linalg.svd(raw, full_matrices=False)
-    basis = u_mat[:, svals > 1e-10 * svals[0]]
+    # raw / norms = Q R = (Q U) S V^T: the columns' coefficients in the
+    # orthonormal basis Q U are S V^T
+    _, svals, vt = np.linalg.svd(np.linalg.qr(raw / norms, mode="r"))
+    keep = svals > 1e-10 * svals[0]
+    unit = svals[keep, None] * vt[keep]
 
-    for j in range(2 * config.p):
-        coeff = basis.T @ raw[:, j]
-        deficit = max(deficit, 1.0 - float(coeff @ coeff))
+    deficit = max(deficit, float(np.max(1.0 - np.sum(unit**2, axis=0))))
     if deficit > PROJECTION_DEFICIT_TOL:
         raise ProjectionError(
             f"projection deficit {deficit:.3e} exceeds {PROJECTION_DEFICIT_TOL:.0e}; "
-            "widen the image window, refine it, or increase the basis size"
+            "widen the image window or refine it"
         )
 
-    def coeffs(vals):
-        return basis.T @ (vals * sw)
-
-    cs = [coeffs(s) for s in states]
-    dcs = [coeffs(d) for d in dstates]
-    dim = basis.shape[1]
+    coeffs = unit * norms
+    cs = coeffs[:, :config.p].T
+    dcs = coeffs[:, config.p:].T
+    dim = coeffs.shape[0]
     rho = sum(np.outer(c, c) for c in cs) / config.p
 
     def rho_fn(_theta):
@@ -492,7 +482,7 @@ def imaging_helstrom(
     k_matrix = helstrom_matrix(family, np.zeros(config.p))
     eigs = np.linalg.eigvalsh(k_matrix)
     rank = int(np.sum(eigs > RANK_RTOL * max(eigs.max(), 1e-300)))
-    return HelstromReport(k_matrix, eigs, rank, deficit, basis_size)
+    return HelstromReport(k_matrix, eigs, rank, deficit, dim)
 
 
 def helstrom_along(

@@ -12,7 +12,6 @@ from K exactly as the field operator is built from F.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .bounds import BoundReport
 from .errors import GridValueError
 from .geometry import StatisticalModel
-from .grids import MatrixField, ParameterGrid, ScalarField
+from .grids import ScalarField
 from .optimal import bmax, gaussian_closed_form
 
 TRACE_ATOL = 1e-10
@@ -86,23 +85,6 @@ class DensityFamily:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class HelstromField:
-    """Helstrom information matrices over a grid, with spectrum diagnostics."""
-
-    grid: ParameterGrid
-    matrices: MatrixField
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        return self.matrices.eigenvalues()
-
-    def numerical_rank(self, rtol: float = 1e-6) -> np.ndarray:
-        ev = self.eigenvalues
-        top = ev[..., -1][..., None]
-        return (ev > rtol * np.maximum(top, 1e-300)).sum(axis=-1)
-
-
 def sld_scores(family: DensityFamily, theta) -> list[np.ndarray]:
     """Score operators solving the Jordan-product equation at a point.
 
@@ -156,16 +138,6 @@ def helstrom_matrix(family: DensityFamily, theta) -> np.ndarray:
             jordan = (scores[a] @ scores[b] + scores[b] @ scores[a]) / 2.0
             out[a, b] = out[b, a] = float(np.trace(rho @ jordan).real)
     return out
-
-
-def helstrom_field(family: DensityFamily, grid: ParameterGrid) -> HelstromField:
-    """Evaluate the Helstrom matrix at every grid node."""
-    coords = grid.coordinates.reshape(-1, grid.dim)
-    p = family.num_parameters
-    vals = np.empty((len(coords), p, p))
-    for i, theta in enumerate(coords):
-        vals[i] = helstrom_matrix(family, theta)
-    return HelstromField(grid, MatrixField(grid, vals.reshape(grid.shape + (p, p))))
 
 
 def qmax(

@@ -372,8 +372,7 @@ def _run_imaging(config, grid_scale, rng) -> ScenarioResult:
         ratios = []
         for k in range(halvings + 1):
             scale = 0.5**k
-            rep = imaging.imaging_helstrom(psf, base.scaled(scale),
-                                           basis_size=int(config.get("basis_size", 20)))
+            rep = imaging.imaging_helstrom(psf, base.scaled(scale))
             eigs = rep.eigenvalue_row()
             rows.append(["%.12e" % scale] + ["%.12e" % e for e in eigs[:3]])
             if len(eigs) >= 3:

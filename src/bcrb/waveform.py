@@ -151,15 +151,14 @@ def _interp_spectrum(omega_grid, values, omega_out, name):
             f"discretization band [{omega_out[0]:.4g}, {omega_out[-1]:.4g}] is not "
             f"covered by the {name} grid [{omega_grid[0]:.4g}, {omega_grid[-1]:.4g}]"
         )
-    finite = np.where(np.isfinite(values), values, np.nan)
-    out = np.interp(omega_out, omega_grid, finite)
-    # frequencies adjacent to infinite entries inherit infinity
-    inf_mask = ~np.isfinite(values)
-    if inf_mask.any():
-        idx = np.searchsorted(omega_grid, omega_out)
-        idx_lo = np.clip(idx - 1, 0, len(omega_grid) - 1)
-        idx_hi = np.clip(idx, 0, len(omega_grid) - 1)
-        out[inf_mask[idx_lo] | inf_mask[idx_hi]] = np.inf
+    # np.interp reads only the nodes bracketing each frequency, and every
+    # frequency with an infinite bracketing node is set to infinity below, so
+    # no pass over the whole grid is needed: O(len(omega_out) log N)
+    out = np.interp(omega_out, omega_grid, values)
+    idx = np.searchsorted(omega_grid, omega_out)
+    idx_lo = np.clip(idx - 1, 0, len(omega_grid) - 1)
+    idx_hi = np.clip(idx, 0, len(omega_grid) - 1)
+    out[~np.isfinite(values[idx_lo]) | ~np.isfinite(values[idx_hi])] = np.inf
     return out
 
 

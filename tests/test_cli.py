@@ -104,6 +104,15 @@ class TestValidation:
         assert code == 2
         assert repr(next(iter(extra))) in capsys.readouterr().err
 
+    def test_removed_basis_size_key_exit_2(self, tmp_path, capsys):
+        cfg = {"kind": "imaging", "name": "rank-trend",
+               "psf": {"catalog": "gaussian", "sigma": 1.0},
+               "task": "helstrom_rank", "halvings": 2, "basis_size": 20}
+        path = write_config(tmp_path, cfg)
+        code = main(["imaging", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'basis_size'" in capsys.readouterr().err
+
     def test_unwritable_output_exit_4(self, tmp_path, capsys):
         path = write_config(tmp_path, gaussian_optimal_config(nodes=201))
         blocker = tmp_path / "blocked"

@@ -1,7 +1,13 @@
+import csv
+
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
+from scipy.interpolate import CubicSpline
 
-from bcrb.errors import GridValueError
+from bcrb import imaging
+from bcrb.errors import GridValueError, ProjectionError
+from bcrb.grids import trapezoid_weights_1d
 from bcrb.imaging import (
     PSF_CATALOG,
     ExponentFit,
@@ -19,6 +25,42 @@ from bcrb.imaging import (
     quantum_vs_classical,
     sinc_psf,
 )
+from bcrb.quantum import DensityFamily, helstrom_matrix
+
+
+def padded_svd_helstrom(psf, config, basis_size=20, span_sigmas=16.0, nodes=8193):
+    """Reference K: the state span padded with Hermite-Gauss modes up to
+    basis_size, orthonormalized by an SVD of the whole image-grid matrix."""
+    pos = config.positions
+    x = imaging._measurement_grid(psf, pos, span_sigmas, nodes)
+    sw = np.sqrt(trapezoid_weights_1d(len(x), x[1] - x[0]))
+    states = [psf.amplitude_at(x - t) for t in pos]
+    dstates = [-psf.derivative_at(x - t) for t in pos]
+    scale = np.sqrt(2.0) * psf.width
+    pads = [hermval((x - pos.mean()) / scale, np.eye(k + 1)[k])
+            * np.exp(-((x - pos.mean()) ** 2) / (2.0 * scale**2)) for k in range(basis_size)]
+    raw = np.array(states + dstates + pads).T * sw[:, None]
+    raw = raw / np.linalg.norm(raw, axis=0)
+    u_mat, svals, _ = np.linalg.svd(raw, full_matrices=False)
+    basis = u_mat[:, svals > 1e-10 * svals[0]]
+    cs = [basis.T @ (s * sw) for s in states]
+    dcs = [basis.T @ (d * sw) for d in dstates]
+    p, dim = config.p, basis.shape[1]
+    rho = sum(np.outer(c, c) for c in cs) / p
+    drho = np.array([np.outer(dc, c) + np.outer(c, dc) for c, dc in zip(cs, dcs)]) / p
+    family = DensityFamily(dim, p, lambda _t: rho.astype(complex),
+                           lambda _t: drho.astype(complex))
+    return helstrom_matrix(family, np.zeros(p))
+
+
+def write_psf_csv(tmp_path, psf, stride=1):
+    path = tmp_path / "psf.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "amplitude"])
+        for x, a in zip(psf.x[::stride], psf.amplitude[::stride]):
+            writer.writerow([x, a])
+    return path
 
 
 @pytest.fixture(scope="session")
@@ -38,15 +80,7 @@ class TestPointSpreadFunction:
             assert abs(psf.intensity_norm() - 1.0) <= 1e-8, name
 
     def test_csv_round_trip(self, tmp_path, gpsf):
-        import csv
-
-        path = tmp_path / "psf.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "amplitude"])
-            for x, a in zip(gpsf.x[::4], gpsf.amplitude[::4]):
-                writer.writerow([x, a])
-        loaded = psf_from_csv(path)
+        loaded = psf_from_csv(write_psf_csv(tmp_path, gpsf, stride=4))
         assert abs(loaded.width - 1.0) <= 1e-3
         pts = np.linspace(-2, 2, 17)
         assert np.max(np.abs(loaded.amplitude_at(pts) - gpsf.amplitude_at(pts))) <= 1e-6
@@ -57,6 +91,28 @@ class TestPointSpreadFunction:
         samples[array][100] = np.inf
         with pytest.raises(GridValueError, match="finite"):
             PointSpreadFunction(samples["x"], samples["amplitude"], 1.0)
+
+    def test_csv_spline_fitted_once(self, tmp_path, gpsf, monkeypatch):
+        path = write_psf_csv(tmp_path, gpsf)
+        fits = []
+
+        class CountingSpline(CubicSpline):
+            def __init__(self, *args, **kwargs):
+                fits.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(imaging, "CubicSpline", CountingSpline)
+        psf = psf_from_csv(path)
+        spline = CubicSpline(psf.x, psf.amplitude, extrapolate=False)
+        pts = np.linspace(-30.0, 30.0, 1001)
+        for _ in range(3):
+            assert np.array_equal(psf.amplitude_at(pts),
+                                  np.nan_to_num(spline(pts), nan=0.0))
+            assert np.array_equal(psf.derivative_at(pts),
+                                  np.nan_to_num(spline.derivative()(pts), nan=0.0))
+        information_along(psf, [1.0, -1.0], np.linspace(0.01, 0.5, 300))
+        imaging_helstrom(psf, SourceConfiguration([-0.2, 0.2]))
+        assert len(fits) == 1
 
     def test_spline_fallback_matches_analytic(self, gpsf):
         numeric = PointSpreadFunction(gpsf.x, gpsf.amplitude, 1.0)
@@ -152,6 +208,18 @@ class TestImagingHelstrom:
             imaging_helstrom(gpsf, SourceConfiguration([-0.3, 0.3]),
                              span_sigmas=3.0)
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_sinc_tail_norm_deficit_raises(self, p):
+        # the sinc tail leaves about 6e-3 of the norm outside the 16-width window
+        with pytest.raises(ProjectionError, match="deficit") as exc:
+            imaging_helstrom(sinc_psf(1.0), SourceConfiguration(np.linspace(-0.3, 0.3, p)))
+        assert "basis" not in str(exc.value)
+
+    def test_span_dimension(self, gpsf):
+        assert imaging_helstrom(gpsf, SourceConfiguration([-0.3, 0.4])).span_dimension == 4
+        # coincident sources share one state and one derivative
+        assert imaging_helstrom(gpsf, SourceConfiguration([0.2, 0.2])).span_dimension == 2
+
     def test_information_ordering_along_separation(self, gpsf):
         taus = np.array([0.2, 0.5, 1.0])
         v = np.array([-0.5, 0.5])
@@ -178,6 +246,26 @@ class TestImagingHelstrom:
         f2 = np.sort(np.linalg.eigvalsh(direct_imaging_fisher(gpsf, mirrored)))
         assert np.max(np.abs(e1 - e2)) <= 1e-8
         assert np.max(np.abs(f1 - f2)) <= 1e-8
+
+
+class TestHelstromMatchesPaddedSvd:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("factory", [gaussian_psf, hermite_gauss_psf])
+    def test_agrees_across_separations(self, factory, p):
+        psf = factory(1.0)
+        for sep in (0.01, 0.05, 0.2, 1.0, 3.0):
+            config = SourceConfiguration(0.37 + sep * (np.arange(p) - (p - 1) / 2.0))
+            ref = padded_svd_helstrom(psf, config)
+            k = imaging_helstrom(psf, config).helstrom
+            assert np.max(np.abs(k - ref)) <= 1e-10 * np.max(np.abs(ref)), sep
+
+    def test_rank_trend_eigenvalues(self, gpsf):
+        base = SourceConfiguration([-0.4, 0.05, 0.45])
+        for k in range(5):
+            config = base.scaled(0.5**k)
+            ref = np.linalg.eigvalsh(padded_svd_helstrom(gpsf, config))
+            eigs = np.sort(imaging_helstrom(gpsf, config).eigenvalues)
+            assert np.all(np.abs(eigs - ref) <= 1e-10 * np.abs(ref)), k
 
 
 class TestMinimaxRate:

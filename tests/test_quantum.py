@@ -9,7 +9,6 @@ from bcrb.quantum import (
     constant_family,
     diagonal_qubit_family,
     gaussian_shift_bounds,
-    helstrom_field,
     helstrom_matrix,
     qmax,
     sld_scores,
@@ -132,13 +131,6 @@ class TestHelstromMatrix:
         fam = pure_state_family(sigma=1.0)
         val = helstrom_matrix(fam, [0.15])[0, 0]
         assert abs(val - 1.0) <= 1e-4
-
-    def test_field_rank_report(self):
-        grid = line_grid(-0.5, 0.5, 5)
-        fam = diagonal_qubit_family()
-        field = helstrom_field(fam, grid)
-        assert field.matrices.values.shape == (5, 1, 1)
-        assert np.all(field.numerical_rank() == 1)
 
 
 class TestQmax:

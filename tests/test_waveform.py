@@ -44,6 +44,19 @@ def dense_circulant_bound(disc, spectra):
     return float(np.sum(h2[good] / den[good]) / disc.total_time)
 
 
+def full_grid_interp_spectrum(omega_grid, values, omega_out):
+    """Reference interpolation over the whole spectral grid (no coverage check)."""
+    finite = np.where(np.isfinite(values), values, np.nan)
+    out = np.interp(omega_out, omega_grid, finite)
+    inf_mask = ~np.isfinite(values)
+    if inf_mask.any():
+        idx = np.searchsorted(omega_grid, omega_out)
+        idx_lo = np.clip(idx - 1, 0, len(omega_grid) - 1)
+        idx_hi = np.clip(idx, 0, len(omega_grid) - 1)
+        out[inf_mask[idx_lo] | inf_mask[idx_hi]] = np.inf
+    return out
+
+
 def dense_circulant_covariance(disc, spectrum):
     """Reference covariance as the dense product (dt/p) Phi^H diag(S) Phi."""
     phase = np.exp(1j * np.outer(disc.frequencies, disc.times))
@@ -224,6 +237,43 @@ class TestCirculantFFT:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert abs(value - target) <= 4.0 / p * target
+
+
+class TestInterpSpectrum:
+    @pytest.mark.parametrize("p", [2, 3, 128, 1001])
+    def test_rectangle_bitwise_full_grid(self, p):
+        spectra = rectangle_spectra(nodes=20001)
+        w_j = TimeDiscretization(p * 0.25, p, np.zeros(p)).frequencies
+        for name in ("s_q", "s_theta"):
+            values = getattr(spectra, name)
+            np.testing.assert_array_equal(
+                waveform._interp_spectrum(spectra.omega, values, w_j, name),
+                full_grid_interp_spectrum(spectra.omega, values, w_j))
+
+    def test_infinite_entries_bitwise_full_grid(self):
+        omega = np.linspace(-10.0, 10.0, 2001)
+        values = 1.0 / (1.0 + omega**2)
+        values[np.abs(omega) > 8.0] = np.inf
+        values[[700, 1000, 1001, 1300]] = np.inf
+        values[0] = values[-1] = np.inf
+        rng = np.random.default_rng(5)
+        step = omega[1] - omega[0]
+        omega_out = np.concatenate([
+            omega,                                  # exactly on every node
+            omega[:-1] + 0.5 * step,                # midpoints
+            rng.uniform(-10.0, 10.0, 500),
+            [omega[0] - 5e-13, omega[-1] + 5e-13],  # grid ends, within tolerance
+        ])
+        out = waveform._interp_spectrum(omega, values, omega_out, "s_theta")
+        np.testing.assert_array_equal(out, full_grid_interp_spectrum(omega, values, omega_out))
+        assert np.isinf(out[[0, 700, 1000, 1001, 1300, 2000]]).all()
+        # the midpoint next to an infinite node inherits it; farther nodes do not
+        assert np.isinf(out[2001 + 699]) and np.isfinite(out[698])
+
+    def test_coverage_checked(self):
+        omega = np.linspace(-1.0, 1.0, 101)
+        with pytest.raises(SpectralDomainError, match="covered"):
+            waveform._interp_spectrum(omega, np.ones(101), np.array([0.0, 1.0 + 1e-9]), "s_q")
 
 
 class TestWienerRisk:
