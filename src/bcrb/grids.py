@@ -438,49 +438,7 @@ def divergence_matrix(
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization
-
-def _coord_header(p: int) -> list[str]:
-    return [f"theta_{a + 1}" for a in range(p)]
-
-
-def field_to_csv(field, path) -> None:
-    """Write a field as rows of node coordinates plus value columns."""
-    grid = field.grid
-    p = grid.dim
-    coords = grid.coordinates.reshape(-1, p)
-    if isinstance(field, ScalarField):
-        header = _coord_header(p) + ["value"]
-        data = field.values.reshape(-1, 1)
-    elif isinstance(field, VectorField):
-        tag = "v" if field.variance == "contravariant" else "u"
-        header = _coord_header(p) + [f"{tag}_{a + 1}" for a in range(p)]
-        data = field.values.reshape(-1, p)
-    elif isinstance(field, MatrixField):
-        header = _coord_header(p) + [f"m_{a + 1}{b + 1}" for a in range(p) for b in range(p)]
-        data = field.values.reshape(-1, p * p)
-    else:
-        raise TypeError(f"cannot serialize {type(field).__name__}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for c, row in zip(coords, data):
-            writer.writerow(["%.12e" % x for x in c] + ["%.12e" % x for x in row])
-
-
-def _grid_from_coords(coords: np.ndarray) -> tuple[ParameterGrid, tuple[int, ...]]:
-    p = coords.shape[1]
-    axes = [np.unique(coords[:, a]) for a in range(p)]
-    shape = tuple(len(a) for a in axes)
-    if int(np.prod(shape)) != coords.shape[0]:
-        raise GridValueError("CSV nodes do not form a full rectangular grid")
-    for a in axes:
-        steps = np.diff(a)
-        if steps.size and not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            raise GridValueError("CSV grid is not uniformly spaced")
-    grid = ParameterGrid([(a[0], a[-1]) for a in axes], shape)
-    return grid, shape
-
+# CSV input
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
     """A header row of column names (stripped) and numeric data rows.
@@ -508,27 +466,3 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
         raise GridValueError(f"{path}: no data rows after the header")
     return header, np.array(rows)
 
-
-def scalar_field_from_csv(path) -> ScalarField:
-    header, rows = read_csv(path)
-    p = sum(1 for h in header if h.startswith("theta_"))
-    grid, shape = _grid_from_coords(rows[:, :p])
-    order = np.lexsort(tuple(rows[:, a] for a in reversed(range(p))))
-    return ScalarField(grid, rows[order, p].reshape(shape))
-
-
-def vector_field_from_csv(path) -> VectorField:
-    header, rows = read_csv(path)
-    p = sum(1 for h in header if h.startswith("theta_"))
-    variance = "contravariant" if header[p].startswith("v_") else "covariant"
-    grid, shape = _grid_from_coords(rows[:, :p])
-    order = np.lexsort(tuple(rows[:, a] for a in reversed(range(p))))
-    return VectorField(grid, rows[order, p:].reshape(shape + (p,)), variance)
-
-
-def matrix_field_from_csv(path) -> MatrixField:
-    header, rows = read_csv(path)
-    p = sum(1 for h in header if h.startswith("theta_"))
-    grid, shape = _grid_from_coords(rows[:, :p])
-    order = np.lexsort(tuple(rows[:, a] for a in reversed(range(p))))
-    return MatrixField(grid, rows[order, p:].reshape(shape + (p, p)))

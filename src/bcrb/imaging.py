@@ -463,10 +463,12 @@ def imaging_helstrom(
             "widen the image window or refine it"
         )
 
-    coeffs = unit * norms
-    cs = coeffs[:, :config.p].T
-    dcs = coeffs[:, config.p:].T
-    dim = coeffs.shape[0]
+    # a translation family keeps each state's norm, so dividing a state and
+    # its derivative by the state's grid norm is exact and gives tr rho = 1
+    # however coarsely the PSF is sampled
+    cs = unit[:, :config.p].T
+    dcs = (unit[:, config.p:] * (norms[config.p:] / norms[:config.p])).T
+    dim = unit.shape[0]
     rho = sum(np.outer(c, c) for c in cs) / config.p
 
     def rho_fn(_theta):

@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import EigensolverError, GridValueError, ScenarioError
 from .geometry import StatisticalModel
@@ -46,6 +47,8 @@ from .grids import (
 KINETIC_COEFFICIENT = 4.0
 NORMALIZATION_ATOL = 1e-10
 RESIDUAL_RTOL = 1e-8
+INVERSE_ITERATION_MAXITER = 50
+CERTIFIED_GAP_EPS = 4.0   # smallest certified gap below E_min, in eps * ||H||_inf
 BOX_CONVERGENCE_RTOL = 1e-3   # ground energy change between box doublings
 DENSE_SOLVER_MAX_NODES = 2000
 
@@ -138,33 +141,46 @@ class DiscretizedHamiltonian:
             [self.off_diagonal, self.diagonal, self.off_diagonal], [-1, 0, 1]
         ).tocsr()
 
+    def _radii(self) -> np.ndarray:
+        """Gershgorin radii |e_{i-1}| + |e_i| of the rows."""
+        radii = np.zeros_like(self.diagonal)
+        radii[:-1] += np.abs(self.off_diagonal)
+        radii[1:] += np.abs(self.off_diagonal)
+        return radii
+
     def norm_inf(self) -> float:
-        pad = np.concatenate([[0.0], np.abs(self.off_diagonal)])
-        return float(np.max(np.abs(self.diagonal) + pad + np.append(
-            np.abs(self.off_diagonal), 0.0)))
+        return float(np.max(np.abs(self.diagonal) + self._radii()))
 
-    def eigh(self, **select) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs from the tridiagonal eigensolver, failing loudly.
-
-        ``select`` is passed to `scipy.linalg.eigh_tridiagonal`.  A solver
-        failure, or an eigenpair residual ||H phi - lambda phi|| above
-        RESIDUAL_RTOL * max(||H||_inf, 1), raises :class:`EigensolverError`.
-        """
+    def residual_norms(self, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """||H phi_j - lambda_j phi_j|| for the columns phi_j of ``vecs``."""
         diag, off = self.diagonal, self.off_diagonal
-        try:
-            vals, vecs = eigh_tridiagonal(diag, off, **select)
-        except Exception as exc:  # LinAlgError or convergence failures
-            raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
         resid = vecs * (diag[:, None] - vals)
         resid[:-1] += off[:, None] * vecs[1:]
         resid[1:] += off[:, None] * vecs[:-1]
-        worst = float(np.max(np.linalg.norm(resid, axis=0)))
-        if not worst <= RESIDUAL_RTOL * max(self.norm_inf(), 1.0):
-            raise EigensolverError(
-                f"eigenpair residual {worst:.3e} exceeds tolerance "
-                f"({RESIDUAL_RTOL:.0e} * ||H||)"
-            )
+        return np.linalg.norm(resid, axis=0)
+
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every eigenpair from the tridiagonal eigensolver, failing loudly.
+
+        A solver failure, or an eigenpair residual ||H phi - lambda phi||
+        above RESIDUAL_RTOL * max(||H||_inf, 1), raises
+        :class:`EigensolverError`.
+        """
+        try:
+            vals, vecs = eigh_tridiagonal(self.diagonal, self.off_diagonal)
+        except Exception as exc:  # LinAlgError or convergence failures
+            raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
+        _check_residual(float(np.max(self.residual_norms(vals, vecs))), self.norm_inf())
         return vals, vecs
+
+
+def _check_residual(worst: float, norm: float) -> None:
+    """Raise unless ``worst`` <= RESIDUAL_RTOL * max(||H||_inf, 1)."""
+    if not worst <= RESIDUAL_RTOL * max(norm, 1.0):
+        raise EigensolverError(
+            f"eigenpair residual {worst:.3e} exceeds tolerance "
+            f"({RESIDUAL_RTOL:.0e} * ||H||)"
+        )
 
 
 def assemble_H(
@@ -198,20 +214,81 @@ def assemble_H(
     return DiscretizedHamiltonian(grid, diag, off)
 
 
+def _positive_definite_factors(ham: DiscretizedHamiltonian, shift: float):
+    """LDL^T factors of H - shift*I, or None when it is not positive definite.
+
+    A successful factorization proves shift < E_min (Sylvester's law of
+    inertia), which is what certifies every shift of `ground_state`.
+    """
+    # the wrapper rejects an empty off-diagonal; a 1 x 1 H takes a dummy one
+    off = ham.off_diagonal if ham.off_diagonal.size else np.zeros(1)
+    d, e, info = dpttrf(ham.diagonal - shift, off)
+    return (d, e) if info == 0 else None
+
+
 def ground_state(ham: DiscretizedHamiltonian) -> tuple[float, Wavefunction]:
     """Smallest eigenpair; the eigenvector is quadrature-normalized.
 
-    Uses the banded symmetric eigensolver (bisection plus inverse iteration,
-    the shifted-inverse strategy specialized to tridiagonal form).
+    Inverse iteration on the tridiagonal H with every shift certified to lie
+    below E_min.  It starts at the Gershgorin lower bound.  After each solve
+    it tries the shift rho - max(||H v - rho v||, gap), with rho the
+    Rayleigh quotient and gap = CERTIFIED_GAP_EPS * eps * ||H||_inf, and
+    keeps it only if H minus that shift has an LDL^T factorization.  rho is
+    summed in difference form, sum (d_i + e_{i-1} + e_i) v_i^2 - sum e_i
+    (v_{i+1} - v_i)^2, which avoids the cancellation of the 2k - k - k
+    stencil.  Once rho stagnates, the factorization at rho - tau, tau =
+    max(||H v - rho v||, gap), certifies E_min in (rho - tau, rho].  A failed
+    factorization, INVERSE_ITERATION_MAXITER iterations without stagnation,
+    a failed certificate or a residual above RESIDUAL_RTOL * max(||H||_inf,
+    1) raises :class:`EigensolverError`.
     """
-    vals, vecs = ham.eigh(select="i", select_range=(0, 0))
-    e_min = float(vals[0])
-    vec = vecs[:, 0]
+    d, e = ham.diagonal, ham.off_diagonal
+    radii = ham._radii()
+    norm = float(np.max(np.abs(d) + radii))
+    gap = CERTIFIED_GAP_EPS * np.finfo(float).eps * norm
+    shift = float(np.min(d - radii)) - gap
+    factors = _positive_definite_factors(ham, shift)
+    if factors is None:
+        raise EigensolverError(
+            f"H - sigma I is not positive definite at the Gershgorin bound {shift!r}")
+    row_sums = d.copy()
+    row_sums[:-1] += e
+    row_sums[1:] += e
+    vec = np.ones_like(d)
+    rho_prev = np.inf
+    for _ in range(INVERSE_ITERATION_MAXITER):
+        prev = vec
+        vec, _ = dpttrs(*factors, prev)
+        scale = np.linalg.norm(vec)
+        vec /= scale
+        step = np.diff(vec)
+        rho = float(row_sums @ vec**2 - e @ step**2)
+        if not np.isfinite(rho):
+            raise EigensolverError("inverse iteration produced a non-finite Rayleigh quotient")
+        if rho_prev - rho <= gap:
+            break
+        rho_prev = rho
+        # (H - shift) vec = prev / scale gives the residual without a product by H
+        resid = float(np.linalg.norm(prev / scale - (rho - shift) * vec))
+        trial = rho - max(resid, gap)
+        candidate = _positive_definite_factors(ham, trial) if trial > shift else None
+        if candidate is not None:
+            shift, factors = trial, candidate
+    else:
+        raise EigensolverError(
+            f"inverse iteration did not converge in {INVERSE_ITERATION_MAXITER} iterations")
+    resid = float(ham.residual_norms(np.array([rho]), vec[:, None])[0])
+    tau = max(resid, gap)
+    if _positive_definite_factors(ham, rho - tau) is None:
+        raise EigensolverError(
+            f"ground energy {rho!r} not certified: H - (E - {tau:.3e}) I "
+            f"is not positive definite")
+    _check_residual(resid, norm)
     full = np.zeros(ham.grid.shape)
     full[1:-1] = vec
     if full[np.argmax(np.abs(full))] < 0:
         full = -full
-    return e_min, Wavefunction.normalized(ham.grid, full)
+    return rho, Wavefunction.normalized(ham.grid, full)
 
 
 def converged_ground_energy(

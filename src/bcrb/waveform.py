@@ -88,10 +88,6 @@ class SpectralModel:
                 raise GridValueError(f"{name} must be an even function of frequency")
             object.__setattr__(self, name, arr)
 
-    @property
-    def domega(self) -> float:
-        return float(self.omega[1] - self.omega[0])
-
     @classmethod
     def from_csv(cls, path, hbar: float = 1.0) -> "SpectralModel":
         """Columns: omega plus any of s_q, s_theta, s_z, h_abs2, hx_abs2."""
@@ -153,12 +149,15 @@ def _interp_spectrum(omega_grid, values, omega_out, name):
         )
     # np.interp reads only the nodes bracketing each frequency, and every
     # frequency with an infinite bracketing node is set to infinity below, so
-    # no pass over the whole grid is needed: O(len(omega_out) log N)
+    # no pass over the whole grid is needed: O(len(omega_out) log N).  A
+    # frequency exactly on a node takes that node's own value instead.
     out = np.interp(omega_out, omega_grid, values)
     idx = np.searchsorted(omega_grid, omega_out)
     idx_lo = np.clip(idx - 1, 0, len(omega_grid) - 1)
     idx_hi = np.clip(idx, 0, len(omega_grid) - 1)
     out[~np.isfinite(values[idx_lo]) | ~np.isfinite(values[idx_hi])] = np.inf
+    on_node = omega_grid[idx_hi] == omega_out
+    out[on_node] = values[idx_hi[on_node]]
     return out
 
 

@@ -308,6 +308,25 @@ class TestImagingScenario:
         res = json.loads((out / "report.json").read_text())["results"]
         assert res["rank_trend_monotone"] is True
 
+    def test_rank_table_from_coarse_csv_psf(self, tmp_path):
+        # every 4th sample of the catalog Gaussian: its grid norm misses 1 by
+        # ~1e-10, far inside the accepted deficit, and rho must still have
+        # unit trace
+        from bcrb.imaging import gaussian_psf
+
+        x = np.linspace(-24.0, 24.0, 2049)
+        amp = gaussian_psf(1.0).amplitude_at(x)
+        csv_path = tmp_path / "psf.csv"
+        csv_path.write_text("x,amplitude\n" + "".join(
+            "%.17g,%.17g\n" % row for row in zip(x, amp)))
+        cfg = {"kind": "imaging", "name": "coarse-csv-rank-trend",
+               "psf": {"csv": str(csv_path)}, "task": "helstrom_rank"}
+        out = tmp_path / "o"
+        assert main(["imaging", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert res["rank_trend_monotone"] is True
+
 
 class TestInvarianceScenario:
     def test_cube_map_report(self, tmp_path):

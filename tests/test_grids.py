@@ -11,14 +11,10 @@ from bcrb.grids import (
     boundary_residual,
     diff_matrix,
     divergence_matrix,
-    field_to_csv,
     gradient,
     integrate,
-    matrix_field_from_csv,
     read_csv,
-    scalar_field_from_csv,
     trapezoid_weights_1d,
-    vector_field_from_csv,
     weighted_divergence,
 )
 
@@ -280,27 +276,6 @@ class TestFieldValidation:
 
 
 class TestCsvRoundTrip:
-    def test_scalar(self, tmp_path):
-        g = line(0, 2, 11)
-        f = ScalarField.from_callable(g, lambda c: np.cos(c[..., 0]))
-        path = tmp_path / "f.csv"
-        field_to_csv(f, path)
-        back = scalar_field_from_csv(path)
-        assert back.grid.same_as(g)
-        assert np.allclose(back.values, f.values, atol=1e-11)
-
-    def test_vector_and_matrix(self, tmp_path):
-        g = ParameterGrid([(0, 1), (0, 1)], [4, 5])
-        v = VectorField.from_callable(g, lambda c: c + 1.0)
-        m = MatrixField.identity(g)
-        field_to_csv(v, tmp_path / "v.csv")
-        field_to_csv(m, tmp_path / "m.csv")
-        v2 = vector_field_from_csv(tmp_path / "v.csv")
-        m2 = matrix_field_from_csv(tmp_path / "m.csv")
-        assert v2.variance == "contravariant"
-        assert np.allclose(v2.values, v.values, atol=1e-11)
-        assert np.allclose(m2.values, m.values, atol=1e-11)
-
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -157,6 +157,112 @@ class TestGroundState:
         assert abs(potential - kinetic) <= 0.01 * e
 
 
+def reference_ground_state(ham):
+    """The bisection path ground_state replaced: eigh_tridiagonal(select="i").
+
+    Returns (E_0, phi_0, E_1 - E_0); the gap bounds how far two accurate
+    eigenvectors may differ.
+    """
+    vals, vecs = scipy.linalg.eigh_tridiagonal(
+        ham.diagonal, ham.off_diagonal, select="i", select_range=(0, 1))
+    return vals[0], vecs[:, 0], vals[1] - vals[0]
+
+
+# (information, half width, kinetic coefficient) per shape of the panel
+SOLVER_PANEL = {
+    "harmonic": (lambda t: np.asarray(t) ** 2, 0.5, 4.0),
+    "quartic": (lambda t: np.asarray(t) ** 4, 0.5, 4.0),
+    "double_well": (lambda t: (np.asarray(t) ** 2 - 0.01) ** 2, 0.5, 4.0),
+    "flat_box": (lambda t: np.ones_like(t), 2.0, 4.0),
+    "diagonal": (lambda t: 2.0 + np.sin(7.0 * np.asarray(t)), 1.0, 0.0),
+}
+
+
+def panel_hamiltonians(shape, nodes):
+    information, half, kinetic = SOLVER_PANEL[shape]
+    prob = SchrodingerProblem((-half, half), information, nodes=nodes)
+    # n = 0 with no kinetic term is the zero matrix, whose spectrum is degenerate
+    n_values = (1e2, 1e4, 1e6) if kinetic == 0.0 else (0.0, 1e2, 1e4, 1e6)
+    return [(n, assemble_H(prob, n, kinetic_coefficient=kinetic)) for n in n_values]
+
+
+class TestCertifiedGroundState:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("nodes", [101, 2001, 200001])
+    @pytest.mark.parametrize("shape", sorted(SOLVER_PANEL))
+    def test_matches_bisection_reference(self, shape, nodes):
+        for n, ham in panel_hamiltonians(shape, nodes):
+            e, psi = ground_state(ham)
+            e_ref, vec_ref, spectral_gap = reference_ground_state(ham)
+            scale = self.EPS * ham.norm_inf()
+            assert abs(e - e_ref) <= scale, (n, (e - e_ref) / scale)
+            vec = psi.values[1:-1] / np.linalg.norm(psi.values[1:-1])
+            vec_ref = vec_ref * np.sign(vec_ref @ vec)
+            # both residuals are O(eps ||H||): each vector is within
+            # residual / gap of the eigenvector (Davis-Kahan)
+            assert np.linalg.norm(vec - vec_ref) <= 10.0 * scale / spectral_gap, n
+
+    @pytest.mark.parametrize("shape", sorted(SOLVER_PANEL))
+    def test_certificate_brackets_ground_energy(self, shape):
+        for _, ham in panel_hamiltonians(shape, 2001):
+            e, psi = ground_state(ham)
+            vec = psi.values[1:-1] / np.linalg.norm(psi.values[1:-1])
+            resid = ham.residual_norms(np.array([e]), vec[:, None])[0]
+            tau = max(resid, minimax.CERTIFIED_GAP_EPS * self.EPS * ham.norm_inf())
+            _, _, info = scipy.linalg.lapack.dpttrf(ham.diagonal - (e - tau),
+                                                    ham.off_diagonal)
+            assert info == 0
+            e_ref = reference_ground_state(ham)[0]
+            assert e - tau < e_ref <= e + self.EPS * ham.norm_inf()
+
+    def test_factorization_failure_is_loud(self, monkeypatch):
+        def not_definite(d, e):
+            return d, e, 1
+
+        monkeypatch.setattr(minimax, "dpttrf", not_definite)
+        with pytest.raises(EigensolverError, match="not positive definite"):
+            ground_state(assemble_H(harmonic_problem(nodes=201), 100.0))
+
+    def test_failed_certificate_is_loud(self, monkeypatch):
+        # only the Gershgorin factorization succeeds: no shift is ever
+        # certified near E_min, so the final certificate cannot hold either
+        exact = scipy.linalg.lapack.dpttrf
+        calls = []
+
+        def first_only(d, e):
+            calls.append(None)
+            d_f, e_f, info = exact(d, e)
+            return d_f, e_f, info if len(calls) == 1 else 1
+
+        monkeypatch.setattr(minimax, "dpttrf", first_only)
+        with pytest.raises(EigensolverError, match="not certified"):
+            ground_state(assemble_H(harmonic_problem(nodes=201), 100.0))
+
+    def test_iteration_cap_is_loud(self, monkeypatch):
+        monkeypatch.setattr(minimax, "INVERSE_ITERATION_MAXITER", 1)
+        with pytest.raises(EigensolverError, match="did not converge"):
+            ground_state(assemble_H(harmonic_problem(nodes=201), 100.0))
+
+    def test_residual_check_is_loud(self, monkeypatch):
+        monkeypatch.setattr(minimax, "RESIDUAL_RTOL", 1e-30)
+        with pytest.raises(EigensolverError, match="residual"):
+            ground_state(assemble_H(harmonic_problem(nodes=201), 100.0))
+
+    def test_non_finite_hamiltonian_is_loud(self):
+        ham = assemble_H(harmonic_problem(nodes=201), 100.0)
+        diagonal = ham.diagonal.copy()
+        diagonal[50] = np.nan
+        with pytest.raises(EigensolverError, match="non-finite"):
+            ground_state(minimax.DiscretizedHamiltonian(ham.grid, diagonal, ham.off_diagonal))
+
+    def test_single_unknown(self):
+        prob = SchrodingerProblem((-1.0, 1.0), lambda t: np.asarray(t) ** 2 + 1.0, nodes=3)
+        ham = assemble_H(prob, 10.0)
+        e, _ = ground_state(ham)
+        assert e == ham.diagonal[0]
+
+
 class TestBworst:
     def test_harmonic_value(self):
         assert abs(bworst(harmonic_problem(), 100.0) - 0.05) <= 0.005 * 0.05

@@ -45,7 +45,10 @@ def dense_circulant_bound(disc, spectra):
 
 
 def full_grid_interp_spectrum(omega_grid, values, omega_out):
-    """Reference interpolation over the whole spectral grid (no coverage check)."""
+    """Reference interpolation over the whole spectral grid (no coverage check).
+
+    A frequency exactly on a node takes that node's value.
+    """
     finite = np.where(np.isfinite(values), values, np.nan)
     out = np.interp(omega_out, omega_grid, finite)
     inf_mask = ~np.isfinite(values)
@@ -54,6 +57,8 @@ def full_grid_interp_spectrum(omega_grid, values, omega_out):
         idx_lo = np.clip(idx - 1, 0, len(omega_grid) - 1)
         idx_hi = np.clip(idx, 0, len(omega_grid) - 1)
         out[inf_mask[idx_lo] | inf_mask[idx_hi]] = np.inf
+        on_node = omega_grid[idx_hi] == omega_out
+        out[on_node] = values[idx_hi[on_node]]
     return out
 
 
@@ -267,8 +272,11 @@ class TestInterpSpectrum:
         out = waveform._interp_spectrum(omega, values, omega_out, "s_theta")
         np.testing.assert_array_equal(out, full_grid_interp_spectrum(omega, values, omega_out))
         assert np.isinf(out[[0, 700, 1000, 1001, 1300, 2000]]).all()
-        # the midpoint next to an infinite node inherits it; farther nodes do not
-        assert np.isinf(out[2001 + 699]) and np.isfinite(out[698])
+        # the midpoints next to an infinite node inherit it; the nodes on
+        # either side keep their own finite values
+        assert np.isinf(out[2001 + 699]) and np.isinf(out[2001 + 700])
+        assert np.isfinite(out[[698, 699, 701, 702]]).all()
+        np.testing.assert_array_equal(out[[699, 701]], values[[699, 701]])
 
     def test_coverage_checked(self):
         omega = np.linspace(-1.0, 1.0, 101)
