@@ -141,15 +141,16 @@ class DiscretizedHamiltonian:
             [self.off_diagonal, self.diagonal, self.off_diagonal], [-1, 0, 1]
         ).tocsr()
 
-    def _radii(self) -> np.ndarray:
-        """Gershgorin radii |e_{i-1}| + |e_i| of the rows."""
+    def gershgorin(self) -> tuple[float, float]:
+        """(lower bound of the spectrum, ||H||_inf) from the Gershgorin discs."""
         radii = np.zeros_like(self.diagonal)
         radii[:-1] += np.abs(self.off_diagonal)
         radii[1:] += np.abs(self.off_diagonal)
-        return radii
+        return (float(np.min(self.diagonal - radii)),
+                float(np.max(np.abs(self.diagonal) + radii)))
 
     def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.diagonal) + self._radii()))
+        return self.gershgorin()[1]
 
     def residual_norms(self, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """||H phi_j - lambda_j phi_j|| for the columns phi_j of ``vecs``."""
@@ -222,31 +223,39 @@ def _positive_definite_factors(ham: DiscretizedHamiltonian, shift: float):
     """
     # the wrapper rejects an empty off-diagonal; a 1 x 1 H takes a dummy one
     off = ham.off_diagonal if ham.off_diagonal.size else np.zeros(1)
-    d, e, info = dpttrf(ham.diagonal - shift, off)
+    d, e, info = dpttrf(ham.diagonal - shift, off, overwrite_d=True)
     return (d, e) if info == 0 else None
 
 
-def ground_state(ham: DiscretizedHamiltonian) -> tuple[float, Wavefunction]:
-    """Smallest eigenpair; the eigenvector is quadrature-normalized.
+def _difference_rayleigh(row_sums: np.ndarray, off: np.ndarray, vec: np.ndarray) -> float:
+    """v^T H v as sum (d_i + e_{i-1} + e_i) v_i^2 - sum e_i (v_{i+1} - v_i)^2.
 
-    Inverse iteration on the tridiagonal H with every shift certified to lie
-    below E_min.  It starts at the Gershgorin lower bound.  After each solve
-    it tries the shift rho - max(||H v - rho v||, gap), with rho the
-    Rayleigh quotient and gap = CERTIFIED_GAP_EPS * eps * ||H||_inf, and
-    keeps it only if H minus that shift has an LDL^T factorization.  rho is
-    summed in difference form, sum (d_i + e_{i-1} + e_i) v_i^2 - sum e_i
-    (v_{i+1} - v_i)^2, which avoids the cancellation of the 2k - k - k
-    stencil.  Once rho stagnates, the factorization at rho - tau, tau =
-    max(||H v - rho v||, gap), certifies E_min in (rho - tau, rho].  A failed
-    factorization, INVERSE_ITERATION_MAXITER iterations without stagnation,
-    a failed certificate or a residual above RESIDUAL_RTOL * max(||H||_inf,
-    1) raises :class:`EigensolverError`.
+    ``row_sums`` holds d_i + e_{i-1} + e_i.  The direct sum of d_i v_i^2 and
+    2 e_i v_i v_{i+1} cancels the 2k - k - k of the stencil and loses digits
+    of order eps * k; this form adds terms of one sign only.
+    """
+    step = np.diff(vec)
+    return float(np.einsum("i,i,i->", row_sums, vec, vec)
+                 - np.einsum("i,i,i->", off, step, step))
+
+
+def _certified_inverse_iteration(ham: DiscretizedHamiltonian) -> tuple[float, np.ndarray]:
+    """(E_min, unit eigenvector) by inverse iteration with certified shifts.
+
+    It starts at the Gershgorin lower bound.  After each solve it tries the
+    shift rho - max(||H v - rho v||, gap), with rho the Rayleigh quotient and
+    gap = CERTIFIED_GAP_EPS * eps * ||H||_inf, and keeps it only if H minus
+    that shift has an LDL^T factorization.  Once rho stagnates, the
+    factorization at rho - tau, tau = max(||H v - rho v||, gap), certifies
+    E_min in (rho - tau, rho].  A failed factorization,
+    INVERSE_ITERATION_MAXITER iterations without stagnation, a non-finite
+    rho, a failed certificate or a residual above RESIDUAL_RTOL *
+    max(||H||_inf, 1) raises :class:`EigensolverError`.
     """
     d, e = ham.diagonal, ham.off_diagonal
-    radii = ham._radii()
-    norm = float(np.max(np.abs(d) + radii))
+    lowest, norm = ham.gershgorin()
     gap = CERTIFIED_GAP_EPS * np.finfo(float).eps * norm
-    shift = float(np.min(d - radii)) - gap
+    shift = lowest - gap
     factors = _positive_definite_factors(ham, shift)
     if factors is None:
         raise EigensolverError(
@@ -261,15 +270,16 @@ def ground_state(ham: DiscretizedHamiltonian) -> tuple[float, Wavefunction]:
         vec, _ = dpttrs(*factors, prev)
         scale = np.linalg.norm(vec)
         vec /= scale
-        step = np.diff(vec)
-        rho = float(row_sums @ vec**2 - e @ step**2)
+        rho = _difference_rayleigh(row_sums, e, vec)
         if not np.isfinite(rho):
             raise EigensolverError("inverse iteration produced a non-finite Rayleigh quotient")
         if rho_prev - rho <= gap:
             break
         rho_prev = rho
         # (H - shift) vec = prev / scale gives the residual without a product by H
-        resid = float(np.linalg.norm(prev / scale - (rho - shift) * vec))
+        prev /= scale
+        prev -= (rho - shift) * vec
+        resid = float(np.linalg.norm(prev))
         trial = rho - max(resid, gap)
         candidate = _positive_definite_factors(ham, trial) if trial > shift else None
         if candidate is not None:
@@ -277,6 +287,7 @@ def ground_state(ham: DiscretizedHamiltonian) -> tuple[float, Wavefunction]:
     else:
         raise EigensolverError(
             f"inverse iteration did not converge in {INVERSE_ITERATION_MAXITER} iterations")
+    del factors, prev, row_sums  # free them before the residual's temporaries
     resid = float(ham.residual_norms(np.array([rho]), vec[:, None])[0])
     tau = max(resid, gap)
     if _positive_definite_factors(ham, rho - tau) is None:
@@ -284,11 +295,22 @@ def ground_state(ham: DiscretizedHamiltonian) -> tuple[float, Wavefunction]:
             f"ground energy {rho!r} not certified: H - (E - {tau:.3e}) I "
             f"is not positive definite")
     _check_residual(resid, norm)
+    return rho, vec
+
+
+def ground_state(ham: DiscretizedHamiltonian) -> tuple[float, Wavefunction]:
+    """Smallest eigenpair; the eigenvector is quadrature-normalized.
+
+    Inverse iteration on the tridiagonal H whose every shift is certified to
+    lie below E_min by an LDL^T factorization; the energy comes with the
+    certificate E_min in (E - tau, E] (see `_certified_inverse_iteration`).
+    """
+    e_min, vec = _certified_inverse_iteration(ham)
     full = np.zeros(ham.grid.shape)
     full[1:-1] = vec
     if full[np.argmax(np.abs(full))] < 0:
-        full = -full
-    return rho, Wavefunction.normalized(ham.grid, full)
+        full *= -1.0
+    return e_min, Wavefunction.normalized(ham.grid, full)
 
 
 def converged_ground_energy(

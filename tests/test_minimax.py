@@ -217,7 +217,7 @@ class TestCertifiedGroundState:
             assert e - tau < e_ref <= e + self.EPS * ham.norm_inf()
 
     def test_factorization_failure_is_loud(self, monkeypatch):
-        def not_definite(d, e):
+        def not_definite(d, e, **_):
             return d, e, 1
 
         monkeypatch.setattr(minimax, "dpttrf", not_definite)
@@ -230,9 +230,9 @@ class TestCertifiedGroundState:
         exact = scipy.linalg.lapack.dpttrf
         calls = []
 
-        def first_only(d, e):
+        def first_only(d, e, **kwargs):
             calls.append(None)
-            d_f, e_f, info = exact(d, e)
+            d_f, e_f, info = exact(d, e, **kwargs)
             return d_f, e_f, info if len(calls) == 1 else 1
 
         monkeypatch.setattr(minimax, "dpttrf", first_only)
