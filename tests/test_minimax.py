@@ -174,7 +174,7 @@ SOLVER_PANEL = {
     "quartic": (lambda t: np.asarray(t) ** 4, 0.5, 4.0),
     "double_well": (lambda t: (np.asarray(t) ** 2 - 0.01) ** 2, 0.5, 4.0),
     "flat_box": (lambda t: np.ones_like(t), 2.0, 4.0),
-    "diagonal": (lambda t: 2.0 + np.sin(7.0 * np.asarray(t)), 1.0, 0.0),
+    "diagonal": (lambda t: 2.0 + np.sin(3.0 * np.asarray(t)), 1.0, 0.0),
 }
 
 
