@@ -29,7 +29,6 @@ from .errors import (
 from .geometry import StatisticalModel
 from .grids import (
     BOUNDARY_RESIDUAL_TOL,
-    DEFAULT_RHO_FLOOR,
     ParameterGrid,
     ScalarField,
     VectorField,
@@ -169,7 +168,7 @@ def _check_boundary(prior: ScalarField, v: VectorField) -> float:
     return res
 
 
-def _functionals(model, prior, weights, fields, gamma_inv, rho_floor) -> tuple[float, float, float]:
+def _functionals(model, prior, weights, fields, gamma_inv) -> tuple[float, float, float]:
     """(<A>, <F>, <P>) of q weight/field pairs coupled by ``gamma_inv``.
 
     ``gamma_inv`` holds the inverse risk-weight matrix g^{jk}, per node with
@@ -189,7 +188,7 @@ def _functionals(model, prior, weights, fields, gamma_inv, rho_floor) -> tuple[f
     for u, v in zip(weights, fields):
         a_val += float(np.sum(w * np.einsum("...a,...a->...", v.values, u.values)))
 
-    divs = [weighted_divergence(prior, v, model.metric, rho_floor).values for v in fields]
+    divs = [weighted_divergence(prior, v, model.metric).values for v in fields]
     f_val = 0.0
     p_val = 0.0
     for j, vj in enumerate(fields):
@@ -205,10 +204,9 @@ def functionals(
     model: StatisticalModel,
     prior: ScalarField,
     v: VectorField,
-    rho_floor: float = DEFAULT_RHO_FLOOR,
 ) -> tuple[float, float, float]:
     """The three prior expectations (<A>, <F>, <P>) for a given field v."""
-    return _functionals(model, prior, (model.weight,), (v,), np.ones((1, 1)), rho_floor)
+    return _functionals(model, prior, (model.weight,), (v,), np.ones((1, 1)))
 
 
 def gill_levit_bound(
@@ -217,12 +215,11 @@ def gill_levit_bound(
     v: VectorField,
     n: float,
     v_choice: str = "custom",
-    rho_floor: float = DEFAULT_RHO_FLOOR,
 ) -> BoundReport:
     """Evaluate B = <A>^2 / (n <F> + <P>) for the supplied field."""
     if n < 0:
         raise GridValueError(f"n must be nonnegative, got {n}")
-    a_val, f_val, p_val = functionals(model, prior, v, rho_floor=rho_floor)
+    a_val, f_val, p_val = functionals(model, prior, v)
     res = boundary_residual(prior, v)
     return BoundReport.assemble(
         a_val, f_val, p_val, n, v_choice,
@@ -258,7 +255,6 @@ def van_trees_v(
     model: StatisticalModel,
     prior: ScalarField,
     n: float,
-    rho_floor: float = DEFAULT_RHO_FLOOR,
 ) -> tuple[VectorField, BoundReport]:
     """Constant field from averaged information plus prior curvature.
 
@@ -309,12 +305,11 @@ def vectoral_functionals(
     model: StatisticalModel,
     prior: ScalarField,
     weights: VectoralWeight,
-    rho_floor: float = DEFAULT_RHO_FLOOR,
 ) -> tuple[float, float, float]:
     """(<A>, <F>, <P>) for a vector parameter of interest."""
     model.grid.require_same(weights.grid, "vectoral weights")
     return _functionals(model, prior, weights.weights, weights.fields,
-                        weights.gamma_inverse(), rho_floor)
+                        weights.gamma_inverse())
 
 
 def vectoral_bound(
@@ -322,10 +317,9 @@ def vectoral_bound(
     prior: ScalarField,
     weights: VectoralWeight,
     n: float,
-    rho_floor: float = DEFAULT_RHO_FLOOR,
 ) -> BoundReport:
     """Gill-Levit bound for a vector parameter of interest."""
-    a_val, f_val, p_val = vectoral_functionals(model, prior, weights, rho_floor)
+    a_val, f_val, p_val = vectoral_functionals(model, prior, weights)
     res = max(boundary_residual(prior, v) for v in weights.fields)
     return BoundReport.assemble(
         a_val, f_val, p_val, n, f"vectoral(q={weights.q})",

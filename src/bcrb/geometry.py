@@ -34,6 +34,7 @@ PSD_RTOL = 1e-10
 PRIOR_NORMALIZATION_ATOL = 1e-8
 ROUND_TRIP_ATOL = 1e-8
 JACOBIAN_FD_STEP = 1e-6  # relative to axis length
+INVARIANCE_RTOL = 1e-5   # source/target bound gap of an invariant report
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +95,9 @@ class StatisticalModel:
         metric_fn: Callable | None = None,
         prior_fn: Callable | None = None,
         helstrom_fn: Callable | None = None,
-        normalize_prior: bool = True,
     ) -> "StatisticalModel":
+        """Model sampled from the callables, its prior normalized against
+        the metric volume (``prior_fn`` rescaled to match)."""
         fisher = MatrixField.from_callable(grid, fisher_fn)
         weight = VectorField.from_callable(grid, weight_fn, variance="covariant")
         metric = MatrixField.from_callable(grid, metric_fn) if metric_fn else None
@@ -103,11 +105,10 @@ class StatisticalModel:
         prior = None
         if prior_fn is not None:
             prior = ScalarField.from_callable(grid, prior_fn)
-            if normalize_prior:
-                norm = integrate(prior, metric)
-                prior = ScalarField(grid, prior.values / norm)
-                scaled_prior_fn = prior_fn
-                prior_fn = lambda c, _f=scaled_prior_fn, _z=norm: np.asarray(_f(c)) / _z
+            norm = integrate(prior, metric)
+            prior = ScalarField(grid, prior.values / norm)
+            scaled_prior_fn = prior_fn
+            prior_fn = lambda c, _f=scaled_prior_fn, _z=norm: np.asarray(_f(c)) / _z
         return cls(
             grid,
             fisher,
@@ -122,10 +123,10 @@ class StatisticalModel:
             helstrom_fn,
         )
 
-    def with_prior(self, prior: ScalarField, prior_fn: Callable | None = None):
+    def with_prior(self, prior: ScalarField):
         return StatisticalModel(
             self.grid, self.fisher, self.weight, self.metric, prior, self.helstrom,
-            self.fisher_fn, self.weight_fn, self.metric_fn, prior_fn, self.helstrom_fn,
+            self.fisher_fn, self.weight_fn, self.metric_fn, None, self.helstrom_fn,
         )
 
     def with_information(self, fisher: MatrixField, fisher_fn: Callable | None = None):
@@ -413,11 +414,10 @@ class InvarianceReport:
     bound_target: "object"
     relative_difference: float
     v_transformed: bool
-    tolerance: float
 
     @property
     def invariant(self) -> bool:
-        return self.relative_difference <= self.tolerance
+        return self.relative_difference <= INVARIANCE_RTOL
 
 
 def invariance_report(
@@ -429,8 +429,6 @@ def invariance_report(
     target_grid: ParameterGrid | None = None,
     transform_v: bool = True,
     v_fn: Callable | None = None,
-    prior_fn: Callable | None = None,
-    tolerance: float = 1e-5,
 ) -> InvarianceReport:
     """Gill-Levit bound in source and image coordinates, with their gap.
 
@@ -440,7 +438,7 @@ def invariance_report(
     """
     from .bounds import gill_levit_bound  # local import to avoid a cycle
 
-    model_src = model.with_prior(prior, prior_fn)
+    model_src = model.with_prior(prior)
     rep_src = gill_levit_bound(model_src, prior, v, n)
 
     model_tgt = pushforward_model(model_src, map, target_grid)
@@ -454,4 +452,4 @@ def invariance_report(
 
     scale = max(abs(rep_src.bound), abs(rep_tgt.bound), 1e-300)
     rel = abs(rep_src.bound - rep_tgt.bound) / scale
-    return InvarianceReport(rep_src, rep_tgt, rel, transform_v, tolerance)
+    return InvarianceReport(rep_src, rep_tgt, rel, transform_v)

@@ -299,19 +299,19 @@ def _divergence_of(grid: ParameterGrid, flux_components: np.ndarray) -> np.ndarr
     return out
 
 
-def _tiny_density_mask(grid: ParameterGrid, rho_values: np.ndarray, rho_floor: float):
+def _tiny_density_mask(grid: ParameterGrid, rho_values: np.ndarray):
     """Nodes numerically outside the prior support, erroring on interior holes.
 
-    A node is tiny when ``rho < rho_floor * max(rho)``.  Tiny boundary nodes
-    and tiny interior nodes inside a smoothly vanishing tail are fine (the
-    quotient is zeroed there); a tiny interior node with a non-tiny axis
-    neighbor is a hole in a region that should carry mass, which the
-    quotient cannot represent, so it raises.
+    A node is tiny when ``rho < DEFAULT_RHO_FLOOR * max(rho)``.  Tiny
+    boundary nodes and tiny interior nodes inside a smoothly vanishing tail
+    are fine (the quotient is zeroed there); a tiny interior node with a
+    non-tiny axis neighbor is a hole in a region that should carry mass,
+    which the quotient cannot represent, so it raises.
     """
-    floor = rho_floor * float(rho_values.max(initial=0.0))
+    floor = DEFAULT_RHO_FLOOR * float(rho_values.max(initial=0.0))
     tiny = rho_values < floor if floor > 0 else rho_values <= 0
     if not np.any(tiny):
-        return tiny, floor
+        return tiny
     neighbor_max = np.zeros_like(rho_values)
     for ax in range(grid.dim):
         lo = [slice(None)] * grid.dim
@@ -331,20 +331,19 @@ def _tiny_density_mask(grid: ParameterGrid, rho_values: np.ndarray, rho_floor: f
             f"with non-vanishing neighborhoods; first offender index "
             f"{tuple(int(i) for i in nodes[0])} at coordinates {coords}"
         )
-    return tiny, floor
+    return tiny
 
 
 def weighted_divergence(
     rho: ScalarField,
     v: VectorField,
     metric: MatrixField | None = None,
-    rho_floor: float = DEFAULT_RHO_FLOOR,
 ) -> ScalarField:
     """The scalar ``(1/rho) div(rho v)`` with the metric volume factor.
 
     Computes ``(1 / (sqrt|g| rho)) d_a (sqrt|g| rho v^a)``.  Nodes where
-    ``rho`` falls below ``rho_floor * max(rho)`` contribute zero; an interior
-    below-floor node whose neighborhood carries mass raises (see
+    ``rho`` falls below ``DEFAULT_RHO_FLOOR * max(rho)`` contribute zero; an
+    interior below-floor node whose neighborhood carries mass raises (see
     ``_tiny_density_mask``).  Warns when ``rho * v`` fails to vanish on the
     boundary.
     """
@@ -357,8 +356,7 @@ def weighted_divergence(
     sqrtg = metric_sqrt_det(metric, grid)
 
     dens = sqrtg * rho.values
-    tiny, _ = _tiny_density_mask(grid, rho.values, rho_floor)
-    ok = ~tiny
+    ok = ~_tiny_density_mask(grid, rho.values)
 
     rv = np.abs(rho.values[..., None] * v.values)
     rv_max = float(rv.max(initial=0.0))
@@ -418,7 +416,6 @@ def divergence_matrix(
     grid: ParameterGrid,
     rho: ScalarField,
     metric: MatrixField | None = None,
-    rho_floor: float = DEFAULT_RHO_FLOOR,
 ) -> sp.csr_matrix:
     """Sparse operator: flattened contravariant field -> ``(1/rho) div(rho v)``.
 
@@ -427,8 +424,7 @@ def divergence_matrix(
     """
     sqrtg = metric_sqrt_det(metric, grid)
     dens = (sqrtg * rho.values).ravel()
-    tiny, _ = _tiny_density_mask(grid, rho.values, rho_floor)
-    ok = (~tiny).ravel()
+    ok = ~_tiny_density_mask(grid, rho.values).ravel()
     inv = np.zeros_like(dens)
     inv[ok] = 1.0 / dens[ok]
     blocks = [

@@ -44,6 +44,9 @@ COVERAGE_ATOL = 1e-6
 INTENSITY_SUPPORT_FLOOR = 1e-14
 DEFAULT_GRID_NODES = 4096
 DEFAULT_SPAN_SIGMAS = 12.0
+HELSTROM_GRID_NODES = 8193
+SAMPLED_INFORMATION_NODES = 2001
+POWER_LAW_R2_WARN = 0.99
 PROJECTION_DEFICIT_TOL = 1e-6
 RANK_RTOL = 1e-6
 
@@ -183,8 +186,12 @@ PSF_CATALOG: dict[str, Callable[..., PointSpreadFunction]] = {
 }
 
 
-def psf_from_csv(path, width: float | None = None) -> PointSpreadFunction:
-    """Columns: x, amplitude.  The width defaults to the intensity std dev."""
+def psf_from_csv(path) -> PointSpreadFunction:
+    """Columns: x, amplitude.  The width is the intensity std dev.
+
+    Raises :class:`GridValueError`, naming the path, when the samples are not
+    finite or an ``x`` value repeats.
+    """
     header, rows = read_csv(path)
     if len(header) < 2:
         raise GridValueError("PSF CSV needs columns x, amplitude")
@@ -192,11 +199,12 @@ def psf_from_csv(path, width: float | None = None) -> PointSpreadFunction:
         raise GridValueError(f"{path}: PSF samples must be finite")
     order = np.argsort(rows[:, 0])
     x, amp = rows[order, 0], rows[order, 1]
-    if width is None:
-        h = amp**2
-        h = h / np.trapezoid(h, x)
-        mean = np.trapezoid(x * h, x)
-        width = float(np.sqrt(np.trapezoid((x - mean) ** 2 * h, x)))
+    if np.any(np.diff(x) <= 0):
+        raise GridValueError(f"{path}: x values must be distinct")
+    h = amp**2
+    h = h / np.trapezoid(h, x)
+    mean = np.trapezoid(x * h, x)
+    width = float(np.sqrt(np.trapezoid((x - mean) ** 2 * h, x)))
     return PointSpreadFunction(x, amp, width, name="csv")
 
 
@@ -235,7 +243,6 @@ def direct_imaging_fisher(
     psf: PointSpreadFunction,
     config: SourceConfiguration,
     span_sigmas: float = DEFAULT_SPAN_SIGMAS,
-    nodes: int = DEFAULT_GRID_NODES,
 ) -> np.ndarray:
     """Information matrix of position-basis measurement (one photon).
 
@@ -244,7 +251,7 @@ def direct_imaging_fisher(
     must capture the full density (unit mass within 1e-6).
     """
     pos = config.positions
-    x = _measurement_grid(psf, pos, span_sigmas, nodes)
+    x = _measurement_grid(psf, pos, span_sigmas, DEFAULT_GRID_NODES)
     w = trapezoid_weights_1d(len(x), x[1] - x[0])
 
     h = np.stack([psf.intensity_at(x - t) for t in pos])
@@ -274,8 +281,6 @@ def information_along(
     direction: np.ndarray,
     taus: np.ndarray,
     origin: np.ndarray | None = None,
-    span_sigmas: float = DEFAULT_SPAN_SIGMAS,
-    nodes: int = DEFAULT_GRID_NODES,
 ) -> np.ndarray:
     """v F(theta(tau)) v along the submodel theta(tau) = origin + v tau.
 
@@ -289,8 +294,8 @@ def information_along(
     thetas = origin[None, :] + taus[:, None] * direction[None, :]  # (nt, p)
 
     reach = np.abs(thetas).max() if len(taus) else 0.0
-    half = reach + span_sigmas * psf.width
-    x = np.linspace(-half, half, nodes)
+    half = reach + DEFAULT_SPAN_SIGMAS * psf.width
+    x = np.linspace(-half, half, DEFAULT_GRID_NODES)
     w = trapezoid_weights_1d(len(x), x[1] - x[0])
 
     out = np.empty(len(taus))
@@ -321,9 +326,6 @@ def exponent_fit(
     psf: PointSpreadFunction,
     direction: np.ndarray,
     taus: Sequence[float],
-    origin: np.ndarray | None = None,
-    r2_warn: float = 0.99,
-    **grid_kwargs,
 ) -> ExponentFit:
     """Log-log fit of the directional information against A |tau|^m."""
     taus = np.asarray(sorted(float(t) for t in taus))
@@ -333,7 +335,7 @@ def exponent_fit(
         raise GridValueError(
             f"separation range {taus[0]:g}..{taus[-1]:g} spans less than two decades"
         )
-    info = information_along(psf, direction, taus, origin, **grid_kwargs)
+    info = information_along(psf, direction, taus)
     if np.any(info <= 0):
         raise GridValueError("information vanished identically along the direction")
     logt, logf = np.log(taus), np.log(info)
@@ -342,7 +344,7 @@ def exponent_fit(
     ss_res = float(np.sum((logf - fitted) ** 2))
     ss_tot = float(np.sum((logf - logf.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    if r2 < r2_warn:
+    if r2 < POWER_LAW_R2_WARN:
         warnings.warn(
             f"information is not a clean power law (R^2 = {r2:.4f}); "
             "residuals attached to the fit",
@@ -360,20 +362,17 @@ class _SampledInformation:
     below the quadrature error.
     """
 
-    def __init__(self, psf, direction, origin, dense_nodes=2001, **grid_kwargs):
+    def __init__(self, psf, direction):
         self.psf = psf
         self.direction = direction
-        self.origin = origin
-        self.kwargs = grid_kwargs
-        self.dense_nodes = dense_nodes
         self.radius = 0.0
         self.spline = None
 
     def _resample(self, radius: float):
-        lin = np.linspace(0.0, radius, self.dense_nodes)
+        lin = np.linspace(0.0, radius, SAMPLED_INFORMATION_NODES)
         logs = radius * np.logspace(-8, 0, 129)
         s = np.unique(np.concatenate([lin, logs]))
-        vals = information_along(self.psf, self.direction, s, self.origin, **self.kwargs)
+        vals = information_along(self.psf, self.direction, s)
         self.spline = CubicSpline(s, vals)
         self.radius = radius
 
@@ -389,19 +388,14 @@ def minimax_rate(
     psf: PointSpreadFunction,
     direction: np.ndarray,
     n_list: Sequence[float],
-    origin: np.ndarray | None = None,
     initial_half_width: float | None = None,
     nodes: int = 2001,
-    alignment: float = 1.0,
-    **grid_kwargs,
 ) -> RateFitResult:
     """Worst-case-rate fit with the directional information as the potential."""
     half = initial_half_width if initial_half_width is not None else 0.25 * psf.width
-    potential = _SampledInformation(psf, np.asarray(direction, dtype=float),
-                                    origin, **grid_kwargs)
+    potential = _SampledInformation(psf, np.asarray(direction, dtype=float))
     potential(np.array([4.0 * half]))  # prime the spline past the first doublings
-    problem = SchrodingerProblem((-half, half), potential, alignment=alignment,
-                                 nodes=nodes)
+    problem = SchrodingerProblem((-half, half), potential, nodes=nodes)
     return rate_fit(problem, n_list)
 
 
@@ -421,7 +415,6 @@ def imaging_helstrom(
     psf: PointSpreadFunction,
     config: SourceConfiguration,
     span_sigmas: float = 16.0,
-    nodes: int = 8193,
 ) -> HelstromReport:
     """Helstrom information of the source mixture in the span of its states.
 
@@ -434,7 +427,7 @@ def imaging_helstrom(
     physical vector is checked against 1e-6.
     """
     pos = config.positions
-    x = _measurement_grid(psf, pos, span_sigmas, nodes)
+    x = _measurement_grid(psf, pos, span_sigmas, HELSTROM_GRID_NODES)
     w = trapezoid_weights_1d(len(x), x[1] - x[0])
 
     states = [psf.amplitude_at(x - t) for t in pos]
@@ -492,7 +485,6 @@ def helstrom_along(
     direction: np.ndarray,
     taus: np.ndarray,
     origin: np.ndarray | None = None,
-    **kwargs,
 ) -> np.ndarray:
     """v K(theta(tau)) v along a submodel, via the projected family."""
     direction = np.asarray(direction, dtype=float).reshape(-1)
@@ -501,7 +493,7 @@ def helstrom_along(
     out = np.empty(len(taus))
     for i, tau in enumerate(np.atleast_1d(taus)):
         config = SourceConfiguration(origin + tau * direction)
-        report = imaging_helstrom(psf, config, **kwargs)
+        report = imaging_helstrom(psf, config)
         out[i] = float(direction @ report.helstrom @ direction)
     return out
 
@@ -511,7 +503,6 @@ def quantum_vs_classical(
     config: SourceConfiguration,
     prior: ScalarField | None = None,
     n: float = 1.0,
-    window: float | None = None,
     nodes: int = 257,
 ):
     """Classical and quantum optimal bounds for two-source separation.
@@ -520,8 +511,10 @@ def quantum_vs_classical(
     (-s/2, +s/2) on a window around the configured separation, evaluates the
     direct-imaging information and the Helstrom information along it, and
     solves both field equations.  ``prior`` is a density on the separation
-    window (a compact bump by default).  Returns the pair of reports
-    (classical, quantum); the quantum bound never exceeds the classical one.
+    window; by default the window spans 0.7 to 1.3 times the separation with
+    ``nodes`` nodes and the prior is a compact bump on it.  Returns the pair
+    of reports (classical, quantum); the quantum bound never exceeds the
+    classical one.
     """
     if config.p != 2:
         raise GridValueError("the separation submodel needs exactly two sources")
@@ -529,21 +522,17 @@ def quantum_vs_classical(
     centroid = float(config.positions.mean())
     if separation <= 0:
         raise GridValueError("separation must be positive")
-    half = window if window is not None else 0.3 * separation
-    lo, hi = separation - half, separation + half
-    if lo <= 0:
-        raise GridValueError("window reaches nonpositive separations")
     if prior is not None:
         grid = prior.grid
         if grid.dim != 1:
             raise GridValueError("separation prior must live on a 1-d grid")
-        (lo, hi), = grid.bounds
         s_nodes = grid.axes[0]
     else:
+        half = 0.3 * separation
+        lo, hi = separation - half, separation + half
         grid = ParameterGrid([(lo, hi)], [nodes])
         s_nodes = grid.axes[0]
-        span = hi - lo
-        bump = np.sin(np.pi * np.clip((s_nodes - lo) / span, 0.0, 1.0)) ** 4
+        bump = np.sin(np.pi * np.clip((s_nodes - lo) / (hi - lo), 0.0, 1.0)) ** 4
         prior = ScalarField(grid, bump).normalized()
     d_theta = np.array([-0.5, 0.5])
     origin = np.array([centroid, centroid])

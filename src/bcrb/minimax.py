@@ -33,7 +33,6 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from .errors import EigensolverError, GridValueError, ScenarioError
 from .geometry import StatisticalModel
 from .grids import (
-    MatrixField,
     ParameterGrid,
     ScalarField,
     VectorField,
@@ -50,6 +49,7 @@ RESIDUAL_RTOL = 1e-8
 INVERSE_ITERATION_MAXITER = 50
 CERTIFIED_GAP_EPS = 4.0   # smallest certified gap below E_min, in eps * ||H||_inf
 BOX_CONVERGENCE_RTOL = 1e-3   # ground energy change between box doublings
+MAX_BOX_DOUBLINGS = 40        # each doubling also doubles dx at a fixed node count
 DENSE_SOLVER_MAX_NODES = 2000
 
 
@@ -73,7 +73,6 @@ class Wavefunction:
 
     grid: ParameterGrid
     values: np.ndarray
-    metric: MatrixField | None = None
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -81,19 +80,19 @@ class Wavefunction:
             raise GridValueError(
                 f"wavefunction shape {vals.shape} does not match grid {self.grid.shape}"
             )
-        norm = integrate(ScalarField(self.grid, vals**2), self.metric)
+        norm = integrate(ScalarField(self.grid, vals**2))
         if abs(norm - 1.0) > NORMALIZATION_ATOL:
             raise GridValueError(f"wavefunction norm^2 is {norm!r}, expected 1")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def normalized(cls, grid, values, metric=None) -> "Wavefunction":
+    def normalized(cls, grid, values) -> "Wavefunction":
         values = np.asarray(values, dtype=float)
-        norm = integrate(ScalarField(grid, values**2), metric)
+        norm = integrate(ScalarField(grid, values**2))
         if norm <= 0:
             raise GridValueError("cannot normalize a null wavefunction")
-        return cls(grid, values / np.sqrt(norm), metric)
+        return cls(grid, values / np.sqrt(norm))
 
     def density(self) -> ScalarField:
         return ScalarField(self.grid, self.values**2)
@@ -106,14 +105,12 @@ class SchrodingerProblem:
     ``information`` maps an array of submodel coordinates tau to the
     information along the direction; ``alignment`` is the (usually constant)
     overlap of direction and weight.  The direction itself only enters
-    through the parametrization, so it is kept as metadata; a non-constant
-    direction has no discretization here and is rejected by `assemble_H`.
+    through the parametrization of tau.
     """
 
     domain: tuple[float, float]
     information: Callable
     alignment: float | Callable = 1.0
-    direction: np.ndarray | Callable | None = None
     nodes: int = 2001
 
     def __post_init__(self):
@@ -188,19 +185,8 @@ def assemble_H(
     problem: SchrodingerProblem,
     n: float,
     domain: tuple[float, float] | None = None,
-    kinetic_coefficient: float = KINETIC_COEFFICIENT,
 ) -> DiscretizedHamiltonian:
-    """Discretize n*F(tau) - 4 (d/dtau)^2 with Dirichlet ends.
-
-    ``kinetic_coefficient=0`` degenerates to the diagonal potential matrix
-    (test mode).  A position-dependent direction field has no constant
-    -direction reduction and is rejected.
-    """
-    if callable(problem.direction):
-        raise GridValueError(
-            "non-constant direction fields are not supported; only the "
-            "constant-direction reduction to a 1-d ground-state problem exists"
-        )
+    """Discretize n*F(tau) - 4 (d/dtau)^2 with Dirichlet ends."""
     if n < 0:
         raise GridValueError(f"n must be nonnegative, got {n}")
     grid = problem.grid(domain)
@@ -209,7 +195,7 @@ def assemble_H(
     pot = n * np.asarray(problem.information(tau[1:-1]), dtype=float)
     if np.any(pot < -1e-12 * max(1.0, np.max(np.abs(pot)))):
         raise GridValueError("information potential must be nonnegative")
-    k = kinetic_coefficient / dx**2
+    k = KINETIC_COEFFICIENT / dx**2
     diag = pot + 2.0 * k
     off = np.full(len(tau) - 3, -k)
     return DiscretizedHamiltonian(grid, diag, off)
@@ -310,29 +296,29 @@ def ground_state(ham: DiscretizedHamiltonian) -> tuple[float, Wavefunction]:
     full[1:-1] = vec
     if full[np.argmax(np.abs(full))] < 0:
         full *= -1.0
-    return e_min, Wavefunction.normalized(ham.grid, full)
+    # the ends are zero and ||vec|| = 1, so the trapezoid norm^2 of full is dx
+    return e_min, Wavefunction(ham.grid, full / np.sqrt(ham.grid.spacing[0]))
 
 
 def converged_ground_energy(
     problem: SchrodingerProblem,
     n: float,
-    rtol: float = BOX_CONVERGENCE_RTOL,
-    max_doublings: int = 40,
 ) -> tuple[float, tuple[float, float]]:
-    """Ground energy with the box doubled until it changes by < rtol."""
+    """Ground energy with the box doubled until it changes by less than
+    BOX_CONVERGENCE_RTOL."""
     lo, hi = problem.domain
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     e_prev = None
-    for _ in range(max_doublings):
+    for _ in range(MAX_BOX_DOUBLINGS):
         dom = (center - half, center + half)
         e_cur = ground_state(assemble_H(problem, n, domain=dom))[0]
-        if e_prev is not None and abs(e_cur - e_prev) <= rtol * abs(e_cur):
+        if e_prev is not None and abs(e_cur - e_prev) <= BOX_CONVERGENCE_RTOL * abs(e_cur):
             return e_cur, dom
         e_prev = e_cur
         half *= 2.0
     raise EigensolverError(
-        f"ground energy did not converge within {max_doublings} box doublings"
+        f"ground energy did not converge within {MAX_BOX_DOUBLINGS} box doublings"
     )
 
 
@@ -345,20 +331,16 @@ def _constant_alignment(problem: SchrodingerProblem) -> float:
     return float(problem.alignment)
 
 
-def bworst(
-    problem: SchrodingerProblem,
-    n: float,
-    return_prior: bool = False,
-):
-    """sup over priors of the bound: alignment^2 / E_min on the given box."""
+def bworst(problem: SchrodingerProblem, n: float) -> float:
+    """sup over priors of the bound: alignment^2 / E_min on the given box.
+
+    The least-favorable prior is the ground state's density, psi_0^2.
+    """
     a_val = _constant_alignment(problem)
-    e_min, psi = ground_state(assemble_H(problem, n))
+    e_min, _ = ground_state(assemble_H(problem, n))
     if e_min <= 1e-12 * max(1.0, abs(n)):
         raise DegenerateGroundStateError(e_min)
-    value = a_val**2 / e_min
-    if return_prior:
-        return value, psi.density().normalized()
-    return value
+    return a_val**2 / e_min
 
 
 class DegenerateGroundStateError(EigensolverError):
@@ -421,8 +403,6 @@ class RateFitResult:
 def rate_fit(
     problem: SchrodingerProblem,
     n_list: Sequence[float],
-    width_grid: np.ndarray | None = None,
-    workers: int | None = None,
 ) -> RateFitResult:
     """Fit the decay exponent of the worst-case bound against n.
 
@@ -442,8 +422,7 @@ def rate_fit(
     a_val = _constant_alignment(problem)
 
     half0 = 0.5 * (problem.domain[1] - problem.domain[0])
-    if width_grid is None:
-        width_grid = half0 * np.logspace(-5, 0, 161)
+    width_grid = half0 * np.logspace(-5, 0, 161)  # trial widths, five decades below half0
 
     # the potential is n-independent: memoize per box so the doubling
     # sequences of different n values share evaluations, and integrate the
@@ -459,8 +438,7 @@ def rate_fit(
         return cache[key]
 
     problem = SchrodingerProblem(
-        problem.domain, cached_information, problem.alignment,
-        problem.direction, problem.nodes,
+        problem.domain, cached_information, problem.alignment, problem.nodes,
     )
     trial_pots, trial_kin = _trial_integrals(problem, width_grid)
 
@@ -470,7 +448,7 @@ def rate_fit(
         k = int(np.argmin(trial))
         return e_min, trial[k], width_grid[k]
 
-    max_workers = workers or min(len(n_arr), thread_cap())
+    max_workers = min(len(n_arr), thread_cap())
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             rows = list(pool.map(solve_one, n_arr))
@@ -509,7 +487,6 @@ class LambdaScanResult:
 def lambda_scan(
     problem: SchrodingerProblem,
     n: float,
-    lambda_window: tuple[float, float] | None = None,
 ) -> LambdaScanResult:
     """Maximize the bound over priors when the alignment varies with position.
 
@@ -547,12 +524,9 @@ def lambda_scan(
     numer = dx * np.sum(a_vals[:, None] * psi**2, axis=0)
     with np.errstate(divide="ignore"):
         cand = np.where(lam > 0, numer / lam, -np.inf)
-    if lambda_window is not None:
-        lo, hi = lambda_window
-        cand = np.where((lam >= lo) & (lam <= hi), cand, -np.inf)
     k = int(np.argmax(cand))
     if not np.isfinite(cand[k]):
-        raise EigensolverError("no admissible eigenvalue in the requested window")
+        raise EigensolverError("no positive eigenvalue")
     return LambdaScanResult(float(lam[k]), float(cand[k]), lam, cand)
 
 

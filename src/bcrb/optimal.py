@@ -26,7 +26,6 @@ from .bounds import BoundReport, VectoralWeight, _check_boundary
 from .errors import GridValueError, OperatorRangeError
 from .geometry import StatisticalModel
 from .grids import (
-    DEFAULT_RHO_FLOOR,
     ParameterGrid,
     ScalarField,
     VectorField,
@@ -40,6 +39,8 @@ from .grids import (
 SOLVE_RTOL = 1e-8          # target relative residual of the sparse solve
 RANGE_RTOL = 1e-6          # above this residual the RHS is declared out of range
 CG_MAXITER = 5000          # PCG cap, over 5x the worst count measured on 2-D 321^2 grids (919)
+SELF_ADJOINTNESS_TRIALS = 8   # random field pairs probed by self_adjointness_defect
+SELF_ADJOINTNESS_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,6 @@ class OperatorL:
     matrix: sp.csr_matrix
     weight: np.ndarray
     interior: np.ndarray  # flat indices of interior nodes
-    rho_floor: float
     node_weights: np.ndarray
 
     def inner(self, v: VectorField, u: VectorField) -> float:
@@ -90,19 +90,18 @@ class OperatorL:
     def apply(self, v: VectorField) -> VectorField:
         """(Lv)_a = n F_ab v^b - d_a[(1/rho) div(rho v)] on the full grid."""
         self.grid.require_same(v.grid, "OperatorL.apply")
-        div = weighted_divergence(v=v, rho=self.rho, metric=self.model.metric,
-                                  rho_floor=self.rho_floor)
+        div = weighted_divergence(self.rho, v, self.model.metric)
         grad_div = gradient(div).values
         fv = np.einsum("...ab,...b->...a", self.model.fisher.values, v.values)
         return VectorField(self.grid, self.n * fv - grad_div, variance="covariant")
 
-    def self_adjointness_defect(self, trials: int = 8, seed: int = 0) -> float:
+    def self_adjointness_defect(self) -> float:
         """max |<w,Lv> - <Lw,v>| over random interior fields, scaled by ||L||."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(SELF_ADJOINTNESS_SEED)
         dim = self.matrix.shape[0]
         norm = spla.norm(self.matrix, np.inf)
         worst = 0.0
-        for _ in range(trials):
+        for _ in range(SELF_ADJOINTNESS_TRIALS):
             v = rng.normal(size=dim)
             w = rng.normal(size=dim)
             worst = max(worst, abs(w @ (self.matrix @ v) - (self.matrix @ w) @ v))
@@ -135,7 +134,6 @@ def _assemble_system(
     model: StatisticalModel,
     prior: ScalarField,
     n: float,
-    rho_floor: float,
     gamma_inv: np.ndarray,
 ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """The q x q block field-equation matrix on interior unknowns.
@@ -155,7 +153,7 @@ def _assemble_system(
 
     w = rho_weights(prior, model.metric).ravel()
     interior = np.flatnonzero(~grid.boundary_mask.ravel())
-    div = divergence_matrix(grid, prior, model.metric, rho_floor)  # (num, num*p)
+    div = divergence_matrix(grid, prior, model.metric)  # (num, num*p)
     div_int = sp.csr_matrix(div[:, np.concatenate([interior + a * num for a in range(p)])])
 
     f_int = model.fisher.values.reshape(num, p, p)[interior]
@@ -179,15 +177,14 @@ def assemble_L(
     model: StatisticalModel,
     prior: ScalarField,
     n: float,
-    rho_floor: float = DEFAULT_RHO_FLOOR,
 ) -> OperatorL:
     """Build the discrete operator n*F + (prior-curvature term)."""
     grid = model.grid
     grid.require_same(prior.grid, "assemble_L prior")
     matrix, w, interior = _assemble_system(
-        model, prior, n, rho_floor, np.ones((grid.num_nodes, 1, 1)))
+        model, prior, n, np.ones((grid.num_nodes, 1, 1)))
     weight = np.tile(w[interior], grid.dim)
-    return OperatorL(grid, float(n), prior, model, matrix, weight, interior, rho_floor, w)
+    return OperatorL(grid, float(n), prior, model, matrix, weight, interior, w)
 
 
 def _pcg(matrix: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -278,7 +275,6 @@ def bmax(
     model: StatisticalModel,
     prior: ScalarField | None = None,
     n: float = 1.0,
-    rho_floor: float = DEFAULT_RHO_FLOOR,
     v_choice: str = "least_favorable",
 ) -> BoundReport:
     """The optimal bound <u, L^{-1} u>_rho with the attaining field.
@@ -290,7 +286,7 @@ def bmax(
         prior = model.prior
     if prior is None:
         raise GridValueError("bmax needs a prior density")
-    op = assemble_L(model, prior, n, rho_floor)
+    op = assemble_L(model, prior, n)
     v = solve_least_favorable(op, model.weight)
     rhs = op.weight * _interior_dofs(model.weight.values, op.interior)
     align, info_val, prior_val = _functionals(
@@ -327,7 +323,6 @@ def vectoral_bmax(
     prior: ScalarField,
     weights: VectoralWeight,
     n: float,
-    rho_floor: float = DEFAULT_RHO_FLOOR,
 ) -> BoundReport:
     """Optimal bound for a vector parameter of interest (block sparse solve).
 
@@ -341,7 +336,7 @@ def vectoral_bmax(
     p = grid.dim
     q = weights.q
     gamma_inv = weights.gamma_inverse().reshape(grid.num_nodes, q, q)
-    matrix, w, interior = _assemble_system(model, prior, n, rho_floor, gamma_inv)
+    matrix, w, interior = _assemble_system(model, prior, n, gamma_inv)
     weight = np.tile(w[interior], p)
     rhs = np.concatenate([weight * _interior_dofs(u.values, interior) for u in weights.weights])
     sol, info = _solve_system(matrix, rhs, p)

@@ -240,9 +240,9 @@ def diagonal_qubit_family() -> DensityFamily:
     return DensityFamily(2, 1, rho_fn, drho_fn)
 
 
-def constant_family(matrix: np.ndarray, num_parameters: int = 1) -> DensityFamily:
-    """theta-independent family: all scores vanish."""
+def constant_family(matrix: np.ndarray) -> DensityFamily:
+    """theta-independent one-parameter family: all scores vanish."""
     matrix = np.asarray(matrix, dtype=complex)
     dim = matrix.shape[0]
-    zeros = np.zeros((num_parameters, dim, dim), dtype=complex)
-    return DensityFamily(dim, num_parameters, lambda _t: matrix, lambda _t: zeros)
+    zeros = np.zeros((1, dim, dim), dtype=complex)
+    return DensityFamily(dim, 1, lambda _t: matrix, lambda _t: zeros)

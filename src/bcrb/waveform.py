@@ -132,10 +132,11 @@ class TimeDiscretization:
         return -np.pi / self.dt + 2.0 * np.pi * np.arange(self.slots) / self.total_time
 
     @classmethod
-    def instant_weight(cls, total_time: float, slots: int, at_time: float = 0.0):
-        """Weight approximating a delta at one slot (estimate the value there)."""
+    def instant_weight(cls, total_time: float, slots: int):
+        """Weight approximating a delta at the slot nearest t = 0 (estimate the
+        value there)."""
         disc = cls(total_time, slots, np.zeros(slots))
-        idx = int(np.argmin(np.abs(disc.times - at_time)))
+        idx = int(np.argmin(np.abs(disc.times)))
         w = np.zeros(slots)
         w[idx] = 1.0 / disc.dt
         return cls(total_time, slots, w)

@@ -260,6 +260,18 @@ class TestWaveformScenario:
         rows = (out / "circulant.csv").read_text().strip().splitlines()
         assert len(rows) == 4
 
+    def test_empty_sweep_exit_2(self, tmp_path, capsys):
+        cfg = {
+            "kind": "waveform",
+            "name": "empty-sweep",
+            "spectra": {"type": "rectangle", "nodes": 4001},
+            "discretization": {"slots": 64, "dt": 0.25, "sweep": []},
+        }
+        code = main(["waveform", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: discretization.sweep: ")
+
     def test_csv_spectra_with_violations(self, tmp_path):
         import csv
 
@@ -420,9 +432,12 @@ class TestShippedConfigs:
         assert abs(res["slope"] + 0.5) <= 0.1
 
 
-def write_psf_csv(tmp_path, bad=None, sigma=2.0):
-    """Gaussian amplitude samples on [-24, 24]; ``bad`` replaces one amplitude."""
+def write_psf_csv(tmp_path, bad=None, sigma=2.0, repeat_x=False):
+    """Gaussian amplitude samples on [-24, 24]; ``bad`` replaces one amplitude,
+    ``repeat_x`` gives one row the x of its neighbour."""
     x = np.linspace(-24.0, 24.0, 481)
+    if repeat_x:
+        x[241] = x[240]
     amp = np.exp(-x**2 / (4.0 * sigma**2))
     cells = ["%.17g" % a for a in amp]
     if bad is not None:
@@ -512,3 +527,15 @@ class TestNonFinitePsf:
         assert code == 2
         assert "psf.csv" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestRepeatedPsfX:
+    @pytest.mark.parametrize("task", ["fisher", "helstrom_rank", "exponent"])
+    def test_exit_2_naming_psf_csv(self, tmp_path, capsys, task):
+        cfg = {"kind": "imaging", "name": "repeated-x-psf",
+               "psf": {"csv": write_psf_csv(tmp_path, repeat_x=True)}, "task": task}
+        code = main(["imaging", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: psf.csv: ") and "psf.csv: x values" in err

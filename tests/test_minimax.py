@@ -10,6 +10,7 @@ from bcrb.errors import EigensolverError, GridValueError, ScenarioError
 from bcrb.geometry import StatisticalModel
 from bcrb.grids import ScalarField, VectorField
 from bcrb.minimax import (
+    DiscretizedHamiltonian,
     SchrodingerProblem,
     Wavefunction,
     assemble_H,
@@ -33,6 +34,14 @@ from conftest import (
 def harmonic_problem(nodes=2001, half_width=10.0):
     return SchrodingerProblem((-half_width, half_width), lambda t: np.asarray(t) ** 2,
                               alignment=1.0, nodes=nodes)
+
+
+def diagonal_hamiltonian(problem, n):
+    """The potential n F(tau) alone: H without its kinetic term."""
+    grid = problem.grid()
+    tau = grid.axes[0]
+    return DiscretizedHamiltonian(grid, n * np.asarray(problem.information(tau[1:-1])),
+                                  np.zeros(len(tau) - 3))
 
 
 class TestWaveFunctionals:
@@ -95,12 +104,6 @@ class TestAssembleH:
             previous = e
         assert abs(previous - n * c) <= 0.01 * n * c
 
-    def test_nonconstant_direction_rejected(self):
-        prob = SchrodingerProblem((-1.0, 1.0), lambda t: t**2,
-                                  direction=lambda t: t)
-        with pytest.raises(GridValueError, match="constant-direction"):
-            assemble_H(prob, 1.0)
-
 
 class TestGroundState:
     def test_harmonic_profile(self):
@@ -121,7 +124,7 @@ class TestGroundState:
 
     def test_diagonal_test_mode(self):
         prob = SchrodingerProblem((-1.0, 1.0), lambda t: 2.0 + np.sin(t), nodes=101)
-        ham = assemble_H(prob, 3.0, kinetic_coefficient=0.0)
+        ham = diagonal_hamiltonian(prob, 3.0)
         e, _ = ground_state(ham)
         tau = np.linspace(-1, 1, 101)[1:-1]
         assert abs(e - 3.0 * np.min(2.0 + np.sin(tau))) <= 1e-12
@@ -181,9 +184,10 @@ SOLVER_PANEL = {
 def panel_hamiltonians(shape, nodes):
     information, half, kinetic = SOLVER_PANEL[shape]
     prob = SchrodingerProblem((-half, half), information, nodes=nodes)
-    # n = 0 with no kinetic term is the zero matrix, whose spectrum is degenerate
-    n_values = (1e2, 1e4, 1e6) if kinetic == 0.0 else (0.0, 1e2, 1e4, 1e6)
-    return [(n, assemble_H(prob, n, kinetic_coefficient=kinetic)) for n in n_values]
+    if kinetic == 0.0:
+        # n = 0 with no kinetic term is the zero matrix, whose spectrum is degenerate
+        return [(n, diagonal_hamiltonian(prob, n)) for n in (1e2, 1e4, 1e6)]
+    return [(n, assemble_H(prob, n)) for n in (0.0, 1e2, 1e4, 1e6)]
 
 
 class TestCertifiedGroundState:
@@ -280,7 +284,7 @@ class TestBworst:
         assert abs(val - 1.0 / (4 * np.pi**2)) <= 1e-3 / (4 * np.pi**2)
 
     def test_least_favorable_prior_returned(self):
-        val, prior = bworst(harmonic_problem(), 100.0, return_prior=True)
+        prior = ground_state(assemble_H(harmonic_problem(), 100.0))[1].density().normalized()
         assert isinstance(prior, ScalarField)
         # concentrated where the information is smallest (tau = 0)
         tau = prior.grid.axes[0]

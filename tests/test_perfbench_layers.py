@@ -1,19 +1,33 @@
 """The benchmark's traced run wraps ``bcrb.<module>.<name>`` for every key of
-``perfbench/layers.py`` TRACED; a renamed or deleted function must fail here,
-not in the middle of ``perfbench/run.py --trace 1``."""
+``perfbench/layers.py`` TRACED and fills span metadata from the ``after``
+hooks; a renamed or deleted function, or a signature a hook no longer reads,
+must fail here, not in the middle of ``perfbench/run.py --trace 1``."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+import bcrb.cli  # noqa: F401  (Tracer.install looks every traced module up in sys.modules)
+from bcrb import minimax, optimal
+
+from conftest import gaussian_scalar_model
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_every_traced_name_resolves(monkeypatch):
+@pytest.fixture
+def layers(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # layers.py imports its sibling spans.py
     spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves(layers):
     assert layers.TRACED
     missing = []
     for name in layers.TRACED:
@@ -21,3 +35,36 @@ def test_every_traced_name_resolves(monkeypatch):
         if not callable(getattr(importlib.import_module(f"bcrb.{mod_name}"), fn_name, None)):
             missing.append(name)
     assert missing == []
+
+
+def test_after_hooks_fill_span_metadata(layers):
+    from spans import Tracer
+
+    quadratic = minimax.SchrodingerProblem((-0.5, 0.5), lambda t: np.asarray(t) ** 2,
+                                           nodes=401)
+    tracer = Tracer()
+    tracer.install("bcrb", layers.TRACED)
+    tracer.enabled = True
+    try:
+        optimal.bmax(gaussian_scalar_model(n_nodes=201), n=10.0)
+        fit = minimax.rate_fit(quadratic, [1e2, 1e3, 1e4, 1e5])
+        minimax.lambda_scan(quadratic, 10.0)
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+
+    spans = {}
+    for s in tracer.spans:
+        spans.setdefault(s.name, []).append(s)
+    (assembled,) = spans["optimal.assemble_L"]
+    assert assembled.meta["unknowns"] == 199 and assembled.meta["nnz"] > 0
+    (solved,) = spans["optimal.solve_least_favorable"]
+    assert 0.0 <= solved.meta["relative_residual"] <= optimal.SOLVE_RTOL
+    (fitted,) = spans["minimax.rate_fit"]
+    assert fitted.meta["workers"] == min(len(fit.n_values), minimax.thread_cap())
+    assert len(spans["minimax.lambda_scan"]) == 1
+
+    metrics = layers.pass_metrics(tracer.spans, [])
+    assert metrics["optimal.assemble_L.unknowns"] == 199
+    assert 0.0 < metrics["minimax.rate_fit.parallel_eff"] <= 1.0
+    assert metrics["minimax.lambda_scan.self_s"] > 0.0
