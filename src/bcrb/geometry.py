@@ -15,7 +15,7 @@ parametrization independent, which `invariance_report` verifies numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -41,7 +41,7 @@ INVARIANCE_RTOL = 1e-5   # source/target bound gap of an invariant report
 class StatisticalModel:
     """Pointwise information, weight, metric, and prior on a grid.
 
-    Optional callables (`fisher_fn`, `weight_fn`, `metric_fn`, `prior_fn`,
+    Optional callables (`fisher_fn`, `weight_fn`, `prior_fn`,
     `helstrom_fn`) evaluate the same quantities at arbitrary points; when
     present they are used for reparametrization instead of interpolation.
     All callables are batched: they map ``(..., p)`` coordinate arrays to
@@ -56,7 +56,6 @@ class StatisticalModel:
     helstrom: MatrixField | None = None
     fisher_fn: Callable | None = None
     weight_fn: Callable | None = None
-    metric_fn: Callable | None = None
     prior_fn: Callable | None = None
     helstrom_fn: Callable | None = None
 
@@ -92,20 +91,18 @@ class StatisticalModel:
         grid: ParameterGrid,
         fisher_fn: Callable,
         weight_fn: Callable,
-        metric_fn: Callable | None = None,
         prior_fn: Callable | None = None,
         helstrom_fn: Callable | None = None,
     ) -> "StatisticalModel":
-        """Model sampled from the callables, its prior normalized against
-        the metric volume (``prior_fn`` rescaled to match)."""
+        """Model sampled from the callables (flat metric), its prior
+        normalized (``prior_fn`` rescaled to match)."""
         fisher = MatrixField.from_callable(grid, fisher_fn)
         weight = VectorField.from_callable(grid, weight_fn, variance="covariant")
-        metric = MatrixField.from_callable(grid, metric_fn) if metric_fn else None
         helstrom = MatrixField.from_callable(grid, helstrom_fn) if helstrom_fn else None
         prior = None
         if prior_fn is not None:
             prior = ScalarField.from_callable(grid, prior_fn)
-            norm = integrate(prior, metric)
+            norm = integrate(prior)
             prior = ScalarField(grid, prior.values / norm)
             scaled_prior_fn = prior_fn
             prior_fn = lambda c, _f=scaled_prior_fn, _z=norm: np.asarray(_f(c)) / _z
@@ -113,28 +110,21 @@ class StatisticalModel:
             grid,
             fisher,
             weight,
-            metric,
+            None,
             prior,
             helstrom,
             fisher_fn,
             weight_fn,
-            metric_fn,
             prior_fn,
             helstrom_fn,
         )
 
     def with_prior(self, prior: ScalarField):
-        return StatisticalModel(
-            self.grid, self.fisher, self.weight, self.metric, prior, self.helstrom,
-            self.fisher_fn, self.weight_fn, self.metric_fn, None, self.helstrom_fn,
-        )
+        return replace(self, prior=prior, prior_fn=None)
 
     def with_information(self, fisher: MatrixField, fisher_fn: Callable | None = None):
         """Same model with the information matrix replaced (e.g. by a quantum one)."""
-        return StatisticalModel(
-            self.grid, fisher, self.weight, self.metric, self.prior, self.helstrom,
-            fisher_fn, self.weight_fn, self.metric_fn, self.prior_fn, self.helstrom_fn,
-        )
+        return replace(self, fisher=fisher, fisher_fn=fisher_fn)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,10 +169,17 @@ class Diffeomorphism:
 # ---------------------------------------------------------------------------
 # built-in map catalog (all separable per axis, boxes map to boxes)
 
+def _diagonal(diag: np.ndarray) -> np.ndarray:
+    """``(..., p, p)`` Jacobians of a separable map from its ``(..., p)`` diagonal."""
+    p = diag.shape[-1]
+    out = np.zeros(diag.shape + (p,))
+    idx = np.arange(p)
+    out[..., idx, idx] = diag
+    return out
+
+
 def identity_map() -> Diffeomorphism:
-    eye = lambda c: np.broadcast_to(
-        np.eye(np.asarray(c).shape[-1]), np.asarray(c).shape + (np.asarray(c).shape[-1],)
-    )
+    eye = lambda c: _diagonal(np.ones(np.asarray(c).shape))
     return Diffeomorphism(lambda c: np.asarray(c, dtype=float),
                           lambda c: np.asarray(c, dtype=float), eye, "identity")
 
@@ -194,8 +191,7 @@ def affine_map(scale, offset) -> Diffeomorphism:
         raise GridValueError("affine map needs nonzero scale")
 
     def jac(c):
-        c = np.asarray(c)
-        return np.broadcast_to(np.diag(scale), c.shape + (c.shape[-1],)).copy()
+        return _diagonal(np.broadcast_to(scale, np.asarray(c).shape))
 
     return Diffeomorphism(
         lambda c: np.asarray(c) * scale + offset,
@@ -218,13 +214,7 @@ def odd_power_map(power: int = 3) -> Diffeomorphism:
         return np.sign(c) * np.abs(c) ** (1.0 / power)
 
     def jac(c):
-        c = np.asarray(c, dtype=float)
-        diag = power * np.abs(c) ** (power - 1)
-        p = c.shape[-1]
-        out = np.zeros(c.shape + (p,))
-        idx = np.arange(p)
-        out[..., idx, idx] = diag
-        return out
+        return _diagonal(power * np.abs(np.asarray(c, dtype=float)) ** (power - 1))
 
     return Diffeomorphism(forward, inverse, jac, f"odd_power_{power}")
 
@@ -239,12 +229,7 @@ def logistic_map() -> Diffeomorphism:
 
     def jac(c):
         s = forward(c)
-        diag = s * (1.0 - s)
-        p = np.asarray(c).shape[-1]
-        out = np.zeros(np.asarray(c).shape + (p,))
-        idx = np.arange(p)
-        out[..., idx, idx] = diag
-        return out
+        return _diagonal(s * (1.0 - s))
 
     return Diffeomorphism(forward, inverse, jac, "logistic")
 
@@ -267,33 +252,17 @@ def _interpolator(grid: ParameterGrid, values: np.ndarray):
                                    fill_value=None)
 
 
-def _eval_scalar(field: ScalarField, fn, points: np.ndarray) -> np.ndarray:
+def _eval(field, fn, points: np.ndarray) -> np.ndarray:
+    """A scalar, vector or matrix field at ``points``: ``fn`` when given,
+    else each trailing component interpolated (matrix fields are stored
+    exactly symmetric, so both triangles interpolate to mirrored values)."""
     if fn is not None:
         return np.asarray(fn(points), dtype=float)
-    return _interpolator(field.grid, field.values)(points)
-
-
-def _eval_vector(field: VectorField, fn, points: np.ndarray) -> np.ndarray:
-    if fn is not None:
-        return np.asarray(fn(points), dtype=float)
-    p = field.grid.dim
-    out = np.empty(points.shape[:-1] + (p,))
-    for a in range(p):
-        out[..., a] = _interpolator(field.grid, field.values[..., a])(points)
-    return out
-
-
-def _eval_matrix(field: MatrixField, fn, points: np.ndarray) -> np.ndarray:
-    if fn is not None:
-        return np.asarray(fn(points), dtype=float)
-    p = field.grid.dim
-    out = np.empty(points.shape[:-1] + (p, p))
-    for a in range(p):
-        for b in range(a, p):
-            vals = _interpolator(field.grid, field.values[..., a, b])(points)
-            out[..., a, b] = vals
-            out[..., b, a] = vals
-    return out
+    grid = field.grid
+    comps = field.values.reshape(grid.shape + (-1,))
+    out = np.stack([_interpolator(grid, comps[..., k])(points)
+                    for k in range(comps.shape[-1])], axis=-1)
+    return out.reshape(points.shape[:-1] + field.values.shape[grid.dim:])
 
 
 def derive_target_grid(map: Diffeomorphism, grid: ParameterGrid,
@@ -343,13 +312,13 @@ def pushforward_model(
         )
     jac_inv = np.linalg.inv(jac)
 
-    f_src = _eval_matrix(model.fisher, model.fisher_fn, pts_src)
-    u_src = _eval_vector(model.weight, model.weight_fn, pts_src)
+    f_src = _eval(model.fisher, model.fisher_fn, pts_src)
+    u_src = _eval(model.weight, model.weight_fn, pts_src)
     f_new = np.einsum("...ca,...cd,...db->...ab", jac_inv, f_src, jac_inv)
     u_new = np.einsum("...ba,...b->...a", jac_inv, u_src)
 
-    if model.metric is not None or model.metric_fn is not None:
-        g_src = _eval_matrix(model.metric, model.metric_fn, pts_src)
+    if model.metric is not None:
+        g_src = _eval(model.metric, None, pts_src)
     else:
         g_src = np.broadcast_to(np.eye(model.grid.dim), pts_src.shape + (model.grid.dim,))
     g_new = np.einsum("...ca,...cd,...db->...ab", jac_inv, g_src, jac_inv)
@@ -358,7 +327,7 @@ def pushforward_model(
     prior_new = None
     prior_fn_new = None
     if model.prior is not None:
-        rho_vals = np.clip(_eval_scalar(model.prior, model.prior_fn, pts_src), 0.0, None)
+        rho_vals = np.clip(_eval(model.prior, model.prior_fn, pts_src), 0.0, None)
         # re-normalize against the target quadrature so the pushed model is
         # itself valid; the factor is 1 + O(dx^2)
         norm = integrate(ScalarField(target_grid, rho_vals), metric_new)
@@ -370,7 +339,7 @@ def pushforward_model(
 
     helstrom_new = None
     if model.helstrom is not None:
-        k_src = _eval_matrix(model.helstrom, model.helstrom_fn, pts_src)
+        k_src = _eval(model.helstrom, model.helstrom_fn, pts_src)
         helstrom_new = MatrixField(
             target_grid,
             np.ascontiguousarray(np.einsum("...ca,...cd,...db->...ab", jac_inv, k_src, jac_inv)),
@@ -403,7 +372,7 @@ def transform_vector_field(
         target_grid = derive_target_grid(map, v.grid)
     pts_src = np.asarray(map.inverse(target_grid.coordinates), dtype=float)
     jac = map.jacobian_at(pts_src, _axis_lengths(v.grid))
-    vals = _eval_vector(v, v_fn, pts_src)
+    vals = _eval(v, v_fn, pts_src)
     new_vals = np.einsum("...a,...ab->...b", vals, jac)
     return VectorField(target_grid, np.ascontiguousarray(new_vals), variance="contravariant")
 
@@ -447,7 +416,7 @@ def invariance_report(
         v_tgt = transform_vector_field(v, map, tgt_grid, v_fn)
     else:
         pts_src = np.asarray(map.inverse(tgt_grid.coordinates), dtype=float)
-        v_tgt = VectorField(tgt_grid, _eval_vector(v, v_fn, pts_src))
+        v_tgt = VectorField(tgt_grid, _eval(v, v_fn, pts_src))
     rep_tgt = gill_levit_bound(model_tgt, model_tgt.prior, v_tgt, n)
 
     scale = max(abs(rep_src.bound), abs(rep_tgt.bound), 1e-300)

@@ -358,17 +358,13 @@ def weighted_divergence(
     dens = sqrtg * rho.values
     ok = ~_tiny_density_mask(grid, rho.values)
 
-    rv = np.abs(rho.values[..., None] * v.values)
-    rv_max = float(rv.max(initial=0.0))
-    if rv_max > 0:
-        boundary_max = float(rv[grid.boundary_mask].max(initial=0.0))
-        if boundary_max > BOUNDARY_RESIDUAL_TOL * rv_max:
-            warnings.warn(
-                f"rho*v does not vanish on the boundary "
-                f"(boundary max {boundary_max:.3e} vs overall max {rv_max:.3e}); "
-                "enlarge the domain or use a decaying prior",
-                stacklevel=2,
-            )
+    res = boundary_residual(rho, v)
+    if res > BOUNDARY_RESIDUAL_TOL:
+        warnings.warn(
+            f"rho*v does not vanish on the boundary (boundary residual {res:.3e}); "
+            "enlarge the domain or use a decaying prior",
+            stacklevel=2,
+        )
 
     flux = dens[..., None] * v.values
     div = _divergence_of(grid, flux)

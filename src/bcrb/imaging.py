@@ -115,12 +115,6 @@ class PointSpreadFunction:
         vals = self._splines[1](pts)
         return np.nan_to_num(vals, nan=0.0)
 
-    def intensity_at(self, pts: np.ndarray) -> np.ndarray:
-        return self.amplitude_at(pts) ** 2
-
-    def intensity_derivative_at(self, pts: np.ndarray) -> np.ndarray:
-        return 2.0 * self.amplitude_at(pts) * self.derivative_at(pts)
-
 
 def _catalog_grid(sigma: float, span: float = 24.0, nodes: int = 8193) -> np.ndarray:
     return np.linspace(-span * sigma, span * sigma, nodes)
@@ -239,6 +233,20 @@ def _measurement_grid(psf: PointSpreadFunction, positions: np.ndarray,
     return positions.mean() + np.linspace(lo - positions.mean(), hi - positions.mean(), nodes)
 
 
+def _mixture_scores(psf: PointSpreadFunction, thetas: np.ndarray,
+                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mixture density f = mean_a h(x - theta^a) and its scores d_a f.
+
+    ``thetas`` has shape ``(..., p)``.  Returns f, shape ``(..., nx)``, and
+    d_a f = -2 a a' / p, shape ``(..., p, nx)``, with a and a' the amplitude
+    and its derivative at ``x - theta^a``.
+    """
+    pts = x - thetas[..., None]
+    amp = psf.amplitude_at(pts)
+    damp = psf.derivative_at(pts)
+    return (amp**2).mean(axis=-2), -2.0 * amp * damp / thetas.shape[-1]
+
+
 def direct_imaging_fisher(
     psf: PointSpreadFunction,
     config: SourceConfiguration,
@@ -254,16 +262,13 @@ def direct_imaging_fisher(
     x = _measurement_grid(psf, pos, span_sigmas, DEFAULT_GRID_NODES)
     w = trapezoid_weights_1d(len(x), x[1] - x[0])
 
-    h = np.stack([psf.intensity_at(x - t) for t in pos])
-    hp = np.stack([psf.intensity_derivative_at(x - t) for t in pos])
-    f = h.mean(axis=0)
+    f, df = _mixture_scores(psf, pos, x)
     mass = float(np.sum(w * f))
     if abs(mass - 1.0) > COVERAGE_ATOL:
         raise GridValueError(
             f"measurement grid captures mass {mass!r}; widen the span "
             f"(currently {span_sigmas} widths beyond the extreme sources)"
         )
-    df = -hp / config.p
     ok = f > INTENSITY_SUPPORT_FLOOR
     out = np.empty((config.p, config.p))
     for a in range(config.p):
@@ -301,12 +306,8 @@ def information_along(
     out = np.empty(len(taus))
     for start in range(0, len(taus), INFORMATION_CHUNK):
         block = thetas[start:start + INFORMATION_CHUNK]       # (nb, p)
-        pts = x[None, None, :] - block[:, :, None]            # (nb, p, nx)
-        amp = psf.amplitude_at(pts)
-        damp = psf.derivative_at(pts)
-        h = amp**2
-        f = h.mean(axis=1)                                    # (nb, nx)
-        num = np.einsum("a,bax->bx", direction, -2.0 * amp * damp / p) ** 2
+        f, df = _mixture_scores(psf, block, x)               # (nb, nx), (nb, p, nx)
+        num = np.einsum("a,bax->bx", direction, df) ** 2
         ok = f > INTENSITY_SUPPORT_FLOOR
         ratio = np.where(ok, num / np.where(ok, f, 1.0), 0.0)
         out[start:start + INFORMATION_CHUNK] = ratio @ w

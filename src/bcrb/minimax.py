@@ -31,12 +31,14 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import EigensolverError, GridValueError, ScenarioError
+from .bounds import _check_boundary
 from .geometry import StatisticalModel
 from .grids import (
     ParameterGrid,
     ScalarField,
     VectorField,
-    boundary_residual,
+    _divergence_of,
+    gradient,
     integrate,
     metric_sqrt_det,
     rho_weights,
@@ -547,26 +549,15 @@ def wave_functionals(
     if v.variance != "contravariant":
         raise GridValueError("wave_functionals needs a contravariant field")
     rho = psi.density()
-    res = boundary_residual(rho, v)
-    if res > 1e-8:
-        raise GridValueError(
-            f"psi^2 * v boundary residual {res:.3e}; enlarge the domain"
-        )
+    _check_boundary(rho, v)
     w = rho_weights(rho, model.metric)
     a_val = float(np.sum(w * np.einsum("...a,...a->...", v.values, model.weight.values)))
     f_val = float(np.sum(w * np.einsum("...a,...ab,...b->...", v.values,
                                        model.fisher.values, v.values)))
     sqrtg = metric_sqrt_det(model.metric, grid)
-    div_v = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        div_v += np.gradient(sqrtg * v.values[..., ax], grid.spacing[ax],
-                             axis=ax, edge_order=2)
+    div_v = _divergence_of(grid, sqrtg[..., None] * v.values)
     div_v /= sqrtg
-    grad_psi = np.stack(
-        [np.gradient(psi.values, grid.spacing[ax], axis=ax, edge_order=2)
-         for ax in range(grid.dim)],
-        axis=-1,
-    )
+    grad_psi = gradient(ScalarField(grid, psi.values)).values
     d_psi = div_v * psi.values + 2.0 * np.einsum("...a,...a->...", v.values, grad_psi)
     p_val = float(np.sum(grid.trapezoid_weights * sqrtg * d_psi**2))
     return a_val, f_val, p_val

@@ -29,7 +29,6 @@ from .grids import (
     ParameterGrid,
     ScalarField,
     VectorField,
-    boundary_residual,
     divergence_matrix,
     gradient,
     rho_weights,
@@ -292,8 +291,7 @@ def bmax(
     align, info_val, prior_val = _functionals(
         model, op.interior, op.node_weights, np.ones((model.grid.num_nodes, 1, 1)),
         op.matrix, rhs, _interior_dofs(v.values, op.interior), op.n)
-    _check_boundary(prior, v)
-    diagnostics = {"boundary_residual": boundary_residual(prior, v),
+    diagnostics = {"boundary_residual": _check_boundary(prior, v),
                    "grid": model.grid.describe(), **asdict(v.solve)}
     return BoundReport.assemble(align, info_val, prior_val, n, v_choice, diagnostics,
                                 attaining_v=v, allow_zero=True)

@@ -159,6 +159,13 @@ class TestOptimalScenario:
         rows = (out / "least_favorable.csv").read_text().strip().splitlines()
         assert len(rows) - 1 == 801
 
+    def test_grid_scale_zero_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, gaussian_optimal_config(nodes=201))
+        assert main(["optimal", "--config", path, "--out", str(tmp_path / "o"),
+                     "--grid-scale", "0"]) == 2
+        assert "--grid-scale must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestBoundScenario:
     def test_unit_v_gaussian(self, tmp_path):
@@ -180,6 +187,23 @@ class TestBoundScenario:
         assert main(["bound", "--config", path, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert abs(report["results"]["bound_report"]["bound"] - 1.0 / 11.0) <= 1e-6
+
+    # F = u = 1 under a standard Gaussian prior with n = 10: the natural
+    # field is v = 1, and v = 1 + theta/2 gives <A> = 1, <F> = 5/4, <P> = 3/2
+    @pytest.mark.parametrize("v, expected", [
+        ({"choice": "natural"}, 1.0 / 11.0),
+        ({"choice": "polynomial", "coeffs": [1.0, 0.5]}, 1.0 / 14.0),
+    ], ids=["natural", "polynomial"])
+    def test_field_choice(self, tmp_path, v, expected):
+        cfg = gaussian_optimal_config()
+        cfg["kind"] = "bound"
+        cfg["v"] = v
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["bound", "--config", path, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())["results"]["bound_report"]
+        assert report["v_choice"] == v["choice"]
+        assert abs(report["bound"] - expected) <= 1e-6
 
 
 class TestMinimaxScenario:
@@ -320,6 +344,29 @@ class TestImagingScenario:
         res = json.loads((out / "report.json").read_text())["results"]
         assert res["rank_trend_monotone"] is True
 
+    def test_exponent_task(self, tmp_path):
+        # two Gaussian sources lose separation information as tau^2
+        cfg = {"kind": "imaging", "name": "exponent",
+               "psf": {"catalog": "gaussian", "sigma": 1.0}, "task": "exponent"}
+        out = tmp_path / "o"
+        assert main(["imaging", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert abs(res["exponent"] - 2.0) <= 0.1
+        rows = (out / "information.csv").read_text().strip().splitlines()
+        assert rows[0] == "tau,information" and len(rows) == 9
+
+    def test_quantum_vs_classical_task(self, tmp_path):
+        cfg = {"kind": "imaging", "name": "quantum-vs-classical",
+               "psf": {"catalog": "gaussian", "sigma": 1.0},
+               "task": "quantum_vs_classical"}
+        out = tmp_path / "o"
+        assert main(["imaging", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert res["ordering_holds"] is True
+        assert 0.0 < res["qmax"] <= res["bmax"]
+
     def test_rank_table_from_coarse_csv_psf(self, tmp_path):
         # every 4th sample of the catalog Gaussian: its grid norm misses 1 by
         # ~1e-10, far inside the accepted deficit, and rho must still have
@@ -340,27 +387,44 @@ class TestImagingScenario:
         assert res["rank_trend_monotone"] is True
 
 
+def invariance_config(map_spec):
+    return {
+        "kind": "invariance",
+        "name": f"{map_spec['catalog']}-map",
+        "grid": {"lower": 0.5, "upper": 2.0, "nodes": 2001},
+        "model": {
+            "fisher": {"type": "polynomial", "coeffs": [1.0, 0.0, 1.0]},
+            "weight": {"type": "constant", "value": 1.0},
+        },
+        "prior": {"type": "gaussian_bump", "center": 1.2, "variance": 0.09},
+        "v": {"choice": "unit"},
+        "n": 10.0,
+        "map": map_spec,
+    }
+
+
 class TestInvarianceScenario:
     def test_cube_map_report(self, tmp_path):
-        cfg = {
-            "kind": "invariance",
-            "name": "cube-map",
-            "grid": {"lower": 0.5, "upper": 2.0, "nodes": 2001},
-            "model": {
-                "fisher": {"type": "polynomial", "coeffs": [1.0, 0.0, 1.0]},
-                "weight": {"type": "constant", "value": 1.0},
-            },
-            "prior": {"type": "gaussian_bump", "center": 1.2, "variance": 0.09},
-            "v": {"choice": "unit"},
-            "n": 10.0,
-            "map": {"catalog": "odd_power", "power": 3, "target_nodes": 9001},
-        }
+        cfg = invariance_config({"catalog": "odd_power", "power": 3, "target_nodes": 9001})
         path = write_config(tmp_path, cfg)
         out = tmp_path / "o"
         assert main(["invariance", "--config", path, "--out", str(out)]) == 0
         res = json.loads((out / "report.json").read_text())["results"]
         assert res["relative_difference"] <= 1e-5
         assert res["control_relative_difference"] > 1e-3
+        assert res["invariant"] is True
+
+    @pytest.mark.parametrize("map_spec", [
+        {"catalog": "identity"},
+        {"catalog": "affine", "scale": 2.0, "offset": 1.0},
+        {"catalog": "logistic", "target_nodes": 8001},
+    ], ids=["identity", "affine", "logistic"])
+    def test_catalog_map_invariant(self, tmp_path, map_spec):
+        path = write_config(tmp_path, invariance_config(map_spec))
+        out = tmp_path / "o"
+        assert main(["invariance", "--config", path, "--out", str(out)]) == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert res["map"] == map_spec["catalog"]
         assert res["invariant"] is True
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from bcrb.errors import GridValueError
 from bcrb.geometry import (
     MAP_CATALOG,
     Diffeomorphism,
+    StatisticalModel,
     affine_map,
     derive_target_grid,
     identity_map,
@@ -60,6 +63,22 @@ class TestPushforward:
         th = tt ** (1.0 / 3.0)
         expected = (1.0 + th**2) / (9.0 * tt ** (4.0 / 3.0))
         got = pushed.fisher.values[..., 0, 0]
+        assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-6
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["callable", "interpolated"])
+    def test_cube_map_helstrom_law(self, bump_model, analytic):
+        # K~(t) = K(t^(1/3)) / (9 t^(4/3)), the (0,2) law of F
+        helstrom_fn = lambda c: (2.0 + np.asarray(c)[..., 0] ** 2)[..., None, None]
+        model = StatisticalModel.from_callables(
+            bump_model.grid, bump_model.fisher_fn, bump_model.weight_fn,
+            helstrom_fn=helstrom_fn)
+        if not analytic:
+            model = replace(model, helstrom_fn=None)
+        pushed = pushforward_model(model, cube_map())
+        tt = pushed.grid.coordinates[..., 0]
+        th = tt ** (1.0 / 3.0)
+        expected = (2.0 + th**2) / (9.0 * tt ** (4.0 / 3.0))
+        got = pushed.helstrom.values[..., 0, 0]
         assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-6
 
     def test_affine_density_change_of_variables(self):

@@ -6,7 +6,12 @@ import scipy.linalg
 
 from bcrb import minimax
 from bcrb.bounds import functionals
-from bcrb.errors import EigensolverError, GridValueError, ScenarioError
+from bcrb.errors import (
+    BoundaryConditionError,
+    EigensolverError,
+    GridValueError,
+    ScenarioError,
+)
 from bcrb.geometry import StatisticalModel
 from bcrb.grids import ScalarField, VectorField
 from bcrb.minimax import (
@@ -70,6 +75,16 @@ class TestWaveFunctionals:
         psi = Wavefunction.normalized(model.grid, np.sqrt(model.prior.values))
         a, f, p = wave_functionals(psi, VectorField.constant(model.grid, [0.0]), model)
         assert (a, f, p) == (0.0, 0.0, 0.0)
+
+    def test_boundary_violation_same_error_as_density_route(self):
+        # psi^2 v does not vanish at +-2: both routes reject the hypothesis
+        model = gaussian_scalar_model(lo=-2.0, hi=2.0, n_nodes=401)
+        psi = Wavefunction.normalized(model.grid, np.sqrt(model.prior.values))
+        v = unit_field(model.grid)
+        with pytest.raises(BoundaryConditionError, match="boundary residual"):
+            functionals(model, psi.density(), v)
+        with pytest.raises(BoundaryConditionError, match="boundary residual"):
+            wave_functionals(psi, v, model)
 
     def test_matches_density_route(self):
         # same functionals through the rho = psi^2 path, second-order close
