@@ -252,7 +252,7 @@ def _interpolator(grid: ParameterGrid, values: np.ndarray):
                                    fill_value=None)
 
 
-def _eval(field, fn, points: np.ndarray) -> np.ndarray:
+def _eval(field: ScalarField | VectorField | MatrixField, fn, points: np.ndarray) -> np.ndarray:
     """A scalar, vector or matrix field at ``points``: ``fn`` when given,
     else each trailing component interpolated (matrix fields are stored
     exactly symmetric, so both triangles interpolate to mirrored values)."""

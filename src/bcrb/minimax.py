@@ -30,8 +30,8 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import EigensolverError, GridValueError, ScenarioError
 from .bounds import _check_boundary
+from .errors import EigensolverError, GridValueError, ScenarioError
 from .geometry import StatisticalModel
 from .grids import (
     ParameterGrid,
@@ -541,7 +541,9 @@ def wave_functionals(
 
     <P> uses the first-order form D psi = (div v) psi + 2 v . grad psi, so
     only psi and its gradient are differentiated; agrees with the density
-    -based functionals for rho = psi^2 up to discretization.
+    -based functionals for rho = psi^2 up to discretization.  Like them, it
+    raises :class:`BoundaryConditionError` when psi^2 v does not vanish on
+    the boundary.
     """
     grid = model.grid
     grid.require_same(psi.grid, "wave_functionals")
