@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import GridValueError
 from .grids import (
@@ -246,6 +245,8 @@ MAP_CATALOG: dict[str, Callable[..., Diffeomorphism]] = {
 # evaluation helpers
 
 def _interpolator(grid: ParameterGrid, values: np.ndarray):
+    from scipy.interpolate import RegularGridInterpolator  # slow import, needed only here
+
     # cubic_legacy reproduces nodal values exactly; the windowed "cubic" does not
     method = "cubic_legacy" if min(grid.shape) >= 4 else "linear"
     return RegularGridInterpolator(grid.axes, values, method=method, bounds_error=False,

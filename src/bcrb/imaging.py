@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import GridValueError, ProjectionError
 from .geometry import StatisticalModel
@@ -100,6 +99,8 @@ class PointSpreadFunction:
 
     @cached_property
     def _splines(self):
+        from scipy.interpolate import CubicSpline  # slow import, needed only here
+
         spline = CubicSpline(self.x, self.amplitude, extrapolate=False)
         return spline, spline.derivative()
 
@@ -370,6 +371,8 @@ class _SampledInformation:
         self.spline = None
 
     def _resample(self, radius: float):
+        from scipy.interpolate import CubicSpline
+
         lin = np.linspace(0.0, radius, SAMPLED_INFORMATION_NODES)
         logs = radius * np.logspace(-8, 0, 129)
         s = np.unique(np.concatenate([lin, logs]))

@@ -30,15 +30,45 @@ from .grids import read_csv
 EDGE_DECAY_RTOL = 1e-6
 EVENNESS_RTOL = 1e-9
 FLOOR_VIOLATION_RTOL = 1e-12
+# entries per block of the spectral checks and integrals: their temporaries
+# stay this size however many frequency nodes the grid has
+BLOCK = 2**15
+
+
+def _blocks(n):
+    """The [a, b) ranges of at most BLOCK indices that cover range(n), in order."""
+    return ((a, min(a + BLOCK, n)) for a in range(0, n, BLOCK))
 
 
 def _as_spectrum(values, n, name) -> np.ndarray:
-    arr = np.full(n, float(values)) if np.isscalar(values) else np.asarray(values, dtype=float)
+    """``values`` as a checked length-n spectrum; a scalar becomes a read-only
+    stride-0 view of its one value."""
+    if np.isscalar(values):
+        values = np.broadcast_to(float(values), (n,))
+    arr = np.asarray(values, dtype=float)
     if arr.shape != (n,):
         raise GridValueError(f"{name} has shape {arr.shape}, expected ({n},)")
-    if np.any(np.isnan(arr)) or np.any(arr < 0):
+    # x >= 0 fails for NaN too; a stride-0 spectrum is checked at its one value
+    checked = arr[:1] if arr.strides == (0,) else arr
+    if not all(np.all(checked[a:b] >= 0) for a, b in _blocks(len(checked))):
         raise GridValueError(f"{name} must be nonnegative (inf allowed)")
     return arr
+
+
+def _is_even(arr) -> bool:
+    """Infinities mirror exactly, finite values to within EVENNESS_RTOL of the
+    largest finite value (at least 1); compares each block with its mirror."""
+    n = len(arr)
+    largest = worst = 0.0
+    for a, b in _blocks(n):
+        block, mirror = arr[a:b], arr[n - b:n - a][::-1]
+        finite = np.isfinite(block)
+        if not np.array_equal(finite, np.isfinite(mirror)):
+            return False
+        largest = max(largest, float(np.max(block, where=finite, initial=0.0)))
+        diff = np.subtract(block, mirror, out=np.zeros(b - a), where=finite)
+        worst = max(worst, float(np.max(np.abs(diff, out=diff))))
+    return worst <= EVENNESS_RTOL * max(largest, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +81,8 @@ class SpectralModel:
     weight transform and ``hx_abs2`` that of the measurement transfer
     function.  All spectra are nonnegative and even; infinities are allowed
     (an infinite prior spectrum means no prior information at that
-    frequency).
+    frequency).  A spectrum given as a scalar is stored as a read-only
+    stride-0 view, so a constant spectrum holds one number, not one per node.
     """
 
     omega: np.ndarray
@@ -67,9 +98,11 @@ class SpectralModel:
         n = len(omega)
         if n < 3:
             raise GridValueError("need at least 3 frequency nodes")
-        steps = np.diff(omega)
-        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9):
-            raise GridValueError("frequency grid must be uniform and increasing")
+        step = omega[1] - omega[0]
+        for a, b in _blocks(n - 1):
+            steps = omega[a + 1:b + 1] - omega[a:b]
+            if np.any(steps <= 0) or not np.allclose(steps, step, rtol=1e-9):
+                raise GridValueError("frequency grid must be uniform and increasing")
         if abs(omega[0] + omega[-1]) > 1e-9 * max(abs(omega[0]), 1.0):
             raise GridValueError("frequency grid must be symmetric about zero")
         object.__setattr__(self, "omega", omega)
@@ -78,13 +111,7 @@ class SpectralModel:
             if val is None:
                 continue
             arr = _as_spectrum(val, n, name)
-            # infinities must mirror exactly, finite values to within
-            # EVENNESS_RTOL of the largest finite value
-            finite = np.isfinite(arr)
-            scale = max(float(np.max(arr, where=finite, initial=0.0)), 1.0)
-            diff = np.subtract(arr, arr[::-1], out=np.zeros(n), where=finite)
-            if (not np.array_equal(finite, finite[::-1])
-                    or np.max(np.abs(diff, out=diff)) > EVENNESS_RTOL * scale):
+            if arr.strides != (0,) and not _is_even(arr):  # a constant is even
                 raise GridValueError(f"{name} must be an even function of frequency")
             object.__setattr__(self, name, arr)
 
@@ -148,6 +175,10 @@ def _interp_spectrum(omega_grid, values, omega_out, name):
             f"discretization band [{omega_out[0]:.4g}, {omega_out[-1]:.4g}] is not "
             f"covered by the {name} grid [{omega_grid[0]:.4g}, {omega_grid[-1]:.4g}]"
         )
+    if values.strides == (0,):
+        # a constant spectrum: np.interp returns the value itself, but would
+        # first copy the view into a contiguous array of the whole grid
+        return np.full(len(omega_out), values[0])
     # np.interp reads only the nodes bracketing each frequency, and every
     # frequency with an infinite bracketing node is set to infinity below, so
     # no pass over the whole grid is needed: O(len(omega_out) log N).  A
@@ -208,16 +239,25 @@ def build_circulant_bound(disc: TimeDiscretization, spectra: SpectralModel) -> f
     return float(np.sum(h2[good] / den[good]) / disc.total_time)
 
 
-def _spectral_integral(omega, num, den) -> float:
+def _spectral_integral(omega, num, den_block) -> float:
     """(1/2pi) * integral of num/den over the frequencies where den is positive
     and finite; raises when a zero denominator carries weight or the integrand
-    does not decay at the grid edges."""
-    if np.any((den == 0) & (num > 0)):
-        raise GridValueError("zero denominator at a frequency carrying weight")
-    integrand = np.zeros_like(den)
-    good = (den > 0) & np.isfinite(den)
-    integrand[good] = num[good] / den[good]
-    peak = float(np.max(integrand)) if len(integrand) else 0.0
+    does not decay at the grid edges.
+
+    ``den_block(a, b)`` returns the denominator on nodes [a, b).  The integrand
+    is the one full-length buffer: it is filled block by block, then
+    overwritten in place by np.trapezoid's own terms and summed in one
+    contiguous reduction, so the value is np.trapezoid's, bit for bit.
+    """
+    n = len(omega)
+    integrand = np.zeros(n)
+    for a, b in _blocks(n):
+        den, weight = den_block(a, b), num[a:b]
+        if np.any((den == 0) & (weight > 0)):
+            raise GridValueError("zero denominator at a frequency carrying weight")
+        good = (den > 0) & np.isfinite(den)
+        np.divide(weight, den, out=integrand[a:b], where=good)
+    peak = float(np.max(integrand)) if n else 0.0
     if peak > 0:
         edge = max(integrand[0], integrand[-1])
         if edge > EDGE_DECAY_RTOL * peak:
@@ -225,14 +265,22 @@ def _spectral_integral(omega, num, den) -> float:
                 f"integrand does not decay at the grid edges "
                 f"(edge {edge:.3e} vs peak {peak:.3e}); widen the frequency grid"
             )
-    return float(np.trapezoid(integrand, omega) / (2.0 * np.pi))
+    # term i needs integrand[i + 1] before it is overwritten: go forward
+    for a, b in _blocks(n - 1):
+        integrand[a:b] = (omega[a + 1:b + 1] - omega[a:b]) * (
+            integrand[a + 1:b + 1] + integrand[a:b]) / 2.0
+    return float(integrand[:n - 1].sum() / (2.0 * np.pi))
 
 
 def continuum_qmax(spectra: SpectralModel) -> float:
     """Frequency-integral form of the optimal quantum bound (SPLOT limit)."""
     if spectra.h_abs2 is None:
         raise GridValueError("continuum_qmax needs the h_abs2 transfer spectrum")
-    den = 4.0 * spectra.s_q / spectra.hbar**2 + _inverse_prior(spectra.s_theta)
+
+    def den(a, b):
+        return (4.0 * spectra.s_q[a:b] / spectra.hbar**2
+                + _inverse_prior(spectra.s_theta[a:b]))
+
     return _spectral_integral(spectra.omega, spectra.h_abs2, den)
 
 
@@ -241,11 +289,15 @@ def wiener_risk(spectra: SpectralModel) -> float:
     for name in ("h_abs2", "hx_abs2", "s_z"):
         if getattr(spectra, name) is None:
             raise GridValueError(f"wiener_risk needs the {name} spectrum")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        meas = np.where(spectra.s_z > 0, spectra.hx_abs2 / spectra.s_z, np.inf)
-    meas = np.where(np.isinf(spectra.s_z), 0.0, meas)
-    meas = np.where((spectra.hx_abs2 == 0) & (spectra.s_z == 0), 0.0, meas)
-    den = meas + _inverse_prior(spectra.s_theta)
+
+    def den(a, b):
+        s_z, hx_abs2 = spectra.s_z[a:b], spectra.hx_abs2[a:b]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            meas = np.where(s_z > 0, hx_abs2 / s_z, np.inf)
+        meas = np.where(np.isinf(s_z), 0.0, meas)
+        meas = np.where((hx_abs2 == 0) & (s_z == 0), 0.0, meas)
+        return meas + _inverse_prior(spectra.s_theta[a:b])
+
     return _spectral_integral(spectra.omega, spectra.h_abs2, den)
 
 
@@ -280,17 +332,19 @@ def noise_floor_check(spectra: SpectralModel) -> list[NoiseFloorViolation]:
         if getattr(spectra, name) is None:
             raise GridValueError(f"noise_floor_check needs the {name} spectrum")
     out: list[NoiseFloorViolation] = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        floor = np.where(spectra.hx_abs2 > 0, spectra.s_z / spectra.hx_abs2, np.inf)
-        quantum = np.where(
-            np.isinf(spectra.s_q), 0.0,
-            np.where(spectra.s_q > 0, spectra.hbar**2 / (4.0 * spectra.s_q), np.inf),
-        )
-    checked = spectra.hx_abs2 > 0
-    bad = checked & (floor < quantum * (1.0 - FLOOR_VIOLATION_RTOL))
-    for i in np.flatnonzero(bad):
-        out.append(NoiseFloorViolation(float(spectra.omega[i]), float(floor[i]),
-                                       float(quantum[i])))
+    for a, b in _blocks(len(spectra.omega)):
+        s_q, s_z, hx_abs2 = spectra.s_q[a:b], spectra.s_z[a:b], spectra.hx_abs2[a:b]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            floor = np.where(hx_abs2 > 0, s_z / hx_abs2, np.inf)
+            quantum = np.where(
+                np.isinf(s_q), 0.0,
+                np.where(s_q > 0, spectra.hbar**2 / (4.0 * s_q), np.inf),
+            )
+        checked = hx_abs2 > 0
+        bad = checked & (floor < quantum * (1.0 - FLOOR_VIOLATION_RTOL))
+        for i in np.flatnonzero(bad):
+            out.append(NoiseFloorViolation(float(spectra.omega[a + i]), float(floor[i]),
+                                           float(quantum[i])))
     out.sort(key=lambda v: v.omega)
     return out
 
@@ -309,12 +363,8 @@ def rectangle_spectra(
     with the defaults, 0.5.
     """
     omega = np.linspace(-span_factor * band, span_factor * band, nodes)
-    inside = np.abs(omega) <= band + 1e-12
-    s_theta = np.where(inside, s_theta_level, 0.0)
-    return SpectralModel(
-        omega,
-        s_q=np.full(nodes, s_q_level),
-        s_theta=s_theta,
-        h_abs2=np.ones(nodes),
-        hbar=hbar,
-    )
+    s_theta = np.empty(nodes)
+    for a, b in _blocks(nodes):
+        inside = np.abs(omega[a:b]) <= band + 1e-12
+        s_theta[a:b] = np.where(inside, s_theta_level, 0.0)
+    return SpectralModel(omega, s_q=s_q_level, s_theta=s_theta, h_abs2=1.0, hbar=hbar)

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import bcrb
 from bcrb import scenarios
 from bcrb.cli import main
 from bcrb.errors import ScenarioError
@@ -603,3 +606,14 @@ class TestRepeatedPsfX:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: psf.csv: ") and "psf.csv: x values" in err
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_interpolate_unloaded(self):
+        # scipy.interpolate costs about half a second of every start; only
+        # the code that interpolates imports it, when it first runs
+        src = os.path.dirname(os.path.dirname(bcrb.__file__))
+        code = "import sys, bcrb.cli; print('scipy.interpolate' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+        assert done.stdout.strip() == "False"

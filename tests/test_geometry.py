@@ -111,7 +111,6 @@ class TestPushforward:
         # no callbacks: exercises the cubic-interpolation path
         model = bump_scalar_model(n_nodes=801)
         grid = model.grid
-        stripped = model.with_prior(model.prior)  # keeps prior_fn
         stripped = type(model)(grid, model.fisher, model.weight, prior=model.prior)
         m = cube_map()
         inv = Diffeomorphism(m.inverse, m.forward, None, "cube_inverse")

@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.interpolate
 from numpy.polynomial.hermite import hermval
 from scipy.interpolate import CubicSpline
 
@@ -101,7 +102,7 @@ class TestPointSpreadFunction:
                 fits.append(1)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(imaging, "CubicSpline", CountingSpline)
+        monkeypatch.setattr(scipy.interpolate, "CubicSpline", CountingSpline)
         psf = psf_from_csv(path)
         spline = CubicSpline(psf.x, psf.amplitude, extrapolate=False)
         pts = np.linspace(-30.0, 30.0, 1001)

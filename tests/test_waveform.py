@@ -107,6 +107,18 @@ class TestSpectralModel:
         with pytest.raises(GridValueError, match="nonnegative"):
             SpectralModel(omega, s_q=np.full(11, -1.0), s_theta=1.0)
 
+    def test_scalar_spectrum_is_read_only_view(self):
+        model = SpectralModel(np.linspace(-1, 1, 11), s_q=0.5, s_theta=1.0)
+        assert model.s_q.shape == (11,) and model.s_q.strides == (0,)
+        assert not model.s_q.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            model.s_q[3] = 1.0
+
+    @pytest.mark.parametrize("value", [-1.0, np.nan])
+    def test_rejects_negative_or_nan_scalar(self, value):
+        with pytest.raises(GridValueError, match="s_q must be nonnegative"):
+            SpectralModel(np.linspace(-1, 1, 11), s_q=value, s_theta=1.0)
+
     def test_csv_round_trip(self, tmp_path):
         import csv
 
@@ -120,6 +132,88 @@ class TestSpectralModel:
         model = SpectralModel.from_csv(path)
         assert np.allclose(model.omega, omega)
         assert np.allclose(model.s_q, 0.5)
+
+
+class TestBlockwiseChecks:
+    """Each defect sits in a late block or across a block edge of a grid with
+    more than three blocks, and is still rejected with the same message."""
+
+    N = 3 * waveform.BLOCK + 1
+    LATE = [2 * waveform.BLOCK, 3 * waveform.BLOCK - 3, 3 * waveform.BLOCK]
+
+    def omega(self):
+        return np.linspace(-10.0, 10.0, self.N)
+
+    @pytest.mark.parametrize("k", LATE)
+    def test_one_non_uniform_step(self, k):
+        omega = self.omega()
+        omega[k:] += 1e-7  # only the step into node k changes
+        with pytest.raises(GridValueError, match="uniform and increasing"):
+            SpectralModel(omega, s_q=1.0, s_theta=1.0)
+
+    @pytest.mark.parametrize("k", LATE)
+    def test_odd_perturbation(self, k):
+        omega = self.omega()
+        s_q = 1.0 + 1e-8 * np.sin(omega) * (np.abs(omega) >= abs(omega[k]))
+        with pytest.raises(GridValueError, match="s_q must be an even"):
+            SpectralModel(omega, s_q=s_q, s_theta=1.0)
+
+    @pytest.mark.parametrize("k", LATE)
+    def test_infinity_on_one_side(self, k):
+        s_theta = np.ones(self.N)
+        s_theta[k] = np.inf
+        with pytest.raises(GridValueError, match="s_theta must be an even"):
+            SpectralModel(self.omega(), s_q=1.0, s_theta=s_theta)
+        s_theta[self.N - 1 - k] = np.inf  # mirrored: accepted
+        SpectralModel(self.omega(), s_q=1.0, s_theta=s_theta)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    @pytest.mark.parametrize("k", LATE)
+    def test_nan_or_negative_value(self, k, bad):
+        s_theta = np.ones(self.N)
+        s_theta[k] = s_theta[self.N - 1 - k] = bad
+        with pytest.raises(GridValueError, match="s_theta must be nonnegative"):
+            SpectralModel(self.omega(), s_q=1.0, s_theta=s_theta)
+
+    @pytest.mark.parametrize("k", LATE)
+    def test_zero_denominator_with_weight(self, k):
+        omega = self.omega()
+        s_theta = np.exp(-omega**2)
+        s_theta[k] = s_theta[self.N - 1 - k] = np.inf  # no prior, no noise there
+        spectra = SpectralModel(omega, s_q=0.0, s_theta=s_theta, h_abs2=1.0)
+        with pytest.raises(GridValueError, match="zero denominator"):
+            continuum_qmax(spectra)
+
+    def test_integrand_not_decaying_at_edges(self):
+        omega = self.omega()
+        h_abs2 = np.exp(-omega**2)
+        h_abs2[0] = h_abs2[-1] = 1e-3
+        spectra = SpectralModel(omega, s_q=0.75, s_theta=1.0, h_abs2=h_abs2)
+        with pytest.raises(SpectralDomainError, match="widen"):
+            continuum_qmax(spectra)
+        h_abs2[0] = h_abs2[-1] = 0.0
+        decaying = SpectralModel(omega, s_q=0.75, s_theta=1.0, h_abs2=h_abs2)
+        assert continuum_qmax(decaying) > 0.0
+
+
+class TestSpectralMemory:
+    def test_traced_peak_proportional_to_grid(self):
+        # omega and s_theta are the rectangle's only full-length arrays, and
+        # the integrand is continuum_qmax's only one
+        n = 2_000_001
+        tracemalloc.start()
+        try:
+            spectra = rectangle_spectra(nodes=n)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            value = continuum_qmax(spectra)
+            integral_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert build_peak <= 2.2 * 8 * n
+        assert integral_peak <= 1.2 * 8 * n
+        assert abs(value - 0.5) <= 1e-6
 
 
 class TestContinuumQmax:
@@ -277,6 +371,17 @@ class TestInterpSpectrum:
         assert np.isinf(out[2001 + 699]) and np.isinf(out[2001 + 700])
         assert np.isfinite(out[[698, 699, 701, 702]]).all()
         np.testing.assert_array_equal(out[[699, 701]], values[[699, 701]])
+
+    @pytest.mark.parametrize("level", [0.0, 0.75, np.inf])
+    def test_constant_spectrum_bitwise_full_grid(self, level):
+        spectra = SpectralModel(np.linspace(-20.0, 20.0, 2001), s_q=level, s_theta=1.0)
+        assert spectra.s_q.strides == (0,)
+        rng = np.random.default_rng(3)
+        w_j = np.concatenate([spectra.omega[::7], rng.uniform(-20.0, 20.0, 300),
+                              TimeDiscretization(32.0, 128, np.zeros(128)).frequencies])
+        np.testing.assert_array_equal(
+            waveform._interp_spectrum(spectra.omega, spectra.s_q, w_j, "s_q"),
+            full_grid_interp_spectrum(spectra.omega, spectra.s_q, w_j))
 
     def test_coverage_checked(self):
         omega = np.linspace(-1.0, 1.0, 101)
