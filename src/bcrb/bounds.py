@@ -40,6 +40,7 @@ from .grids import (
 )
 
 NONNEGATIVE_ATOL = 1e-12
+SINGULAR_RTOL = 1e-10   # natural_v: smallest eigenvalue of F relative to its trace
 
 CSV_HEADER = ["n", "alignment", "information", "prior_information", "bound",
               "v_choice", "boundary_residual"]
@@ -74,6 +75,8 @@ class BoundReport:
     @classmethod
     def assemble(cls, alignment, information, prior_information, n, v_choice,
                  diagnostics=None, attaining_v=None, allow_zero=False) -> "BoundReport":
+        if not n >= 0:  # false for NaN too
+            raise GridValueError(f"n must be nonnegative, got {n}")
         information = max(float(information), 0.0)
         prior_information = max(float(prior_information), 0.0)
         denom = n * information + prior_information
@@ -217,8 +220,6 @@ def gill_levit_bound(
     v_choice: str = "custom",
 ) -> BoundReport:
     """Evaluate B = <A>^2 / (n <F> + <P>) for the supplied field."""
-    if n < 0:
-        raise GridValueError(f"n must be nonnegative, got {n}")
     a_val, f_val, p_val = functionals(model, prior, v)
     res = boundary_residual(prior, v)
     return BoundReport.assemble(
@@ -227,7 +228,7 @@ def gill_levit_bound(
     )
 
 
-def natural_v(model: StatisticalModel, rtol: float = 1e-10) -> VectorField:
+def natural_v(model: StatisticalModel) -> VectorField:
     """Per-point field v^a = (F^{-1})^{ab} u_b (undefined where F is singular).
 
     With this choice the pointwise alignment and information both equal the
@@ -236,7 +237,7 @@ def natural_v(model: StatisticalModel, rtol: float = 1e-10) -> VectorField:
     f = model.fisher.values
     ev = np.linalg.eigvalsh(f)
     trace = np.trace(f, axis1=-2, axis2=-1)
-    singular = ev[..., 0] <= rtol * np.maximum(trace, 1e-300)
+    singular = ev[..., 0] <= SINGULAR_RTOL * np.maximum(trace, 1e-300)
     if np.any(singular):
         bad = np.argwhere(singular)[0]
         raise SingularInformationError(

@@ -505,20 +505,17 @@ def helstrom_along(
 def quantum_vs_classical(
     psf: PointSpreadFunction,
     config: SourceConfiguration,
-    prior: ScalarField | None = None,
     n: float = 1.0,
     nodes: int = 257,
 ):
     """Classical and quantum optimal bounds for two-source separation.
 
     Builds the one-dimensional separation submodel theta(s) = centroid +
-    (-s/2, +s/2) on a window around the configured separation, evaluates the
+    (-s/2, +s/2) on a window of ``nodes`` nodes spanning 0.7 to 1.3 times the
+    configured separation, puts a compact bump prior on it, evaluates the
     direct-imaging information and the Helstrom information along it, and
-    solves both field equations.  ``prior`` is a density on the separation
-    window; by default the window spans 0.7 to 1.3 times the separation with
-    ``nodes`` nodes and the prior is a compact bump on it.  Returns the pair
-    of reports (classical, quantum); the quantum bound never exceeds the
-    classical one.
+    solves both field equations.  Returns the pair of reports (classical,
+    quantum); the quantum bound never exceeds the classical one.
     """
     if config.p != 2:
         raise GridValueError("the separation submodel needs exactly two sources")
@@ -526,18 +523,12 @@ def quantum_vs_classical(
     centroid = float(config.positions.mean())
     if separation <= 0:
         raise GridValueError("separation must be positive")
-    if prior is not None:
-        grid = prior.grid
-        if grid.dim != 1:
-            raise GridValueError("separation prior must live on a 1-d grid")
-        s_nodes = grid.axes[0]
-    else:
-        half = 0.3 * separation
-        lo, hi = separation - half, separation + half
-        grid = ParameterGrid([(lo, hi)], [nodes])
-        s_nodes = grid.axes[0]
-        bump = np.sin(np.pi * np.clip((s_nodes - lo) / (hi - lo), 0.0, 1.0)) ** 4
-        prior = ScalarField(grid, bump).normalized()
+    half = 0.3 * separation
+    lo, hi = separation - half, separation + half
+    grid = ParameterGrid([(lo, hi)], [nodes])
+    s_nodes = grid.axes[0]
+    bump = np.sin(np.pi * np.clip((s_nodes - lo) / (hi - lo), 0.0, 1.0)) ** 4
+    prior = ScalarField(grid, bump).normalized()
     d_theta = np.array([-0.5, 0.5])
     origin = np.array([centroid, centroid])
 

@@ -189,7 +189,7 @@ def assemble_H(
     domain: tuple[float, float] | None = None,
 ) -> DiscretizedHamiltonian:
     """Discretize n*F(tau) - 4 (d/dtau)^2 with Dirichlet ends."""
-    if n < 0:
+    if not n >= 0:  # false for NaN too
         raise GridValueError(f"n must be nonnegative, got {n}")
     grid = problem.grid(domain)
     tau = grid.axes[0]
@@ -425,23 +425,6 @@ def rate_fit(
 
     half0 = 0.5 * (problem.domain[1] - problem.domain[0])
     width_grid = half0 * np.logspace(-5, 0, 161)  # trial widths, five decades below half0
-
-    # the potential is n-independent: memoize per box so the doubling
-    # sequences of different n values share evaluations, and integrate the
-    # trial potential once per width
-    cache: dict[tuple, np.ndarray] = {}
-    raw_information = problem.information
-
-    def cached_information(tau):
-        tau = np.asarray(tau)
-        key = (float(tau[0]), float(tau[-1]), len(tau))
-        if key not in cache:
-            cache[key] = np.asarray(raw_information(tau), dtype=float)
-        return cache[key]
-
-    problem = SchrodingerProblem(
-        problem.domain, cached_information, problem.alignment, problem.nodes,
-    )
     trial_pots, trial_kin = _trial_integrals(problem, width_grid)
 
     def solve_one(n: float):

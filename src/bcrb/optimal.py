@@ -145,7 +145,7 @@ def _assemble_system(
     interior node indices.
     """
     grid = model.grid
-    if n < 0:
+    if not n >= 0:  # false for NaN too
         raise GridValueError(f"n must be nonnegative, got {n}")
     p = grid.dim
     num = grid.num_nodes

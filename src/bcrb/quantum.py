@@ -144,30 +144,26 @@ def qmax(
     model: StatisticalModel,
     prior: ScalarField | None = None,
     n: float = 1.0,
-    check_classical: bool = True,
 ) -> BoundReport:
     """Optimal quantum bound: the field-equation solve with K in place of F.
 
-    When the model also carries a classical information field, the classical
-    optimal bound is computed alongside and the ordering Q_max <= B_max is
-    verified; both values, and the classical solve's ``fallback``, land in the
-    report diagnostics.
+    The classical optimal bound is computed alongside and the ordering
+    Q_max <= B_max is verified; both values, and the classical solve's
+    ``fallback``, land in the report diagnostics.
     """
     if model.helstrom is None:
         raise GridValueError("qmax needs a model with a Helstrom information field")
     quantum_model = model.with_information(model.helstrom, model.helstrom_fn)
     rep = bmax(quantum_model, prior, n, v_choice="quantum_least_favorable")
-    diagnostics = dict(rep.diagnostics)
-    if check_classical and model.fisher is not None:
-        classical = bmax(model, prior, n)
-        diagnostics["classical_bound"] = classical.bound
-        diagnostics["classical_fallback"] = classical.diagnostics["fallback"]
-        if rep.bound > classical.bound + QUANTUM_ORDER_SLACK:
-            raise GridValueError(
-                f"quantum bound {rep.bound!r} exceeds the classical bound "
-                f"{classical.bound!r}; the information fields are inconsistent "
-                "(K must dominate F)"
-            )
+    classical = bmax(model, prior, n)
+    if rep.bound > classical.bound + QUANTUM_ORDER_SLACK:
+        raise GridValueError(
+            f"quantum bound {rep.bound!r} exceeds the classical bound "
+            f"{classical.bound!r}; the information fields are inconsistent "
+            "(K must dominate F)"
+        )
+    diagnostics = {**rep.diagnostics, "classical_bound": classical.bound,
+                   "classical_fallback": classical.diagnostics["fallback"]}
     return BoundReport(
         rep.alignment, rep.information, rep.prior_information, rep.n, rep.bound,
         rep.v_choice, diagnostics, rep.attaining_v,

@@ -96,10 +96,21 @@ def validate_config(config: dict) -> None:
         raise ScenarioError(error.message, field_path=path)
 
 
+def _finite_float(text: str) -> float:
+    """``json.load`` hook for every non-integer number and for the constants
+    NaN, Infinity and -Infinity, which JSON lacks: a value that is not a
+    finite double (those three, or a literal such as 1e400) raises."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ScenarioError(f"config contains the non-finite number {text}; "
+                            "use finite JSON numbers", field_path="<root>")
+    return value
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"config is not valid JSON: {exc}", field_path="<root>") from exc
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable

@@ -303,6 +303,12 @@ def wiener_risk(spectra: SpectralModel) -> float:
 
 @dataclass(frozen=True)
 class NoiseFloorViolation:
+    """One band [omega_lo, omega_hi] of consecutive violating nodes; ``omega``
+    and the two floors are those of its worst node, the one with the largest
+    margin."""
+
+    omega_lo: float
+    omega_hi: float
     omega: float
     noise_floor: float
     quantum_floor: float
@@ -314,6 +320,8 @@ class NoiseFloorViolation:
 
     def to_dict(self) -> dict:
         return {
+            "omega_lo": self.omega_lo,
+            "omega_hi": self.omega_hi,
             "omega": self.omega,
             "noise_floor": self.noise_floor,
             "quantum_floor": self.quantum_floor,
@@ -322,16 +330,18 @@ class NoiseFloorViolation:
 
 
 def noise_floor_check(spectra: SpectralModel) -> list[NoiseFloorViolation]:
-    """Frequencies where the noise floor beats the quantum limit (impossible).
+    """Bands where the noise floor beats the quantum limit (impossible).
 
     The floor S_Z / |h_X|^2 must dominate hbar^2 / (4 S_q) wherever the
     transfer function is nonzero; an empty list means the linear model is
-    consistent with the quantum bound.  Sorted by frequency.
+    consistent with the quantum bound.  Each maximal run of consecutive
+    violating nodes is one record, sorted by frequency; its worst node is
+    the first with the run's largest margin.
     """
     for name in ("hx_abs2", "s_z"):
         if getattr(spectra, name) is None:
             raise GridValueError(f"noise_floor_check needs the {name} spectrum")
-    out: list[NoiseFloorViolation] = []
+    runs = []  # (first node, last node, worst node, its margin, floor, quantum floor)
     for a, b in _blocks(len(spectra.omega)):
         s_q, s_z, hx_abs2 = spectra.s_q[a:b], spectra.s_z[a:b], spectra.hx_abs2[a:b]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -340,13 +350,22 @@ def noise_floor_check(spectra: SpectralModel) -> list[NoiseFloorViolation]:
                 np.isinf(s_q), 0.0,
                 np.where(s_q > 0, spectra.hbar**2 / (4.0 * s_q), np.inf),
             )
+            margin = np.where(floor > 0, quantum / floor, np.inf)
         checked = hx_abs2 > 0
-        bad = checked & (floor < quantum * (1.0 - FLOOR_VIOLATION_RTOL))
-        for i in np.flatnonzero(bad):
-            out.append(NoiseFloorViolation(float(spectra.omega[a + i]), float(floor[i]),
-                                           float(quantum[i])))
-    out.sort(key=lambda v: v.omega)
-    return out
+        bad = np.flatnonzero(checked & (floor < quantum * (1.0 - FLOOR_VIOLATION_RTOL)))
+        if bad.size == 0:
+            continue
+        for run in np.split(bad, np.flatnonzero(np.diff(bad) > 1) + 1):
+            i = run[np.argmax(margin[run])]
+            row = (a + run[0], a + run[-1], a + i, margin[i], floor[i], quantum[i])
+            if runs and runs[-1][1] == row[0] - 1:  # continues across the block edge
+                prev = runs.pop()
+                row = (prev[0], row[1], *(prev if prev[3] >= row[3] else row)[2:])
+            runs.append(row)
+    omega = spectra.omega
+    return [NoiseFloorViolation(float(omega[lo]), float(omega[hi]), float(omega[k]),
+                                float(f), float(q))
+            for lo, hi, k, _, f, q in runs]
 
 
 def rectangle_spectra(

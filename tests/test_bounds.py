@@ -19,6 +19,7 @@ from bcrb.errors import (
 )
 from bcrb.geometry import StatisticalModel, odd_power_map, pushforward_model
 from bcrb.grids import MatrixField, ParameterGrid, VectorField
+from bcrb.optimal import bmax
 
 from conftest import (
     bump_scalar_model,
@@ -148,6 +149,32 @@ class TestBoundReport:
         d = rep.to_dict()
         assert set(d) == {"n", "alignment", "information", "prior_information",
                           "bound", "v_choice", "diagnostics"}
+
+
+class TestInvalidN:
+    """Every bound rejects n < 0 and NaN; the Gill-Levit family checks it in
+    one place, `BoundReport.assemble`."""
+
+    @pytest.fixture(scope="class")
+    def small_model(self):
+        return gaussian_scalar_model(n_nodes=201)
+
+    @pytest.mark.parametrize("n", [-1.0, -0.5, float("nan")])
+    def test_every_bound_rejects_invalid_n(self, small_model, n):
+        model = small_model
+        v = unit_field(model.grid)
+        weights = VectoralWeight(model.grid, np.array([[1.0]]), (model.weight,), (v,))
+        calls = [
+            lambda: gill_levit_bound(model, model.prior, v, n),
+            lambda: vectoral_bound(model, model.prior, weights, n),
+            lambda: BoundReport.assemble(1.0, 1.0, 1.0, n, "custom"),
+            lambda: bmax(model, n=n),
+        ]
+        if n < 0:  # at NaN its field is non-finite, which raises before the check
+            calls.append(lambda: van_trees_v(model, model.prior, n))
+        for call in calls:
+            with pytest.raises(GridValueError, match="n must be nonnegative"):
+                call()
 
 
 class TestNaturalV:

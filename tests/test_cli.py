@@ -79,6 +79,24 @@ class TestValidation:
         assert err.startswith("error:") and "\n" not in err.strip()
         assert str(path) in err and reason in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("section, key, literal", [
+        ("grid", "upper", "Infinity"),
+        ("grid", "lower", "-Infinity"),
+        ("grid", "upper", "NaN"),
+        ("grid", "upper", "1e400"),
+        (None, "n", "NaN"),
+    ])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, section, key, literal):
+        cfg = gaussian_optimal_config(nodes=201)
+        (cfg[section] if section else cfg)[key] = 12345.5
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg).replace("12345.5", literal))
+        code = main(["optimal", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"non-finite number {literal};" in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_field_names_path(self, tmp_path):
         cfg = gaussian_optimal_config()
         del cfg["prior"]
@@ -316,10 +334,10 @@ class TestWaveformScenario:
         out = tmp_path / "o"
         assert main(["waveform", "--config", path, "--out", str(out)]) == 0
         res = json.loads((out / "report.json").read_text())["results"]
-        # noise floor: S_Z/|hX|^2 = 0.5 < 1/(4*0.25) = 1 -> violated everywhere
-        assert len(res["violations"]) == 4001
-        omegas = [v["omega"] for v in res["violations"]]
-        assert omegas == sorted(omegas)
+        # noise floor: S_Z/|hX|^2 = 0.5 < 1/(4*0.25) = 1 -> one band over the grid
+        (band,) = res["violations"]
+        assert (band["omega_lo"], band["omega_hi"]) == (-40.0, 40.0)
+        assert band["omega"] == -40.0 and band["margin"] == 2.0
         assert "wiener_risk" in res
 
 

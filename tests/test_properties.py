@@ -75,7 +75,7 @@ def test_quantum_bound_below_classical(f, extra, n):
     model = StatisticalModel.from_callables(
         line_grid(-6.0, 6.0, 401), fisher_fn=fisher_fn, weight_fn=const_vector_fn([1.0]),
         prior_fn=gaussian_prior_fn(1.0), helstrom_fn=helstrom_fn)
-    q = qmax(model, n=n, check_classical=False).bound
+    q = qmax(model, n=n).bound
     assert q <= bmax(model, n=n).bound * (1.0 + 1e-10)
 
 

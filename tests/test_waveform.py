@@ -222,6 +222,16 @@ class TestContinuumQmax:
         spectra = rectangle_spectra()
         assert abs(continuum_qmax(spectra) - 0.5) <= 1e-6
 
+    @pytest.mark.parametrize("nodes", [200_001, 400_001, 800_001])
+    def test_rectangle_error_is_first_order(self, nodes):
+        # the known exception to second order: each band edge sits on a node,
+        # where the trapezoid rule adds h * 0.25 / 2 / (2 pi); two edges give
+        # exactly d_omega / (8 pi)
+        spectra = rectangle_spectra(nodes=nodes)
+        d_omega = spectra.omega[1] - spectra.omega[0]
+        ratio = (continuum_qmax(spectra) - 0.5) / d_omega
+        assert abs(ratio * 8.0 * np.pi - 1.0) <= 1e-9
+
     def test_infinitely_informative_measurement(self):
         spectra = lorentzian_spectra()
         noiseless = SpectralModel(
@@ -420,13 +430,34 @@ class TestNoiseFloor:
         assert noise_floor_check(lorentzian_spectra()) == []
 
     def test_halved_noise_violates_everywhere(self):
-        bad = lorentzian_spectra(floor_scale=2.0)  # S_Z halved
-        violations = noise_floor_check(bad)
-        assert len(violations) == len(bad.omega)
-        margins = np.array([v.margin for v in violations])
-        assert np.allclose(margins, 2.0, rtol=1e-9)
-        omegas = [v.omega for v in violations]
-        assert omegas == sorted(omegas)
+        # S_Z halved on a grid of several blocks: one band across their edges
+        bad = lorentzian_spectra(n=3 * waveform.BLOCK + 1, floor_scale=2.0)
+        (band,) = noise_floor_check(bad)
+        assert (band.omega_lo, band.omega_hi) == (bad.omega[0], bad.omega[-1])
+        assert band.omega == bad.omega[0]  # every margin ties: the first node
+        assert band.margin == 2.0
+
+    def test_one_record_per_band_across_blocks(self):
+        # S_Z dips below the floor wherever cos(omega) < 0: ten bands of about
+        # 10,500 nodes, some crossing a block edge, give ten records
+        omega = np.linspace(-30.0, 30.0, 200_001)
+        depth = 1.0 + 0.5 * np.cos(omega)
+        spectra = SpectralModel(omega, s_q=0.25, s_theta=1.0, hx_abs2=1.0, s_z=depth)
+        violations = noise_floor_check(spectra)
+        # bands around the odd multiples of pi inside [-30, 30]
+        centers = np.pi * np.arange(-9, 10, 2)
+        assert len(violations) == len(centers)
+        nodes = np.flatnonzero(depth < 1.0 * (1.0 - waveform.FLOOR_VIOLATION_RTOL))
+        assert sum(round((v.omega_hi - v.omega_lo) / (omega[1] - omega[0])) + 1
+                   for v in violations) == len(nodes)
+        edges = np.arange(waveform.BLOCK, len(omega), waveform.BLOCK)
+        assert any(v.omega_lo < omega[e] <= v.omega_hi for v in violations for e in edges)
+        for v, center in zip(violations, centers):
+            assert v.omega_lo < center < v.omega_hi
+            assert v.omega_lo <= v.omega <= v.omega_hi
+            assert abs(v.omega - center) <= omega[1] - omega[0]
+            assert v.margin == 1.0 / v.noise_floor
+            assert abs(v.margin - 2.0) <= 1e-8
 
     def test_infinite_probe_noise_never_violated(self):
         spectra = lorentzian_spectra()
@@ -438,7 +469,8 @@ class TestNoiseFloor:
         assert noise_floor_check(free) == []
 
     def test_violation_record_fields(self):
-        v = NoiseFloorViolation(1.0, 0.5, 1.0)
+        v = NoiseFloorViolation(0.5, 1.5, 1.0, 0.5, 1.0)
         d = v.to_dict()
         assert d["margin"] == 2.0
-        assert set(d) == {"omega", "noise_floor", "quantum_floor", "margin"}
+        assert set(d) == {"omega_lo", "omega_hi", "omega", "noise_floor",
+                          "quantum_floor", "margin"}
