@@ -46,6 +46,12 @@ CSV_HEADER = ["n", "alignment", "information", "prior_information", "bound",
               "v_choice", "boundary_residual"]
 
 
+def _check_n(n: float) -> None:
+    """Raise :class:`GridValueError` unless the sample size n is >= 0 (NaN too)."""
+    if not n >= 0:  # false for NaN too
+        raise GridValueError(f"n must be nonnegative, got {n}")
+
+
 @dataclass(frozen=True, eq=False)
 class BoundReport:
     """One evaluated bound: the three functionals, n, and B.
@@ -75,8 +81,7 @@ class BoundReport:
     @classmethod
     def assemble(cls, alignment, information, prior_information, n, v_choice,
                  diagnostics=None, attaining_v=None, allow_zero=False) -> "BoundReport":
-        if not n >= 0:  # false for NaN too
-            raise GridValueError(f"n must be nonnegative, got {n}")
+        _check_n(n)
         information = max(float(information), 0.0)
         prior_information = max(float(prior_information), 0.0)
         denom = n * information + prior_information
@@ -264,6 +269,7 @@ def van_trees_v(
     contravariant, so the bound can change under reparametrization; the
     report flags that.
     """
+    _check_n(n)
     grid = model.grid
     grid.require_same(prior.grid, "van_trees prior")
     w = rho_weights(prior, model.metric)

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .bounds import _check_boundary
+from .bounds import _check_boundary, _check_n
 from .errors import EigensolverError, GridValueError, ScenarioError
 from .geometry import StatisticalModel
 from .grids import (
@@ -52,7 +52,6 @@ INVERSE_ITERATION_MAXITER = 50
 CERTIFIED_GAP_EPS = 4.0   # smallest certified gap below E_min, in eps * ||H||_inf
 BOX_CONVERGENCE_RTOL = 1e-3   # ground energy change between box doublings
 MAX_BOX_DOUBLINGS = 40        # each doubling also doubles dx at a fixed node count
-DENSE_SOLVER_MAX_NODES = 2000
 
 
 def thread_cap() -> int:
@@ -159,18 +158,22 @@ class DiscretizedHamiltonian:
         resid[1:] += off[:, None] * vecs[:-1]
         return np.linalg.norm(resid, axis=0)
 
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every eigenpair from the tridiagonal eigensolver, failing loudly.
+    def eigh(self, select: str, select_range: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenpairs in a window, from the tridiagonal eigensolver, failing loudly.
 
-        A solver failure, or an eigenpair residual ||H phi - lambda phi||
-        above RESIDUAL_RTOL * max(||H||_inf, 1), raises
-        :class:`EigensolverError`.
+        ``select`` and ``select_range`` name the window as `eigh_tridiagonal`
+        does: eigenvalue indices ``"i"`` (both ends included) or a half-open
+        value interval ``"v"``.  A solver failure, or any returned eigenpair
+        with a residual ||H phi - lambda phi|| above RESIDUAL_RTOL *
+        max(||H||_inf, 1), raises :class:`EigensolverError`.
         """
         try:
-            vals, vecs = eigh_tridiagonal(self.diagonal, self.off_diagonal)
+            vals, vecs = eigh_tridiagonal(self.diagonal, self.off_diagonal,
+                                          select=select, select_range=select_range)
         except Exception as exc:  # LinAlgError or convergence failures
             raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
-        _check_residual(float(np.max(self.residual_norms(vals, vecs))), self.norm_inf())
+        if vals.size:
+            _check_residual(float(np.max(self.residual_norms(vals, vecs))), self.norm_inf())
         return vals, vecs
 
 
@@ -189,8 +192,7 @@ def assemble_H(
     domain: tuple[float, float] | None = None,
 ) -> DiscretizedHamiltonian:
     """Discretize n*F(tau) - 4 (d/dtau)^2 with Dirichlet ends."""
-    if not n >= 0:  # false for NaN too
-        raise GridValueError(f"n must be nonnegative, got {n}")
+    _check_n(n)
     grid = problem.grid(domain)
     tau = grid.axes[0]
     dx = grid.spacing[0]
@@ -463,6 +465,9 @@ def rate_fit(
 
 @dataclass(frozen=True)
 class LambdaScanResult:
+    """The best candidate and every evaluated one: the ground pair first, then
+    the eigenvalues of the pruning window in ascending order."""
+
     best_lambda: float
     best_bound: float
     eigenvalues: np.ndarray
@@ -479,6 +484,12 @@ def lambda_scan(
     each normalized eigenpair yields the candidate <psi, A psi> / lambda and
     the scan returns the best.  The alignment must be strictly positive so
     the symmetric reduction by its square root is well posed.
+
+    A candidate equals 1 / (phi^T A^{-1} phi) / lambda for the unit
+    eigenvector phi of A^{-1/2} H A^{-1/2}, so it is at most max(A) / lambda.
+    Once the ground pair gives the candidate B_0, only eigenvalues up to
+    max(A) / B_0 can beat it, and only that window is computed; the result
+    holds the evaluated candidates, ground pair first.
     """
     grid = problem.grid()
     tau = grid.axes[0]
@@ -493,25 +504,27 @@ def lambda_scan(
             "ground-state problem to be elliptic"
         )
     ham = assemble_H(problem, n)
-    if len(a_vals) > DENSE_SOLVER_MAX_NODES:
-        raise GridValueError(
-            f"lambda_scan solves the full spectrum; use <= "
-            f"{DENSE_SOLVER_MAX_NODES} interior nodes"
-        )
     inv_sqrt = 1.0 / np.sqrt(a_vals)
     # A^{-1/2} H A^{-1/2} keeps the tridiagonal structure
     reduced = DiscretizedHamiltonian(
         ham.grid, ham.diagonal / a_vals, ham.off_diagonal * inv_sqrt[:-1] * inv_sqrt[1:])
-    lam, phi = reduced.eigh()
-    psi = inv_sqrt[:, None] * phi
-    norms = np.sqrt(dx * np.sum(psi**2, axis=0))
-    psi = psi / norms
-    numer = dx * np.sum(a_vals[:, None] * psi**2, axis=0)
-    with np.errstate(divide="ignore"):
-        cand = np.where(lam > 0, numer / lam, -np.inf)
+
+    def candidates(lam, phi):
+        psi = inv_sqrt[:, None] * phi
+        psi /= np.sqrt(dx * np.sum(psi**2, axis=0))
+        return dx * np.sum(a_vals[:, None] * psi**2, axis=0) / lam
+
+    lam, phi = reduced.eigh("i", (0, 0))
+    if not lam[0] > 0:
+        raise EigensolverError(f"ground eigenvalue {lam[0]!r} is not positive")
+    cand = candidates(lam, phi)
+    top = float(np.max(a_vals)) / cand[0]
+    if top > lam[0]:
+        # a pair the window repeats, or one at its edge that rounding leaves
+        # out, is within rounding of a candidate already evaluated
+        more, phi = reduced.eigh("v", (lam[0], top))
+        lam, cand = np.concatenate([lam, more]), np.concatenate([cand, candidates(more, phi)])
     k = int(np.argmax(cand))
-    if not np.isfinite(cand[k]):
-        raise EigensolverError("no positive eigenvalue")
     return LambdaScanResult(float(lam[k]), float(cand[k]), lam, cand)
 
 

@@ -21,8 +21,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, solveh_banded
 
-from .bounds import BoundReport, VectoralWeight, _check_boundary
+from .bounds import BoundReport, VectoralWeight, _check_boundary, _check_n
 from .errors import GridValueError, OperatorRangeError
 from .geometry import StatisticalModel
 from .grids import (
@@ -145,8 +146,7 @@ def _assemble_system(
     interior node indices.
     """
     grid = model.grid
-    if not n >= 0:  # false for NaN too
-        raise GridValueError(f"n must be nonnegative, got {n}")
+    _check_n(n)
     p = grid.dim
     num = grid.num_nodes
 
@@ -202,32 +202,53 @@ def _pcg(matrix: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:
     return sol, int(flag), count[0]
 
 
+def _banded_cholesky(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve a 1-D system by LAPACK banded Cholesky (``pbsv``).
+
+    On a 1-D grid the system holds one field (q <= p = 1) and is
+    pentadiagonal, so only its main and two upper diagonals are read.
+    Raises ``LinAlgError`` when a leading minor is not positive definite.
+    """
+    band = np.zeros((3, matrix.shape[0]))
+    for k in range(3):
+        band[2 - k, k:] = matrix.diagonal(k)
+    return solveh_banded(band, rhs, overwrite_ab=True, check_finite=False)
+
+
 def _solve_system(matrix: sp.csr_matrix, rhs: np.ndarray, p: int) -> tuple[np.ndarray, SolveInfo]:
-    """Direct sparse solve on 1-D grids, Jacobi-PCG on higher-dimensional ones.
+    """Banded Cholesky on 1-D grids, Jacobi-PCG on higher-dimensional ones.
 
     A 1-D system is banded and factors without fill, while 2-D and 3-D
     factorizations fill in and PCG converges in a few hundred iterations.
     PCG is accepted only with flag 0 and a true relative residual within
-    SOLVE_RTOL; otherwise the direct solve runs, the reason is recorded as
-    ``fallback`` and a RuntimeWarning is issued.  Raises
-    :class:`OperatorRangeError` when the residual shows ``rhs`` lies outside
-    the numerical range of the operator (no least-favorable field exists).
+    SOLVE_RTOL, the banded Cholesky only if every leading minor is positive
+    definite; otherwise the direct sparse solve (SuperLU) runs, the reason
+    is recorded as ``fallback`` and a RuntimeWarning is issued.  Raises :class:`OperatorRangeError` when the residual shows
+    ``rhs`` lies outside the numerical range of the operator (no
+    least-favorable field exists).
     """
     size = {"unknowns": int(matrix.shape[0]), "nnz": int(matrix.nnz)}
     if not np.any(rhs):
-        return np.zeros_like(rhs), SolveInfo("direct" if p == 1 else "pcg", 0, 0.0, **size)
+        return np.zeros_like(rhs), SolveInfo(
+            "banded_cholesky" if p == 1 else "pcg", 0, 0.0, **size)
     rhs_norm = max(np.linalg.norm(rhs), 1e-300)
-    iterations, fallback = 0, None
-    if p > 1:
+    solver, iterations = "direct", 0
+    if p == 1:
+        try:
+            sol, solver, fallback = _banded_cholesky(matrix, rhs), "banded_cholesky", None
+        except LinAlgError as exc:
+            fallback = f"banded Cholesky failed: {exc}"
+    else:
         sol, flag, iterations = _pcg(matrix, rhs)
         resid = float(np.linalg.norm(matrix @ sol - rhs) / rhs_norm)
         if flag == 0 and resid <= SOLVE_RTOL:
             return sol, SolveInfo("pcg", iterations, resid, **size)
         fallback = (f"pcg flag {flag} after {iterations} iterations, "
                     f"relative residual {resid:.3e} (target {SOLVE_RTOL:.0e})")
+    if fallback is not None:
         warnings.warn(f"{fallback}; falling back to the direct solve", RuntimeWarning,
                       stacklevel=3)
-    sol = spla.spsolve(sp.csc_matrix(matrix), rhs)
+        sol = spla.spsolve(sp.csc_matrix(matrix), rhs)
     resid = float(np.linalg.norm(matrix @ sol - rhs) / rhs_norm)
     if not np.all(np.isfinite(sol)) or resid > RANGE_RTOL:
         raise OperatorRangeError(
@@ -235,7 +256,7 @@ def _solve_system(matrix: sp.csr_matrix, rhs: np.ndarray, p: int) -> tuple[np.nd
             f"(relative residual {resid:.3e}); "
             "no least-favorable field exists for this problem"
         )
-    return sol, SolveInfo("direct", iterations, resid, fallback=fallback, **size)
+    return sol, SolveInfo(solver, iterations, resid, fallback=fallback, **size)
 
 
 def solve_least_favorable(op: OperatorL, u: VectorField) -> LeastFavorableField:

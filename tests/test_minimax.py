@@ -397,9 +397,14 @@ class TestLambdaScan:
         scan = lambda_scan(prob, 100.0)
         lam, cand = dense_lambda_scan(prob, 100.0)
         assert np.all(lam > 0)
-        assert np.max(np.abs(scan.eigenvalues - lam) / lam) <= 1e-10
-        assert np.max(np.abs(scan.bounds - cand) / cand) <= 1e-10
+        # each evaluated pair is the dense pair nearest to it
+        index = np.array([np.argmin(np.abs(lam - x)) for x in scan.eigenvalues])
+        assert np.max(np.abs(scan.eigenvalues - lam[index]) / lam[index]) <= 1e-10
+        assert np.max(np.abs(scan.bounds - cand[index]) / cand[index]) <= 1e-10
         assert abs(scan.best_bound - cand.max()) <= 1e-10 * cand.max()
+        # the window is the lowest pairs, and every pruned candidate loses
+        assert np.array_equal(np.unique(index), np.arange(index.max() + 1))
+        assert np.all(cand[index.max() + 1:] < scan.best_bound)
 
     def test_solver_failure_is_loud(self, monkeypatch):
         def failing(*args, **kwargs):
@@ -415,7 +420,7 @@ class TestLambdaScan:
         def perturbed(*args, **kwargs):
             vals, vecs = exact(*args, **kwargs)
             vecs = vecs.copy()
-            vecs[:, 7] += 1e-6 * np.random.default_rng(0).normal(size=len(vecs))
+            vecs[:, 0] += 1e-6 * np.random.default_rng(0).normal(size=len(vecs))
             return vals, vecs
 
         monkeypatch.setattr(minimax, "eigh_tridiagonal", perturbed)
@@ -456,6 +461,37 @@ class TestLambdaScan:
         with pytest.raises(GridValueError, match="strictly positive"):
             lambda_scan(prob, 1.0)
 
+
+
+class TestLambdaScanLarge:
+    """200,001 nodes, far beyond what a full spectrum could hold."""
+
+    @staticmethod
+    def problem(alignment):
+        return SchrodingerProblem((-10.0, 10.0), lambda t: np.asarray(t) ** 2,
+                                  alignment=alignment, nodes=200_001)
+
+    def test_constant_alignment_matches_bworst(self):
+        # forming A^{-1/2} H A^{-1/2} rounds its entries, which moves each
+        # eigenvalue by up to about eps * ||H||_inf (1.8e-9 of E_min here)
+        prob = self.problem(2.0)
+        direct = bworst(prob, 1e4)
+        scan = lambda_scan(prob, 1e4)
+        assert abs(scan.best_bound - direct) <= 1e-8 * direct
+
+    def test_varying_alignment_passes_residual_check(self, monkeypatch):
+        checked = []
+
+        def spy(worst, norm):
+            checked.append((worst, norm))
+            return check(worst, norm)
+
+        check = minimax._check_residual
+        monkeypatch.setattr(minimax, "_check_residual", spy)
+        scan = lambda_scan(self.problem(lambda t: 1.5 + np.sin(np.asarray(t))), 100.0)
+        assert len(checked) == (2 if len(scan.eigenvalues) > 1 else 1)
+        assert all(worst <= minimax.RESIDUAL_RTOL * max(norm, 1.0) for worst, norm in checked)
+        assert np.isfinite(scan.best_bound) and scan.best_bound == scan.bounds.max()
 
 class TestThreadCap:
     def test_env_caps_workers_and_results_identical(self, monkeypatch):

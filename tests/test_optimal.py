@@ -20,6 +20,7 @@ from bcrb.optimal import (
 )
 
 from conftest import (
+    bump_scalar_model,
     const_matrix_fn,
     const_vector_fn,
     gaussian_2d,
@@ -322,12 +323,35 @@ class TestSolverPolicy:
         rep = bmax(gauss_model, n=10.0)
         op = assemble_L(gauss_model, gauss_model.prior, 10.0)
         assert SOLVE_KEYS <= set(rep.diagnostics)
-        assert rep.diagnostics["solver"] == "direct"
+        assert rep.diagnostics["solver"] == "banded_cholesky"
         assert rep.diagnostics["iterations"] == 0
         assert rep.diagnostics["fallback"] is None
         assert rep.diagnostics["unknowns"] == op.matrix.shape[0]
         assert rep.diagnostics["nnz"] == op.matrix.nnz
         assert rep.diagnostics["relative_residual"] <= SOLVE_RTOL
+
+    def test_failed_banded_cholesky_forces_recorded_fallback(self, gauss_model, monkeypatch):
+        def failing(*args, **kwargs):
+            raise optimal.LinAlgError("3th leading minor not positive definite")
+
+        monkeypatch.setattr(optimal, "solveh_banded", failing)
+        with pytest.warns(RuntimeWarning, match="falling back to the direct solve"):
+            rep = bmax(gauss_model, n=10.0)
+        assert rep.diagnostics["solver"] == "direct"
+        assert rep.diagnostics["fallback"] == (
+            "banded Cholesky failed: 3th leading minor not positive definite")
+        ref = direct_alignment(gauss_model, 10.0)
+        assert rep.alignment == ref
+        assert abs(rep.bound - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("n", [1.0, 1e2, 1e4])
+    def test_banded_matches_direct_on_bump(self, n):
+        # the sweeps model: its prior decays like sin^4 into both ends
+        model = bump_scalar_model(n_nodes=20001)
+        rep = bmax(model, n=n)
+        assert rep.diagnostics["solver"] == "banded_cholesky"
+        ref = direct_alignment(model, n)
+        assert abs(rep.alignment - ref) <= 1e-9 * ref
 
     @pytest.mark.parametrize("case", sorted(HARD_SET))
     def test_pcg_matches_direct_on_hard_set(self, case):
