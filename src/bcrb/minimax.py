@@ -150,6 +150,13 @@ class DiscretizedHamiltonian:
     def norm_inf(self) -> float:
         return self.gershgorin()[1]
 
+    def row_sums(self) -> np.ndarray:
+        """d_i + e_{i-1} + e_i, as `_difference_rayleigh` takes them."""
+        sums = self.diagonal.copy()
+        sums[:-1] += self.off_diagonal
+        sums[1:] += self.off_diagonal
+        return sums
+
     def residual_norms(self, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """||H phi_j - lambda_j phi_j|| for the columns phi_j of ``vecs``."""
         diag, off = self.diagonal, self.off_diagonal
@@ -250,9 +257,7 @@ def _certified_inverse_iteration(ham: DiscretizedHamiltonian) -> tuple[float, np
     if factors is None:
         raise EigensolverError(
             f"H - sigma I is not positive definite at the Gershgorin bound {shift!r}")
-    row_sums = d.copy()
-    row_sums[:-1] += e
-    row_sums[1:] += e
+    row_sums = ham.row_sums()
     vec = np.ones_like(d)
     rho_prev = np.inf
     for _ in range(INVERSE_ITERATION_MAXITER):
@@ -481,15 +486,19 @@ def lambda_scan(
     """Maximize the bound over priors when the alignment varies with position.
 
     The stationary priors solve the generalized problem H psi = lambda A psi;
-    each normalized eigenpair yields the candidate <psi, A psi> / lambda and
-    the scan returns the best.  The alignment must be strictly positive so
-    the symmetric reduction by its square root is well posed.
+    each normalized eigenfunction psi yields the candidate <A>^2 / <psi, H psi>,
+    the bound of the prior psi^2, and the scan returns the best.  The
+    alignment must be strictly positive so the symmetric reduction by its
+    square root is well posed.  <psi, H psi> is summed in difference form,
+    as `ground_state` does, so rounding the reduced matrix does not reach
+    the candidates.
 
-    A candidate equals 1 / (phi^T A^{-1} phi) / lambda for the unit
-    eigenvector phi of A^{-1/2} H A^{-1/2}, so it is at most max(A) / lambda.
-    Once the ground pair gives the candidate B_0, only eigenvalues up to
-    max(A) / B_0 can beat it, and only that window is computed; the result
-    holds the evaluated candidates, ground pair first.
+    For an exact eigenpair the candidate is <psi, A psi> / lambda =
+    1 / (phi^T A^{-1} phi) / lambda with phi the unit eigenvector of
+    A^{-1/2} H A^{-1/2}, so it is at most max(A) / lambda.  Once the ground
+    pair gives the candidate B_0, only eigenvalues up to max(A) / B_0 can
+    beat it, and only that window is computed; the result holds the
+    evaluated candidates, ground pair first.
     """
     grid = problem.grid()
     tau = grid.axes[0]
@@ -509,21 +518,26 @@ def lambda_scan(
     reduced = DiscretizedHamiltonian(
         ham.grid, ham.diagonal / a_vals, ham.off_diagonal * inv_sqrt[:-1] * inv_sqrt[1:])
 
-    def candidates(lam, phi):
+    row_sums = ham.row_sums()
+
+    def candidates(phi):
         psi = inv_sqrt[:, None] * phi
         psi /= np.sqrt(dx * np.sum(psi**2, axis=0))
-        return dx * np.sum(a_vals[:, None] * psi**2, axis=0) / lam
+        mean_a = dx * np.sum(a_vals[:, None] * psi**2, axis=0)
+        energy = dx * np.array([_difference_rayleigh(row_sums, ham.off_diagonal, col)
+                                for col in psi.T])
+        return mean_a**2 / energy
 
     lam, phi = reduced.eigh("i", (0, 0))
     if not lam[0] > 0:
         raise EigensolverError(f"ground eigenvalue {lam[0]!r} is not positive")
-    cand = candidates(lam, phi)
+    cand = candidates(phi)
     top = float(np.max(a_vals)) / cand[0]
     if top > lam[0]:
         # a pair the window repeats, or one at its edge that rounding leaves
         # out, is within rounding of a candidate already evaluated
         more, phi = reduced.eigh("v", (lam[0], top))
-        lam, cand = np.concatenate([lam, more]), np.concatenate([cand, candidates(more, phi)])
+        lam, cand = np.concatenate([lam, more]), np.concatenate([cand, candidates(phi)])
     k = int(np.argmax(cand))
     return LambdaScanResult(float(lam[k]), float(cand[k]), lam, cand)
 
