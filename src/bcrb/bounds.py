@@ -47,7 +47,7 @@ CSV_HEADER = ["n", "alignment", "information", "prior_information", "bound",
 
 
 def _check_n(n: float) -> None:
-    """Raise :class:`GridValueError` unless the sample size n is >= 0 (NaN too)."""
+    """Raise :class:`GridValueError` unless the sample size n is >= 0."""
     if not n >= 0:  # false for NaN too
         raise GridValueError(f"n must be nonnegative, got {n}")
 

@@ -223,9 +223,9 @@ def _solve_system(matrix: sp.csr_matrix, rhs: np.ndarray, p: int) -> tuple[np.nd
     PCG is accepted only with flag 0 and a true relative residual within
     SOLVE_RTOL, the banded Cholesky only if every leading minor is positive
     definite; otherwise the direct sparse solve (SuperLU) runs, the reason
-    is recorded as ``fallback`` and a RuntimeWarning is issued.  Raises :class:`OperatorRangeError` when the residual shows
-    ``rhs`` lies outside the numerical range of the operator (no
-    least-favorable field exists).
+    is recorded as ``fallback`` and a RuntimeWarning is issued.  Raises
+    :class:`OperatorRangeError` when the residual shows ``rhs`` lies outside
+    the numerical range of the operator (no least-favorable field exists).
     """
     size = {"unknowns": int(matrix.shape[0]), "nnz": int(matrix.nnz)}
     if not np.any(rhs):

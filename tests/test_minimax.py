@@ -390,7 +390,9 @@ class TestLambdaScan:
         lambda t: 1.0 + 0.1 * np.asarray(t) ** 2,
         lambda t: 1.5 + np.sin(np.asarray(t)),
         lambda t: np.exp(-0.05 * np.asarray(t) ** 2),
-    ], ids=["quadratic", "sine", "gaussian"])
+        # low at the centre, so the first excited pair wins
+        lambda t: 0.05 + np.asarray(t) ** 2 * np.exp(-np.asarray(t) ** 2),
+    ], ids=["quadratic", "sine", "gaussian", "off_centre"])
     def test_tridiagonal_matches_dense(self, alignment):
         prob = SchrodingerProblem((-10.0, 10.0), lambda t: np.asarray(t) ** 2,
                                   alignment=alignment, nodes=1201)
@@ -402,8 +404,11 @@ class TestLambdaScan:
         assert np.max(np.abs(scan.eigenvalues - lam[index]) / lam[index]) <= 1e-10
         assert np.max(np.abs(scan.bounds - cand[index]) / cand[index]) <= 1e-10
         assert abs(scan.best_bound - cand.max()) <= 1e-10 * cand.max()
-        # the window is the lowest pairs, and every pruned candidate loses
+        # the window is the lowest pairs up to max(A)/B_0, and every pruned
+        # candidate loses
         assert np.array_equal(np.unique(index), np.arange(index.max() + 1))
+        top = np.max(alignment(prob.grid().axes[0][1:-1])) / scan.bounds[0]
+        assert np.all(lam[index.max() + 1:] > top * (1.0 - 1e-10))
         assert np.all(cand[index.max() + 1:] < scan.best_bound)
 
     def test_solver_failure_is_loud(self, monkeypatch):
@@ -462,7 +467,6 @@ class TestLambdaScan:
             lambda_scan(prob, 1.0)
 
 
-
 class TestLambdaScanLarge:
     """200,001 nodes, far beyond what a full spectrum could hold."""
 
@@ -492,6 +496,7 @@ class TestLambdaScanLarge:
         assert len(checked) == (2 if len(scan.eigenvalues) > 1 else 1)
         assert all(worst <= minimax.RESIDUAL_RTOL * max(norm, 1.0) for worst, norm in checked)
         assert np.isfinite(scan.best_bound) and scan.best_bound == scan.bounds.max()
+
 
 class TestThreadCap:
     def test_env_caps_workers_and_results_identical(self, monkeypatch):

@@ -351,7 +351,7 @@ class TestSolverPolicy:
         rep = bmax(model, n=n)
         assert rep.diagnostics["solver"] == "banded_cholesky"
         ref = direct_alignment(model, n)
-        assert abs(rep.alignment - ref) <= 1e-9 * ref
+        assert abs(rep.bound - ref) <= 1e-9 * ref
 
     @pytest.mark.parametrize("case", sorted(HARD_SET))
     def test_pcg_matches_direct_on_hard_set(self, case):
