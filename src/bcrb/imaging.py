@@ -35,8 +35,7 @@ from .grids import (
     trapezoid_weights_1d,
 )
 from .minimax import RateFitResult, SchrodingerProblem, rate_fit
-from .optimal import bmax
-from .quantum import DensityFamily, helstrom_matrix, qmax
+from .quantum import DensityFamily, _quantum_and_classical, helstrom_matrix
 
 INTENSITY_NORMALIZATION_ATOL = 1e-8
 COVERAGE_ATOL = 1e-6
@@ -54,17 +53,17 @@ RANK_RTOL = 1e-6
 class PointSpreadFunction:
     """Real amplitude on an image-plane grid, unit-normalized intensity.
 
-    ``amplitude_fn`` / ``derivative_fn``, when present (catalog entries),
-    evaluate the amplitude and its spatial derivative exactly at arbitrary
-    points; otherwise a cubic spline of the stored samples, fitted once per
-    instance, is used, with zero extension outside the stored window.
+    ``pair_fn``, when present (catalog entries), maps arbitrary points to the
+    pair (amplitude, spatial derivative), both evaluated exactly and from one
+    pass over the points; otherwise a cubic spline of the stored samples,
+    fitted once per instance, is used, with zero extension outside the
+    stored window.
     """
 
     x: np.ndarray
     amplitude: np.ndarray
     width: float
-    amplitude_fn: Callable | None = None
-    derivative_fn: Callable | None = None
+    pair_fn: Callable | None = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -80,15 +79,15 @@ class PointSpreadFunction:
         if abs(norm - 1.0) > INTENSITY_NORMALIZATION_ATOL:
             factor = 1.0 / np.sqrt(norm)
             amp = amp * factor
-            # keep the analytic callables consistent with the stored samples
-            if self.amplitude_fn is not None:
-                fn = self.amplitude_fn
-                object.__setattr__(self, "amplitude_fn",
-                                   lambda pts, _f=fn, _c=factor: _c * np.asarray(_f(pts)))
-            if self.derivative_fn is not None:
-                dfn = self.derivative_fn
-                object.__setattr__(self, "derivative_fn",
-                                   lambda pts, _f=dfn, _c=factor: _c * np.asarray(_f(pts)))
+            # keep the analytic pair consistent with the stored samples
+            if self.pair_fn is not None:
+                fn = self.pair_fn
+
+                def scaled(pts, _f=fn, _c=factor):
+                    a, d = _f(pts)
+                    return _c * np.asarray(a), _c * np.asarray(d)
+
+                object.__setattr__(self, "pair_fn", scaled)
         x.setflags(write=False)
         amp.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -104,17 +103,19 @@ class PointSpreadFunction:
         spline = CubicSpline(self.x, self.amplitude, extrapolate=False)
         return spline, spline.derivative()
 
+    def pair_at(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Amplitude and its derivative at ``pts``, from one evaluation."""
+        if self.pair_fn is not None:
+            a, d = self.pair_fn(pts)
+            return np.asarray(a, dtype=float), np.asarray(d, dtype=float)
+        spline, dspline = self._splines
+        return np.nan_to_num(spline(pts), nan=0.0), np.nan_to_num(dspline(pts), nan=0.0)
+
     def amplitude_at(self, pts: np.ndarray) -> np.ndarray:
-        if self.amplitude_fn is not None:
-            return np.asarray(self.amplitude_fn(pts), dtype=float)
-        vals = self._splines[0](pts)
-        return np.nan_to_num(vals, nan=0.0)
+        return self.pair_at(pts)[0]
 
     def derivative_at(self, pts: np.ndarray) -> np.ndarray:
-        if self.derivative_fn is not None:
-            return np.asarray(self.derivative_fn(pts), dtype=float)
-        vals = self._splines[1](pts)
-        return np.nan_to_num(vals, nan=0.0)
+        return self.pair_at(pts)[1]
 
 
 def _catalog_grid(sigma: float, span: float = 24.0, nodes: int = 8193) -> np.ndarray:
@@ -125,53 +126,45 @@ def gaussian_psf(sigma: float = 1.0) -> PointSpreadFunction:
     """Gaussian amplitude; intensity is the normal density with scale sigma."""
     norm = (2.0 * np.pi * sigma**2) ** -0.25
 
-    def amp(x):
-        return norm * np.exp(-np.asarray(x) ** 2 / (4.0 * sigma**2))
-
-    def damp(x):
+    def pair(x):
         x = np.asarray(x)
-        return amp(x) * (-x / (2.0 * sigma**2))
+        amp = norm * np.exp(-x**2 / (4.0 * sigma**2))
+        return amp, amp * (-x / (2.0 * sigma**2))
 
     x = _catalog_grid(sigma)
-    return PointSpreadFunction(x, amp(x), sigma, amp, damp, "gaussian")
+    return PointSpreadFunction(x, pair(x)[0], sigma, pair, "gaussian")
 
 
 def hermite_gauss_psf(sigma: float = 1.0) -> PointSpreadFunction:
     """First-order Hermite-Gaussian amplitude: a zero at the origin."""
     norm = (2.0 * np.pi * sigma**2) ** -0.25
 
-    def amp(x):
+    def pair(x):
         x = np.asarray(x)
-        return norm * (x / sigma) * np.exp(-(x**2) / (4.0 * sigma**2))
-
-    def damp(x):
-        x = np.asarray(x)
-        return norm * np.exp(-(x**2) / (4.0 * sigma**2)) * (
-            1.0 / sigma - x**2 / (2.0 * sigma**3)
-        )
+        envelope = np.exp(-(x**2) / (4.0 * sigma**2))
+        return (norm * (x / sigma) * envelope,
+                norm * envelope * (1.0 / sigma - x**2 / (2.0 * sigma**3)))
 
     x = _catalog_grid(sigma)
-    return PointSpreadFunction(x, amp(x), sigma, amp, damp, "first_order_hermite")
+    return PointSpreadFunction(x, pair(x)[0], sigma, pair, "first_order_hermite")
 
 
 def sinc_psf(sigma: float = 1.0) -> PointSpreadFunction:
     """Band-limited amplitude sin(pi x / s) / (pi x / s): periodic zeros."""
 
-    def amp(x):
-        return np.sinc(np.asarray(x) / sigma)
-
-    def damp(x):
+    def pair(x):
         x = np.asarray(x) / sigma
+        amp = np.sinc(x)
         out = np.zeros_like(x)
         nz = np.abs(x) > 1e-8
         xs = x[nz]
-        out[nz] = (np.cos(np.pi * xs) - np.sinc(xs)) / xs / sigma
+        out[nz] = (np.cos(np.pi * xs) - amp[nz]) / xs / sigma
         small = ~nz
         out[small] = -(np.pi**2 / 3.0) * x[small] / sigma
-        return out
+        return amp, out
 
     x = _catalog_grid(sigma, span=400.0, nodes=65537)
-    return PointSpreadFunction(x, amp(x), sigma, amp, damp, "sinc")
+    return PointSpreadFunction(x, pair(x)[0], sigma, pair, "sinc")
 
 
 PSF_CATALOG: dict[str, Callable[..., PointSpreadFunction]] = {
@@ -242,9 +235,7 @@ def _mixture_scores(psf: PointSpreadFunction, thetas: np.ndarray,
     d_a f = -2 a a' / p, shape ``(..., p, nx)``, with a and a' the amplitude
     and its derivative at ``x - theta^a``.
     """
-    pts = x - thetas[..., None]
-    amp = psf.amplitude_at(pts)
-    damp = psf.derivative_at(pts)
+    amp, damp = psf.pair_at(x - thetas[..., None])
     return (amp**2).mean(axis=-2), -2.0 * amp * damp / thetas.shape[-1]
 
 
@@ -279,7 +270,7 @@ def direct_imaging_fisher(
     return out
 
 
-INFORMATION_CHUNK = 256
+INFORMATION_BLOCK = 2**16
 
 
 def information_along(
@@ -290,8 +281,9 @@ def information_along(
 ) -> np.ndarray:
     """v F(theta(tau)) v along the submodel theta(tau) = origin + v tau.
 
-    Batched over tau in memory-bounded chunks: one broadcasted quadrature
-    per chunk.
+    Batched over tau in blocks of about INFORMATION_BLOCK elements of each
+    (rows, p, nodes) temporary, so the working set stays in cache whatever
+    the number of separations: one broadcasted quadrature per block.
     """
     direction = np.asarray(direction, dtype=float).reshape(-1)
     p = len(direction)
@@ -304,14 +296,17 @@ def information_along(
     x = np.linspace(-half, half, DEFAULT_GRID_NODES)
     w = trapezoid_weights_1d(len(x), x[1] - x[0])
 
+    # whole groups of four rows: OpenBLAS's dgemv sums four rows at a time and
+    # a leftover row in another order, so blocking keeps every row's sum
+    rows = 4 * max(1, INFORMATION_BLOCK // (4 * p * len(x)))
     out = np.empty(len(taus))
-    for start in range(0, len(taus), INFORMATION_CHUNK):
-        block = thetas[start:start + INFORMATION_CHUNK]       # (nb, p)
+    for start in range(0, len(taus), rows):
+        block = thetas[start:start + rows]                   # (nb, p)
         f, df = _mixture_scores(psf, block, x)               # (nb, nx), (nb, p, nx)
         num = np.einsum("a,bax->bx", direction, df) ** 2
         ok = f > INTENSITY_SUPPORT_FLOOR
         ratio = np.where(ok, num / np.where(ok, f, 1.0), 0.0)
-        out[start:start + INFORMATION_CHUNK] = ratio @ w
+        out[start:start + rows] = ratio @ w
     return out
 
 
@@ -434,8 +429,12 @@ def imaging_helstrom(
     x = _measurement_grid(psf, pos, span_sigmas, HELSTROM_GRID_NODES)
     w = trapezoid_weights_1d(len(x), x[1] - x[0])
 
-    states = [psf.amplitude_at(x - t) for t in pos]
-    dstates = [-psf.derivative_at(x - t) for t in pos]
+    # one source at a time, so every temporary stays one grid long
+    states, dstates = [], []
+    for t in pos:
+        amp, damp = psf.pair_at(x - t)
+        states.append(amp)
+        dstates.append(-damp)
 
     # norm deficit: each displaced state must carry its continuum norm on the
     # grid, else the window or resolution cannot represent it
@@ -443,13 +442,15 @@ def imaging_helstrom(
     for s in states:
         deficit = max(deficit, abs(float(np.sum(w * s**2)) - 1.0))
 
-    raw = np.array(states + dstates).T * np.sqrt(w)[:, None]
+    raw = np.array(states + dstates).T
+    raw *= np.sqrt(w)[:, None]
     norms = np.linalg.norm(raw, axis=0)
     if np.any(norms == 0):
         raise ProjectionError("a basis vector vanished on the image grid")
     # raw / norms = Q R = (Q U) S V^T: the columns' coefficients in the
     # orthonormal basis Q U are S V^T
-    _, svals, vt = np.linalg.svd(np.linalg.qr(raw / norms, mode="r"))
+    raw /= norms
+    _, svals, vt = np.linalg.svd(np.linalg.qr(raw, mode="r"))
     keep = svals > 1e-10 * svals[0]
     unit = svals[keep, None] * vt[keep]
 
@@ -542,6 +543,5 @@ def quantum_vs_classical(
         prior=prior,
         helstrom=MatrixField(grid, k_vals[:, None, None]),
     )
-    classical = bmax(model, n=n)
-    quantum = qmax(model, n=n)
+    quantum, classical = _quantum_and_classical(model, None, n)
     return classical, quantum

@@ -534,10 +534,14 @@ def lambda_scan(
     cand = candidates(phi)
     top = float(np.max(a_vals)) / cand[0]
     if top > lam[0]:
-        # a pair the window repeats, or one at its edge that rounding leaves
-        # out, is within rounding of a candidate already evaluated
-        more, phi = reduced.eigh("v", (lam[0], top))
-        lam, cand = np.concatenate([lam, more]), np.concatenate([cand, candidates(phi)])
+        # a pair at the window's top edge that rounding leaves out is within
+        # rounding of a candidate already evaluated
+        more, vecs = reduced.eigh("v", (lam[0], top))
+        # bisection can place lambda_0 just inside the window and return the
+        # ground pair again; distinct eigenvectors are orthogonal
+        fresh = np.abs(phi[:, 0] @ vecs) <= 0.5
+        more, vecs = more[fresh], vecs[:, fresh]
+        lam, cand = np.concatenate([lam, more]), np.concatenate([cand, candidates(vecs)])
     k = int(np.argmax(cand))
     return LambdaScanResult(float(lam[k]), float(cand[k]), lam, cand)
 

@@ -93,7 +93,11 @@ def sld_scores(family: DensityFamily, theta) -> list[np.ndarray]:
     derivative has weight on such a pair the family is not differentiable in
     trace norm there and the solve fails.
     """
-    rho = family.rho(theta)
+    return _scores_at(family, theta, family.rho(theta))
+
+
+def _scores_at(family: DensityFamily, theta, rho: np.ndarray) -> list[np.ndarray]:
+    """`sld_scores` with rho = family.rho(theta) already checked and built."""
     drho = family.drho(theta)
     pvals, basis = np.linalg.eigh(rho)
     cutoff = SLD_SUPPORT_CUTOFF * float(np.trace(rho).real)
@@ -130,7 +134,7 @@ def sld_scores(family: DensityFamily, theta) -> list[np.ndarray]:
 def helstrom_matrix(family: DensityFamily, theta) -> np.ndarray:
     """K_ab = Re tr[rho (S_a S_b + S_b S_a)] / 2, symmetric PSD."""
     rho = family.rho(theta)
-    scores = sld_scores(family, theta)
+    scores = _scores_at(family, theta, rho)
     p = family.num_parameters
     out = np.empty((p, p))
     for a in range(p):
@@ -151,6 +155,15 @@ def qmax(
     Q_max <= B_max is verified; both values, and the classical solve's
     ``fallback``, land in the report diagnostics.
     """
+    return _quantum_and_classical(model, prior, n)[0]
+
+
+def _quantum_and_classical(
+    model: StatisticalModel,
+    prior: ScalarField | None,
+    n: float,
+) -> tuple[BoundReport, BoundReport]:
+    """`qmax`'s report and the classical `bmax` report it checks against."""
     if model.helstrom is None:
         raise GridValueError("qmax needs a model with a Helstrom information field")
     quantum_model = model.with_information(model.helstrom, model.helstrom_fn)
@@ -164,10 +177,11 @@ def qmax(
         )
     diagnostics = {**rep.diagnostics, "classical_bound": classical.bound,
                    "classical_fallback": classical.diagnostics["fallback"]}
-    return BoundReport(
+    quantum = BoundReport(
         rep.alignment, rep.information, rep.prior_information, rep.n, rep.bound,
         rep.v_choice, diagnostics, rep.attaining_v,
     )
+    return quantum, classical
 
 
 def snr_observable(family: DensityFamily, theta, v, observable: np.ndarray) -> float:

@@ -376,3 +376,154 @@ class TestSeparationHelstromConstant:
         wide = gaussian_psf(2.0)
         k = helstrom_along(wide, np.array([-0.5, 0.5]), np.array([0.4]))
         assert abs(k[0] - 1.0 / 16.0) <= 1e-8
+
+
+def separate_formulas(name, sigma):
+    """The catalog amplitude and derivative as two separate callables, each
+    with its own exp/sinc evaluation."""
+    norm = (2.0 * np.pi * sigma**2) ** -0.25
+    if name == "gaussian":
+        def amp(x):
+            return norm * np.exp(-np.asarray(x) ** 2 / (4.0 * sigma**2))
+
+        def damp(x):
+            x = np.asarray(x)
+            return amp(x) * (-x / (2.0 * sigma**2))
+    elif name == "first_order_hermite":
+        def amp(x):
+            x = np.asarray(x)
+            return norm * (x / sigma) * np.exp(-(x**2) / (4.0 * sigma**2))
+
+        def damp(x):
+            x = np.asarray(x)
+            return norm * np.exp(-(x**2) / (4.0 * sigma**2)) * (
+                1.0 / sigma - x**2 / (2.0 * sigma**3))
+    else:
+        def amp(x):
+            return np.sinc(np.asarray(x) / sigma)
+
+        def damp(x):
+            x = np.asarray(x) / sigma
+            out = np.zeros_like(x)
+            nz = np.abs(x) > 1e-8
+            xs = x[nz]
+            out[nz] = (np.cos(np.pi * xs) - np.sinc(xs)) / xs / sigma
+            small = ~nz
+            out[small] = -(np.pi**2 / 3.0) * x[small] / sigma
+            return out
+    return amp, damp
+
+
+class TestJointEvaluation:
+    """One pass over the points gives exactly what two separate passes gave."""
+
+    # both sinc branches, an exact zero, and the (rows, p, nodes) layout
+    pts = np.concatenate([np.linspace(-30.0, 30.0, 3999), [0.0, 3e-9, -7e-9]]).reshape(2, 3, 667)
+
+    @pytest.mark.parametrize("name,sigma", [("gaussian", 1.0), ("gaussian", 0.6),
+                                            ("first_order_hermite", 1.0),
+                                            ("first_order_hermite", 1.7),
+                                            ("sinc", 1.0), ("sinc", 2.0)])
+    def test_catalog_pair_matches_separate_formulas(self, name, sigma):
+        psf = PSF_CATALOG[name](sigma)
+        amp, damp = separate_formulas(name, sigma)
+        norm = np.trapezoid(amp(psf.x) ** 2, psf.x)
+        # sinc_psf(2.0) is rescaled to unit intensity; the others are not
+        factor = 1.0 / np.sqrt(norm) if abs(norm - 1.0) > imaging.INTENSITY_NORMALIZATION_ATOL else 1.0
+        a, d = psf.pair_at(self.pts)
+        if factor == 1.0:
+            assert np.array_equal(a, amp(self.pts)) and np.array_equal(d, damp(self.pts))
+        else:
+            assert np.array_equal(a, factor * amp(self.pts))
+            assert np.array_equal(d, factor * damp(self.pts))
+        assert np.array_equal(psf.amplitude_at(self.pts), a)
+        assert np.array_equal(psf.derivative_at(self.pts), d)
+
+    def test_custom_pair_is_rescaled_as_the_samples(self):
+        def amp(x):
+            return 3.0 * np.exp(-np.asarray(x) ** 2 / 2.0)
+
+        def damp(x):
+            x = np.asarray(x)
+            return -3.0 * x * np.exp(-x**2 / 2.0)
+
+        x = np.linspace(-12.0, 12.0, 2001)
+        psf = PointSpreadFunction(x, amp(x), 1.0, lambda pts: (amp(pts), damp(pts)))
+        factor = 1.0 / np.sqrt(np.trapezoid(amp(x) ** 2, x))
+        assert abs(psf.intensity_norm() - 1.0) <= 1e-12
+        a, d = psf.pair_at(self.pts)
+        assert np.array_equal(a, factor * np.asarray(amp(self.pts)))
+        assert np.array_equal(d, factor * np.asarray(damp(self.pts)))
+        assert np.array_equal(psf.amplitude_at(self.pts), a)
+        assert np.array_equal(psf.derivative_at(self.pts), d)
+
+
+def per_separation_information(psf, direction, taus):
+    """v F v with the integrand built for one separation at a time.
+
+    The rows are then summed in stacks of 256 against the quadrature
+    weights, as one matrix-vector product each: the BLAS sums a lone row in
+    another order than a row of a stack, so this is the grouping under
+    which the numbers are compared.
+    """
+    p = len(direction)
+    thetas = taus[:, None] * direction[None, :]
+    half = np.abs(thetas).max() + imaging.DEFAULT_SPAN_SIGMAS * psf.width
+    x = np.linspace(-half, half, imaging.DEFAULT_GRID_NODES)
+    w = trapezoid_weights_1d(len(x), x[1] - x[0])
+    rows = np.empty((len(taus), len(x)))
+    for i, theta in enumerate(thetas):
+        pts = x - theta[:, None]
+        amp, damp = psf.amplitude_at(pts), psf.derivative_at(pts)
+        f = (amp**2).mean(axis=0)
+        num = np.einsum("a,ax->x", direction, -2.0 * amp * damp / p) ** 2
+        ok = f > imaging.INTENSITY_SUPPORT_FLOOR
+        rows[i] = np.where(ok, num / np.where(ok, f, 1.0), 0.0)
+    return np.concatenate([rows[s:s + 256] @ w for s in range(0, len(taus), 256)])
+
+
+class TestInformationAlongBlocks:
+    # the 2,130 separations a minimax_rate potential samples at radius 4
+    taus = np.concatenate([np.linspace(0.0, 4.0, 2001), 4.0 * np.logspace(-8, 0, 129)])
+    direction = np.array([1.0, -1.0])
+
+    def test_matches_per_separation_evaluation(self, gpsf):
+        blocked = information_along(gpsf, self.direction, self.taus)
+        assert np.array_equal(blocked, per_separation_information(gpsf, self.direction,
+                                                                  self.taus))
+
+    @pytest.mark.parametrize("direction", [[1.0, -1.0, 0.5], [1.0]])
+    def test_block_size_does_not_reach_the_numbers(self, gpsf, direction):
+        taus = self.taus[::7]
+        assert np.array_equal(information_along(gpsf, direction, taus),
+                              per_separation_information(gpsf, np.array(direction), taus))
+
+    def test_memory_bounded(self, gpsf):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            information_along(gpsf, self.direction, self.taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+class TestQuantumVsClassicalSolves:
+    def test_each_field_equation_solved_once(self, gpsf, monkeypatch):
+        from bcrb import quantum
+
+        solved = []
+
+        def counting_bmax(model, *args, **kwargs):
+            solved.append(kwargs.get("v_choice", "least_favorable"))
+            return bmax(model, *args, **kwargs)
+
+        bmax = quantum.bmax
+        monkeypatch.setattr(quantum, "bmax", counting_bmax)
+        classical, quantum_rep = quantum_vs_classical(gpsf, SourceConfiguration([-0.25, 0.25]),
+                                                      nodes=65)
+        assert sorted(solved) == ["least_favorable", "quantum_least_favorable"]
+        assert quantum_rep.diagnostics["classical_bound"] == classical.bound
+        assert quantum_rep.bound <= classical.bound

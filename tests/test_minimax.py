@@ -493,9 +493,33 @@ class TestLambdaScanLarge:
         check = minimax._check_residual
         monkeypatch.setattr(minimax, "_check_residual", spy)
         scan = lambda_scan(self.problem(lambda t: 1.5 + np.sin(np.asarray(t))), 100.0)
-        assert len(checked) == (2 if len(scan.eigenvalues) > 1 else 1)
+        # the ground pair's eigensolve and the window's, checked even when the
+        # window holds nothing but the ground pair again
+        assert len(checked) == 2
         assert all(worst <= minimax.RESIDUAL_RTOL * max(norm, 1.0) for worst, norm in checked)
         assert np.isfinite(scan.best_bound) and scan.best_bound == scan.bounds.max()
+
+    def test_window_does_not_repeat_ground_pair(self, monkeypatch):
+        # bisection places lambda_0 1.8e-8 relative above the index solve here,
+        # inside the window (lambda_0, max(A)/B_0]
+        windows = []
+
+        def spy(self, select, select_range):
+            vals, vecs = eigh(self, select, select_range)
+            windows.append(vals)
+            return vals, vecs
+
+        eigh = minimax.DiscretizedHamiltonian.eigh
+        monkeypatch.setattr(minimax.DiscretizedHamiltonian, "eigh", spy)
+        scan = lambda_scan(self.problem(lambda t: 1.5 + np.sin(np.asarray(t))), 100.0)
+        ground, window = windows
+        assert len(window) == 1 and abs(window[0] / ground[0] - 1.0) <= 1e-7
+        assert np.array_equal(scan.eigenvalues, ground)
+        assert len(np.unique(scan.eigenvalues)) == len(scan.eigenvalues)
+        # the repeat carried the ground pair's candidate, so the best is the same
+        assert scan.best_lambda == ground[0]
+        assert scan.best_bound == scan.bounds[0]
+        assert abs(scan.best_bound - 0.11923286070585228) <= 1e-12 * scan.best_bound
 
 
 class TestThreadCap:

@@ -132,6 +132,20 @@ class TestHelstromMatrix:
         val = helstrom_matrix(fam, [0.15])[0, 0]
         assert abs(val - 1.0) <= 1e-4
 
+    def test_rho_built_and_checked_once(self):
+        qubit = diagonal_qubit_family()
+        calls = []
+
+        def rho_fn(theta):
+            calls.append(1)
+            return qubit.rho_fn(theta)
+
+        fam = DensityFamily(2, 1, rho_fn, qubit.drho_fn)
+        assert helstrom_matrix(fam, [0.6])[0, 0] == helstrom_matrix(qubit, [0.6])[0, 0]
+        assert len(calls) == 1
+        sld_scores(fam, [0.6])
+        assert len(calls) == 2
+
 
 class TestQmax:
     def test_equal_information_equal_bounds(self):
