@@ -427,15 +427,13 @@ class TestJointEvaluation:
     def test_catalog_pair_matches_separate_formulas(self, name, sigma):
         psf = PSF_CATALOG[name](sigma)
         amp, damp = separate_formulas(name, sigma)
+        expected_a, expected_d = amp(self.pts), damp(self.pts)
         norm = np.trapezoid(amp(psf.x) ** 2, psf.x)
-        # sinc_psf(2.0) is rescaled to unit intensity; the others are not
-        factor = 1.0 / np.sqrt(norm) if abs(norm - 1.0) > imaging.INTENSITY_NORMALIZATION_ATOL else 1.0
+        if abs(norm - 1.0) > imaging.INTENSITY_NORMALIZATION_ATOL:  # sinc_psf(2.0)
+            factor = 1.0 / np.sqrt(norm)
+            expected_a, expected_d = factor * expected_a, factor * expected_d
         a, d = psf.pair_at(self.pts)
-        if factor == 1.0:
-            assert np.array_equal(a, amp(self.pts)) and np.array_equal(d, damp(self.pts))
-        else:
-            assert np.array_equal(a, factor * amp(self.pts))
-            assert np.array_equal(d, factor * damp(self.pts))
+        assert np.array_equal(a, expected_a) and np.array_equal(d, expected_d)
         assert np.array_equal(psf.amplitude_at(self.pts), a)
         assert np.array_equal(psf.derivative_at(self.pts), d)
 
