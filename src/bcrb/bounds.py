@@ -176,8 +176,9 @@ def _check_boundary(prior: ScalarField, v: VectorField) -> float:
     return res
 
 
-def _functionals(model, prior, weights, fields, gamma_inv) -> tuple[float, float, float]:
-    """(<A>, <F>, <P>) of q weight/field pairs coupled by ``gamma_inv``.
+def _functionals(model, prior, weights, fields, gamma_inv) -> tuple[float, float, float, float]:
+    """(<A>, <F>, <P>, worst boundary residual) of q weight/field pairs
+    coupled by ``gamma_inv``.
 
     ``gamma_inv`` holds the inverse risk-weight matrix g^{jk}, per node with
     shape ``(*grid, q, q)`` or one ``(q, q)`` matrix for all nodes:
@@ -187,9 +188,10 @@ def _functionals(model, prior, weights, fields, gamma_inv) -> tuple[float, float
     """
     grid = model.grid
     grid.require_same(prior.grid, "functionals prior")
+    residuals = []
     for v in fields:
         grid.require_same(v.grid, "functionals field")
-        _check_boundary(prior, v)
+        residuals.append(_check_boundary(prior, v))
 
     w = rho_weights(prior, model.metric)
     a_val = 0.0
@@ -205,7 +207,7 @@ def _functionals(model, prior, weights, fields, gamma_inv) -> tuple[float, float
             f_val += float(np.sum(wg * np.einsum(
                 "...a,...ab,...b->...", vj.values, model.fisher.values, vk.values)))
             p_val += float(np.sum(wg * (divs[j] * divs[k])))
-    return a_val, f_val, p_val
+    return a_val, f_val, p_val, max(residuals)
 
 
 def functionals(
@@ -214,7 +216,7 @@ def functionals(
     v: VectorField,
 ) -> tuple[float, float, float]:
     """The three prior expectations (<A>, <F>, <P>) for a given field v."""
-    return _functionals(model, prior, (model.weight,), (v,), np.ones((1, 1)))
+    return _functionals(model, prior, (model.weight,), (v,), np.ones((1, 1)))[:3]
 
 
 def gill_levit_bound(
@@ -225,8 +227,8 @@ def gill_levit_bound(
     v_choice: str = "custom",
 ) -> BoundReport:
     """Evaluate B = <A>^2 / (n <F> + <P>) for the supplied field."""
-    a_val, f_val, p_val = functionals(model, prior, v)
-    res = boundary_residual(prior, v)
+    a_val, f_val, p_val, res = _functionals(model, prior, (model.weight,), (v,),
+                                            np.ones((1, 1)))
     return BoundReport.assemble(
         a_val, f_val, p_val, n, v_choice,
         {"boundary_residual": res, "grid": model.grid.describe()},
@@ -316,7 +318,7 @@ def vectoral_functionals(
     """(<A>, <F>, <P>) for a vector parameter of interest."""
     model.grid.require_same(weights.grid, "vectoral weights")
     return _functionals(model, prior, weights.weights, weights.fields,
-                        weights.gamma_inverse())
+                        weights.gamma_inverse())[:3]
 
 
 def vectoral_bound(
@@ -326,8 +328,9 @@ def vectoral_bound(
     n: float,
 ) -> BoundReport:
     """Gill-Levit bound for a vector parameter of interest."""
-    a_val, f_val, p_val = vectoral_functionals(model, prior, weights)
-    res = max(boundary_residual(prior, v) for v in weights.fields)
+    model.grid.require_same(weights.grid, "vectoral weights")
+    a_val, f_val, p_val, res = _functionals(model, prior, weights.weights, weights.fields,
+                                            weights.gamma_inverse())
     return BoundReport.assemble(
         a_val, f_val, p_val, n, f"vectoral(q={weights.q})",
         {"boundary_residual": res, "grid": model.grid.describe()},

@@ -17,9 +17,10 @@ sources but degenerates to rank two for three or more as they merge.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -350,37 +351,43 @@ def exponent_fit(
     return ExponentFit(float(slope), float(np.exp(intercept)), r2, taus, info)
 
 
-class _SampledInformation:
-    """Spline of the directional information in |tau|, resampled on demand.
+def _sampled_information(psf, direction, radius: float) -> Callable:
+    """The directional information as a pure function of tau, by levels.
 
-    Rate fits evaluate the potential at hundreds of thousands of points; the
-    information is a smooth function of the absolute submodel coordinate, so
-    sampling it densely once per radius and interpolating is exact to far
-    below the quadrature error.
+    A call reads a cubic spline in |tau| on [0, radius * 4**k], with k the
+    smallest level covering the call's largest |tau|: 2001 even nodes plus
+    129 log-spaced ones, sampled once per level (a lock keeps concurrent
+    `rate_fit` threads from sampling one twice).  The value at a tau array
+    depends only on that array, never on earlier calls.  At the nodes the
+    spline holds `information_along`'s values.  Between them, for the
+    Gaussian PSF along (1, -1) and (1/2, 1/2), it matches `information_along`
+    to 2e-9 of the level's maximum up to radius 16 (2e-7 at 64).  For PSFs
+    with zeros (Hermite-Gauss, sinc), `information_along` itself moves by
+    0.2-2 % with the reach of its image grid at radii 4 to 64, and the
+    spline is no closer than that.
     """
+    lock = threading.Lock()
 
-    def __init__(self, psf, direction):
-        self.psf = psf
-        self.direction = direction
-        self.radius = 0.0
-        self.spline = None
+    @cache
+    def level(k: int):
+        from scipy.interpolate import CubicSpline  # slow import, needed only here
 
-    def _resample(self, radius: float):
-        from scipy.interpolate import CubicSpline
+        top = radius * 4.0**k
+        s = np.unique(np.concatenate([np.linspace(0.0, top, SAMPLED_INFORMATION_NODES),
+                                      top * np.logspace(-8, 0, 129)]))
+        return CubicSpline(s, information_along(psf, direction, s))
 
-        lin = np.linspace(0.0, radius, SAMPLED_INFORMATION_NODES)
-        logs = radius * np.logspace(-8, 0, 129)
-        s = np.unique(np.concatenate([lin, logs]))
-        vals = information_along(self.psf, self.direction, s)
-        self.spline = CubicSpline(s, vals)
-        self.radius = radius
-
-    def __call__(self, tau):
+    def potential(tau):
         tau = np.abs(np.asarray(tau, dtype=float))
         top = float(tau.max()) if tau.size else 0.0
-        if self.spline is None or top > self.radius:
-            self._resample(max(4.0 * top, 1e-6))
-        return np.clip(self.spline(tau), 0.0, None)
+        k = 0
+        while top > radius * 4.0**k:
+            k += 1
+        with lock:
+            spline = level(k)
+        return np.clip(spline(tau), 0.0, None)
+
+    return potential
 
 
 def minimax_rate(
@@ -392,8 +399,7 @@ def minimax_rate(
 ) -> RateFitResult:
     """Worst-case-rate fit with the directional information as the potential."""
     half = initial_half_width if initial_half_width is not None else 0.25 * psf.width
-    potential = _SampledInformation(psf, np.asarray(direction, dtype=float))
-    potential(np.array([4.0 * half]))  # prime the spline past the first doublings
+    potential = _sampled_information(psf, np.asarray(direction, dtype=float), 16.0 * half)
     problem = SchrodingerProblem((-half, half), potential, nodes=nodes)
     return rate_fit(problem, n_list)
 
@@ -467,18 +473,10 @@ def imaging_helstrom(
     cs = unit[:, :config.p].T
     dcs = (unit[:, config.p:] * (norms[config.p:] / norms[:config.p])).T
     dim = unit.shape[0]
-    rho = sum(np.outer(c, c) for c in cs) / config.p
-
-    def rho_fn(_theta):
-        return rho.astype(complex)
-
-    def drho_fn(_theta):
-        out = np.zeros((config.p, dim, dim), dtype=complex)
-        for a in range(config.p):
-            out[a] = (np.outer(dcs[a], cs[a]) + np.outer(cs[a], dcs[a])) / config.p
-        return out
-
-    family = DensityFamily(dim, config.p, rho_fn, drho_fn)
+    rho = (sum(np.outer(c, c) for c in cs) / config.p).astype(complex)
+    drho = np.array([(np.outer(dc, c) + np.outer(c, dc)) / config.p
+                     for c, dc in zip(cs, dcs)], dtype=complex)
+    family = DensityFamily(dim, config.p, lambda _t: rho, lambda _t: drho)
     k_matrix = helstrom_matrix(family, np.zeros(config.p))
     eigs = np.linalg.eigvalsh(k_matrix)
     rank = int(np.sum(eigs > RANK_RTOL * max(eigs.max(), 1e-300)))

@@ -11,7 +11,7 @@ from K exactly as the field operator is built from F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -177,11 +177,7 @@ def _quantum_and_classical(
         )
     diagnostics = {**rep.diagnostics, "classical_bound": classical.bound,
                    "classical_fallback": classical.diagnostics["fallback"]}
-    quantum = BoundReport(
-        rep.alignment, rep.information, rep.prior_information, rep.n, rep.bound,
-        rep.v_choice, diagnostics, rep.attaining_v,
-    )
-    return quantum, classical
+    return replace(rep, diagnostics=diagnostics), classical
 
 
 def snr_observable(family: DensityFamily, theta, v, observable: np.ndarray) -> float:

@@ -350,7 +350,7 @@ def _run_waveform(config, grid_scale, rng) -> ScenarioResult:
             val = waveform.build_circulant_bound(disc, spectra)
             rows.append(["%d" % slots, "%.12e" % val,
                          "%.12e" % abs(val - report["qmax"])])
-        report["circulant_bound"] = float(rows[-1][1])
+        report["circulant_bound"] = val
         tables["circulant"] = (["slots", "bound", "abs_error"], rows)
     return ScenarioResult(report, tables)
 

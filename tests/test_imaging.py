@@ -26,6 +26,7 @@ from bcrb.imaging import (
     quantum_vs_classical,
     sinc_psf,
 )
+from bcrb.minimax import SchrodingerProblem, converged_ground_energy
 from bcrb.quantum import DensityFamily, helstrom_matrix
 
 
@@ -525,3 +526,33 @@ class TestQuantumVsClassicalSolves:
         assert sorted(solved) == ["least_favorable", "quantum_least_favorable"]
         assert quantum_rep.diagnostics["classical_bound"] == classical.bound
         assert quantum_rep.bound <= classical.bound
+
+
+class TestRatePotentialIsPure:
+    def test_energies_identical_across_thread_counts(self, gpsf, monkeypatch):
+        # from a narrow box, n = 1 and 10 double it past 16 initial half-widths
+        reaches = []
+
+        def recording(psf, direction, taus, origin=None):
+            reaches[-1].append(float(np.max(taus)))
+            return information_along(psf, direction, taus, origin)
+
+        monkeypatch.setattr(imaging, "information_along", recording)
+        energies = []
+        for threads in ("1", "2", "8"):
+            monkeypatch.setenv("BCRB_THREADS", threads)
+            reaches.append([])
+            energies.append(minimax_rate(gpsf, [1.0, -1.0], [1e0, 1e1, 1e2, 1e3, 1e4],
+                                         nodes=401, initial_half_width=0.01).ground_energies)
+        assert np.array_equal(energies[0], energies[1])
+        assert np.array_equal(energies[0], energies[2])
+        for sampled in reaches:  # several levels, each sampled once
+            assert len(sampled) == len(set(sampled)) > 1
+
+    def test_centroid_energies_match_direct_information(self, gpsf):
+        ns = [1e2, 1e4, 1e6]
+        fit = minimax_rate(gpsf, [0.5, 0.5], ns, nodes=1001, initial_half_width=1.0)
+        direct = SchrodingerProblem(
+            (-1.0, 1.0), lambda t: information_along(gpsf, [0.5, 0.5], t), nodes=1001)
+        energies = [converged_ground_energy(direct, n)[0] for n in ns]
+        np.testing.assert_allclose(fit.ground_energies, energies, rtol=1e-10, atol=0.0)
