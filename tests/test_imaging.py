@@ -530,7 +530,7 @@ class TestQuantumVsClassicalSolves:
 
 class TestRatePotentialIsPure:
     def test_energies_identical_across_thread_counts(self, gpsf, monkeypatch):
-        # from a narrow box, n = 1 and 10 double it past 16 initial half-widths
+        # from a narrow box, the small n double it past 16 initial half-widths
         reaches = []
 
         def recording(psf, direction, taus, origin=None):
