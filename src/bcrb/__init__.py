@@ -25,7 +25,6 @@ from .bounds import (
 from .geometry import (
     Diffeomorphism,
     InvarianceReport,
-    MAP_CATALOG,
     StatisticalModel,
     invariance_report,
     pushforward_model,
@@ -90,7 +89,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "VectoralWeight", "functionals", "gill_levit_bound",
     "natural_v", "van_trees_v", "vectoral_bound",
-    "Diffeomorphism", "InvarianceReport", "MAP_CATALOG", "StatisticalModel",
+    "Diffeomorphism", "InvarianceReport", "StatisticalModel",
     "invariance_report", "pushforward_model", "transform_vector_field",
     "MatrixField", "ParameterGrid", "ScalarField", "VectorField",
     "gradient", "integrate", "weighted_divergence",

@@ -310,17 +310,6 @@ def van_trees_v(
     return v_field, report
 
 
-def vectoral_functionals(
-    model: StatisticalModel,
-    prior: ScalarField,
-    weights: VectoralWeight,
-) -> tuple[float, float, float]:
-    """(<A>, <F>, <P>) for a vector parameter of interest."""
-    model.grid.require_same(weights.grid, "vectoral weights")
-    return _functionals(model, prior, weights.weights, weights.fields,
-                        weights.gamma_inverse())[:3]
-
-
 def vectoral_bound(
     model: StatisticalModel,
     prior: ScalarField,

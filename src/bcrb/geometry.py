@@ -233,14 +233,6 @@ def logistic_map() -> Diffeomorphism:
     return Diffeomorphism(forward, inverse, jac, "logistic")
 
 
-MAP_CATALOG: dict[str, Callable[..., Diffeomorphism]] = {
-    "identity": identity_map,
-    "affine": affine_map,
-    "odd_power": odd_power_map,
-    "logistic": logistic_map,
-}
-
-
 # ---------------------------------------------------------------------------
 # evaluation helpers
 

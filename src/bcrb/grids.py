@@ -127,12 +127,6 @@ class ParameterGrid:
         w.setflags(write=False)
         return w
 
-    def refined(self, factor: int) -> "ParameterGrid":
-        """Grid with the same box and ``(n - 1) * factor + 1`` nodes per axis."""
-        if factor < 1:
-            raise GridValueError(f"refinement factor must be >= 1, got {factor}")
-        return ParameterGrid(self.bounds, tuple((n - 1) * factor + 1 for n in self.shape))
-
     def describe(self) -> dict:
         return {"bounds": [list(b) for b in self.bounds], "shape": list(self.shape)}
 
@@ -170,9 +164,9 @@ class ScalarField:
         """Evaluate ``fn`` on node coordinates; ``fn`` maps ``(..., p) -> (...)``."""
         return cls(grid, np.asarray(fn(grid.coordinates), dtype=float))
 
-    def normalized(self, metric: "MatrixField | None" = None) -> "ScalarField":
-        """Rescale so the metric-weighted integral over the box equals one."""
-        total = integrate(self, metric)
+    def normalized(self) -> "ScalarField":
+        """Rescale so the integral over the box equals one."""
+        total = integrate(self)
         if total <= 0:
             raise GridValueError("cannot normalize a field with non-positive integral")
         return ScalarField(self.grid, self.values / total)
@@ -208,6 +202,15 @@ class VectorField:
 MATRIX_SYMMETRY_RTOL = 1e-12
 
 
+def check_symmetric(vals: np.ndarray, kind: str) -> None:
+    """Raise unless the trailing square axes of ``vals`` are symmetric to
+    MATRIX_SYMMETRY_RTOL relative to max(max |entry|, 1)."""
+    asym = np.max(np.abs(vals - np.swapaxes(vals, -1, -2)))
+    if asym > MATRIX_SYMMETRY_RTOL * max(np.max(np.abs(vals)), 1.0):
+        raise GridValueError(
+            f"{kind} asymmetry {asym:.3e} exceeds {MATRIX_SYMMETRY_RTOL:.0e} relative")
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixField:
     """Per-node symmetric p x p matrix (information, metric, ...)."""
@@ -218,12 +221,7 @@ class MatrixField:
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
         _check_values(self.grid, vals, (self.grid.dim,) * 2, "matrix field")
-        asym = np.max(np.abs(vals - np.swapaxes(vals, -1, -2)))
-        scale = max(np.max(np.abs(vals)), 1.0)
-        if asym > MATRIX_SYMMETRY_RTOL * scale:
-            raise GridValueError(
-                f"matrix field asymmetry {asym:.3e} exceeds {MATRIX_SYMMETRY_RTOL:.0e} relative"
-            )
+        check_symmetric(vals, "matrix field")
         vals = _readonly((vals + np.swapaxes(vals, -1, -2)) / 2.0)
         object.__setattr__(self, "values", vals)
 

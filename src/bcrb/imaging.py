@@ -94,9 +94,6 @@ class PointSpreadFunction:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "amplitude", amp)
 
-    def intensity_norm(self) -> float:
-        return float(np.trapezoid(self.amplitude**2, self.x))
-
     @cached_property
     def _splines(self):
         from scipy.interpolate import CubicSpline  # slow import, needed only here
@@ -111,12 +108,6 @@ class PointSpreadFunction:
             return np.asarray(a, dtype=float), np.asarray(d, dtype=float)
         spline, dspline = self._splines
         return np.nan_to_num(spline(pts), nan=0.0), np.nan_to_num(dspline(pts), nan=0.0)
-
-    def amplitude_at(self, pts: np.ndarray) -> np.ndarray:
-        return self.pair_at(pts)[0]
-
-    def derivative_at(self, pts: np.ndarray) -> np.ndarray:
-        return self.pair_at(pts)[1]
 
 
 def _catalog_grid(sigma: float, span: float = 24.0, nodes: int = 8193) -> np.ndarray:
@@ -216,9 +207,6 @@ class SourceConfiguration:
 
     def scaled(self, factor: float) -> "SourceConfiguration":
         return SourceConfiguration(self.positions * factor)
-
-    def shifted(self, offset: float) -> "SourceConfiguration":
-        return SourceConfiguration(self.positions + offset)
 
 
 def _measurement_grid(psf: PointSpreadFunction, positions: np.ndarray,

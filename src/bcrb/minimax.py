@@ -147,9 +147,6 @@ class DiscretizedHamiltonian:
         return (float(np.min(self.diagonal - radii)),
                 float(np.max(np.abs(self.diagonal) + radii)))
 
-    def norm_inf(self) -> float:
-        return self.gershgorin()[1]
-
     def row_sums(self) -> np.ndarray:
         """d_i + e_{i-1} + e_i, as `_difference_rayleigh` takes them."""
         sums = self.diagonal.copy()
@@ -180,7 +177,7 @@ class DiscretizedHamiltonian:
         except Exception as exc:  # LinAlgError or convergence failures
             raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
         if vals.size:
-            _check_residual(float(np.max(self.residual_norms(vals, vecs))), self.norm_inf())
+            _check_residual(float(np.max(self.residual_norms(vals, vecs))), self.gershgorin()[1])
         return vals, vecs
 
 
@@ -429,6 +426,8 @@ def rate_fit(
             f"n range {n_arr[0]:g}..{n_arr[-1]:g} spans less than three decades"
         )
     a_val = _constant_alignment(problem)
+    if a_val == 0 or not np.isfinite(a_val):  # the bound a^2 / E_min has no log
+        raise GridValueError(f"rate fit needs a finite nonzero alignment, got {a_val:g}")
 
     half0 = 0.5 * (problem.domain[1] - problem.domain[0])
     width_grid = half0 * np.logspace(-5, 0, 161)  # trial widths, five decades below half0

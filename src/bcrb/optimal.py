@@ -30,6 +30,7 @@ from .grids import (
     ParameterGrid,
     ScalarField,
     VectorField,
+    check_symmetric,
     divergence_matrix,
     gradient,
     rho_weights,
@@ -106,9 +107,6 @@ class OperatorL:
             w = rng.normal(size=dim)
             worst = max(worst, abs(w @ (self.matrix @ v) - (self.matrix @ w) @ v))
         return worst / max(norm, 1e-300)
-
-    def quadratic_form(self, flat_interior: np.ndarray) -> float:
-        return float(flat_interior @ (self.matrix @ flat_interior))
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,12 +320,19 @@ def gaussian_closed_form(fisher, prior_curvature, weight, n: float) -> float:
     """Closed form u^T (nF + G)^{-1} u for constant F, u and Gaussian prior.
 
     ``prior_curvature`` is the inverse covariance of the Gaussian prior.
-    Serves as the oracle for `bmax` on Gaussian scenarios; requires nF + G
-    positive definite.
+    Serves as the oracle for `bmax` on Gaussian scenarios; requires F and G
+    symmetric, of the size of u, and nF + G positive definite.
     """
     f = np.atleast_2d(np.asarray(fisher, dtype=float))
     g = np.atleast_2d(np.asarray(prior_curvature, dtype=float))
     u = np.atleast_1d(np.asarray(weight, dtype=float))
+    for name, m in (("fisher", f), ("prior_curvature", g)):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise GridValueError(f"{name} has shape {m.shape}; it must be a square matrix")
+        if u.shape != m.shape[:1]:
+            raise GridValueError(f"{name} is {m.shape[0]}x{m.shape[0]} but weight has "
+                                 f"shape {u.shape}")
+        check_symmetric(m, name)
     mat = n * f + g
     try:
         chol = np.linalg.cholesky(mat)

@@ -197,13 +197,16 @@ def _build_v(config: dict, model) -> tuple[VectorField, str, Callable | None]:
 
 def _build_map(spec: dict) -> geometry.Diffeomorphism:
     catalog = spec["catalog"]
-    if catalog == "identity":
-        return geometry.identity_map()
-    if catalog == "affine":
-        return geometry.affine_map([spec.get("scale", 2.0)], [spec.get("offset", 0.0)])
-    if catalog == "odd_power":
-        return geometry.odd_power_map(int(spec.get("power", 3)))
-    return geometry.logistic_map()
+    try:
+        if catalog == "identity":
+            return geometry.identity_map()
+        if catalog == "affine":
+            return geometry.affine_map([spec.get("scale", 2.0)], [spec.get("offset", 0.0)])
+        if catalog == "odd_power":
+            return geometry.odd_power_map(int(spec.get("power", 3)))
+        return geometry.logistic_map()
+    except GridValueError as exc:  # parameters the schema admits but the map rejects
+        raise ScenarioError(str(exc), "map") from exc
 
 
 def _n_values(spec: dict) -> np.ndarray:

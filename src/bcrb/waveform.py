@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import GridValueError, SpectralDomainError
 from .grids import read_csv
@@ -197,20 +196,6 @@ def _inverse_prior(s_theta):
     with np.errstate(divide="ignore"):
         inv = np.where(s_theta > 0, 1.0 / s_theta, np.inf)
     return np.where(np.isinf(s_theta), 0.0, inv)
-
-
-def circulant_covariance(disc: TimeDiscretization, spectrum_at_wj: np.ndarray) -> np.ndarray:
-    """Real symmetric Toeplitz covariance with the given spectral symbol.
-
-    Entry (a, b) is Re (dt/p) sum_j S(w_j) exp[i w_j (t_b - t_a)], which
-    depends on |a - b| only: row k is Re dt (-1)^k ifft(S)_k, one inverse FFT.
-    For even p the matrix is circulant; for odd p the (-1)^k factor breaks
-    the wrap-around, leaving it Toeplitz.  Used by the consistency tests
-    connecting time-domain covariances to spectra.
-    """
-    row = disc.dt * np.fft.ifft(spectrum_at_wj).real
-    row[1::2] *= -1.0
-    return toeplitz(row)
 
 
 def build_circulant_bound(disc: TimeDiscretization, spectra: SpectralModel) -> float:

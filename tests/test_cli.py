@@ -245,6 +245,21 @@ class TestMinimaxScenario:
         assert rows[0] == "n,e_min,b_worst"
         assert len(rows) == 6
 
+    def test_zero_alignment_exit_3(self, tmp_path, capsys):
+        cfg = {
+            "kind": "minimax",
+            "name": "zero-alignment",
+            "potential": {"type": "power", "exponent": 2.0, "amplitude": 1.0},
+            "domain": {"half_width": 0.5, "nodes": 501},
+            "n_list": {"start": 1e2, "stop": 1e5, "count": 4},
+            "alignment": 0.0,
+        }
+        out = tmp_path / "o"
+        assert main(["minimax", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 3
+        assert "alignment" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
 
 class TestQuantumScenario:
     def test_qubit_snr(self, tmp_path):
@@ -271,6 +286,20 @@ class TestQuantumScenario:
         assert abs(res["qmax"] - 1.0 / 3.0) <= 1e-12
         assert abs(res["achieved_risk"] - 0.5) <= 1e-12
         assert res["sandwich_holds"] is True
+
+    @pytest.mark.parametrize("helstrom, message", [
+        ([[1.0, 2.0], [0.0, 1.0]], "fisher asymmetry"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "must be a square matrix"),
+    ], ids=["asymmetric", "non_square"])
+    def test_gaussian_shift_bad_helstrom_exit_3(self, tmp_path, capsys, helstrom, message):
+        cfg = {"kind": "quantum", "name": "shift", "problem": "gaussian_shift",
+               "helstrom": helstrom, "prior_curvature": [[1.0, 0.0], [0.0, 1.0]],
+               "weight_vector": [1.0, 1.0]}
+        out = tmp_path / "o"
+        assert main(["quantum", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_seed_changes_random_sweep(self, tmp_path):
         cfg = {"kind": "quantum", "name": "qubit-snr", "problem": "qubit",
@@ -395,7 +424,7 @@ class TestImagingScenario:
         from bcrb.imaging import gaussian_psf
 
         x = np.linspace(-24.0, 24.0, 2049)
-        amp = gaussian_psf(1.0).amplitude_at(x)
+        amp = gaussian_psf(1.0).pair_at(x)[0]
         csv_path = tmp_path / "psf.csv"
         csv_path.write_text("x,amplitude\n" + "".join(
             "%.17g,%.17g\n" % row for row in zip(x, amp)))
@@ -447,6 +476,55 @@ class TestInvarianceScenario:
         res = json.loads((out / "report.json").read_text())["results"]
         assert res["map"] == map_spec["catalog"]
         assert res["invariant"] is True
+
+    @pytest.mark.parametrize("map_spec, message", [
+        ({"catalog": "odd_power", "power": 2}, "odd exponent"),
+        ({"catalog": "affine", "scale": 0.0}, "nonzero scale"),
+    ], ids=["even_power", "zero_scale"])
+    def test_rejected_map_parameters_exit_2(self, tmp_path, capsys, map_spec, message):
+        out = tmp_path / "o"
+        assert main(["invariance", "--config", write_config(tmp_path, invariance_config(map_spec)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "map: " in err and message in err
+        assert not (out / "report.json").exists()
+
+
+def shipped_results(tmp_path, name, grid_scale):
+    path = os.path.join(SHIPPED_CONFIGS, f"{name}.json")
+    config = load_config(path)
+    out = tmp_path / f"{name}_x{grid_scale}"
+    assert main([config["kind"], "--config", path, "--out", str(out),
+                 "--grid-scale", str(grid_scale)]) == 0
+    return config, json.loads((out / "report.json").read_text())["results"]
+
+
+class TestObservedOrder:
+    """Convergence under --grid-scale 1, 2, 4, read from the shipped reports."""
+
+    SCALES = (1, 2, 4)
+
+    @pytest.mark.parametrize("name, key", [
+        ("gaussian_closed_form", lambda res: res["bmax"]),
+        ("gill_levit_bound", lambda res: res["bound_report"]["bound"]),
+    ], ids=["optimal", "bound"])
+    def test_second_order_against_closed_form(self, tmp_path, name, key):
+        # unit Fisher information, unit Gaussian prior, n = 10: B = 1 / 11.
+        # The finest error sits near the resolution of the reports' %.12e
+        # floats, so the threshold stays well below the observed order of ~4
+        errs = [abs(key(shipped_results(tmp_path, name, s)[1]) - 1.0 / 11.0)
+                for s in self.SCALES]
+        orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
+        assert min(orders) >= 1.8, (errs, orders)
+
+    def test_rectangle_first_order_constant(self, tmp_path):
+        # each band edge sits on a node, so qmax - 0.5 = d_omega / (8 pi);
+        # the default rectangle's omega grid spans +-4 pi
+        for s in self.SCALES:
+            config, res = shipped_results(tmp_path, "waveform_rectangle", s)
+            d_omega = 8.0 * np.pi / ((config["spectra"]["nodes"] - 1) * s)
+            ratio = (res["qmax"] - 0.5) / d_omega
+            assert abs(ratio * 8.0 * np.pi - 1.0) <= 1e-5, (s, ratio)
 
 
 class TestNumericalFailureExit:

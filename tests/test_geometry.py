@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bcrb import scenarios
 from bcrb.errors import GridValueError
 from bcrb.geometry import (
-    MAP_CATALOG,
     Diffeomorphism,
     StatisticalModel,
     affine_map,
@@ -46,7 +46,12 @@ class TestDiffeomorphism:
         assert np.max(np.abs(got - want)) <= 1e-6
 
     def test_catalog_names(self):
-        assert set(MAP_CATALOG) == {"identity", "affine", "odd_power", "logistic"}
+        # every catalog name the schema admits builds its own map, not the
+        # builder's logistic fall-through
+        names = scenarios.load_schema()["properties"]["map"]["properties"]["catalog"]["enum"]
+        assert set(names) == {"identity", "affine", "odd_power", "logistic"}
+        for name in names:
+            assert scenarios._build_map({"catalog": name}).name.startswith(name)
 
 
 class TestPushforward:

@@ -62,11 +62,6 @@ class TestGridConstruction:
         with pytest.raises(GridValueError):
             ParameterGrid([(1.0, 1.0)], [5])
 
-    def test_refined(self):
-        g = line(0, 1, 5).refined(4)
-        assert g.shape == (17,)
-        assert g.bounds == ((0.0, 1.0),)
-
     def test_grid_mismatch_error_names_both(self):
         a, b = line(0, 1, 5), line(0, 2, 5)
         with pytest.raises(GridMismatchError) as exc:

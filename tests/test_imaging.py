@@ -36,8 +36,8 @@ def padded_svd_helstrom(psf, config, basis_size=20, span_sigmas=16.0, nodes=8193
     pos = config.positions
     x = imaging._measurement_grid(psf, pos, span_sigmas, nodes)
     sw = np.sqrt(trapezoid_weights_1d(len(x), x[1] - x[0]))
-    states = [psf.amplitude_at(x - t) for t in pos]
-    dstates = [-psf.derivative_at(x - t) for t in pos]
+    states = [psf.pair_at(x - t)[0] for t in pos]
+    dstates = [-psf.pair_at(x - t)[1] for t in pos]
     scale = np.sqrt(2.0) * psf.width
     pads = [hermval((x - pos.mean()) / scale, np.eye(k + 1)[k])
             * np.exp(-((x - pos.mean()) ** 2) / (2.0 * scale**2)) for k in range(basis_size)]
@@ -79,13 +79,13 @@ class TestPointSpreadFunction:
     def test_catalog_normalization(self):
         for name, factory in PSF_CATALOG.items():
             psf = factory(1.0)
-            assert abs(psf.intensity_norm() - 1.0) <= 1e-8, name
+            assert abs(np.trapezoid(psf.amplitude**2, psf.x) - 1.0) <= 1e-8, name
 
     def test_csv_round_trip(self, tmp_path, gpsf):
         loaded = psf_from_csv(write_psf_csv(tmp_path, gpsf, stride=4))
         assert abs(loaded.width - 1.0) <= 1e-3
         pts = np.linspace(-2, 2, 17)
-        assert np.max(np.abs(loaded.amplitude_at(pts) - gpsf.amplitude_at(pts))) <= 1e-6
+        assert np.max(np.abs(loaded.pair_at(pts)[0] - gpsf.pair_at(pts)[0])) <= 1e-6
 
     @pytest.mark.parametrize("array", ["x", "amplitude"])
     def test_non_finite_samples_rejected(self, gpsf, array):
@@ -108,10 +108,9 @@ class TestPointSpreadFunction:
         spline = CubicSpline(psf.x, psf.amplitude, extrapolate=False)
         pts = np.linspace(-30.0, 30.0, 1001)
         for _ in range(3):
-            assert np.array_equal(psf.amplitude_at(pts),
-                                  np.nan_to_num(spline(pts), nan=0.0))
-            assert np.array_equal(psf.derivative_at(pts),
-                                  np.nan_to_num(spline.derivative()(pts), nan=0.0))
+            a, d = psf.pair_at(pts)
+            assert np.array_equal(a, np.nan_to_num(spline(pts), nan=0.0))
+            assert np.array_equal(d, np.nan_to_num(spline.derivative()(pts), nan=0.0))
         information_along(psf, [1.0, -1.0], np.linspace(0.01, 0.5, 300))
         imaging_helstrom(psf, SourceConfiguration([-0.2, 0.2]))
         assert len(fits) == 1
@@ -119,8 +118,9 @@ class TestPointSpreadFunction:
     def test_spline_fallback_matches_analytic(self, gpsf):
         numeric = PointSpreadFunction(gpsf.x, gpsf.amplitude, 1.0)
         pts = np.linspace(-3, 3, 101)
-        assert np.max(np.abs(numeric.amplitude_at(pts) - gpsf.amplitude_at(pts))) <= 1e-9
-        assert np.max(np.abs(numeric.derivative_at(pts) - gpsf.derivative_at(pts))) <= 1e-6
+        (a, d), (a_ref, d_ref) = numeric.pair_at(pts), gpsf.pair_at(pts)
+        assert np.max(np.abs(a - a_ref)) <= 1e-9
+        assert np.max(np.abs(d - d_ref)) <= 1e-6
 
 
 class TestDirectImagingFisher:
@@ -231,7 +231,7 @@ class TestImagingHelstrom:
 
     def test_shift_invariance(self, gpsf):
         base = SourceConfiguration([-0.3, 0.4])
-        moved = base.shifted(1.7)
+        moved = SourceConfiguration(base.positions + 1.7)
         e1 = np.sort(imaging_helstrom(gpsf, base).eigenvalues)
         e2 = np.sort(imaging_helstrom(gpsf, moved).eigenvalues)
         f1 = np.sort(np.linalg.eigvalsh(direct_imaging_fisher(gpsf, base)))
@@ -348,17 +348,17 @@ class TestSincPsf:
     def test_zeros_and_derivative(self):
         psf = sinc_psf(1.0)
         zeros = np.array([1.0, 2.0, 3.0, -2.0])
-        assert np.max(np.abs(psf.amplitude_at(zeros))) <= 1e-12
+        assert np.max(np.abs(psf.pair_at(zeros)[0])) <= 1e-12
         pts = np.linspace(-3.3, 3.3, 41)
         step = 1e-6
-        fd = (psf.amplitude_at(pts + step) - psf.amplitude_at(pts - step)) / (2 * step)
-        assert np.max(np.abs(fd - psf.derivative_at(pts))) <= 1e-6
+        fd = (psf.pair_at(pts + step)[0] - psf.pair_at(pts - step)[0]) / (2 * step)
+        assert np.max(np.abs(fd - psf.pair_at(pts)[1])) <= 1e-6
 
     def test_normalized_callable_consistent_with_samples(self):
         psf = sinc_psf(2.0)  # raw intensity integrates to sigma, not 1
-        assert abs(psf.intensity_norm() - 1.0) <= 1e-8
+        assert abs(np.trapezoid(psf.amplitude**2, psf.x) - 1.0) <= 1e-8
         mid = len(psf.x) // 2
-        assert abs(psf.amplitude_at(np.array([psf.x[mid]]))[0]
+        assert abs(psf.pair_at(np.array([psf.x[mid]]))[0][0]
                    - psf.amplitude[mid]) <= 1e-12
 
 
@@ -435,8 +435,6 @@ class TestJointEvaluation:
             expected_a, expected_d = factor * expected_a, factor * expected_d
         a, d = psf.pair_at(self.pts)
         assert np.array_equal(a, expected_a) and np.array_equal(d, expected_d)
-        assert np.array_equal(psf.amplitude_at(self.pts), a)
-        assert np.array_equal(psf.derivative_at(self.pts), d)
 
     def test_custom_pair_is_rescaled_as_the_samples(self):
         def amp(x):
@@ -449,12 +447,10 @@ class TestJointEvaluation:
         x = np.linspace(-12.0, 12.0, 2001)
         psf = PointSpreadFunction(x, amp(x), 1.0, lambda pts: (amp(pts), damp(pts)))
         factor = 1.0 / np.sqrt(np.trapezoid(amp(x) ** 2, x))
-        assert abs(psf.intensity_norm() - 1.0) <= 1e-12
+        assert abs(np.trapezoid(psf.amplitude**2, psf.x) - 1.0) <= 1e-12
         a, d = psf.pair_at(self.pts)
         assert np.array_equal(a, factor * np.asarray(amp(self.pts)))
         assert np.array_equal(d, factor * np.asarray(damp(self.pts)))
-        assert np.array_equal(psf.amplitude_at(self.pts), a)
-        assert np.array_equal(psf.derivative_at(self.pts), d)
 
 
 def per_separation_information(psf, direction, taus):
@@ -473,7 +469,7 @@ def per_separation_information(psf, direction, taus):
     rows = np.empty((len(taus), len(x)))
     for i, theta in enumerate(thetas):
         pts = x - theta[:, None]
-        amp, damp = psf.amplitude_at(pts), psf.derivative_at(pts)
+        amp, damp = psf.pair_at(pts)
         f = (amp**2).mean(axis=0)
         num = np.einsum("a,ax->x", direction, -2.0 * amp * damp / p) ** 2
         ok = f > imaging.INTENSITY_SUPPORT_FLOOR

@@ -214,7 +214,7 @@ class TestCertifiedGroundState:
         for n, ham in panel_hamiltonians(shape, nodes):
             e, psi = ground_state(ham)
             e_ref, vec_ref, spectral_gap = reference_ground_state(ham)
-            scale = self.EPS * ham.norm_inf()
+            scale = self.EPS * ham.gershgorin()[1]
             assert abs(e - e_ref) <= scale, (n, (e - e_ref) / scale)
             vec = psi.values[1:-1] / np.linalg.norm(psi.values[1:-1])
             vec_ref = vec_ref * np.sign(vec_ref @ vec)
@@ -228,12 +228,12 @@ class TestCertifiedGroundState:
             e, psi = ground_state(ham)
             vec = psi.values[1:-1] / np.linalg.norm(psi.values[1:-1])
             resid = ham.residual_norms(np.array([e]), vec[:, None])[0]
-            tau = max(resid, minimax.CERTIFIED_GAP_EPS * self.EPS * ham.norm_inf())
+            tau = max(resid, minimax.CERTIFIED_GAP_EPS * self.EPS * ham.gershgorin()[1])
             _, _, info = scipy.linalg.lapack.dpttrf(ham.diagonal - (e - tau),
                                                     ham.off_diagonal)
             assert info == 0
             e_ref = reference_ground_state(ham)[0]
-            assert e - tau < e_ref <= e + self.EPS * ham.norm_inf()
+            assert e - tau < e_ref <= e + self.EPS * ham.gershgorin()[1]
 
     def test_factorization_failure_is_loud(self, monkeypatch):
         def not_definite(d, e, **_):
@@ -362,6 +362,13 @@ class TestRateFit:
         prob = harmonic_problem(nodes=501)
         with pytest.raises(GridValueError, match="decades"):
             rate_fit(prob, [10.0, 100.0, 1000.0])
+
+    def test_zero_alignment_rejected(self):
+        # a zero alignment makes every bound zero, and the log-log fit NaN
+        prob = SchrodingerProblem((-0.5, 0.5), lambda t: np.asarray(t) ** 2,
+                                  alignment=0.0, nodes=501)
+        with pytest.raises(GridValueError, match="alignment"):
+            rate_fit(prob, [1e2, 1e3, 1e4, 1e5])
 
     def test_table_format(self):
         prob = SchrodingerProblem((-0.5, 0.5), lambda t: np.asarray(t) ** 2, nodes=1001)

@@ -84,7 +84,7 @@ class TestAssembleL:
         rng = np.random.default_rng(3)
         for _ in range(10):
             v = rng.normal(size=op.matrix.shape[0])
-            assert op.quadratic_form(v) >= -1e-10 * np.dot(v, v)
+            assert v @ (op.matrix @ v) >= -1e-10 * np.dot(v, v)
 
 
 class TestSolveLeastFavorable:
@@ -208,6 +208,35 @@ class TestGaussianClosedForm:
     def test_non_pd_rejected(self):
         with pytest.raises(GridValueError, match="positive definite"):
             gaussian_closed_form(-1.0, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("which", ["fisher", "prior_curvature"])
+    def test_non_square_rejected(self, which):
+        args = {"fisher": np.eye(2), "prior_curvature": np.eye(2)}
+        args[which] = np.ones((2, 3))
+        with pytest.raises(GridValueError, match=f"{which} has shape \\(2, 3\\).*square"):
+            gaussian_closed_form(args["fisher"], args["prior_curvature"], [1.0, 1.0], 1.0)
+
+    @pytest.mark.parametrize("which", ["fisher", "prior_curvature", "weight"])
+    def test_size_mismatch_rejected(self, which):
+        args = {"fisher": np.eye(2), "prior_curvature": np.eye(2), "weight": [1.0, 1.0]}
+        args[which] = np.eye(3) if which != "weight" else [1.0, 1.0, 1.0]
+        with pytest.raises(GridValueError, match="weight has shape"):
+            gaussian_closed_form(args["fisher"], args["prior_curvature"], args["weight"], 1.0)
+
+    @pytest.mark.parametrize("which", ["fisher", "prior_curvature"])
+    def test_asymmetric_rejected(self, which):
+        # Cholesky reads one triangle only: [[1, 2], [0, 1]] would pass as
+        # [[1, 0], [0, 1]]
+        args = {"fisher": np.eye(2), "prior_curvature": np.eye(2)}
+        args[which] = np.array([[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(GridValueError, match=f"{which} asymmetry"):
+            gaussian_closed_form(args["fisher"], args["prior_curvature"], [1.0, 1.0], 1.0)
+
+    def test_asymmetry_within_tolerance_accepted(self):
+        f = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
+        sym = (f + f.T) / 2.0
+        assert (abs(gaussian_closed_form(f, np.eye(2), [1.0, 1.0], 1.0)
+                    - gaussian_closed_form(sym, np.eye(2), [1.0, 1.0], 1.0)) <= 1e-12)
 
 
 def decoupled_setup(n_nodes=81):

@@ -10,7 +10,6 @@ from bcrb.waveform import (
     SpectralModel,
     TimeDiscretization,
     build_circulant_bound,
-    circulant_covariance,
     continuum_qmax,
     noise_floor_check,
     rectangle_spectra,
@@ -60,13 +59,6 @@ def full_grid_interp_spectrum(omega_grid, values, omega_out):
         on_node = omega_grid[idx_hi] == omega_out
         out[on_node] = values[idx_hi[on_node]]
     return out
-
-
-def dense_circulant_covariance(disc, spectrum):
-    """Reference covariance as the dense product (dt/p) Phi^H diag(S) Phi."""
-    phase = np.exp(1j * np.outer(disc.frequencies, disc.times))
-    mat = ((disc.dt / disc.slots) * (phase.conj().T * spectrum) @ phase).real
-    return (mat + mat.T) / 2.0
 
 
 class TestSpectralModel:
@@ -286,25 +278,6 @@ class TestCirculantBound:
         with pytest.raises(SpectralDomainError, match="covered"):
             build_circulant_bound(disc, spectra)
 
-    def test_covariance_symbol_round_trip(self):
-        # inverse-DFT consistency: the circulant built from a spectrum is the
-        # covariance whose DFT returns that spectrum
-        disc = TimeDiscretization.instant_weight(16.0, 64)
-        w = disc.frequencies
-        spectrum = 1.0 / (1.0 + w**2)
-        cov = circulant_covariance(disc, spectrum)
-        assert np.allclose(cov, cov.T, atol=1e-12)
-        # circulant structure: first row shifted
-        for k in (1, 5, 17):
-            assert abs(cov[0, k] - cov[3, (3 + k) % 64]) <= 1e-10
-        # recover the symbol by the forward transform
-        phase = np.exp(-1j * np.outer(w, disc.times))
-        recovered = np.array([
-            (phase[j] @ cov @ phase[j].conj()).real / (disc.dt * disc.slots)
-            for j in range(0, 64, 7)
-        ])
-        assert np.allclose(recovered, spectrum[::7], rtol=1e-8, atol=1e-10)
-
 
 class TestCirculantFFT:
     @pytest.mark.parametrize("p", [2, 3, 127, 128, 1001, 2048])
@@ -320,17 +293,6 @@ class TestCirculantFFT:
         spectra = rectangle_spectra(nodes=200001)
         disc = TimeDiscretization.instant_weight(p * 0.25, p)
         assert build_circulant_bound(disc, spectra) == dense_circulant_bound(disc, spectra)
-
-    @pytest.mark.parametrize("p", [64, 65, 512])
-    def test_covariance_matches_dense(self, p):
-        disc = TimeDiscretization(p * 0.3, p, np.zeros(p))
-        spectrum = 1.0 / (1.0 + disc.frequencies**2)
-        ref = dense_circulant_covariance(disc, spectrum)
-        cov = circulant_covariance(disc, spectrum)
-        assert np.max(np.abs(cov - ref)) <= 1e-12 * np.max(np.abs(ref))
-        # circulant (first-row entry k equals entry p - k) for even p only
-        row = cov[0, 1:]
-        assert np.allclose(row, row[::-1]) == (p % 2 == 0)
 
     def test_large_p_memory(self):
         # the dense p x p phase matrix would need > 100 GB at p = 2^16
