@@ -5,9 +5,6 @@ waveform, imaging, invariance).  Each run writes ``report.json`` plus any
 CSV tables into the output directory, deterministically: identical inputs
 produce byte-identical files.  Exit codes: 0 success, 2 configuration or
 schema violation, 3 numerical failure, 4 unwritable output.
-
-BCRB_THREADS, a positive integer, caps the worker threads used by
-scenario-internal sweeps (rate fits solve one eigenproblem per n).
 """
 
 from __future__ import annotations

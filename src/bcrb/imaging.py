@@ -17,7 +17,6 @@ sources but degenerates to rank two for three or more as they merge.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -198,6 +197,8 @@ class SourceConfiguration:
         pos = np.asarray(self.positions, dtype=float).reshape(-1)
         if len(pos) < 1:
             raise GridValueError("need at least one source")
+        if not np.all(np.isfinite(pos)):
+            raise GridValueError(f"source positions must be finite, got {pos[~np.isfinite(pos)][0]}")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
@@ -245,7 +246,7 @@ def direct_imaging_fisher(
 
     f, df = _mixture_scores(psf, pos, x)
     mass = float(np.sum(w * f))
-    if abs(mass - 1.0) > COVERAGE_ATOL:
+    if not abs(mass - 1.0) <= COVERAGE_ATOL:
         raise GridValueError(
             f"measurement grid captures mass {mass!r}; widen the span "
             f"(currently {span_sigmas} widths beyond the extreme sources)"
@@ -278,6 +279,9 @@ def information_along(
     p = len(direction)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     origin = np.zeros(p) if origin is None else np.asarray(origin, dtype=float)
+    for name, value in (("direction", direction), ("tau", taus), ("origin", origin)):
+        if not np.all(np.isfinite(value)):
+            raise GridValueError(f"{name} must be finite, got {value[~np.isfinite(value)][0]}")
     thetas = origin[None, :] + taus[:, None] * direction[None, :]  # (nt, p)
 
     reach = np.abs(thetas).max() if len(taus) else 0.0
@@ -344,8 +348,7 @@ def _sampled_information(psf, direction, radius: float) -> Callable:
 
     A call reads a cubic spline in |tau| on [0, radius * 4**k], with k the
     smallest level covering the call's largest |tau|: 2001 even nodes plus
-    129 log-spaced ones, sampled once per level (a lock keeps concurrent
-    `rate_fit` threads from sampling one twice).  The value at a tau array
+    129 log-spaced ones, sampled once per level.  The value at a tau array
     depends only on that array, never on earlier calls.  At the nodes the
     spline holds `information_along`'s values.  Between them, for the
     Gaussian PSF along (1, -1) and (1/2, 1/2), it matches `information_along`
@@ -354,8 +357,6 @@ def _sampled_information(psf, direction, radius: float) -> Callable:
     0.2-2 % with the reach of its image grid at radii 4 to 64, and the
     spline is no closer than that.
     """
-    lock = threading.Lock()
-
     @cache
     def level(k: int):
         from scipy.interpolate import CubicSpline  # slow import, needed only here
@@ -371,9 +372,7 @@ def _sampled_information(psf, direction, radius: float) -> Callable:
         k = 0
         while top > radius * 4.0**k:
             k += 1
-        with lock:
-            spline = level(k)
-        return np.clip(spline(tau), 0.0, None)
+        return np.clip(level(k)(tau), 0.0, None)
 
     return potential
 
@@ -481,8 +480,9 @@ def helstrom_along(
     direction = np.asarray(direction, dtype=float).reshape(-1)
     p = len(direction)
     origin = np.zeros(p) if origin is None else np.asarray(origin, dtype=float)
+    taus = np.atleast_1d(taus)
     out = np.empty(len(taus))
-    for i, tau in enumerate(np.atleast_1d(taus)):
+    for i, tau in enumerate(taus):
         config = SourceConfiguration(origin + tau * direction)
         report = imaging_helstrom(psf, config)
         out[i] = float(direction @ report.helstrom @ direction)

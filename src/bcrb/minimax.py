@@ -20,8 +20,6 @@ exponent and reproduces the variational trial-function argument behind it.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,7 +29,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .bounds import _check_boundary, _check_n
-from .errors import EigensolverError, GridValueError, ScenarioError
+from .errors import EigensolverError, GridValueError
 from .geometry import StatisticalModel
 from .grids import (
     ParameterGrid,
@@ -55,17 +53,13 @@ MAX_BOX_DOUBLINGS = 40        # each doubling also doubles dx at a fixed node co
 
 
 def thread_cap() -> int:
-    """Worker cap for per-n eigensolves; BCRB_THREADS overrides the CPU count.
+    """Worker count of `rate_fit`, which solves its n values one after another.
 
-    Unset or empty means the CPU count; any other value must be a positive
-    integer, else :class:`ScenarioError` is raised.
+    No library code calls this.  It stays only for the benchmark hook that
+    reads `rate_fit`'s worker count (``perfbench/layers.py``), and ROADMAP
+    item 1 deletes it together with that hook.
     """
-    env = os.environ.get("BCRB_THREADS", "").strip()
-    if not env:
-        return os.cpu_count() or 1
-    if not (env.isdecimal() and int(env) > 0):
-        raise ScenarioError(f"must be a positive integer, got {env!r}", "BCRB_THREADS")
-    return int(env)
+    return 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +195,10 @@ def assemble_H(
     tau = grid.axes[0]
     dx = grid.spacing[0]
     pot = n * np.asarray(problem.information(tau[1:-1]), dtype=float)
+    bad = ~np.isfinite(pot)
+    if bad.any():
+        raise GridValueError(
+            f"potential n*F is not finite at tau = {float(tau[1:-1][bad][0])!r} (n = {n:g})")
     if np.any(pot < -1e-12 * max(1.0, np.max(np.abs(pot)))):
         raise GridValueError("information potential must be nonnegative")
     k = KINETIC_COEFFICIENT / dx**2
@@ -439,12 +437,7 @@ def rate_fit(
         k = int(np.argmin(trial))
         return e_min, trial[k], width_grid[k]
 
-    max_workers = min(len(n_arr), thread_cap())
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(solve_one, n_arr))
-    else:
-        rows = [solve_one(n) for n in n_arr]
+    rows = [solve_one(n) for n in n_arr]
 
     energies = np.array([r[0] for r in rows])
     trial_e = np.array([r[1] for r in rows])
@@ -506,9 +499,9 @@ def lambda_scan(
         a_vals = np.asarray(problem.alignment(tau[1:-1]), dtype=float)
     else:
         a_vals = np.full(len(tau) - 2, float(problem.alignment))
-    if np.any(a_vals <= 0):
+    if not np.all((a_vals > 0) & (a_vals < np.inf)):
         raise GridValueError(
-            "alignment must be strictly positive for the generalized "
+            "alignment must be finite and strictly positive for the generalized "
             "ground-state problem to be elliptic"
         )
     ham = assemble_H(problem, n)

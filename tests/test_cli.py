@@ -260,6 +260,21 @@ class TestMinimaxScenario:
         assert "alignment" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_overflowing_potential_exit_3(self, tmp_path, capsys):
+        # |tau|^2000 overflows to inf away from the origin of a box of half-width 4
+        cfg = {
+            "kind": "minimax",
+            "name": "overflowing-potential",
+            "potential": {"type": "power", "exponent": 2000.0, "amplitude": 1.0},
+            "domain": {"half_width": 4.0, "nodes": 501},
+            "n_list": {"start": 1e2, "stop": 1e5, "count": 4},
+        }
+        out = tmp_path / "o"
+        assert main(["minimax", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 3
+        assert "potential n*F is not finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
 
 class TestQuantumScenario:
     def test_qubit_snr(self, tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import threading
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from bcrb.imaging import (
     quantum_vs_classical,
     sinc_psf,
 )
-from bcrb.minimax import SchrodingerProblem, converged_ground_energy
+from bcrb.minimax import SchrodingerProblem, converged_ground_energy, rate_fit
 from bcrb.quantum import DensityFamily, helstrom_matrix
 
 
@@ -154,6 +155,15 @@ class TestDirectImagingFisher:
         with pytest.raises(GridValueError, match="widen"):
             direct_imaging_fisher(gpsf, SourceConfiguration([0.0]), span_sigmas=2.0)
 
+    def test_coverage_guard_sees_nan_mass(self, gpsf):
+        with pytest.raises(GridValueError, match="captures mass nan"):
+            direct_imaging_fisher(gpsf, SourceConfiguration([0.0]), span_sigmas=np.nan)
+
+    @pytest.mark.parametrize("positions", [[np.nan], [0.0, np.inf]])
+    def test_non_finite_positions_rejected(self, gpsf, positions):
+        with pytest.raises(GridValueError, match="source positions must be finite"):
+            direct_imaging_fisher(gpsf, SourceConfiguration(positions))
+
 
 class TestExponentFit:
     def test_gaussian_pair_quadratic(self, gpsf):
@@ -276,14 +286,14 @@ class TestMinimaxRate:
                            nodes=1501)
         assert abs(res.slope - (-0.5)) <= 0.05
 
-    def test_table_identical_across_thread_counts(self, gpsf, monkeypatch):
-        # the sampled-information spline is resized from worker threads
-        tables = []
-        for threads in ("1", "2", "8"):
-            monkeypatch.setenv("BCRB_THREADS", threads)
-            tables.append(minimax_rate(gpsf, [1.0, -1.0], [1e2, 1e3, 1e4, 1e5, 1e6],
-                                       nodes=1501).table())
-        assert tables[0] == tables[1] == tables[2]
+    def test_rate_fits_start_no_thread(self, gpsf, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        quadratic = SchrodingerProblem((-0.5, 0.5), lambda t: np.asarray(t) ** 2, nodes=401)
+        rate_fit(quadratic, [1e2, 1e3, 1e4, 1e5])
+        minimax_rate(gpsf, [1.0, -1.0], [1e2, 1e3, 1e4, 1e5], nodes=401)
 
     def test_zero_bearing_rate(self, hpsf):
         res = minimax_rate(hpsf, [1.0, -1.0], [1e2, 1e3, 1e4, 1e5, 1e6],
@@ -377,6 +387,10 @@ class TestSeparationHelstromConstant:
         wide = gaussian_psf(2.0)
         k = helstrom_along(wide, np.array([-0.5, 0.5]), np.array([0.4]))
         assert abs(k[0] - 1.0 / 16.0) <= 1e-8
+
+    def test_scalar_tau(self, gpsf):
+        d = np.array([-0.5, 0.5])
+        assert np.array_equal(helstrom_along(gpsf, d, 0.3), helstrom_along(gpsf, d, [0.3]))
 
 
 def separate_formulas(name, sigma):
@@ -504,6 +518,16 @@ class TestInformationAlongBlocks:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    @pytest.mark.parametrize("name, direction, taus, origin", [
+        ("direction", [1.0, np.nan], [0.5], None),
+        ("tau", [1.0, -1.0], np.nan, None),
+        ("tau", [1.0, -1.0], [0.5, np.inf], None),
+        ("origin", [1.0, -1.0], [0.5], [0.0, np.inf]),
+    ])
+    def test_non_finite_inputs_rejected(self, gpsf, name, direction, taus, origin):
+        with pytest.raises(GridValueError, match=f"{name} must be finite"):
+            information_along(gpsf, direction, taus, origin)
+
 
 class TestQuantumVsClassicalSolves:
     def test_each_field_equation_solved_once(self, gpsf, monkeypatch):
@@ -525,25 +549,18 @@ class TestQuantumVsClassicalSolves:
 
 
 class TestRatePotentialIsPure:
-    def test_energies_identical_across_thread_counts(self, gpsf, monkeypatch):
+    def test_each_level_sampled_once(self, gpsf, monkeypatch):
         # from a narrow box, the small n double it past 16 initial half-widths
-        reaches = []
+        sampled = []
 
         def recording(psf, direction, taus, origin=None):
-            reaches[-1].append(float(np.max(taus)))
+            sampled.append(float(np.max(taus)))
             return information_along(psf, direction, taus, origin)
 
         monkeypatch.setattr(imaging, "information_along", recording)
-        energies = []
-        for threads in ("1", "2", "8"):
-            monkeypatch.setenv("BCRB_THREADS", threads)
-            reaches.append([])
-            energies.append(minimax_rate(gpsf, [1.0, -1.0], [1e0, 1e1, 1e2, 1e3, 1e4],
-                                         nodes=401, initial_half_width=0.01).ground_energies)
-        assert np.array_equal(energies[0], energies[1])
-        assert np.array_equal(energies[0], energies[2])
-        for sampled in reaches:  # several levels, each sampled once
-            assert len(sampled) == len(set(sampled)) > 1
+        minimax_rate(gpsf, [1.0, -1.0], [1e0, 1e1, 1e2, 1e3, 1e4],
+                     nodes=401, initial_half_width=0.01)
+        assert len(sampled) == len(set(sampled)) > 1  # several levels, each sampled once
 
     def test_centroid_energies_match_direct_information(self, gpsf):
         ns = [1e2, 1e4, 1e6]

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,7 +8,6 @@ from bcrb.errors import (
     BoundaryConditionError,
     EigensolverError,
     GridValueError,
-    ScenarioError,
 )
 from bcrb.geometry import StatisticalModel
 from bcrb.grids import ScalarField, VectorField
@@ -118,6 +115,13 @@ class TestAssembleH:
             assert e <= previous + 1e-12
             previous = e
         assert abs(previous - n * c) <= 0.01 * n * c
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_potential_rejected(self, bad):
+        prob = SchrodingerProblem((-1.0, 1.0),
+                                  lambda t: np.where(np.asarray(t) > 0.5, bad, 1.0), nodes=101)
+        with pytest.raises(GridValueError, match=r"n\*F is not finite at tau = 0\.52 "):
+            assemble_H(prob, 10.0)
 
 
 class TestGroundState:
@@ -473,6 +477,14 @@ class TestLambdaScan:
         with pytest.raises(GridValueError, match="strictly positive"):
             lambda_scan(prob, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_alignment_rejected(self, bad):
+        prob = SchrodingerProblem((-2.0, 2.0), lambda t: np.asarray(t) ** 2,
+                                  alignment=lambda t: np.where(np.asarray(t) > 1.0, bad, 1.0),
+                                  nodes=101)
+        with pytest.raises(GridValueError, match="alignment must be finite"):
+            lambda_scan(prob, 1.0)
+
 
 class TestLambdaScanLarge:
     """200,001 nodes, far beyond what a full spectrum could hold."""
@@ -527,31 +539,3 @@ class TestLambdaScanLarge:
         assert scan.best_lambda == ground[0]
         assert scan.best_bound == scan.bounds[0]
         assert abs(scan.best_bound - 0.11923286070585228) <= 1e-12 * scan.best_bound
-
-
-class TestThreadCap:
-    def test_env_caps_workers_and_results_identical(self, monkeypatch):
-        from bcrb.minimax import thread_cap
-
-        prob = SchrodingerProblem((-0.5, 0.5), lambda t: np.asarray(t) ** 2,
-                                  nodes=801)
-        ns = [1e2, 1e4, 1e6]
-        monkeypatch.setenv("BCRB_THREADS", "1")
-        assert thread_cap() == 1
-        serial = rate_fit(prob, ns)
-        monkeypatch.setenv("BCRB_THREADS", "3")
-        assert thread_cap() == 3
-        parallel = rate_fit(prob, ns)
-        assert np.array_equal(serial.bounds, parallel.bounds)
-        assert serial.slope == parallel.slope
-
-        for unset_or_empty in (None, "", "  "):
-            if unset_or_empty is None:
-                monkeypatch.delenv("BCRB_THREADS")
-            else:
-                monkeypatch.setenv("BCRB_THREADS", unset_or_empty)
-            assert thread_cap() == (os.cpu_count() or 1)
-        for bad in ("abc", "2.5", "0", "-4"):
-            monkeypatch.setenv("BCRB_THREADS", bad)
-            with pytest.raises(ScenarioError, match=f"BCRB_THREADS.*{bad!r}"):
-                thread_cap()
