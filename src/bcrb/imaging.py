@@ -198,7 +198,8 @@ class SourceConfiguration:
         if len(pos) < 1:
             raise GridValueError("need at least one source")
         if not np.all(np.isfinite(pos)):
-            raise GridValueError(f"source positions must be finite, got {pos[~np.isfinite(pos)][0]}")
+            raise GridValueError(
+                f"source positions must be finite, got {pos[~np.isfinite(pos)][0]}")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
