@@ -304,8 +304,11 @@ def _tiny_density_mask(grid: ParameterGrid, rho_values: np.ndarray):
     boundary nodes and tiny interior nodes inside a smoothly vanishing tail
     are fine (the quotient is zeroed there); a tiny interior node with a
     non-tiny axis neighbor is a hole in a region that should carry mass,
-    which the quotient cannot represent, so it raises.
+    which the quotient cannot represent, so it raises; so does a negative
+    density.
     """
+    if np.any(rho_values < 0):
+        raise GridValueError("density has negative values")
     floor = DEFAULT_RHO_FLOOR * float(rho_values.max(initial=0.0))
     tiny = rho_values < floor if floor > 0 else rho_values <= 0
     if not np.any(tiny):
@@ -349,8 +352,6 @@ def weighted_divergence(
     grid.require_same(v.grid, "weighted_divergence")
     if v.variance != "contravariant":
         raise GridValueError("weighted_divergence needs a contravariant field")
-    if np.any(rho.values < 0):
-        raise GridValueError("density has negative values")
     sqrtg = metric_sqrt_det(metric, grid)
 
     dens = sqrtg * rho.values

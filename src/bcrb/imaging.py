@@ -42,6 +42,8 @@ COVERAGE_ATOL = 1e-6
 INTENSITY_SUPPORT_FLOOR = 1e-14
 DEFAULT_GRID_NODES = 4096
 DEFAULT_SPAN_SIGMAS = 12.0
+INFORMATION_BLOCK = 2**16
+HELSTROM_SPAN_SIGMAS = 16.0
 HELSTROM_GRID_NODES = 8193
 SAMPLED_INFORMATION_NODES = 2001
 POWER_LAW_R2_WARN = 0.99
@@ -73,8 +75,8 @@ class PointSpreadFunction:
             raise GridValueError("point-spread function needs matching 1-d arrays")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(amp))):
             raise GridValueError("point-spread function samples must be finite")
-        if self.width <= 0:
-            raise GridValueError("width scale must be positive")
+        if not 0 < self.width < np.inf:
+            raise GridValueError(f"width scale must be finite and positive, got {self.width}")
         norm = np.trapezoid(amp**2, x)
         if abs(norm - 1.0) > INTENSITY_NORMALIZATION_ATOL:
             factor = 1.0 / np.sqrt(norm)
@@ -230,38 +232,66 @@ def _mixture_scores(psf: PointSpreadFunction, thetas: np.ndarray,
     return (amp**2).mean(axis=-2), -2.0 * amp * damp / thetas.shape[-1]
 
 
+def _submodel(direction, taus, origin) -> tuple[np.ndarray, np.ndarray]:
+    """v and the rows theta(tau) = origin + v tau (origin 0 by default),
+    each input checked finite by name."""
+    direction = np.asarray(direction, dtype=float).reshape(-1)
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    origin = np.zeros(len(direction)) if origin is None else np.asarray(origin, dtype=float)
+    for name, value in (("direction", direction), ("tau", taus), ("origin", origin)):
+        if not np.all(np.isfinite(value)):
+            raise GridValueError(f"{name} must be finite, got {value[~np.isfinite(value)][0]}")
+    return direction, origin[None, :] + taus[:, None] * direction[None, :]
+
+
+def _information_gram(psf: PointSpreadFunction, thetas: np.ndarray,
+                      directions: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row theta (of nt, p), the exactly symmetric k x k Gram
+    sum_x w (D_i.df)(D_j.df)/f over the k directions D (zero where f is below
+    the support floor) and the captured mass sum_x w f, with w the trapezoid
+    weights of the uniform grid x.  Batched in blocks of about
+    INFORMATION_BLOCK elements of each (rows, p, nodes) temporary, so the
+    working set stays in cache whatever the number of rows.
+    """
+    w = trapezoid_weights_1d(len(x), x[1] - x[0])
+    nt, p = thetas.shape
+    i, j = np.triu_indices(len(directions))
+    gram, mass = np.empty((nt, len(directions), len(directions))), np.empty(nt)
+    # whole groups of four rows: OpenBLAS's dgemv sums four rows at a time and
+    # a leftover row in another order, so blocking keeps every row's sum
+    rows = 4 * max(1, INFORMATION_BLOCK // (4 * p * len(x)))
+    for start in range(0, nt, rows):
+        f, df = _mixture_scores(psf, thetas[start:start + rows], x)  # (nb, nx), (nb, p, nx)
+        proj = np.einsum("ka,bax->bkx", directions, df)
+        ok = (f > INTENSITY_SUPPORT_FLOOR)[:, None, :]
+        num = proj[:, i] * proj[:, j]                                # (nb, pairs, nx)
+        ratio = np.divide(num, f[:, None, :], out=np.zeros_like(num), where=ok)
+        sums = (ratio.reshape(-1, len(x)) @ w).reshape(len(f), -1)
+        gram[start:start + rows, i, j] = gram[start:start + rows, j, i] = sums
+        mass[start:start + rows] = f @ w
+    return gram, mass
+
+
 def direct_imaging_fisher(
     psf: PointSpreadFunction,
     config: SourceConfiguration,
-    span_sigmas: float = DEFAULT_SPAN_SIGMAS,
 ) -> np.ndarray:
     """Information matrix of position-basis measurement (one photon).
 
-    Entries are quadratures of (d_a f)(d_b f)/f with the mixture density f;
-    the integrand is zeroed below the intensity support floor, and the grid
-    must capture the full density (unit mass within 1e-6).
+    Entries are quadratures of (d_a f)(d_b f)/f with the mixture density f
+    on DEFAULT_SPAN_SIGMAS widths beyond the extreme sources; the integrand
+    is zeroed below the intensity support floor, and the grid must capture
+    the full density (unit mass within 1e-6).
     """
     pos = config.positions
-    x = _measurement_grid(psf, pos, span_sigmas, DEFAULT_GRID_NODES)
-    w = trapezoid_weights_1d(len(x), x[1] - x[0])
-
-    f, df = _mixture_scores(psf, pos, x)
-    mass = float(np.sum(w * f))
-    if not abs(mass - 1.0) <= COVERAGE_ATOL:
+    x = _measurement_grid(psf, pos, DEFAULT_SPAN_SIGMAS, DEFAULT_GRID_NODES)
+    gram, mass = _information_gram(psf, pos[None, :], np.eye(config.p), x)
+    if not abs(mass[0] - 1.0) <= COVERAGE_ATOL:
         raise GridValueError(
-            f"measurement grid captures mass {mass!r}; widen the span "
-            f"(currently {span_sigmas} widths beyond the extreme sources)"
+            f"measurement grid captures mass {float(mass[0])!r}; widen the span "
+            f"(currently {DEFAULT_SPAN_SIGMAS} widths beyond the extreme sources)"
         )
-    ok = f > INTENSITY_SUPPORT_FLOOR
-    out = np.empty((config.p, config.p))
-    for a in range(config.p):
-        for b in range(a, config.p):
-            val = float(np.sum(w[ok] * df[a, ok] * df[b, ok] / f[ok]))
-            out[a, b] = out[b, a] = val
-    return out
-
-
-INFORMATION_BLOCK = 2**16
+    return gram[0]
 
 
 def information_along(
@@ -272,36 +302,15 @@ def information_along(
 ) -> np.ndarray:
     """v F(theta(tau)) v along the submodel theta(tau) = origin + v tau.
 
-    Batched over tau in blocks of about INFORMATION_BLOCK elements of each
-    (rows, p, nodes) temporary, so the working set stays in cache whatever
-    the number of separations: one broadcasted quadrature per block.
+    One image grid, symmetric about zero, reaches DEFAULT_SPAN_SIGMAS widths
+    beyond the largest |theta| of the call; the quadrature is batched as in
+    `_information_gram`.
     """
-    direction = np.asarray(direction, dtype=float).reshape(-1)
-    p = len(direction)
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    origin = np.zeros(p) if origin is None else np.asarray(origin, dtype=float)
-    for name, value in (("direction", direction), ("tau", taus), ("origin", origin)):
-        if not np.all(np.isfinite(value)):
-            raise GridValueError(f"{name} must be finite, got {value[~np.isfinite(value)][0]}")
-    thetas = origin[None, :] + taus[:, None] * direction[None, :]  # (nt, p)
-
-    reach = np.abs(thetas).max() if len(taus) else 0.0
+    direction, thetas = _submodel(direction, taus, origin)
+    reach = np.abs(thetas).max() if len(thetas) else 0.0
     half = reach + DEFAULT_SPAN_SIGMAS * psf.width
     x = np.linspace(-half, half, DEFAULT_GRID_NODES)
-    w = trapezoid_weights_1d(len(x), x[1] - x[0])
-
-    # whole groups of four rows: OpenBLAS's dgemv sums four rows at a time and
-    # a leftover row in another order, so blocking keeps every row's sum
-    rows = 4 * max(1, INFORMATION_BLOCK // (4 * p * len(x)))
-    out = np.empty(len(taus))
-    for start in range(0, len(taus), rows):
-        block = thetas[start:start + rows]                   # (nb, p)
-        f, df = _mixture_scores(psf, block, x)               # (nb, nx), (nb, p, nx)
-        num = np.einsum("a,bax->bx", direction, df) ** 2
-        ok = f > INTENSITY_SUPPORT_FLOOR
-        ratio = np.where(ok, num / np.where(ok, f, 1.0), 0.0)
-        out[start:start + rows] = ratio @ w
-    return out
+    return _information_gram(psf, thetas, direction[None, :], x)[0][:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -407,7 +416,6 @@ class HelstromReport:
 def imaging_helstrom(
     psf: PointSpreadFunction,
     config: SourceConfiguration,
-    span_sigmas: float = 16.0,
 ) -> HelstromReport:
     """Helstrom information of the source mixture in the span of its states.
 
@@ -417,10 +425,11 @@ def imaging_helstrom(
     unit-scaled and orthonormalized by a QR factorization and a singular-value
     factorization of the small triangular factor, dropping directions below
     1e-10 of the largest singular value; the projection deficit of every
-    physical vector is checked against 1e-6.
+    physical vector is checked against 1e-6.  The image grid reaches
+    HELSTROM_SPAN_SIGMAS widths beyond the extreme sources.
     """
     pos = config.positions
-    x = _measurement_grid(psf, pos, span_sigmas, HELSTROM_GRID_NODES)
+    x = _measurement_grid(psf, pos, HELSTROM_SPAN_SIGMAS, HELSTROM_GRID_NODES)
     w = trapezoid_weights_1d(len(x), x[1] - x[0])
 
     # one source at a time, so every temporary stays one grid long
@@ -478,14 +487,10 @@ def helstrom_along(
     origin: np.ndarray | None = None,
 ) -> np.ndarray:
     """v K(theta(tau)) v along a submodel, via the projected family."""
-    direction = np.asarray(direction, dtype=float).reshape(-1)
-    p = len(direction)
-    origin = np.zeros(p) if origin is None else np.asarray(origin, dtype=float)
-    taus = np.atleast_1d(taus)
-    out = np.empty(len(taus))
-    for i, tau in enumerate(taus):
-        config = SourceConfiguration(origin + tau * direction)
-        report = imaging_helstrom(psf, config)
+    direction, thetas = _submodel(direction, taus, origin)
+    out = np.empty(len(thetas))
+    for i, theta in enumerate(thetas):
+        report = imaging_helstrom(psf, SourceConfiguration(theta))
         out[i] = float(direction @ report.helstrom @ direction)
     return out
 

@@ -332,7 +332,10 @@ def _constant_alignment(problem: SchrodingerProblem) -> float:
             "this operation needs a constant alignment; "
             "use lambda_scan for position-dependent alignment"
         )
-    return float(problem.alignment)
+    a_val = float(problem.alignment)
+    if not np.isfinite(a_val):
+        raise GridValueError(f"alignment must be finite, got {a_val}")
+    return a_val
 
 
 def bworst(problem: SchrodingerProblem, n: float) -> float:
@@ -424,8 +427,8 @@ def rate_fit(
             f"n range {n_arr[0]:g}..{n_arr[-1]:g} spans less than three decades"
         )
     a_val = _constant_alignment(problem)
-    if a_val == 0 or not np.isfinite(a_val):  # the bound a^2 / E_min has no log
-        raise GridValueError(f"rate fit needs a finite nonzero alignment, got {a_val:g}")
+    if a_val == 0:  # the bound a^2 / E_min has no log
+        raise GridValueError(f"rate fit needs a nonzero alignment, got {a_val:g}")
 
     half0 = 0.5 * (problem.domain[1] - problem.domain[0])
     width_grid = half0 * np.logspace(-5, 0, 161)  # trial widths, five decades below half0

@@ -54,6 +54,8 @@ class DensityFamily:
         if mat.shape != (self.dim, self.dim):
             raise GridValueError(f"density matrix has shape {mat.shape}, expected "
                                  f"({self.dim}, {self.dim})")
+        if not np.all(np.isfinite(mat)):
+            raise GridValueError("density matrix has non-finite entries")
         if abs(np.trace(mat).real - 1.0) > TRACE_ATOL or abs(np.trace(mat).imag) > TRACE_ATOL:
             raise GridValueError(f"density matrix trace {np.trace(mat)} != 1")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL * max(1.0, np.abs(mat).max()):
@@ -72,16 +74,18 @@ class DensityFamily:
                     f"derivative stack has shape {out.shape}, expected "
                     f"({self.num_parameters}, {self.dim}, {self.dim})"
                 )
-            return out
-        out = np.empty((self.num_parameters, self.dim, self.dim), dtype=complex)
-        for a in range(self.num_parameters):
-            step = self.fd_step * max(1.0, abs(theta[a]))
-            hi = theta.copy()
-            lo = theta.copy()
-            hi[a] += step
-            lo[a] -= step
-            out[a] = (np.asarray(self.rho_fn(hi), dtype=complex)
-                      - np.asarray(self.rho_fn(lo), dtype=complex)) / (2 * step)
+        else:
+            out = np.empty((self.num_parameters, self.dim, self.dim), dtype=complex)
+            for a in range(self.num_parameters):
+                step = self.fd_step * max(1.0, abs(theta[a]))
+                hi = theta.copy()
+                lo = theta.copy()
+                hi[a] += step
+                lo[a] -= step
+                out[a] = (np.asarray(self.rho_fn(hi), dtype=complex)
+                          - np.asarray(self.rho_fn(lo), dtype=complex)) / (2 * step)
+        if not np.all(np.isfinite(out)):
+            raise GridValueError("density-matrix derivatives have non-finite entries")
         return out
 
 

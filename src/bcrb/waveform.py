@@ -97,6 +97,8 @@ class SpectralModel:
         n = len(omega)
         if n < 3:
             raise GridValueError("need at least 3 frequency nodes")
+        if not 0 < self.hbar < np.inf:
+            raise GridValueError(f"hbar must be finite and positive, got {self.hbar}")
         step = omega[1] - omega[0]
         for a, b in _blocks(n - 1):
             steps = omega[a + 1:b + 1] - omega[a:b]
@@ -138,8 +140,8 @@ class TimeDiscretization:
     def __post_init__(self):
         if self.slots < 2:
             raise GridValueError("need at least 2 time slots")
-        if self.total_time <= 0:
-            raise GridValueError("total_time must be positive")
+        if not 0 < self.total_time < np.inf:
+            raise GridValueError(f"total_time must be finite and positive, got {self.total_time}")
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.slots,):
             raise GridValueError(f"weights have shape {w.shape}, expected ({self.slots},)")

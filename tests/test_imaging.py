@@ -116,6 +116,11 @@ class TestPointSpreadFunction:
         imaging_helstrom(psf, SourceConfiguration([-0.2, 0.2]))
         assert len(fits) == 1
 
+    @pytest.mark.parametrize("width", [np.nan, np.inf])
+    def test_non_finite_width_rejected(self, gpsf, width):
+        with pytest.raises(GridValueError, match="width scale must be finite and positive"):
+            PointSpreadFunction(gpsf.x, gpsf.amplitude, width)
+
     def test_spline_fallback_matches_analytic(self, gpsf):
         numeric = PointSpreadFunction(gpsf.x, gpsf.amplitude, 1.0)
         pts = np.linspace(-3, 3, 101)
@@ -151,13 +156,32 @@ class TestDirectImagingFisher:
         expected = (v @ w) ** 2 * 1.0  # int (h')^2/h = 1/sigma^2 = 1
         assert abs(v @ f0 @ v - expected) <= 1e-4
 
-    def test_coverage_guard(self, gpsf):
+    def test_coverage_guard(self, gpsf, monkeypatch):
+        monkeypatch.setattr(imaging, "DEFAULT_SPAN_SIGMAS", 2.0)
         with pytest.raises(GridValueError, match="widen"):
-            direct_imaging_fisher(gpsf, SourceConfiguration([0.0]), span_sigmas=2.0)
+            direct_imaging_fisher(gpsf, SourceConfiguration([0.0]))
 
-    def test_coverage_guard_sees_nan_mass(self, gpsf):
+    def test_coverage_guard_sees_nan_mass(self, gpsf, monkeypatch):
+        monkeypatch.setattr(imaging, "DEFAULT_SPAN_SIGMAS", np.nan)
         with pytest.raises(GridValueError, match="captures mass nan"):
-            direct_imaging_fisher(gpsf, SourceConfiguration([0.0]), span_sigmas=np.nan)
+            direct_imaging_fisher(gpsf, SourceConfiguration([0.0]))
+
+    @pytest.mark.parametrize("positions", [[0.0, 0.0], [-0.3, 0.4], [1.4, 2.1],
+                                           [-0.4, 0.05, 0.45]])
+    def test_symmetric_and_matches_per_entry_sums(self, hpsf, positions):
+        config = SourceConfiguration(positions)
+        f = direct_imaging_fisher(hpsf, config)
+        assert np.array_equal(f, f.T)
+        x = imaging._measurement_grid(hpsf, config.positions, imaging.DEFAULT_SPAN_SIGMAS,
+                                      imaging.DEFAULT_GRID_NODES)
+        amp, damp = hpsf.pair_at(x - config.positions[:, None])
+        dens = (amp**2).mean(axis=0)
+        scores = -2.0 * amp * damp / config.p
+        ok = dens > imaging.INTENSITY_SUPPORT_FLOOR
+        w = trapezoid_weights_1d(len(x), x[1] - x[0])
+        ref = np.array([[np.sum(w[ok] * sa[ok] * sb[ok] / dens[ok]) for sb in scores]
+                        for sa in scores])
+        assert np.max(np.abs(f - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("positions", [[np.nan], [0.0, np.inf]])
     def test_non_finite_positions_rejected(self, gpsf, positions):
@@ -213,12 +237,12 @@ class TestImagingHelstrom:
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] <= 1e-3
 
-    def test_projection_guard(self, gpsf):
+    def test_projection_guard(self, gpsf, monkeypatch):
         from bcrb.errors import ProjectionError
 
+        monkeypatch.setattr(imaging, "HELSTROM_SPAN_SIGMAS", 3.0)
         with pytest.raises(ProjectionError, match="deficit"):
-            imaging_helstrom(gpsf, SourceConfiguration([-0.3, 0.3]),
-                             span_sigmas=3.0)
+            imaging_helstrom(gpsf, SourceConfiguration([-0.3, 0.3]))
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_sinc_tail_norm_deficit_raises(self, p):
@@ -391,6 +415,15 @@ class TestSeparationHelstromConstant:
     def test_scalar_tau(self, gpsf):
         d = np.array([-0.5, 0.5])
         assert np.array_equal(helstrom_along(gpsf, d, 0.3), helstrom_along(gpsf, d, [0.3]))
+
+    @pytest.mark.parametrize("name, direction, taus, origin", [
+        ("direction", [-0.5, np.nan], [0.3], None),
+        ("tau", [-0.5, 0.5], [0.3, np.inf], None),
+        ("origin", [-0.5, 0.5], [0.3], [np.nan, 0.0]),
+    ])
+    def test_non_finite_inputs_named(self, gpsf, name, direction, taus, origin):
+        with pytest.raises(GridValueError, match=f"{name} must be finite"):
+            helstrom_along(gpsf, direction, taus, origin)
 
 
 def separate_formulas(name, sigma):

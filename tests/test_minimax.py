@@ -327,6 +327,16 @@ class TestBworst:
         assert 3.5 <= g1 / g2 <= 4.5  # second-order defect
         assert abs(4.0 * g2 - g1) / 3.0 <= 1e-8 * 0.05
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("solve", [lambda prob: bworst(prob, 1.0),
+                                       lambda prob: rate_fit(prob, [1e2, 1e3, 1e4, 1e5])],
+                             ids=["bworst", "rate_fit"])
+    def test_non_finite_alignment_rejected(self, bad, solve):
+        prob = SchrodingerProblem((-2.0, 2.0), lambda t: np.asarray(t) ** 2,
+                                  alignment=bad, nodes=101)
+        with pytest.raises(GridValueError, match="alignment must be finite"):
+            solve(prob)
+
 
 class TestConvergedGroundEnergy:
     def test_expands_until_stable(self):

@@ -150,6 +150,18 @@ class TestBmax:
         rep = bmax(model, n=n)
         assert abs(n * rep.bound - 1.0) <= 1e-3
 
+    def test_negative_prior_named(self):
+        def prior_fn(coords):
+            values = gaussian_prior_fn()(coords)
+            values[400] = -0.13
+            return values
+
+        model = StatisticalModel.from_callables(
+            line_grid(-8.0, 8.0, 801), fisher_fn=const_matrix_fn([[1.0]]),
+            weight_fn=const_vector_fn([1.0]), prior_fn=prior_fn)
+        with pytest.raises(GridValueError, match="density has negative values"):
+            bmax(model, n=10.0)
+
     def test_zero_weight(self):
         model = gaussian_scalar_model(weight=0.0, n_nodes=801)
         rep = bmax(model, n=10.0)

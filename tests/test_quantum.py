@@ -87,6 +87,30 @@ class TestSldScores:
             sld_scores(fam, [0.0])
 
 
+class TestNonFiniteFamily:
+    def test_nan_density_entry_rejected(self):
+        def rho_fn(_t):
+            return np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex)
+
+        fam = DensityFamily(2, 1, rho_fn, lambda _t: np.zeros((1, 2, 2)))
+        with pytest.raises(GridValueError, match="density matrix has non-finite"):
+            helstrom_matrix(fam, [0.0])
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_nan_derivative_rejected(self, analytic):
+        qubit = diagonal_qubit_family()
+
+        def rho_fn(theta):  # finite at 0 only, so central differences see NaN
+            return qubit.rho_fn(theta) if theta[0] == 0.0 else np.full((2, 2), np.nan)
+
+        def drho_fn(_t):
+            return np.full((1, 2, 2), np.nan)
+
+        fam = DensityFamily(2, 1, rho_fn, drho_fn if analytic else None)
+        with pytest.raises(GridValueError, match="derivatives have non-finite"):
+            helstrom_matrix(fam, [0.0])
+
+
 class TestHelstromMatrix:
     def test_qubit_at_zero(self):
         assert abs(helstrom_matrix(diagonal_qubit_family(), [0.0])[0, 0] - 1.0) <= 1e-10

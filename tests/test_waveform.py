@@ -125,6 +125,11 @@ class TestSpectralModel:
         assert np.allclose(model.omega, omega)
         assert np.allclose(model.s_q, 0.5)
 
+    @pytest.mark.parametrize("hbar", [np.nan, 0.0, -1.0, np.inf])
+    def test_hbar_must_be_finite_and_positive(self, hbar):
+        with pytest.raises(GridValueError, match="hbar must be finite and positive"):
+            SpectralModel(np.linspace(-1, 1, 11), s_q=1.0, s_theta=1.0, hbar=hbar)
+
 
 class TestBlockwiseChecks:
     """Each defect sits in a late block or across a block edge of a grid with
@@ -277,6 +282,11 @@ class TestCirculantBound:
         disc = TimeDiscretization.instant_weight(16.0, 64)  # band +-4pi
         with pytest.raises(SpectralDomainError, match="covered"):
             build_circulant_bound(disc, spectra)
+
+    @pytest.mark.parametrize("total_time", [np.nan, np.inf])
+    def test_non_finite_total_time_rejected(self, total_time):
+        with pytest.raises(GridValueError, match="total_time must be finite and positive"):
+            TimeDiscretization(total_time, 64, np.zeros(64))
 
 
 class TestCirculantFFT:
