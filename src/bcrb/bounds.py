@@ -47,9 +47,9 @@ CSV_HEADER = ["n", "alignment", "information", "prior_information", "bound",
 
 
 def _check_n(n: float) -> None:
-    """Raise :class:`GridValueError` unless the sample size n is >= 0."""
-    if not n >= 0:  # false for NaN too
-        raise GridValueError(f"n must be nonnegative, got {n}")
+    """Raise :class:`GridValueError` unless the sample size n is finite and >= 0."""
+    if not 0 <= n < np.inf:  # false for NaN too
+        raise GridValueError(f"n must be nonnegative and finite, got {n}")
 
 
 @dataclass(frozen=True, eq=False)

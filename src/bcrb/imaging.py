@@ -395,8 +395,12 @@ def minimax_rate(
     nodes: int = 2001,
 ) -> RateFitResult:
     """Worst-case-rate fit with the directional information as the potential."""
+    direction = np.asarray(direction, dtype=float)
+    if not np.any(direction):
+        raise GridValueError("direction must be nonzero: along a zero direction the "
+                             "information potential vanishes and there is no rate to fit")
     half = initial_half_width if initial_half_width is not None else 0.25 * psf.width
-    potential = _sampled_information(psf, np.asarray(direction, dtype=float), 16.0 * half)
+    potential = _sampled_information(psf, direction, 16.0 * half)
     problem = SchrodingerProblem((-half, half), potential, nodes=nodes)
     return rate_fit(problem, n_list)
 

@@ -5,12 +5,17 @@ v, maximized by solving the second-order field equation
 
     n F_ab v^b - d_a[ (1/rho) div(rho v) ] = u_a,      v = 0 on the boundary,
 
-after which  B_max = <u, v>_rho  with the rho-weighted inner product
-<v, u>_rho = int (v.u) rho eps.  Discretely the equation becomes a symmetric
-positive-semidefinite sparse system: the prior term is assembled as
-D^T W D (exactly self-adjoint in the discrete inner product), so the
-variational structure, and with it B <= B_max for every admissible v, is
-preserved on the grid.
+after which  B_max = B(v*) = <u, v*>_rho  at the least-favorable solution v*,
+with the rho-weighted inner product <v, u>_rho = int (v.u) rho eps.
+Discretely the equation becomes a symmetric positive-semidefinite sparse
+system: the prior term is assembled as D^T W D (exactly self-adjoint in the
+discrete inner product), so the variational structure, and with it
+B <= B_max for every admissible v, is preserved on the grid.
+
+B_max is reported as the Gill-Levit bound of v*: its three functionals come
+from the kernel that evaluates every field (`bounds._functionals`), so <P>
+is the direct sum of w [(1/rho) div(rho v*)]^2, not <v*, L v*> - n<F>,
+which would cancel digits once n<F> dwarfs <P>.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, solveh_banded
 
-from .bounds import BoundReport, VectoralWeight, _check_boundary, _check_n
+from .bounds import BoundReport, VectoralWeight, _check_n, _functionals
 from .errors import GridValueError, OperatorRangeError
 from .geometry import StatisticalModel
 from .grids import (
@@ -270,25 +275,6 @@ def solve_least_favorable(op: OperatorL, u: VectorField) -> LeastFavorableField:
                                "contravariant", info)
 
 
-def _functionals(model, interior, w, gamma_inv, matrix, rhs, sol, n) -> tuple[float, float, float]:
-    """Alignment, information and prior functional of a block solution.
-
-    The information is sum_jk <v_j, g^{jk} F v_k>; the prior functional is
-    the rest of <v, Lv> once n times the information is taken out.
-    """
-    p = model.grid.dim
-    f_int = model.fisher.values.reshape(-1, p, p)[interior]
-    fields = [np.ascontiguousarray(block.reshape(p, -1).T)
-              for block in np.split(sol, gamma_inv.shape[-1])]
-    information = 0.0
-    for j, vj in enumerate(fields):
-        for k, vk in enumerate(fields):
-            information += float(np.einsum(
-                "n,na,nab,nb->", w[interior] * gamma_inv[interior, j, k], vj, f_int, vk))
-    prior_information = max(float(sol @ (matrix @ sol)) - n * information, 0.0)
-    return float(rhs @ sol), information, prior_information
-
-
 def bmax(
     model: StatisticalModel,
     prior: ScalarField | None = None,
@@ -306,12 +292,10 @@ def bmax(
         raise GridValueError("bmax needs a prior density")
     op = assemble_L(model, prior, n)
     v = solve_least_favorable(op, model.weight)
-    rhs = op.weight * _interior_dofs(model.weight.values, op.interior)
-    align, info_val, prior_val = _functionals(
-        model, op.interior, op.node_weights, np.ones((model.grid.num_nodes, 1, 1)),
-        op.matrix, rhs, _interior_dofs(v.values, op.interior), op.n)
-    diagnostics = {"boundary_residual": _check_boundary(prior, v),
-                   "grid": model.grid.describe(), **asdict(v.solve)}
+    align, info_val, prior_val, residual = _functionals(
+        model, prior, (model.weight,), (v,), np.ones((1, 1)))
+    diagnostics = {"boundary_residual": residual, "grid": model.grid.describe(),
+                   **asdict(v.solve)}
     return BoundReport.assemble(align, info_val, prior_val, n, v_choice, diagnostics,
                                 attaining_v=v, allow_zero=True)
 
@@ -323,6 +307,7 @@ def gaussian_closed_form(fisher, prior_curvature, weight, n: float) -> float:
     Serves as the oracle for `bmax` on Gaussian scenarios; requires F and G
     symmetric, of the size of u, and nF + G positive definite.
     """
+    _check_n(n)
     f = np.atleast_2d(np.asarray(fisher, dtype=float))
     g = np.atleast_2d(np.asarray(prior_curvature, dtype=float))
     u = np.atleast_1d(np.asarray(weight, dtype=float))
@@ -359,13 +344,17 @@ def vectoral_bmax(
     grid.require_same(weights.grid, "vectoral_bmax weights")
     p = grid.dim
     q = weights.q
-    gamma_inv = weights.gamma_inverse().reshape(grid.num_nodes, q, q)
-    matrix, w, interior = _assemble_system(model, prior, n, gamma_inv)
+    gamma_inv = weights.gamma_inverse()
+    matrix, w, interior = _assemble_system(
+        model, prior, n, gamma_inv.reshape(grid.num_nodes, q, q))
     weight = np.tile(w[interior], p)
     rhs = np.concatenate([weight * _interior_dofs(u.values, interior) for u in weights.weights])
     sol, info = _solve_system(matrix, rhs, p)
-    align, info_val, prior_val = _functionals(
-        model, interior, w, gamma_inv, matrix, rhs, sol, n)
+    fields = tuple(VectorField(grid, _full_grid(grid, interior, block))
+                   for block in np.split(sol, q))
+    align, info_val, prior_val, residual = _functionals(
+        model, prior, weights.weights, fields, gamma_inv)
     return BoundReport.assemble(
         align, info_val, prior_val, n, f"vectoral_least_favorable(q={q})",
-        {"grid": grid.describe(), **asdict(info)}, allow_zero=True)
+        {"boundary_residual": residual, "grid": grid.describe(), **asdict(info)},
+        allow_zero=True)

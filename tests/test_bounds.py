@@ -19,7 +19,7 @@ from bcrb.errors import (
 )
 from bcrb.geometry import StatisticalModel, odd_power_map, pushforward_model
 from bcrb.grids import MatrixField, ParameterGrid, VectorField
-from bcrb.optimal import bmax
+from bcrb.optimal import bmax, gaussian_closed_form
 
 from conftest import (
     bump_scalar_model,
@@ -152,14 +152,14 @@ class TestBoundReport:
 
 
 class TestInvalidN:
-    """Every bound rejects n < 0 and NaN; the Gill-Levit family checks it in
-    one place, `BoundReport.assemble`."""
+    """Every bound rejects n < 0, NaN and infinite n; the Gill-Levit family
+    checks it in one place, `BoundReport.assemble`."""
 
     @pytest.fixture(scope="class")
     def small_model(self):
         return gaussian_scalar_model(n_nodes=201)
 
-    @pytest.mark.parametrize("n", [-1.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("n", [-1.0, -0.5, float("nan"), float("inf")])
     def test_every_bound_rejects_invalid_n(self, small_model, n):
         model = small_model
         v = unit_field(model.grid)
@@ -170,6 +170,7 @@ class TestInvalidN:
             lambda: BoundReport.assemble(1.0, 1.0, 1.0, n, "custom"),
             lambda: bmax(model, n=n),
             lambda: van_trees_v(model, model.prior, n),
+            lambda: gaussian_closed_form(1.0, 1.0, 1.0, n),
         ]
         for call in calls:
             with pytest.raises(GridValueError, match="n must be nonnegative"):

@@ -432,6 +432,16 @@ class TestImagingScenario:
         assert res["ordering_holds"] is True
         assert 0.0 < res["qmax"] <= res["bmax"]
 
+    def test_rate_along_zero_direction_exit_3(self, tmp_path, capsys):
+        cfg = {"kind": "imaging", "name": "zero-direction",
+               "psf": {"catalog": "gaussian", "sigma": 1.0},
+               "task": "rate", "direction": [0.0, 0.0]}
+        out = tmp_path / "o"
+        assert main(["imaging", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 3
+        assert "GridValueError: direction must be nonzero" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_rank_table_from_coarse_csv_psf(self, tmp_path):
         # every 4th sample of the catalog Gaussian: its grid norm misses 1 by
         # ~1e-10, far inside the accepted deficit, and rho must still have
@@ -667,9 +677,16 @@ class TestSchemaHoldsEveryRule:
          "<root>", "prior_curvature"),
         ("quantum", without(gaussian_shift_config(), "weight_vector"),
          "<root>", "weight_vector"),
+        ("imaging", {"kind": "imaging", "name": "three-sources", "psf": {"catalog": "gaussian"},
+                     "task": "quantum_vs_classical", "sources": [-0.5, 0.0, 0.5]},
+         "sources", "is too long"),
+        ("imaging", {"kind": "imaging", "name": "one-source", "psf": {"catalog": "gaussian"},
+                     "task": "quantum_vs_classical", "sources": [0.0]},
+         "sources", "is too short"),
     ], ids=["constant_without_value", "polynomial_without_coeffs", "empty_psf",
             "empty_spectra", "shift_without_helstrom", "shift_without_prior_curvature",
-            "shift_without_weight_vector"])
+            "shift_without_weight_vector", "separation_with_three_sources",
+            "separation_with_one_source"])
     def test_conditional_rule_exit_2_naming_field(self, tmp_path, capsys, kind, config,
                                                   field, key):
         code = main([kind, "--config", write_config(tmp_path, config),

@@ -329,6 +329,14 @@ class TestMinimaxRate:
                            nodes=1001, initial_half_width=1.0)
         assert abs(res.slope - (-1.0)) <= 0.05
 
+    def test_zero_direction_rejected_before_sampling(self, gpsf, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("information sampled along a zero direction")
+
+        monkeypatch.setattr(imaging, "information_along", refuse)
+        with pytest.raises(GridValueError, match="direction must be nonzero"):
+            minimax_rate(gpsf, [0.0, 0.0], [1e2, 1e3, 1e4])
+
 
 class TestQuantumVsClassical:
     def test_ordering_at_moderate_separation(self, gpsf):

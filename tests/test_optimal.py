@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bcrb.bounds import VectoralWeight, gill_levit_bound
+from bcrb.bounds import VectoralWeight, functionals, gill_levit_bound, vectoral_bound
 from bcrb.errors import GridValueError, OperatorRangeError
 from bcrb.geometry import StatisticalModel, odd_power_map, pushforward_model
 from bcrb.grids import ParameterGrid, VectorField
@@ -318,6 +318,48 @@ class TestVectoralBmax:
         assert abs(b3 - 3.0 * b1) <= 1e-10 * b1
 
 
+class TestOneFunctionalKernel:
+    """B_max is reported as the Gill-Levit bound of its attaining field."""
+
+    @pytest.mark.parametrize("n", [10.0, 1e8])
+    @pytest.mark.parametrize("name", ["gauss_model", "bump_model"])
+    def test_bmax_functionals_are_those_of_its_field(self, request, name, n):
+        model = request.getfixturevalue(name)
+        rep = bmax(model, n=n)
+        assert (rep.alignment, rep.information, rep.prior_information) == functionals(
+            model, model.prior, rep.attaining_v)
+
+    def test_prior_functional_summed_directly_at_large_n(self, gauss_model):
+        # v* = 1/(n+1) for F = 1 and a unit Gaussian prior, so <P> = 1/(n+1)^2;
+        # <v*, Lv*> - n<F> would lose about eps n<F>/<P> = 1e-8 of it
+        n = 1e8
+        rep = bmax(gauss_model, n=n)
+        exact = 1.0 / (n + 1.0) ** 2
+        assert abs(rep.prior_information - exact) <= 1e-8 * exact
+
+    def test_vectoral_bmax_functionals_are_those_of_its_fields(self):
+        model, u1, u2 = decoupled_setup(41)
+        grid, n = model.grid, 1e8
+        weights = VectoralWeight(
+            grid, np.eye(2), (u1, u2),
+            (VectorField.constant(grid, [1.0, 0.0]), VectorField.constant(grid, [0.0, 1.0])),
+        )
+        rep = vectoral_bmax(model, model.prior, weights, n)
+
+        gamma_inv = weights.gamma_inverse().reshape(grid.num_nodes, 2, 2)
+        matrix, w, interior = optimal._assemble_system(model, model.prior, n, gamma_inv)
+        rhs = np.concatenate([np.tile(w[interior], 2) * optimal._interior_dofs(u.values, interior)
+                              for u in (u1, u2)])
+        sol, _ = optimal._solve_system(matrix, rhs, grid.dim)
+        fields = tuple(VectorField(grid, optimal._full_grid(grid, interior, block))
+                       for block in np.split(sol, 2))
+        ref = vectoral_bound(model, model.prior,
+                             VectoralWeight(grid, np.eye(2), (u1, u2), fields), n)
+        assert (rep.alignment, rep.information, rep.prior_information) == (
+            ref.alignment, ref.information, ref.prior_information)
+        assert rep.diagnostics["boundary_residual"] == ref.diagnostics["boundary_residual"]
+
+
 SOLVE_KEYS = {"solver", "iterations", "relative_residual", "unknowns", "nnz", "fallback"}
 
 
@@ -381,8 +423,13 @@ class TestSolverPolicy:
         assert rep.diagnostics["solver"] == "direct"
         assert rep.diagnostics["fallback"] == (
             "banded Cholesky failed: 3th leading minor not positive definite")
+        # the fallback's field is the direct sparse solve of the same system
+        op = assemble_L(gauss_model, gauss_model.prior, 10.0)
+        rhs = op.weight * optimal._interior_dofs(gauss_model.weight.values, op.interior)
+        direct = spla.spsolve(sp.csc_matrix(op.matrix), rhs)
+        assert np.array_equal(
+            optimal._interior_dofs(rep.attaining_v.values, op.interior), direct)
         ref = direct_alignment(gauss_model, 10.0)
-        assert rep.alignment == ref
         assert abs(rep.bound - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("n", [1.0, 1e2, 1e4])
