@@ -82,6 +82,11 @@ class BoundReport:
     def assemble(cls, alignment, information, prior_information, n, v_choice,
                  diagnostics=None, attaining_v=None, allow_zero=False) -> "BoundReport":
         _check_n(n)
+        for name, value in (("information", information),
+                            ("prior_information", prior_information)):
+            if 0 < abs(value) < np.finfo(float).tiny:
+                raise GridValueError(f"{name} {value!r} underflowed to a subnormal at "
+                                     f"n = {n!r}; the bound is not resolved in floating point")
         information = max(float(information), 0.0)
         prior_information = max(float(prior_information), 0.0)
         denom = n * information + prior_information
@@ -91,7 +96,8 @@ class BoundReport:
                 return cls(0.0, information, prior_information, float(n), 0.0,
                            v_choice, diagnostics or {}, attaining_v)
             raise DegenerateBoundError(
-                "degenerate direction: no information and no prior curvature"
+                f"degenerate direction: no information and no prior curvature at n = {n!r}, "
+                "or the functionals underflowed"
             )
         return cls(
             float(alignment), information, prior_information, float(n),

@@ -382,7 +382,7 @@ def boundary_residual(rho: ScalarField, v: VectorField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sparse operator building blocks (used by the field-equation solver)
+# sparse operator building blocks (the reference the field-equation assembly is tested against)
 
 def diff_matrix(grid: ParameterGrid, axis: int) -> sp.csr_matrix:
     """Sparse matrix applying d/dtheta^axis to a flattened scalar field.

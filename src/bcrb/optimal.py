@@ -8,9 +8,9 @@ v, maximized by solving the second-order field equation
 after which  B_max = B(v*) = <u, v*>_rho  at the least-favorable solution v*,
 with the rho-weighted inner product <v, u>_rho = int (v.u) rho eps.
 Discretely the equation becomes a symmetric positive-semidefinite sparse
-system: the prior term is assembled as D^T W D (exactly self-adjoint in the
-discrete inner product), so the variational structure, and with it
-B <= B_max for every admissible v, is preserved on the grid.
+system: the prior term D^T W D, built from the stencil diagonals of the
+divergence D, is exactly self-adjoint in the discrete inner product, so the
+variational structure, and B <= B_max for every admissible v, hold on the grid.
 
 B_max is reported as the Gill-Levit bound of v*: its three functionals come
 from the kernel that evaluates every field (`bounds._functionals`), so <P>
@@ -35,9 +35,10 @@ from .grids import (
     ParameterGrid,
     ScalarField,
     VectorField,
+    _tiny_density_mask,
     check_symmetric,
-    divergence_matrix,
     gradient,
+    metric_sqrt_det,
     rho_weights,
     weighted_divergence,
 )
@@ -47,6 +48,7 @@ RANGE_RTOL = 1e-6          # above this residual the RHS is declared out of rang
 CG_MAXITER = 5000          # PCG cap, over 5x the worst count measured on 2-D 321^2 grids (919)
 SELF_ADJOINTNESS_TRIALS = 8   # random field pairs probed by self_adjointness_defect
 SELF_ADJOINTNESS_SEED = 0
+ASSEMBLY_BLOCK = 8192      # grid nodes per row block of the field-equation assembly
 
 
 @dataclass(frozen=True)
@@ -141,38 +143,76 @@ def _assemble_system(
 ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """The q x q block field-equation matrix on interior unknowns.
 
-    Block (j, k) is  n g^{jk} W F + D^T (g^{jk} W) D  with W the node
-    quadrature weights, F the information blocks and D the divergence
-    matrix restricted to interior columns; ``gamma_inv`` holds g per node,
-    shape ``(num_nodes, q, q)``.  q = 1 with g = 1 is the operator L.
-    Returns the matrix, the node weights (flat, full grid) and the flat
-    interior node indices.
+    Block (j, k) is  n g^{jk} W F + D^T (g^{jk} W) D  with W the node weights,
+    F the information blocks and D = (1/d) Delta d the divergence on interior
+    columns (d = rho sqrt(det g), Delta the stencil of `grids.gradient`);
+    ``gamma_inv`` holds g per node, shape ``(num_nodes, q, q)``; q = 1, g = 1
+    is L.  With c = w g^{jk} / d^2 (0 below the density floor), axes a, b
+    couple m to m' = m + r2 e_b - r1 e_a by  sum_i c_i Delta_a(i, r1)
+    Delta_b(i, r2) d_m d_m'  over stencil rows i = m - r1 e_a, filled into the
+    CSR rows in blocks of ASSEMBLY_BLOCK nodes: columns sorted, zeros left out
+    and each lower entry the product of its upper mirror, so exactly
+    symmetric.  Returns it, the node weights and the interior node indices.
     """
     grid = model.grid
     _check_n(n)
-    p = grid.dim
-    num = grid.num_nodes
-
+    p, num, shape, q = grid.dim, grid.num_nodes, grid.shape, gamma_inv.shape[-1]
     w = rho_weights(prior, model.metric).ravel()
-    interior = np.flatnonzero(~grid.boundary_mask.ravel())
-    div = divergence_matrix(grid, prior, model.metric)  # (num, num*p)
-    div_int = sp.csr_matrix(div[:, np.concatenate([interior + a * num for a in range(p)])])
-
-    f_int = model.fisher.values.reshape(num, p, p)[interior]
-
-    q = gamma_inv.shape[-1]
-    blocks = []
-    for j in range(q):
-        row = []
+    d = (metric_sqrt_det(model.metric, grid) * prior.values).ravel()
+    c = np.divide(w, d * d, out=np.zeros(num),
+                  where=~_tiny_density_mask(grid, prior.values).ravel())
+    interior = np.flatnonzero(inner := ~grid.boundary_mask.ravel())
+    size, step = q * p * interior.size, [int(np.prod(shape[a + 1:])) for a in range(p)]
+    pad = 2 * step[0]  # the widest shift: two nodes along axis 0
+    # padded, and zero on the boundary, so every entry of an eliminated node vanishes
+    col_of, d_in = np.zeros(num + 2 * pad, np.int32), np.zeros(num + 2 * pad)
+    col_of[pad + interior], d_in[pad + interior] = np.arange(interior.size), d[interior]
+    w_in, data, indices, ends, nnz = np.where(inner, w, 0.0), [], [], [[0]], 0
+    starts = [*range(interior[0], interior[-1] + 1, ASSEMBLY_BLOCK), interior[-1] + 1]
+    for j, a in np.ndindex(q, p):
+        s, h2 = step[a], (0.5 / grid.spacing[a]) ** 2
+        cands = []  # (first column, offset, [(c part, i - m, factor)], information term)
         for k in range(q):
-            wg = w * gamma_inv[:, j, k]
-            # the information term couples components a, b of each node
-            info_term = sp.bmat([[sp.diags(wg[interior] * f_int[:, a, b]) for b in range(p)]
-                                 for a in range(p)])
-            prior_term = div_int.T @ sp.diags(wg) @ div_int
-            row.append((n * info_term + prior_term).tocsr())
-        blocks.append(row)
-    return sp.bmat(blocks, format="csr"), w, interior
+            g = gamma_inv[:, min(j, k), max(j, k)]  # lower blocks mirror the upper ones
+            cg = (c * g).reshape(shape)
+            edge, mid, last, whole = parts = np.zeros((4, num + 2 * pad))
+            for part, sl in zip(parts, ([0], slice(1, -1), [-1], slice(None))):
+                cut = (slice(None),) * a + (sl,)
+                part[pad:pad + num].reshape(shape)[cut] = cg[cut]
+            for b in range(p):
+                if b == a:  # one-sided rows: 4h, -h on the first node, -4h, h on the last
+                    offsets = {-2 * s: [(mid, -s, -h2)], 2 * s: [(mid, s, -h2)],
+                               -s: [(edge, -2 * s, -4 * h2), (last, s, -4 * h2)],
+                               s: [(edge, -s, -4 * h2), (last, 2 * s, -4 * h2)],
+                               0: [(mid, -s, h2), (mid, s, h2), (edge, -s, 16 * h2),
+                                   (edge, -2 * s, h2), (last, s, 16 * h2), (last, 2 * s, h2)]}
+                else:  # valid entries only come from rows interior along a and b
+                    hab = (0.5 / grid.spacing[a]) * (0.5 / grid.spacing[b])
+                    offsets = {0: []} | {r2 * step[b] - r1 * s: [(whole, -r1 * s, r1 * r2 * hab)]
+                                         for r1 in (-1, 1) for r2 in (-1, 1)}
+                info = n * ((w_in * g) * model.fisher.values.reshape(num, p, p)[:, a, b])
+                cands += [((k * p + b) * interior.size, off, offsets[off], None if off else info)
+                          for off in sorted(offsets)]
+        vals = np.empty((ASSEMBLY_BLOCK, len(cands)))  # a row per node, compacted in place
+        cols = np.empty(vals.shape, np.int32)
+        for lo, hi in zip(starts, starts[1:]):
+            block_vals, block_cols = vals[:hi - lo], cols[:hi - lo]
+            for val, col, (first, off, terms, info) in zip(block_vals.T, block_cols.T, cands):
+                np.multiply(d_in[pad + lo:pad + hi], d_in[pad + lo + off:pad + hi + off], out=val)
+                val *= sum(f * arr[pad + lo + i:pad + hi + i] for arr, i, f in terms)
+                if info is not None:
+                    val += info[lo:hi]
+                np.add(col_of[pad + lo + off:pad + hi + off], first, out=col)
+            block = sp.csr_matrix((block_vals.ravel(), block_cols.ravel(), np.arange(
+                0, block_vals.size + 1, len(cands), dtype=np.int32)), shape=(hi - lo, size))
+            block.eliminate_zeros()
+            ends.append(nnz + block.indptr[1:][inner[lo:hi]])
+            data.append(block.data.copy())
+            indices.append(block.indices.copy())
+            nnz += block.nnz
+    data = np.concatenate(data)  # each chunk list is freed once joined
+    indices = np.concatenate(indices)
+    return sp.csr_matrix((data, indices, np.concatenate(ends)), shape=(size, size)), w, interior
 
 
 def assemble_L(

@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,9 +8,18 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bcrb.bounds import VectoralWeight, functionals, gill_levit_bound, vectoral_bound
-from bcrb.errors import GridValueError, OperatorRangeError
+from bcrb.errors import DegenerateBoundError, GridValueError, OperatorRangeError
 from bcrb.geometry import StatisticalModel, odd_power_map, pushforward_model
-from bcrb.grids import ParameterGrid, VectorField
+from bcrb.grids import (
+    MatrixField,
+    ParameterGrid,
+    ScalarField,
+    VectorField,
+    _tiny_density_mask,
+    divergence_matrix,
+    integrate,
+    rho_weights,
+)
 from bcrb import optimal
 from bcrb.optimal import (
     SOLVE_RTOL,
@@ -24,6 +35,7 @@ from conftest import (
     const_matrix_fn,
     const_vector_fn,
     gaussian_2d,
+    gaussian_bump_fn,
     gaussian_prior_fn,
     gaussian_scalar_model,
     line_grid,
@@ -337,6 +349,15 @@ class TestOneFunctionalKernel:
         exact = 1.0 / (n + 1.0) ** 2
         assert abs(rep.prior_information - exact) <= 1e-8 * exact
 
+    def test_underflowed_functionals_are_loud(self, gauss_model):
+        # v* = 1/(n+1), so <F> ~ 1/n^2 leaves the normal range near n = 1e154
+        assert abs(1e150 * bmax(gauss_model, n=1e150).bound - 1.0) <= 1e-12
+        with pytest.raises(GridValueError, match=r"information .* underflowed .* n = 1e\+160"):
+            bmax(gauss_model, n=1e160)
+        degenerate = r"^degenerate direction: .* n = 1e\+170, or the functionals underflowed"
+        with pytest.raises(DegenerateBoundError, match=degenerate):
+            bmax(gauss_model, n=1e170)
+
     def test_vectoral_bmax_functionals_are_those_of_its_fields(self):
         model, u1, u2 = decoupled_setup(41)
         grid, n = model.grid, 1e8
@@ -358,6 +379,114 @@ class TestOneFunctionalKernel:
         assert (rep.alignment, rep.information, rep.prior_information) == (
             ref.alignment, ref.information, ref.prior_information)
         assert rep.diagnostics["boundary_residual"] == ref.diagnostics["boundary_residual"]
+
+
+def triple_product_system(model, prior, n, gamma_inv):
+    """The field-equation matrix as the sparse triple product D^T W D of the
+    divergence matrix, block by block: the reference for _assemble_system."""
+    grid = model.grid
+    p, num = grid.dim, grid.num_nodes
+    w = rho_weights(prior, model.metric).ravel()
+    interior = np.flatnonzero(~grid.boundary_mask.ravel())
+    div = divergence_matrix(grid, prior, model.metric)
+    div_int = sp.csr_matrix(div[:, np.concatenate([interior + a * num for a in range(p)])])
+    f_int = model.fisher.values.reshape(num, p, p)[interior]
+    q = gamma_inv.shape[-1]
+    blocks = []
+    for j in range(q):
+        row = []
+        for k in range(q):
+            wg = w * gamma_inv[:, j, k]
+            info_term = sp.bmat([[sp.diags(wg[interior] * f_int[:, a, b]) for b in range(p)]
+                                 for a in range(p)])
+            prior_term = div_int.T @ sp.diags(wg) @ div_int
+            row.append((n * info_term + prior_term).tocsr())
+        blocks.append(row)
+    return sp.bmat(blocks, format="csr"), w, interior
+
+
+def with_curved_metric(model):
+    """The model under a non-constant, non-diagonal metric, its prior renormalized."""
+    x = model.grid.coordinates
+    p = model.grid.dim
+    metric = np.eye(p) * (1.5 + 0.5 * np.sin(x[..., :1, None]))
+    metric = metric + 0.2 * np.cos(x[..., :1, None]) * (np.ones((p, p)) - np.eye(p))
+    metric = MatrixField(model.grid, metric)
+    prior = ScalarField(model.grid, model.prior.values / integrate(model.prior, metric))
+    return dataclasses.replace(model, metric=metric, prior=prior)
+
+
+def coupled_fisher_fn(c):
+    """Non-diagonal information that varies over the grid."""
+    c = np.asarray(c)
+    p = c.shape[-1]
+    off = (np.ones((p, p)) - np.eye(p)) * np.exp(-np.sum(c**2, axis=-1))[..., None, None]
+    return np.eye(p) * (2.0 + np.tanh(c[..., :1, None])) + 0.3 * off
+
+
+def cube_model(dim, nodes, half):
+    grid = ParameterGrid([(-half, half)] * dim, [nodes] * dim)
+    return StatisticalModel.from_callables(
+        grid, fisher_fn=coupled_fisher_fn, weight_fn=const_vector_fn([1.0] * dim),
+        prior_fn=lambda c: np.exp(-0.5 * np.sum(np.asarray(c) ** 2, axis=-1)))
+
+
+def assert_matches_triple_product(model, n, gamma_inv):
+    got = optimal._assemble_system(model, model.prior, n, gamma_inv)
+    ref = triple_product_system(model, model.prior, n, gamma_inv)
+    mat, want = got[0], ref[0]
+    assert abs(mat - want).max() <= 1e-14 * abs(want).max()
+    assert mat.nnz == want.nnz
+    assert (mat != mat.T).nnz == 0
+    assert mat.has_sorted_indices
+    assert np.array_equal(got[1], ref[1]) and np.array_equal(got[2], ref[2])
+
+
+class TestStencilAssembly:
+    """_assemble_system builds the triple product D^T W D from its stencil."""
+
+    def test_line_with_tail_below_density_floor(self):
+        grid = line_grid(0.5, 2.0, 201)
+        model = StatisticalModel.from_callables(
+            grid, fisher_fn=lambda c: (1.0 + np.asarray(c)[..., 0] ** 2)[..., None, None],
+            weight_fn=const_vector_fn([1.0]),
+            prior_fn=gaussian_bump_fn(0.5, 2.0, 1.0, 0.01))
+        assert np.any(_tiny_density_mask(grid, model.prior.values)[1:-1])
+        assert_matches_triple_product(model, 3.0, np.ones((grid.num_nodes, 1, 1)))
+
+    @pytest.mark.parametrize("dim, nodes, half", [(2, 41, 6.0), (3, 13, 5.0)])
+    def test_curved_metric_and_coupled_information(self, dim, nodes, half):
+        model = with_curved_metric(cube_model(dim, nodes, half))
+        assert_matches_triple_product(model, 2.5, np.ones((model.grid.num_nodes, 1, 1)))
+
+    def test_two_components_with_varying_weight_matrix(self):
+        model, u1, u2 = decoupled_setup(41)
+        x = model.grid.coordinates
+        gamma = np.empty(model.grid.shape + (2, 2))
+        gamma[..., 0, 0] = 2.0 + np.sin(x[..., 0])
+        gamma[..., 1, 1] = 1.5 + 0.5 * np.cos(x[..., 1])
+        gamma[..., 0, 1] = gamma[..., 1, 0] = 0.4 * np.cos(x[..., 0] * x[..., 1])
+        weights = VectoralWeight(model.grid, gamma, (u1, u2),
+                                 (unit_field(model.grid), unit_field(model.grid)))
+        gamma_inv = weights.gamma_inverse().reshape(model.grid.num_nodes, 2, 2)
+        assert_matches_triple_product(model, 4.0, gamma_inv)
+
+    @pytest.mark.parametrize("dim, nodes, half", [(2, 321, 8.0), (3, 41, 6.0)])
+    def test_memory_bounded(self, dim, nodes, half):
+        eye = np.eye(dim)
+        model = StatisticalModel.from_callables(
+            ParameterGrid([(-half, half)] * dim, [nodes] * dim),
+            fisher_fn=lambda c: np.broadcast_to(eye, np.shape(c)[:-1] + (dim, dim)).copy(),
+            weight_fn=const_vector_fn([1.0] * dim),
+            prior_fn=lambda c: np.exp(-0.5 * np.sum(np.asarray(c) ** 2, axis=-1)))
+        assemble_L(model, model.prior, 10.0)
+        tracemalloc.start()
+        try:
+            mat = assemble_L(model, model.prior, 10.0).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes)
 
 
 SOLVE_KEYS = {"solver", "iterations", "relative_residual", "unknowns", "nnz", "fallback"}
@@ -461,8 +590,13 @@ class TestSolverPolicy:
         assert rep.diagnostics["solver"] == "direct"
         assert rep.diagnostics["iterations"] == 2
         assert "pcg flag 2" in rep.diagnostics["fallback"]
+        # the fallback's field is the direct sparse solve of the same system
+        op = assemble_L(model, model.prior, 1.0)
+        rhs = op.weight * optimal._interior_dofs(model.weight.values, op.interior)
+        direct = spla.spsolve(sp.csc_matrix(op.matrix), rhs)
+        assert np.array_equal(
+            optimal._interior_dofs(rep.attaining_v.values, op.interior), direct)
         ref = direct_alignment(model, 1.0)
-        assert rep.alignment == ref
         assert abs(rep.bound - ref) <= 1e-12 * ref
 
     def test_vectoral_carries_solve_fields(self):
