@@ -424,10 +424,11 @@ def coupled_fisher_fn(c):
     return np.eye(p) * (2.0 + np.tanh(c[..., :1, None])) + 0.3 * off
 
 
-def cube_model(dim, nodes, half):
+def cube_model(dim, nodes, half, fisher_fn=coupled_fisher_fn):
+    """Unit weight and a standard Gaussian prior on a cube."""
     grid = ParameterGrid([(-half, half)] * dim, [nodes] * dim)
     return StatisticalModel.from_callables(
-        grid, fisher_fn=coupled_fisher_fn, weight_fn=const_vector_fn([1.0] * dim),
+        grid, fisher_fn=fisher_fn, weight_fn=const_vector_fn([1.0] * dim),
         prior_fn=lambda c: np.exp(-0.5 * np.sum(np.asarray(c) ** 2, axis=-1)))
 
 
@@ -473,12 +474,8 @@ class TestStencilAssembly:
 
     @pytest.mark.parametrize("dim, nodes, half", [(2, 321, 8.0), (3, 41, 6.0)])
     def test_memory_bounded(self, dim, nodes, half):
-        eye = np.eye(dim)
-        model = StatisticalModel.from_callables(
-            ParameterGrid([(-half, half)] * dim, [nodes] * dim),
-            fisher_fn=lambda c: np.broadcast_to(eye, np.shape(c)[:-1] + (dim, dim)).copy(),
-            weight_fn=const_vector_fn([1.0] * dim),
-            prior_fn=lambda c: np.exp(-0.5 * np.sum(np.asarray(c) ** 2, axis=-1)))
+        # the benchmark's Gaussian ladder models; the first call fills the grid caches
+        model = cube_model(dim, nodes, half, const_matrix_fn(np.eye(dim)))
         assemble_L(model, model.prior, 10.0)
         tracemalloc.start()
         try:
