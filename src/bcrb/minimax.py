@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
@@ -75,8 +74,10 @@ class Wavefunction:
             raise GridValueError(
                 f"wavefunction shape {vals.shape} does not match grid {self.grid.shape}"
             )
-        norm = integrate(ScalarField(self.grid, vals**2))
-        if abs(norm - 1.0) > NORMALIZATION_ATOL:
+        # the trapezoid norm^2, summed without temporaries; NaN fails the test
+        norm = float(np.einsum("i,i,i->", self.grid.trapezoid_weights.ravel(),
+                                   vals.ravel(), vals.ravel()))
+        if not abs(norm - 1.0) <= NORMALIZATION_ATOL:
             raise GridValueError(f"wavefunction norm^2 is {norm!r}, expected 1")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -127,19 +128,15 @@ class DiscretizedHamiltonian:
     diagonal: np.ndarray
     off_diagonal: np.ndarray
 
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        return sp.diags(
-            [self.off_diagonal, self.diagonal, self.off_diagonal], [-1, 0, 1]
-        ).tocsr()
-
     def gershgorin(self) -> tuple[float, float]:
         """(lower bound of the spectrum, ||H||_inf) from the Gershgorin discs."""
         radii = np.zeros_like(self.diagonal)
-        radii[:-1] += np.abs(self.off_diagonal)
-        radii[1:] += np.abs(self.off_diagonal)
-        return (float(np.min(self.diagonal - radii)),
-                float(np.max(np.abs(self.diagonal) + radii)))
+        step = np.abs(self.off_diagonal)
+        radii[:-1] += step
+        radii[1:] += step
+        lower = float(np.min(self.diagonal - radii))
+        radii += np.abs(self.diagonal)
+        return lower, float(np.max(radii))
 
     def row_sums(self) -> np.ndarray:
         """d_i + e_{i-1} + e_i, as `_difference_rayleigh` takes them."""
@@ -151,9 +148,11 @@ class DiscretizedHamiltonian:
     def residual_norms(self, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """||H phi_j - lambda_j phi_j|| for the columns phi_j of ``vecs``."""
         diag, off = self.diagonal, self.off_diagonal
-        resid = vecs * (diag[:, None] - vals)
-        resid[:-1] += off[:, None] * vecs[1:]
-        resid[1:] += off[:, None] * vecs[:-1]
+        resid = diag[:, None] - vals
+        resid *= vecs
+        coupled = off[:, None] * vecs[1:]
+        resid[:-1] += coupled
+        resid[1:] += np.multiply(off[:, None], vecs[:-1], out=coupled)
         return np.linalg.norm(resid, axis=0)
 
     def eigh(self, select: str, select_range: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -194,73 +193,96 @@ def assemble_H(
     grid = problem.grid(domain)
     tau = grid.axes[0]
     dx = grid.spacing[0]
-    pot = n * np.asarray(problem.information(tau[1:-1]), dtype=float)
-    bad = ~np.isfinite(pot)
-    if bad.any():
+    with np.errstate(over="ignore"):  # an overflowing n*F is raised below
+        diag = n * np.asarray(problem.information(tau[1:-1]), dtype=float)
+    lowest, highest = float(np.min(diag)), float(np.max(diag))  # NaN propagates
+    if not (np.isfinite(lowest) and np.isfinite(highest)):
+        bad = ~np.isfinite(diag)
         raise GridValueError(
             f"potential n*F is not finite at tau = {float(tau[1:-1][bad][0])!r} (n = {n:g})")
-    if np.any(pot < -1e-12 * max(1.0, np.max(np.abs(pot)))):
+    if lowest < -1e-12 * max(1.0, -lowest, highest):
         raise GridValueError("information potential must be nonnegative")
     k = KINETIC_COEFFICIENT / dx**2
-    diag = pot + 2.0 * k
+    diag += 2.0 * k
     off = np.full(len(tau) - 3, -k)
     return DiscretizedHamiltonian(grid, diag, off)
 
 
-def _positive_definite_factors(ham: DiscretizedHamiltonian, shift: float):
-    """LDL^T factors of H - shift*I, or None when it is not positive definite.
+def _positive_definite_factors(ham: DiscretizedHamiltonian, shift: float,
+                               d: np.ndarray, e: np.ndarray):
+    """LDL^T factors of H - shift*I, written into the buffers ``d`` and ``e``,
+    or None when it is not positive definite.
 
     A successful factorization proves shift < E_min (Sylvester's law of
-    inertia), which is what certifies every shift of `ground_state`.
+    inertia), which is what certifies every shift of `ground_state`.  ``e``
+    holds at least one entry: the wrapper rejects an empty off-diagonal, so a
+    1 x 1 H keeps a dummy zero.
     """
-    # the wrapper rejects an empty off-diagonal; a 1 x 1 H takes a dummy one
-    off = ham.off_diagonal if ham.off_diagonal.size else np.zeros(1)
-    d, e, info = dpttrf(ham.diagonal - shift, off, overwrite_d=True)
+    np.subtract(ham.diagonal, shift, out=d)
+    e[:ham.off_diagonal.size] = ham.off_diagonal
+    d, e, info = dpttrf(d, e, overwrite_d=True, overwrite_e=True)
     return (d, e) if info == 0 else None
 
 
-def _difference_rayleigh(row_sums: np.ndarray, off: np.ndarray, vec: np.ndarray) -> float:
+def _difference_rayleigh(row_sums: np.ndarray, off: np.ndarray, vec: np.ndarray,
+                         step: np.ndarray | None = None) -> float:
     """v^T H v as sum (d_i + e_{i-1} + e_i) v_i^2 - sum e_i (v_{i+1} - v_i)^2.
 
     ``row_sums`` holds d_i + e_{i-1} + e_i.  The direct sum of d_i v_i^2 and
     2 e_i v_i v_{i+1} cancels the 2k - k - k of the stencil and loses digits
-    of order eps * k; this form adds terms of one sign only.
+    of order eps * k; this form adds terms of one sign only.  ``step``, when
+    given, is a buffer of len(vec) - 1 entries for the differences.
     """
-    step = np.diff(vec)
+    step = np.subtract(vec[1:], vec[:-1], out=step)
     return float(np.einsum("i,i,i->", row_sums, vec, vec)
                  - np.einsum("i,i,i->", off, step, step))
 
 
-def _certified_inverse_iteration(ham: DiscretizedHamiltonian) -> tuple[float, np.ndarray]:
+def _certified_inverse_iteration(
+    ham: DiscretizedHamiltonian,
+    start: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
     """(E_min, unit eigenvector) by inverse iteration with certified shifts.
 
-    It starts at the Gershgorin lower bound.  After each solve it tries the
-    shift rho - max(||H v - rho v||, gap), with rho the Rayleigh quotient and
-    gap = CERTIFIED_GAP_EPS * eps * ||H||_inf, and keeps it only if H minus
-    that shift has an LDL^T factorization.  Once rho stagnates, the
-    factorization at rho - tau, tau = max(||H v - rho v||, gap), certifies
-    E_min in (rho - tau, rho].  A failed factorization,
-    INVERSE_ITERATION_MAXITER iterations without stagnation, a non-finite
-    rho, a failed certificate or a residual above RESIDUAL_RTOL *
-    max(||H||_inf, 1) raises :class:`EigensolverError`.
+    It starts from ``start`` (all ones when None or zero) at the Gershgorin
+    lower bound.  After each solve it tries the shift rho - max(||H v - rho
+    v||, gap), with rho the Rayleigh quotient and gap = CERTIFIED_GAP_EPS *
+    eps * ||H||_inf, and keeps it only if H minus that shift has an LDL^T
+    factorization.  Once rho stagnates, the factorization at rho - tau, tau
+    = max(||H v - rho v||, gap), certifies E_min in (rho - tau, rho].  A
+    failed factorization, INVERSE_ITERATION_MAXITER iterations without
+    stagnation, a non-finite rho, a failed certificate or a residual above
+    RESIDUAL_RTOL * max(||H||_inf, 1) raises :class:`EigensolverError`.
+
+    Every factorization and solve writes into buffers allocated once per
+    call: two (d, e) pairs, the accepted shift's and a trial's, swapped when
+    a trial is accepted, and two iterates solved in place.
     """
-    d, e = ham.diagonal, ham.off_diagonal
+    e = ham.off_diagonal
     lowest, norm = ham.gershgorin()
     gap = CERTIFIED_GAP_EPS * np.finfo(float).eps * norm
     shift = lowest - gap
-    factors = _positive_definite_factors(ham, shift)
+    spare, factors = [(np.empty_like(ham.diagonal), np.zeros(max(e.size, 1)))
+                      for _ in range(2)]
+    factors = _positive_definite_factors(ham, shift, *factors)
     if factors is None:
         raise EigensolverError(
             f"H - sigma I is not positive definite at the Gershgorin bound {shift!r}")
     row_sums = ham.row_sums()
-    vec = np.ones_like(d)
+    step = np.empty(e.size)
+    if start is not None and np.any(start):
+        vec = np.array(start, dtype=float)
+    else:
+        vec = np.ones_like(ham.diagonal)
+    prev = np.empty_like(vec)
     rho_prev = np.inf
     for _ in range(INVERSE_ITERATION_MAXITER):
-        prev = vec
-        vec, _ = dpttrs(*factors, prev)
+        prev, vec = vec, prev
+        vec[:] = prev
+        vec = dpttrs(*factors, vec, overwrite_b=True)[0]
         scale = np.linalg.norm(vec)
         vec /= scale
-        rho = _difference_rayleigh(row_sums, e, vec)
+        rho = _difference_rayleigh(row_sums, e, vec, step)
         if not np.isfinite(rho):
             raise EigensolverError("inverse iteration produced a non-finite Rayleigh quotient")
         if rho_prev - rho <= gap:
@@ -271,16 +293,15 @@ def _certified_inverse_iteration(ham: DiscretizedHamiltonian) -> tuple[float, np
         prev -= (rho - shift) * vec
         resid = float(np.linalg.norm(prev))
         trial = rho - max(resid, gap)
-        candidate = _positive_definite_factors(ham, trial) if trial > shift else None
+        candidate = _positive_definite_factors(ham, trial, *spare) if trial > shift else None
         if candidate is not None:
-            shift, factors = trial, candidate
+            shift, factors, spare = trial, candidate, factors
     else:
         raise EigensolverError(
             f"inverse iteration did not converge in {INVERSE_ITERATION_MAXITER} iterations")
-    del factors, prev, row_sums  # free them before the residual's temporaries
     resid = float(ham.residual_norms(np.array([rho]), vec[:, None])[0])
     tau = max(resid, gap)
-    if _positive_definite_factors(ham, rho - tau) is None:
+    if _positive_definite_factors(ham, rho - tau, *spare) is None:
         raise EigensolverError(
             f"ground energy {rho!r} not certified: H - (E - {tau:.3e}) I "
             f"is not positive definite")
@@ -288,41 +309,87 @@ def _certified_inverse_iteration(ham: DiscretizedHamiltonian) -> tuple[float, np
     return rho, vec
 
 
-def ground_state(ham: DiscretizedHamiltonian) -> tuple[float, Wavefunction]:
+def _resampled(start: Wavefunction, grid: ParameterGrid) -> np.ndarray:
+    """``start`` on the interior nodes of the 1-D ``grid``, zero outside its box.
+
+    When every node of ``grid`` is a node of ``start.grid`` at a fixed stride
+    (the same grid, or a doubled box at a fixed node count, whose nodes are
+    every other old node) this is an exact strided copy; otherwise it
+    interpolates linearly.
+    """
+    old, (lo, _) = start.grid, grid.bounds[0]
+    old_dx = old.spacing[0]
+    stride = grid.spacing[0] / old_dx
+    first = (lo - old.bounds[0][0]) / old_dx + stride  # first interior node, in old nodes
+    s, f = round(stride), round(first)
+    count = grid.shape[0] - 2
+    if s >= 1 and abs(stride - s) <= 1e-9 * s and abs(first - f) <= 1e-9 * max(abs(first), 1.0):
+        out = np.zeros(count)
+        j0 = max(0, -(f // s))  # the first j with f + s j >= 0
+        j1 = min(count, (old.shape[0] - 1 - f) // s + 1)
+        if j1 > j0:
+            out[j0:j1] = start.values[f + s * j0:f + s * (j1 - 1) + 1:s]
+        return out
+    return np.interp(grid.axes[0][1:-1], old.axes[0], start.values, left=0.0, right=0.0)
+
+
+def ground_state(
+    ham: DiscretizedHamiltonian,
+    start: Wavefunction | None = None,
+) -> tuple[float, Wavefunction]:
     """Smallest eigenpair; the eigenvector is quadrature-normalized.
 
     Inverse iteration on the tridiagonal H whose every shift is certified to
     lie below E_min by an LDL^T factorization; the energy comes with the
     certificate E_min in (E - tau, E] (see `_certified_inverse_iteration`).
+    ``start``, a previous state on any 1-D grid, is resampled onto the
+    interior of H's grid (zero outside its box) to start the iteration; a
+    start close to the ground state saves iterations, and any start gives
+    the same certified energy.
     """
-    e_min, vec = _certified_inverse_iteration(ham)
-    full = np.zeros(ham.grid.shape)
-    full[1:-1] = vec
-    if full[np.argmax(np.abs(full))] < 0:
-        full *= -1.0
+    if start is not None and start.grid.dim != 1:
+        raise GridValueError(f"a start state needs a 1-D grid, got {start.grid.dim}-D")
+    e_min, vec = _certified_inverse_iteration(
+        ham, None if start is None else _resampled(start, ham.grid))
     # the ends are zero and ||vec|| = 1, so the trapezoid norm^2 of full is dx
-    return e_min, Wavefunction(ham.grid, full / np.sqrt(ham.grid.spacing[0]))
+    sign = -1.0 if vec[np.argmax(np.abs(vec))] < 0 else 1.0
+    full = np.zeros(ham.grid.shape)
+    np.divide(vec, sign * np.sqrt(ham.grid.spacing[0]), out=full[1:-1])
+    return e_min, Wavefunction(ham.grid, full)
 
 
 def converged_ground_energy(
     problem: SchrodingerProblem,
     n: float,
+    *,
+    chain: list | None = None,
 ) -> tuple[float, tuple[float, float]]:
     """Ground energy with the box doubled until it changes by less than
-    BOX_CONVERGENCE_RTOL."""
+    BOX_CONVERGENCE_RTOL; each box starts from the previous box's state.
+
+    ``chain``, which `rate_fit` passes, is a one-item list that carries a
+    state from call to call: an item other than None starts the first box,
+    and on return the item is the first box's state.
+    """
     lo, hi = problem.domain
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
+    state = chain[0] if chain else None
     e_prev = None
     for _ in range(MAX_BOX_DOUBLINGS):
         dom = (center - half, center + half)
-        e_cur = ground_state(assemble_H(problem, n, domain=dom))[0]
+        e_cur, state = ground_state(assemble_H(problem, n, domain=dom), state)
+        if e_prev is None and chain is not None:
+            chain[0] = state
         if e_prev is not None and abs(e_cur - e_prev) <= BOX_CONVERGENCE_RTOL * abs(e_cur):
             return e_cur, dom
         e_prev = e_cur
         half *= 2.0
     raise EigensolverError(
-        f"ground energy did not converge within {MAX_BOX_DOUBLINGS} box doublings"
+        f"ground energy at n = {n:g} did not converge within {MAX_BOX_DOUBLINGS} box "
+        f"doublings: the last box {dom!r} has dx = {state.grid.spacing[0]:.3e}; at a "
+        f"fixed node count each doubling also doubles dx, so the fix is more nodes "
+        f"(nodes = {problem.nodes})"
     )
 
 
@@ -387,6 +454,15 @@ def _trial_integrals(problem: SchrodingerProblem, widths: np.ndarray):
     return pots, kin
 
 
+def _stretched(psi: Wavefunction, ratio: float) -> Wavefunction:
+    """psi(c + (tau - c) / ratio) / sqrt(ratio), c the center of its box: the
+    same unit-norm profile on a box ``ratio`` times as wide."""
+    ((lo, hi),) = psi.grid.bounds
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * ratio
+    return Wavefunction(ParameterGrid([(center - half, center + half)], psi.grid.shape),
+                        psi.values / np.sqrt(ratio))
+
+
 @dataclass(frozen=True)
 class RateFitResult:
     n_values: np.ndarray
@@ -434,13 +510,15 @@ def rate_fit(
     width_grid = half0 * np.logspace(-5, 0, 161)  # trial widths, five decades below half0
     trial_pots, trial_kin = _trial_integrals(problem, width_grid)
 
-    def solve_one(n: float):
-        e_min, dom = converged_ground_energy(problem, n)
+    rows = []
+    chain = [None]  # each n's first-box state, stretched, starts the next n
+    for n in n_arr:
         trial = n * trial_pots + trial_kin / width_grid**2
         k = int(np.argmin(trial))
-        return e_min, trial[k], width_grid[k]
-
-    rows = [solve_one(n) for n in n_arr]
+        if chain[0] is not None:
+            chain[0] = _stretched(chain[0], width_grid[k] / rows[-1][2])
+        e_min, _ = converged_ground_energy(problem, n, chain=chain)
+        rows.append((e_min, trial[k], width_grid[k]))
 
     energies = np.array([r[0] for r in rows])
     trial_e = np.array([r[1] for r in rows])

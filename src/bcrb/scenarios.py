@@ -283,9 +283,14 @@ def _run_minimax(config, grid_scale, rng) -> ScenarioResult:
     exponent = float(pot.get("exponent", 2.0))
     amplitude = float(pot.get("amplitude", 1.0))
     dom = config["domain"]
+
+    def potential(t):
+        with np.errstate(over="ignore"):  # assemble_H raises on a non-finite n*F
+            return amplitude * np.abs(np.asarray(t, dtype=float)) ** exponent
+
     problem = minimax.SchrodingerProblem(
         (-dom["half_width"], dom["half_width"]),
-        lambda t: amplitude * np.abs(np.asarray(t, dtype=float)) ** exponent,
+        potential,
         alignment=float(config.get("alignment", 1.0)),
         nodes=_scaled_nodes(dom["nodes"], grid_scale),
     )

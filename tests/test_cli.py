@@ -275,6 +275,21 @@ class TestMinimaxScenario:
         assert "potential n*F is not finite" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_box_doubling_failure_names_its_cause(self, tmp_path, capsys):
+        # the shipped config at 201 nodes: dx = 0.005 resolves no n = 1e6 state,
+        # and every doubling of the box makes the grid coarser still
+        with open(os.path.join(SHIPPED_CONFIGS, "minimax_rates_m2.json")) as fh:
+            cfg = json.load(fh)
+        cfg["domain"]["nodes"] = 201
+        out = tmp_path / "o"
+        assert main(["minimax", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "ground energy at n = 1e+06 did not converge within 40 box doublings" in err
+        assert "the last box (-274877906944.0, 274877906944.0) has dx = 2.749e+09" in err
+        assert "each doubling also doubles dx, so the fix is more nodes (nodes = 201)" in err
+        assert not (out / "report.json").exists()
+
 
 class TestQuantumScenario:
     def test_qubit_snr(self, tmp_path):

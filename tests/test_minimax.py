@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
-from bcrb import minimax
+from bcrb import imaging, minimax
 from bcrb.bounds import functionals
 from bcrb.errors import (
     BoundaryConditionError,
@@ -36,6 +37,11 @@ from conftest import (
 def harmonic_problem(nodes=2001, half_width=10.0):
     return SchrodingerProblem((-half_width, half_width), lambda t: np.asarray(t) ** 2,
                               alignment=1.0, nodes=nodes)
+
+
+def hamiltonian_matrix(ham):
+    """The tridiagonal H as a sparse CSR matrix."""
+    return sp.diags([ham.off_diagonal, ham.diagonal, ham.off_diagonal], [-1, 0, 1]).tocsr()
 
 
 def diagonal_hamiltonian(problem, n):
@@ -152,7 +158,7 @@ class TestGroundState:
         ham = assemble_H(harmonic_problem(nodes=1001), 100.0)
         e_min, _ = ground_state(ham)
         rng = np.random.default_rng(5)
-        mat = ham.matrix
+        mat = hamiltonian_matrix(ham)
         for _ in range(50):
             psi = rng.normal(size=mat.shape[0])
             quotient = (psi @ (mat @ psi)) / (psi @ psi)
@@ -161,7 +167,7 @@ class TestGroundState:
     def test_sign_structure_cannot_lower_energy(self):
         ham = assemble_H(harmonic_problem(nodes=1001), 100.0)
         rng = np.random.default_rng(6)
-        mat = ham.matrix
+        mat = hamiltonian_matrix(ham)
         for _ in range(20):
             psi = rng.normal(size=mat.shape[0])
             e_signed = psi @ (mat @ psi)
@@ -393,13 +399,124 @@ class TestRateFit:
         assert rows[0][0] == 1e2
 
 
+def warm_fit_problems():
+    """The quadratic, |tau| and imaging-Gaussian potentials of the rate fits."""
+    psf_potential = imaging._sampled_information(imaging.gaussian_psf(1.0), np.array([1.0, -1.0]),
+                                                 16.0 * 0.25)
+    return {
+        "quadratic": SchrodingerProblem((-0.5, 0.5), lambda t: np.asarray(t) ** 2, nodes=2001),
+        "abs": SchrodingerProblem((-0.5, 0.5), lambda t: np.abs(t), nodes=2001),
+        "imaging_gaussian": SchrodingerProblem((-0.25, 0.25), psf_potential, nodes=1501),
+    }
+
+
+def box_count(problem, n):
+    """How many boxes `converged_ground_energy` solves at n, and its energy."""
+    e_min, (lo, hi) = converged_ground_energy(problem, n)
+    width = problem.domain[1] - problem.domain[0]
+    return round(np.log2((hi - lo) / width)) + 1, e_min
+
+
+def cold_chain(problem, n, boxes):
+    """Ground energy of each of the first ``boxes`` boxes, solved from the default start."""
+    center = 0.5 * (problem.domain[0] + problem.domain[1])
+    half = 0.5 * (problem.domain[1] - problem.domain[0])
+    return [ground_state(assemble_H(problem, n, (center - half * 2**k, center + half * 2**k)))[0]
+            for k in range(boxes)]
+
+
+class TestWarmStart:
+    EPS = np.finfo(float).eps
+    NS = [1e2, 1e3, 1e4, 1e5, 1e6]
+
+    @pytest.mark.parametrize("name", ["quadratic", "abs", "imaging_gaussian"])
+    def test_fit_energies_match_cold_solves(self, name):
+        problem = warm_fit_problems()[name]
+        fit = rate_fit(problem, self.NS)
+        for n, e_fit in zip(self.NS, fit.ground_energies):
+            boxes, e_chained = box_count(problem, n)
+            e_cold = cold_chain(problem, n, boxes)[-1]
+            assert abs(e_fit - e_cold) <= 1e-12 * e_cold, n
+            assert abs(e_chained - e_cold) <= 1e-12 * e_cold, n
+
+    def certified_cold_match(self, ham, start):
+        e, psi = ground_state(ham, start)
+        e_cold = ground_state(ham)[0]
+        norm = ham.gershgorin()[1]
+        assert abs(e - e_cold) <= self.EPS * norm
+        vec = psi.values[1:-1] / np.linalg.norm(psi.values[1:-1])
+        resid = ham.residual_norms(np.array([e]), vec[:, None])[0]
+        tau = max(resid, minimax.CERTIFIED_GAP_EPS * self.EPS * norm)
+        assert scipy.linalg.lapack.dpttrf(ham.diagonal - (e - tau), ham.off_diagonal)[2] == 0
+
+    @pytest.mark.parametrize("n", [1e2, 1e4])
+    def test_spike_at_one_end(self, n):
+        ham = assemble_H(SchrodingerProblem((-0.5, 0.5), lambda t: np.asarray(t) ** 2,
+                                            nodes=2001), n)
+        spike = np.zeros(ham.grid.shape)
+        spike[-2] = 1.0
+        self.certified_cold_match(ham, Wavefunction.normalized(ham.grid, spike))
+
+    @staticmethod
+    def unrelated_state():
+        """A positive bump on a 1,001-node grid that covers part of each panel box."""
+        other = SchrodingerProblem((-0.3, 0.9), lambda t: np.ones_like(t), nodes=1001).grid()
+        tau = other.axes[0]
+        return Wavefunction.normalized(other, np.exp(-((tau - 0.4) / 0.2) ** 2))
+
+    @pytest.mark.parametrize("shape", sorted(set(SOLVER_PANEL) - {"diagonal"}))
+    def test_state_from_unrelated_grid(self, shape):
+        # with a kinetic term H is irreducible, so its ground state is positive
+        # at every node and overlaps any nonnegative start
+        for _, ham in panel_hamiltonians(shape, 2001):
+            self.certified_cold_match(ham, self.unrelated_state())
+
+    def test_start_orthogonal_to_ground_state_is_loud(self):
+        # the diagonal H's ground state sits at tau = -pi/6, where the start is zero
+        ham = panel_hamiltonians("diagonal", 2001)[0][1]
+        with pytest.raises(EigensolverError):
+            ground_state(ham, self.unrelated_state())
+
+    def test_start_outside_the_box_falls_back(self):
+        ham = assemble_H(harmonic_problem(nodes=201), 100.0)
+        far = SchrodingerProblem((50.0, 60.0), lambda t: np.ones_like(t), nodes=101).grid()
+        start = Wavefunction.normalized(far, np.ones(101))
+        assert ground_state(ham, start)[0] == ground_state(ham)[0]
+
+    def test_doubled_box_resamples_every_other_node(self):
+        prob = SchrodingerProblem((-1.0, 1.0), lambda t: np.asarray(t) ** 2, nodes=201)
+        _, psi = ground_state(assemble_H(prob, 100.0))
+        wide = prob.grid((-2.0, 2.0))
+        vec = minimax._resampled(psi, wide)
+        assert np.array_equal(vec[49:150], psi.values[::2])
+        assert not vec[:49].any() and not vec[150:].any()
+
+    def test_warm_fit_factors_less_than_cold_chain(self, monkeypatch):
+        problem = warm_fit_problems()["quadratic"]
+        boxes = [box_count(problem, n)[0] for n in self.NS]
+        exact = scipy.linalg.lapack.dpttrf
+        calls = []
+
+        def counting(d, e, **kwargs):
+            calls.append(None)
+            return exact(d, e, **kwargs)
+
+        monkeypatch.setattr(minimax, "dpttrf", counting)
+        fit = rate_fit(problem, self.NS)
+        warm = len(calls)
+        calls.clear()
+        cold = [cold_chain(problem, n, k)[-1] for n, k in zip(self.NS, boxes)]
+        assert warm < len(calls)
+        np.testing.assert_allclose(fit.ground_energies, cold, rtol=1e-13, atol=0.0)
+
+
 def dense_lambda_scan(problem, n):
     """Reference (eigenvalues, candidate bounds) from dense eigh of A^{-1/2} H A^{-1/2}."""
     grid = problem.grid()
     tau, dx = grid.axes[0], grid.spacing[0]
     a_vals = np.asarray(problem.alignment(tau[1:-1]), dtype=float)
     inv_sqrt = 1.0 / np.sqrt(a_vals)
-    reduced = inv_sqrt[:, None] * assemble_H(problem, n).matrix.toarray() * inv_sqrt[None, :]
+    reduced = inv_sqrt[:, None] * hamiltonian_matrix(assemble_H(problem, n)).toarray() * inv_sqrt[None, :]
     lam, phi = scipy.linalg.eigh((reduced + reduced.T) / 2.0)
     psi = inv_sqrt[:, None] * phi
     psi = psi / np.sqrt(dx * np.sum(psi**2, axis=0))
