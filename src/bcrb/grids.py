@@ -94,9 +94,10 @@ class ParameterGrid:
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:
-        return tuple(
-            _readonly(np.linspace(lo, hi, n)) for (lo, hi), n in zip(self.bounds, self.shape)
-        )
+        axes = tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(self.bounds, self.shape))
+        for ax in axes:
+            ax.setflags(write=False)
+        return axes
 
     @cached_property
     def coordinates(self) -> np.ndarray:
@@ -119,11 +120,12 @@ class ParameterGrid:
     @cached_property
     def trapezoid_weights(self) -> np.ndarray:
         """Tensor-product trapezoidal quadrature weights, shape ``shape``."""
-        w = np.ones(self.shape)
+        w = None
         for ax, (n, dx) in enumerate(zip(self.shape, self.spacing)):
             shape = [1] * self.dim
             shape[ax] = n
-            w = w * trapezoid_weights_1d(n, dx).reshape(shape)
+            part = trapezoid_weights_1d(n, dx).reshape(shape)
+            w = part if w is None else w * part
         w.setflags(write=False)
         return w
 

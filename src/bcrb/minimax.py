@@ -153,7 +153,7 @@ class DiscretizedHamiltonian:
         coupled = off[:, None] * vecs[1:]
         resid[:-1] += coupled
         resid[1:] += np.multiply(off[:, None], vecs[:-1], out=coupled)
-        return np.linalg.norm(resid, axis=0)
+        return np.sqrt(np.einsum("ij,ij->j", resid, resid))
 
     def eigh(self, select: str, select_range: tuple) -> tuple[np.ndarray, np.ndarray]:
         """The eigenpairs in a window, from the tridiagonal eigensolver, failing loudly.

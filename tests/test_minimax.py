@@ -440,10 +440,12 @@ class TestWarmStart:
             assert abs(e_chained - e_cold) <= 1e-12 * e_cold, n
 
     def certified_cold_match(self, ham, start):
+        # the stored H defines E_min to about eps ||H||_inf, and warm and cold
+        # solves may land on either side of it: each is held to the bisection
+        # reference as TestCertifiedGroundState holds the cold solve
         e, psi = ground_state(ham, start)
-        e_cold = ground_state(ham)[0]
         norm = ham.gershgorin()[1]
-        assert abs(e - e_cold) <= self.EPS * norm
+        assert abs(e - reference_ground_state(ham)[0]) <= self.EPS * norm
         vec = psi.values[1:-1] / np.linalg.norm(psi.values[1:-1])
         resid = ham.residual_norms(np.array([e]), vec[:, None])[0]
         tau = max(resid, minimax.CERTIFIED_GAP_EPS * self.EPS * norm)
@@ -516,7 +518,8 @@ def dense_lambda_scan(problem, n):
     tau, dx = grid.axes[0], grid.spacing[0]
     a_vals = np.asarray(problem.alignment(tau[1:-1]), dtype=float)
     inv_sqrt = 1.0 / np.sqrt(a_vals)
-    reduced = inv_sqrt[:, None] * hamiltonian_matrix(assemble_H(problem, n)).toarray() * inv_sqrt[None, :]
+    dense = hamiltonian_matrix(assemble_H(problem, n)).toarray()
+    reduced = inv_sqrt[:, None] * dense * inv_sqrt[None, :]
     lam, phi = scipy.linalg.eigh((reduced + reduced.T) / 2.0)
     psi = inv_sqrt[:, None] * phi
     psi = psi / np.sqrt(dx * np.sum(psi**2, axis=0))
