@@ -244,11 +244,11 @@ def _certified_inverse_iteration(
 ) -> tuple[float, np.ndarray]:
     """(E_min, unit eigenvector) by inverse iteration with certified shifts.
 
-    It starts from ``start`` (all ones when None or zero) at the Gershgorin
-    lower bound.  After each solve it tries the shift rho - max(||H v - rho
-    v||, gap), with rho the Rayleigh quotient and gap = CERTIFIED_GAP_EPS *
-    eps * ||H||_inf, and keeps it only if H minus that shift has an LDL^T
-    factorization.  Once rho stagnates, the factorization at rho - tau, tau
+    It starts from ``start``, which it overwrites (all ones when None or
+    zero), at the Gershgorin lower bound.  After each solve it tries the
+    shift rho - max(||H v - rho v||, gap), with rho the Rayleigh quotient and
+    gap = CERTIFIED_GAP_EPS * eps * ||H||_inf, and keeps it only if H minus
+    that shift has an LDL^T factorization.  Once rho stagnates, the factorization at rho - tau, tau
     = max(||H v - rho v||, gap), certifies E_min in (rho - tau, rho].  A
     failed factorization, INVERSE_ITERATION_MAXITER iterations without
     stagnation, a non-finite rho, a failed certificate or a residual above
@@ -271,7 +271,7 @@ def _certified_inverse_iteration(
     row_sums = ham.row_sums()
     step = np.empty(e.size)
     if start is not None and np.any(start):
-        vec = np.array(start, dtype=float)
+        vec = start
     else:
         vec = np.ones_like(ham.diagonal)
     prev = np.empty_like(vec)
@@ -289,9 +289,8 @@ def _certified_inverse_iteration(
             break
         rho_prev = rho
         # (H - shift) vec = prev / scale gives the residual without a product by H
-        prev /= scale
-        prev -= (rho - shift) * vec
-        resid = float(np.linalg.norm(prev))
+        prev -= ((rho - shift) * scale) * vec
+        resid = float(np.linalg.norm(prev)) / scale
         trial = rho - max(resid, gap)
         candidate = _positive_definite_factors(ham, trial, *spare) if trial > shift else None
         if candidate is not None:
