@@ -23,6 +23,7 @@ from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf
 
 from .errors import GridValueError, ProjectionError
 from .geometry import StatisticalModel
@@ -35,7 +36,7 @@ from .grids import (
     trapezoid_weights_1d,
 )
 from .minimax import RateFitResult, SchrodingerProblem, rate_fit
-from .quantum import DensityFamily, _quantum_and_classical, helstrom_matrix
+from .quantum import _helstrom_stack, _quantum_and_classical
 
 INTENSITY_NORMALIZATION_ATOL = 1e-8
 COVERAGE_ATOL = 1e-6
@@ -232,16 +233,22 @@ def _mixture_scores(psf: PointSpreadFunction, thetas: np.ndarray,
     return (amp**2).mean(axis=-2), -2.0 * amp * damp / thetas.shape[-1]
 
 
-def _submodel(direction, taus, origin) -> tuple[np.ndarray, np.ndarray]:
-    """v and the rows theta(tau) = origin + v tau (origin 0 by default),
-    each input checked finite by name."""
+def _submodel(direction, taus, origin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """v, the separations tau (0-D or 1-D) and the rows theta(tau) = origin +
+    v tau (origin 0 by default), each input checked by name."""
     direction = np.asarray(direction, dtype=float).reshape(-1)
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim > 1:
+        raise GridValueError(f"tau must be a scalar or a 1-d array, got shape {taus.shape}")
+    taus = np.atleast_1d(taus)
     origin = np.zeros(len(direction)) if origin is None else np.asarray(origin, dtype=float)
+    if origin.shape != direction.shape:
+        raise GridValueError(f"origin has shape {origin.shape}, but direction has "
+                             f"{len(direction)} entries")
     for name, value in (("direction", direction), ("tau", taus), ("origin", origin)):
         if not np.all(np.isfinite(value)):
             raise GridValueError(f"{name} must be finite, got {value[~np.isfinite(value)][0]}")
-    return direction, origin[None, :] + taus[:, None] * direction[None, :]
+    return direction, taus, origin[None, :] + taus[:, None] * direction[None, :]
 
 
 def _information_gram(psf: PointSpreadFunction, thetas: np.ndarray,
@@ -306,7 +313,7 @@ def information_along(
     beyond the largest |theta| of the call; the quadrature is batched as in
     `_information_gram`.
     """
-    direction, thetas = _submodel(direction, taus, origin)
+    direction, _, thetas = _submodel(direction, taus, origin)
     reach = np.abs(thetas).max() if len(thetas) else 0.0
     half = reach + DEFAULT_SPAN_SIGMAS * psf.width
     x = np.linspace(-half, half, DEFAULT_GRID_NODES)
@@ -417,6 +424,66 @@ class HelstromReport:
         return [float(v) for v in np.sort(self.eigenvalues)[::-1]]
 
 
+def _span_coefficients(psf: PointSpreadFunction, positions: np.ndarray, buf: np.ndarray,
+                       at: str | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+    """Coefficients of the displaced states and their derivatives in an
+    orthonormal basis of their span, for sources at ``positions``.
+
+    The rows of ``buf`` (at least 2p by HELSTROM_GRID_NODES) receive the
+    weighted columns sqrt(w) psi_a and -sqrt(w) d psi_a, which are
+    unit-scaled in place; R comes from LAPACK ``dgeqrf`` on the rows'
+    transpose, which overwrites them.  Returns the coefficients of the
+    states and of their derivatives, each (p, dim), and the projection
+    deficit; ``at`` names the point in errors.
+    """
+    p = len(positions)
+    x = _measurement_grid(psf, positions, HELSTROM_SPAN_SIGMAS, HELSTROM_GRID_NODES)
+    root_w = np.sqrt(trapezoid_weights_1d(len(x), x[1] - x[0]))
+    rows = buf[:2 * p]
+    for a, t in enumerate(positions):
+        amp, damp = psf.pair_at(x - t)
+        np.multiply(amp, root_w, out=rows[a])
+        np.multiply(damp, root_w, out=rows[p + a])
+    rows[p:] *= -1.0
+    squares = np.array([np.square(row).sum() for row in rows])
+    norms = np.sqrt(squares)
+    where = "" if at is None else f" at {at}"
+    if np.any(norms == 0):
+        raise ProjectionError(f"a basis vector vanished on the image grid{where}")
+    # rows / norms = (Q R)^T = ((Q U) S V^T)^T: the columns' coefficients in
+    # the orthonormal basis Q U are S V^T
+    rows /= norms[:, None]
+    packed = dgeqrf(rows.T, overwrite_a=True)[0]
+    _, svals, vt = np.linalg.svd(np.triu(packed[:2 * p]))
+    keep = svals > 1e-10 * svals[0]
+    unit = svals[keep, None] * vt[keep]
+
+    # norm deficit: each displaced state must carry its continuum norm on the
+    # grid, else the window or resolution cannot represent it
+    deficit = max(float(np.max(np.abs(squares[:p] - 1.0))),
+                  float(np.max(1.0 - np.sum(unit**2, axis=0))))
+    if not deficit <= PROJECTION_DEFICIT_TOL:
+        raise ProjectionError(
+            f"projection deficit {deficit:.3e} exceeds {PROJECTION_DEFICIT_TOL:.0e}{where}; "
+            "widen the image window or refine it"
+        )
+    # a translation family keeps each state's norm, so dividing a state and
+    # its derivative by the state's grid norm is exact and gives tr rho = 1
+    # however coarsely the PSF is sampled
+    return unit[:, :p].T, (unit[:, p:] * (norms[p:] / norms[:p])).T, deficit
+
+
+def _projected_helstrom(cs: np.ndarray, dcs: np.ndarray, at=None) -> np.ndarray:
+    """K of the mixtures rho = sum_a |c_a><c_a| / p for stacked coefficients
+    ``cs`` and their derivatives ``dcs``, each (m, p, dim)."""
+    p = cs.shape[1]
+    outer = cs[:, :, :, None] * cs[:, :, None, :]
+    rho = (outer.sum(axis=1) / p).astype(complex)
+    drho = ((dcs[:, :, :, None] * cs[:, :, None, :] + cs[:, :, :, None] * dcs[:, :, None, :])
+            / p).astype(complex)
+    return _helstrom_stack(rho, drho, at)[0]
+
+
 def imaging_helstrom(
     psf: PointSpreadFunction,
     config: SourceConfiguration,
@@ -430,58 +497,15 @@ def imaging_helstrom(
     factorization of the small triangular factor, dropping directions below
     1e-10 of the largest singular value; the projection deficit of every
     physical vector is checked against 1e-6.  The image grid reaches
-    HELSTROM_SPAN_SIGMAS widths beyond the extreme sources.
+    HELSTROM_SPAN_SIGMAS widths beyond the extreme sources.  `helstrom_along`
+    runs the same code on a stack of points.
     """
-    pos = config.positions
-    x = _measurement_grid(psf, pos, HELSTROM_SPAN_SIGMAS, HELSTROM_GRID_NODES)
-    w = trapezoid_weights_1d(len(x), x[1] - x[0])
-
-    # one source at a time, so every temporary stays one grid long
-    states, dstates = [], []
-    for t in pos:
-        amp, damp = psf.pair_at(x - t)
-        states.append(amp)
-        dstates.append(-damp)
-
-    # norm deficit: each displaced state must carry its continuum norm on the
-    # grid, else the window or resolution cannot represent it
-    deficit = 0.0
-    for s in states:
-        deficit = max(deficit, abs(float(np.sum(w * s**2)) - 1.0))
-
-    raw = np.array(states + dstates).T
-    raw *= np.sqrt(w)[:, None]
-    norms = np.linalg.norm(raw, axis=0)
-    if np.any(norms == 0):
-        raise ProjectionError("a basis vector vanished on the image grid")
-    # raw / norms = Q R = (Q U) S V^T: the columns' coefficients in the
-    # orthonormal basis Q U are S V^T
-    raw /= norms
-    _, svals, vt = np.linalg.svd(np.linalg.qr(raw, mode="r"))
-    keep = svals > 1e-10 * svals[0]
-    unit = svals[keep, None] * vt[keep]
-
-    deficit = max(deficit, float(np.max(1.0 - np.sum(unit**2, axis=0))))
-    if deficit > PROJECTION_DEFICIT_TOL:
-        raise ProjectionError(
-            f"projection deficit {deficit:.3e} exceeds {PROJECTION_DEFICIT_TOL:.0e}; "
-            "widen the image window or refine it"
-        )
-
-    # a translation family keeps each state's norm, so dividing a state and
-    # its derivative by the state's grid norm is exact and gives tr rho = 1
-    # however coarsely the PSF is sampled
-    cs = unit[:, :config.p].T
-    dcs = (unit[:, config.p:] * (norms[config.p:] / norms[:config.p])).T
-    dim = unit.shape[0]
-    rho = (sum(np.outer(c, c) for c in cs) / config.p).astype(complex)
-    drho = np.array([(np.outer(dc, c) + np.outer(c, dc)) / config.p
-                     for c, dc in zip(cs, dcs)], dtype=complex)
-    family = DensityFamily(dim, config.p, lambda _t: rho, lambda _t: drho)
-    k_matrix = helstrom_matrix(family, np.zeros(config.p))
+    buf = np.empty((2 * config.p, HELSTROM_GRID_NODES))
+    cs, dcs, deficit = _span_coefficients(psf, config.positions, buf)
+    k_matrix = _projected_helstrom(cs[None], dcs[None])[0]
     eigs = np.linalg.eigvalsh(k_matrix)
     rank = int(np.sum(eigs > RANK_RTOL * max(eigs.max(), 1e-300)))
-    return HelstromReport(k_matrix, eigs, rank, deficit, dim)
+    return HelstromReport(k_matrix, eigs, rank, deficit, cs.shape[1])
 
 
 def helstrom_along(
@@ -490,12 +514,25 @@ def helstrom_along(
     taus: np.ndarray,
     origin: np.ndarray | None = None,
 ) -> np.ndarray:
-    """v K(theta(tau)) v along a submodel, via the projected family."""
-    direction, thetas = _submodel(direction, taus, origin)
+    """v K(theta(tau)) v along a submodel, via the projected family.
+
+    Each point is projected as in `imaging_helstrom`, into one image buffer
+    allocated per call; the Helstrom algebra then runs once per span
+    dimension on the stacked points (all of them share one, except where
+    sources coincide).  Errors name the failing point's tau.
+    """
+    direction, taus, thetas = _submodel(direction, taus, origin)
+    buf = np.empty((2 * len(direction), HELSTROM_GRID_NODES))
+    at = [f"tau = {float(t)!r}" for t in taus]
+    spans = [_span_coefficients(psf, theta, buf, at[i]) for i, theta in enumerate(thetas)]
+    dims = np.array([cs.shape[1] for cs, _, _ in spans], dtype=int)
     out = np.empty(len(thetas))
-    for i, theta in enumerate(thetas):
-        report = imaging_helstrom(psf, SourceConfiguration(theta))
-        out[i] = float(direction @ report.helstrom @ direction)
+    for dim in np.unique(dims):
+        group = np.flatnonzero(dims == dim)
+        k = _projected_helstrom(np.array([spans[i][0] for i in group]),
+                                np.array([spans[i][1] for i in group]),
+                                [at[i] for i in group])
+        out[group] = k @ direction @ direction
     return out
 
 

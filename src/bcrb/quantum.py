@@ -49,23 +49,20 @@ class DensityFamily:
     fd_step: float = DEFAULT_FD_STEP
 
     def rho(self, theta) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        mat = np.asarray(self.rho_fn(theta), dtype=complex)
+        return _checked_states(self._matrix(theta)[None])[0][0]
+
+    def drho(self, theta) -> np.ndarray:
+        return _finite_derivatives(self._derivatives(theta)[None])[0]
+
+    def _matrix(self, theta) -> np.ndarray:
+        mat = np.asarray(self.rho_fn(np.atleast_1d(np.asarray(theta, dtype=float))),
+                         dtype=complex)
         if mat.shape != (self.dim, self.dim):
             raise GridValueError(f"density matrix has shape {mat.shape}, expected "
                                  f"({self.dim}, {self.dim})")
-        if not np.all(np.isfinite(mat)):
-            raise GridValueError("density matrix has non-finite entries")
-        if abs(np.trace(mat).real - 1.0) > TRACE_ATOL or abs(np.trace(mat).imag) > TRACE_ATOL:
-            raise GridValueError(f"density matrix trace {np.trace(mat)} != 1")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL * max(1.0, np.abs(mat).max()):
-            raise GridValueError("density matrix is not Hermitian")
-        ev = np.linalg.eigvalsh(mat)
-        if ev[0] < EIGENVALUE_FLOOR * max(1.0, ev[-1]):
-            raise GridValueError(f"density matrix has negative eigenvalue {ev[0]:.3e}")
-        return (mat + mat.conj().T) / 2.0
+        return mat
 
-    def drho(self, theta) -> np.ndarray:
+    def _derivatives(self, theta) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.drho_fn is not None:
             out = np.asarray(self.drho_fn(theta), dtype=complex)
@@ -74,19 +71,96 @@ class DensityFamily:
                     f"derivative stack has shape {out.shape}, expected "
                     f"({self.num_parameters}, {self.dim}, {self.dim})"
                 )
-        else:
-            out = np.empty((self.num_parameters, self.dim, self.dim), dtype=complex)
-            for a in range(self.num_parameters):
-                step = self.fd_step * max(1.0, abs(theta[a]))
-                hi = theta.copy()
-                lo = theta.copy()
-                hi[a] += step
-                lo[a] -= step
-                out[a] = (np.asarray(self.rho_fn(hi), dtype=complex)
-                          - np.asarray(self.rho_fn(lo), dtype=complex)) / (2 * step)
-        if not np.all(np.isfinite(out)):
-            raise GridValueError("density-matrix derivatives have non-finite entries")
+            return out
+        out = np.empty((self.num_parameters, self.dim, self.dim), dtype=complex)
+        for a in range(self.num_parameters):
+            step = self.fd_step * max(1.0, abs(theta[a]))
+            hi = theta.copy()
+            lo = theta.copy()
+            hi[a] += step
+            lo[a] -= step
+            out[a] = (np.asarray(self.rho_fn(hi), dtype=complex)
+                      - np.asarray(self.rho_fn(lo), dtype=complex)) / (2 * step)
         return out
+
+
+def _check(bad: np.ndarray, message: Callable, at) -> None:
+    """Raise GridValueError for the first True entry of ``bad`` (shape (m,) or
+    (m, p)); ``message`` gets its index, and ``at[i]``, when given, names the
+    stack entry."""
+    if np.any(bad):
+        index = tuple(int(k) for k in np.argwhere(bad)[0])
+        where = "" if at is None else f" at {at[index[0]]}"
+        raise GridValueError(message(*index) + where)
+
+
+def _checked_states(rho: np.ndarray, at=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stack of density matrices, shape (m, d, d), checked finite, of unit
+    trace, Hermitian and above the eigenvalue floor, made exactly Hermitian;
+    returned with its eigenvalues (m, d) and eigenvectors (m, d, d)."""
+    _check(~np.isfinite(rho).all(axis=(-2, -1)),
+           lambda i: "density matrix has non-finite entries", at)
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    _check((np.abs(trace.real - 1.0) > TRACE_ATOL) | (np.abs(trace.imag) > TRACE_ATOL),
+           lambda i: f"density matrix trace {trace[i]} != 1", at)
+    adjoint = rho.conj().swapaxes(-2, -1)
+    _check(np.abs(rho - adjoint).max(axis=(-2, -1))
+           > HERMITIAN_ATOL * np.maximum(1.0, np.abs(rho).max(axis=(-2, -1))),
+           lambda i: "density matrix is not Hermitian", at)
+    rho = (rho + adjoint) / 2.0
+    pvals, basis = np.linalg.eigh(rho)
+    _check(pvals[:, 0] < EIGENVALUE_FLOOR * np.maximum(1.0, pvals[:, -1]),
+           lambda i: f"density matrix has negative eigenvalue {pvals[i, 0]:.3e}", at)
+    return rho, pvals, basis
+
+
+def _finite_derivatives(drho: np.ndarray, at=None) -> np.ndarray:
+    _check(~np.isfinite(drho).all(axis=(-3, -2, -1)),
+           lambda i: "density-matrix derivatives have non-finite entries", at)
+    return drho
+
+
+def _helstrom_stack(rho: np.ndarray, drho: np.ndarray,
+                    at=None) -> tuple[np.ndarray, np.ndarray]:
+    """Helstrom information and score operators of m states at once.
+
+    ``rho`` has shape (m, d, d) and ``drho`` (m, p, d, d).  Every check of a
+    single state runs on each of the m, and a failure names the first
+    failing one by ``at[i]`` when given.  Each score is solved in the
+    eigenbasis of rho as in `sld_scores`, and K_ab = Re tr[rho (S_a S_b +
+    S_b S_a)] / 2 is exactly symmetric.  Returns K, shape (m, p, p), and the
+    scores, shape (m, p, d, d).
+    """
+    rho, pvals, basis = _checked_states(rho, at)
+    _finite_derivatives(drho, at)
+    cutoff = SLD_SUPPORT_CUTOFF * np.trace(rho, axis1=-2, axis2=-1).real
+    psum = (pvals[:, :, None] + pvals[:, None, :])[:, None]
+    reachable = psum > cutoff[:, None, None, None]
+    left, right = basis.conj().swapaxes(-2, -1)[:, None], basis[:, None]
+
+    d_in_basis = left @ drho @ right
+    magnitude = np.abs(d_in_basis)
+    unreachable = np.where(reachable, 0.0, magnitude).max(axis=(-2, -1))
+    _check(unreachable > 1e-8 * np.maximum(magnitude.max(axis=(-2, -1)), 1.0),
+           lambda i, a: f"derivative along axis {a} has weight {unreachable[i, a]:.3e} "
+           "outside the reachable subspace; family is not differentiable in trace "
+           "norm at this point", at)
+    s_in_basis = np.divide(2.0 * d_in_basis, psum, out=np.zeros_like(d_in_basis),
+                           where=reachable)
+    scores = right @ s_in_basis @ left
+    scores = (scores + scores.conj().swapaxes(-2, -1)) / 2.0
+
+    resid = rho[:, None] @ scores + scores @ rho[:, None] - 2.0 * drho
+    resid_in_basis = np.where(reachable, left @ resid @ right, 0.0)
+    resid_norm = np.linalg.norm(resid_in_basis, axis=(-2, -1)) / 2.0
+    _check(resid_norm > SLD_RESIDUAL_RTOL * np.maximum(1.0, np.linalg.norm(drho, axis=(-2, -1))),
+           lambda i, a: f"score-equation residual {resid_norm[i, a]:.3e} on the support "
+           "subspace", at)
+
+    jordan = (scores[:, :, None] @ scores[:, None, :]
+              + scores[:, None, :] @ scores[:, :, None]) / 2.0
+    k = np.trace(rho[:, None, None] @ jordan, axis1=-2, axis2=-1).real
+    return k, scores
 
 
 def sld_scores(family: DensityFamily, theta) -> list[np.ndarray]:
@@ -97,55 +171,14 @@ def sld_scores(family: DensityFamily, theta) -> list[np.ndarray]:
     derivative has weight on such a pair the family is not differentiable in
     trace norm there and the solve fails.
     """
-    return _scores_at(family, theta, family.rho(theta))
-
-
-def _scores_at(family: DensityFamily, theta, rho: np.ndarray) -> list[np.ndarray]:
-    """`sld_scores` with rho = family.rho(theta) already checked and built."""
-    drho = family.drho(theta)
-    pvals, basis = np.linalg.eigh(rho)
-    cutoff = SLD_SUPPORT_CUTOFF * float(np.trace(rho).real)
-    psum = pvals[:, None] + pvals[None, :]
-    reachable = psum > cutoff
-
-    scores = []
-    for a in range(family.num_parameters):
-        d_in_basis = basis.conj().T @ drho[a] @ basis
-        unreachable_weight = np.abs(d_in_basis[~reachable])
-        scale = max(np.abs(d_in_basis).max(), 1.0)
-        if unreachable_weight.size and unreachable_weight.max() > 1e-8 * scale:
-            raise GridValueError(
-                f"derivative along axis {a} has weight "
-                f"{unreachable_weight.max():.3e} outside the reachable subspace; "
-                "family is not differentiable in trace norm at this point"
-            )
-        s_in_basis = np.zeros_like(d_in_basis)
-        s_in_basis[reachable] = 2.0 * d_in_basis[reachable] / psum[reachable]
-        score = basis @ s_in_basis @ basis.conj().T
-        score = (score + score.conj().T) / 2.0
-
-        resid = rho @ score + score @ rho - 2.0 * drho[a]
-        resid_in_basis = basis.conj().T @ resid @ basis
-        resid_norm = np.linalg.norm(resid_in_basis[reachable]) / 2.0
-        if resid_norm > SLD_RESIDUAL_RTOL * max(1.0, np.linalg.norm(drho[a])):
-            raise GridValueError(
-                f"score-equation residual {resid_norm:.3e} on the support subspace"
-            )
-        scores.append(score)
-    return scores
+    return list(_helstrom_stack(family._matrix(theta)[None],
+                                family._derivatives(theta)[None])[1][0])
 
 
 def helstrom_matrix(family: DensityFamily, theta) -> np.ndarray:
     """K_ab = Re tr[rho (S_a S_b + S_b S_a)] / 2, symmetric PSD."""
-    rho = family.rho(theta)
-    scores = _scores_at(family, theta, rho)
-    p = family.num_parameters
-    out = np.empty((p, p))
-    for a in range(p):
-        for b in range(a, p):
-            jordan = (scores[a] @ scores[b] + scores[b] @ scores[a]) / 2.0
-            out[a, b] = out[b, a] = float(np.trace(rho @ jordan).real)
-    return out
+    return _helstrom_stack(family._matrix(theta)[None],
+                           family._derivatives(theta)[None])[0][0]
 
 
 def qmax(
@@ -249,10 +282,3 @@ def diagonal_qubit_family() -> DensityFamily:
 
     return DensityFamily(2, 1, rho_fn, drho_fn)
 
-
-def constant_family(matrix: np.ndarray) -> DensityFamily:
-    """theta-independent one-parameter family: all scores vanish."""
-    matrix = np.asarray(matrix, dtype=complex)
-    dim = matrix.shape[0]
-    zeros = np.zeros((1, dim, dim), dtype=complex)
-    return DensityFamily(dim, 1, lambda _t: matrix, lambda _t: zeros)

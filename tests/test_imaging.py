@@ -9,7 +9,7 @@ from scipy.interpolate import CubicSpline
 
 from bcrb import imaging
 from bcrb.errors import GridValueError, ProjectionError
-from bcrb.grids import trapezoid_weights_1d
+from bcrb.grids import ParameterGrid, trapezoid_weights_1d
 from bcrb.imaging import (
     PSF_CATALOG,
     ExponentFit,
@@ -432,6 +432,79 @@ class TestSeparationHelstromConstant:
     def test_non_finite_inputs_named(self, gpsf, name, direction, taus, origin):
         with pytest.raises(GridValueError, match=f"{name} must be finite"):
             helstrom_along(gpsf, direction, taus, origin)
+
+    @pytest.mark.parametrize("along", [helstrom_along, information_along])
+    @pytest.mark.parametrize("name, taus, origin", [
+        ("tau", [[0.3, 0.4]], None),
+        ("tau", np.zeros((2, 2, 1)), None),
+        ("origin", [0.3], [0.0, 0.0, 0.0]),
+        ("origin", [0.3], [0.0]),
+    ])
+    def test_malformed_submodel_named(self, gpsf, along, name, taus, origin):
+        with pytest.raises(GridValueError, match=f"^{name} "):
+            along(gpsf, [-0.5, 0.5], taus, origin)
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    def test_constant_over_the_quantum_vs_classical_window(self, sigma):
+        # the 257 separations quantum_vs_classical solves on, for the pair
+        # (-sigma/4, sigma/4)
+        taus = ParameterGrid([(0.35 * sigma, 0.65 * sigma)], [257]).axes[0]
+        k = helstrom_along(gaussian_psf(sigma), [-0.5, 0.5], taus, [0.1, 0.1])
+        assert np.max(np.abs(k * 4.0 * sigma**2 - 1.0)) <= 1e-13
+
+    def test_coincident_and_separated_points_match_single_reports(self, gpsf, monkeypatch):
+        stacks = []
+
+        def counting_stack(rho, drho, at=None):
+            stacks.append(len(rho))
+            return helstrom_stack(rho, drho, at)
+
+        helstrom_stack = imaging._helstrom_stack
+        monkeypatch.setattr(imaging, "_helstrom_stack", counting_stack)
+        d, origin = np.array([-0.5, 0.5]), np.array([0.2, 0.2])
+        taus = np.array([0.0, 0.3, 0.0, 0.8, 1.5])
+        k = helstrom_along(gpsf, d, taus, origin)
+        # one stacked solve per span dimension: 2 at the coincident points, 4 elsewhere
+        assert sorted(stacks) == [2, 3]
+        stacks.clear()
+        reports = [imaging_helstrom(gpsf, SourceConfiguration(origin + t * d)) for t in taus]
+        assert [r.span_dimension for r in reports] == [2, 4, 2, 4, 4]
+        assert np.array_equal(k, [d @ r.helstrom @ d for r in reports])
+        assert np.array_equal(k[taus == 0.0], [0.0, 0.0])
+        assert stacks == [1] * len(taus)
+
+    def test_one_stacked_solve_for_a_window(self, gpsf, monkeypatch):
+        calls = []
+
+        def counting_stack(rho, drho, at=None):
+            calls.append(len(rho))
+            return helstrom_stack(rho, drho, at)
+
+        helstrom_stack = imaging._helstrom_stack
+        monkeypatch.setattr(imaging, "_helstrom_stack", counting_stack)
+        helstrom_along(gpsf, [-0.5, 0.5], np.linspace(0.35, 0.65, 257))
+        assert calls == [257]
+
+    def test_empty_taus(self, gpsf):
+        out = helstrom_along(gpsf, [-0.5, 0.5], [])
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("factor, stem", [(0.0, "vanished"), (1.01, "deficit")])
+    def test_failing_point_named_by_tau(self, gpsf, factor, stem):
+        # the amplitude is off at the point tau = 0.3 only, where the
+        # displaced arguments are centred on -0.15 and +0.15
+        def pair(pts):
+            amp, damp = gpsf.pair_fn(pts)
+            if abs(abs(np.mean(pts)) - 0.15) < 1e-9:
+                return factor * amp, factor * damp
+            return amp, damp
+
+        psf = PointSpreadFunction(gpsf.x, gpsf.amplitude, gpsf.width, pair)
+        taus = [0.2, 0.25, 0.3, 0.35]
+        with pytest.raises(ProjectionError, match=stem) as exc:
+            helstrom_along(psf, [-0.5, 0.5], taus)
+        assert "at tau = 0.3" in str(exc.value)
+        assert np.all(helstrom_along(psf, [-0.5, 0.5], [0.2, 0.25, 0.35]) > 0.0)
 
 
 def separate_formulas(name, sigma):

@@ -6,7 +6,7 @@ from bcrb.geometry import StatisticalModel
 from bcrb.optimal import bmax
 from bcrb.quantum import (
     DensityFamily,
-    constant_family,
+    _helstrom_stack,
     diagonal_qubit_family,
     gaussian_shift_bounds,
     helstrom_matrix,
@@ -21,6 +21,14 @@ from conftest import (
     gaussian_prior_fn,
     line_grid,
 )
+
+
+def constant_family(matrix):
+    """theta-independent one-parameter family: all scores vanish."""
+    matrix = np.asarray(matrix, dtype=complex)
+    dim = matrix.shape[0]
+    zeros = np.zeros((1, dim, dim), dtype=complex)
+    return DensityFamily(dim, 1, lambda _t: matrix, lambda _t: zeros)
 
 
 def pure_state_family(sigma=1.0, dim=12):
@@ -169,6 +177,60 @@ class TestHelstromMatrix:
         assert len(calls) == 1
         sld_scores(fam, [0.6])
         assert len(calls) == 2
+
+
+def _broken_entry(kind):
+    """(rho, drho) of a qubit with the fault ``kind``, for one stack entry."""
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    drho = np.array([np.diag([0.5, -0.5])], dtype=complex)
+    if kind == "non-finite":
+        rho[0, 1] = np.nan
+    elif kind == "trace":
+        rho = 1.5 * rho
+    elif kind == "Hermitian":
+        rho[0, 1] = 0.1
+    elif kind == "negative":
+        rho = np.diag([1.5, -0.5]).astype(complex)
+    elif kind == "derivatives":
+        drho[0, 1, 1] = np.inf
+    elif kind == "reachable":
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        drho = np.array([[[0.0, 0.0], [0.0, 1.0]]], dtype=complex)
+    elif kind == "residual":
+        # a derivative that is not Hermitian has no Hermitian score
+        drho = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
+    return rho, drho
+
+
+class TestHelstromStack:
+    def test_stack_matches_single_points(self):
+        fam = diagonal_qubit_family()
+        thetas = [0.0, 0.35, -0.6]
+        k, scores = _helstrom_stack(np.array([fam.rho([t]) for t in thetas]),
+                                    np.array([fam.drho([t]) for t in thetas]))
+        for t, k_t, s_t in zip(thetas, k, scores):
+            assert np.array_equal(k_t, helstrom_matrix(fam, [t]))
+            assert np.array_equal(s_t[0], sld_scores(fam, [t])[0])
+
+    @pytest.mark.parametrize("kind, stem", [
+        ("non-finite", "density matrix has non-finite entries"),
+        ("trace", "density matrix trace"),
+        ("Hermitian", "density matrix is not Hermitian"),
+        ("negative", "density matrix has negative eigenvalue"),
+        ("derivatives", "density-matrix derivatives have non-finite entries"),
+        ("reachable", "derivative along axis 0 has weight"),
+        ("residual", "score-equation residual"),
+    ])
+    def test_each_check_names_the_failing_entry(self, kind, stem):
+        good, bad = _broken_entry(None), _broken_entry(kind)
+        rho = np.array([good[0], bad[0], good[0]])
+        drho = np.array([good[1], bad[1], good[1]])
+        with pytest.raises(GridValueError, match=stem) as exc:
+            _helstrom_stack(rho, drho, ["first", "second", "third"])
+        assert str(exc.value).endswith(" at second")
+        with pytest.raises(GridValueError, match=stem) as exc:
+            _helstrom_stack(bad[0][None], bad[1][None])
+        assert "second" not in str(exc.value)
 
 
 class TestQmax:
