@@ -424,12 +424,12 @@ class HelstromReport:
         return [float(v) for v in np.sort(self.eigenvalues)[::-1]]
 
 
-def _span_coefficients(psf: PointSpreadFunction, positions: np.ndarray, buf: np.ndarray,
+def _span_coefficients(psf: PointSpreadFunction, positions: np.ndarray, rows: np.ndarray,
                        at: str | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """Coefficients of the displaced states and their derivatives in an
     orthonormal basis of their span, for sources at ``positions``.
 
-    The rows of ``buf`` (at least 2p by HELSTROM_GRID_NODES) receive the
+    The 2p rows of ``rows`` (each HELSTROM_GRID_NODES long) receive the
     weighted columns sqrt(w) psi_a and -sqrt(w) d psi_a, which are
     unit-scaled in place; R comes from LAPACK ``dgeqrf`` on the rows'
     transpose, which overwrites them.  Returns the coefficients of the
@@ -439,7 +439,7 @@ def _span_coefficients(psf: PointSpreadFunction, positions: np.ndarray, buf: np.
     p = len(positions)
     x = _measurement_grid(psf, positions, HELSTROM_SPAN_SIGMAS, HELSTROM_GRID_NODES)
     root_w = np.sqrt(trapezoid_weights_1d(len(x), x[1] - x[0]))
-    rows = buf[:2 * p]
+    # one source at a time, so every temporary stays one grid long
     for a, t in enumerate(positions):
         amp, damp = psf.pair_at(x - t)
         np.multiply(amp, root_w, out=rows[a])
@@ -454,7 +454,7 @@ def _span_coefficients(psf: PointSpreadFunction, positions: np.ndarray, buf: np.
     # the orthonormal basis Q U are S V^T
     rows /= norms[:, None]
     packed = dgeqrf(rows.T, overwrite_a=True)[0]
-    _, svals, vt = np.linalg.svd(np.triu(packed[:2 * p]))
+    _, svals, vt = np.linalg.svd(np.triu(packed[:len(rows)]))
     keep = svals > 1e-10 * svals[0]
     unit = svals[keep, None] * vt[keep]
 
