@@ -55,8 +55,8 @@ class DensityFamily:
         return _finite_derivatives(self._derivatives(theta)[None])[0]
 
     def _matrix(self, theta) -> np.ndarray:
-        mat = np.asarray(self.rho_fn(np.atleast_1d(np.asarray(theta, dtype=float))),
-                         dtype=complex)
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        mat = np.asarray(self.rho_fn(theta), dtype=complex)
         if mat.shape != (self.dim, self.dim):
             raise GridValueError(f"density matrix has shape {mat.shape}, expected "
                                  f"({self.dim}, {self.dim})")
@@ -71,16 +71,16 @@ class DensityFamily:
                     f"derivative stack has shape {out.shape}, expected "
                     f"({self.num_parameters}, {self.dim}, {self.dim})"
                 )
-            return out
-        out = np.empty((self.num_parameters, self.dim, self.dim), dtype=complex)
-        for a in range(self.num_parameters):
-            step = self.fd_step * max(1.0, abs(theta[a]))
-            hi = theta.copy()
-            lo = theta.copy()
-            hi[a] += step
-            lo[a] -= step
-            out[a] = (np.asarray(self.rho_fn(hi), dtype=complex)
-                      - np.asarray(self.rho_fn(lo), dtype=complex)) / (2 * step)
+        else:
+            out = np.empty((self.num_parameters, self.dim, self.dim), dtype=complex)
+            for a in range(self.num_parameters):
+                step = self.fd_step * max(1.0, abs(theta[a]))
+                hi = theta.copy()
+                lo = theta.copy()
+                hi[a] += step
+                lo[a] -= step
+                out[a] = (np.asarray(self.rho_fn(hi), dtype=complex)
+                          - np.asarray(self.rho_fn(lo), dtype=complex)) / (2 * step)
         return out
 
 
