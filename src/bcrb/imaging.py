@@ -445,6 +445,7 @@ def _span_coefficients(psf: PointSpreadFunction, positions: np.ndarray, rows: np
         np.multiply(amp, root_w, out=rows[a])
         np.multiply(damp, root_w, out=rows[p + a])
     rows[p:] *= -1.0
+    # row by row, so no temporary is as large as the buffer
     squares = np.array([np.square(row).sum() for row in rows])
     norms = np.sqrt(squares)
     where = "" if at is None else f" at {at}"
@@ -524,7 +525,7 @@ def helstrom_along(
     direction, taus, thetas = _submodel(direction, taus, origin)
     buf = np.empty((2 * len(direction), HELSTROM_GRID_NODES))
     at = [f"tau = {float(t)!r}" for t in taus]
-    spans = [_span_coefficients(psf, theta, buf, at[i]) for i, theta in enumerate(thetas)]
+    spans = [_span_coefficients(psf, theta, buf, name) for theta, name in zip(thetas, at)]
     dims = np.array([cs.shape[1] for cs, _, _ in spans], dtype=int)
     out = np.empty(len(thetas))
     for dim in np.unique(dims):
