@@ -16,7 +16,7 @@ the vector-parameter generalization with a positive-definite weight matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -32,7 +32,9 @@ from .grids import (
     ParameterGrid,
     ScalarField,
     VectorField,
+    _check_values,
     boundary_residual,
+    check_symmetric,
     gradient,
     metric_sqrt_det,
     rho_weights,
@@ -128,10 +130,10 @@ class BoundReport:
 class VectoralWeight:
     """Vector parameter of interest: weight matrix, per-component fields.
 
-    ``gamma`` holds the positive-definite q x q risk-weight matrix per node;
-    ``weights[j]`` is the covariant gradient field of the j-th component of
-    the parameter of interest and ``fields[j]`` the corresponding
-    contravariant free field.
+    ``gamma`` holds the symmetric positive-definite q x q risk-weight matrix
+    per node; ``weights[j]`` is the covariant gradient field of the j-th
+    component of the parameter of interest and ``fields[j]`` the
+    corresponding contravariant free field.
     """
 
     grid: ParameterGrid
@@ -146,12 +148,12 @@ class VectoralWeight:
             raise GridValueError(f"need 1 <= q <= p, got q={q}, p={self.grid.dim}")
         if gamma.shape == (q, q):
             gamma = np.broadcast_to(gamma, self.grid.shape + (q, q)).copy()
-        if gamma.shape != self.grid.shape + (q, q):
-            raise GridValueError(f"gamma has shape {gamma.shape}, expected (*grid, {q}, {q})")
+        _check_values(self.grid, gamma, (q, q), "weight matrix gamma")
         if len(self.fields) != q:
             raise GridValueError("need one field per weight component")
-        ev = np.linalg.eigvalsh((gamma + np.swapaxes(gamma, -1, -2)) / 2)
-        if np.any(ev[..., 0] <= 0):
+        check_symmetric(gamma, "weight matrix gamma")
+        gamma = (gamma + np.swapaxes(gamma, -1, -2)) / 2
+        if np.any(np.linalg.eigvalsh(gamma)[..., 0] <= 0):
             raise GridValueError("weight matrix gamma must be positive definite at every node")
         for u in self.weights:
             self.grid.require_same(u.grid, "vectoral weight")
@@ -216,6 +218,18 @@ def _functionals(model, prior, weights, fields, gamma_inv) -> tuple[float, float
     return a_val, f_val, p_val, max(residuals)
 
 
+def _bound_report(model, prior, weights, fields, gamma_inv, n, v_choice, solve=None,
+                  attaining_v=None, allow_zero=False) -> BoundReport:
+    """The report of q weight/field pairs; its diagnostics hold the boundary
+    residual, the grid and the fields of the ``SolveInfo`` ``solve``, if any."""
+    a_val, f_val, p_val, res = _functionals(model, prior, weights, fields, gamma_inv)
+    diagnostics = {"boundary_residual": res, "grid": model.grid.describe()}
+    if solve is not None:
+        diagnostics |= asdict(solve)
+    return BoundReport.assemble(a_val, f_val, p_val, n, v_choice, diagnostics,
+                                attaining_v=attaining_v, allow_zero=allow_zero)
+
+
 def functionals(
     model: StatisticalModel,
     prior: ScalarField,
@@ -233,12 +247,7 @@ def gill_levit_bound(
     v_choice: str = "custom",
 ) -> BoundReport:
     """Evaluate B = <A>^2 / (n <F> + <P>) for the supplied field."""
-    a_val, f_val, p_val, res = _functionals(model, prior, (model.weight,), (v,),
-                                            np.ones((1, 1)))
-    return BoundReport.assemble(
-        a_val, f_val, p_val, n, v_choice,
-        {"boundary_residual": res, "grid": model.grid.describe()},
-    )
+    return _bound_report(model, prior, (model.weight,), (v,), np.ones((1, 1)), n, v_choice)
 
 
 def natural_v(model: StatisticalModel) -> VectorField:
@@ -324,9 +333,5 @@ def vectoral_bound(
 ) -> BoundReport:
     """Gill-Levit bound for a vector parameter of interest."""
     model.grid.require_same(weights.grid, "vectoral weights")
-    a_val, f_val, p_val, res = _functionals(model, prior, weights.weights, weights.fields,
-                                            weights.gamma_inverse())
-    return BoundReport.assemble(
-        a_val, f_val, p_val, n, f"vectoral(q={weights.q})",
-        {"boundary_residual": res, "grid": model.grid.describe()},
-    )
+    return _bound_report(model, prior, weights.weights, weights.fields,
+                         weights.gamma_inverse(), n, f"vectoral(q={weights.q})")

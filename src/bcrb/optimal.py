@@ -12,23 +12,24 @@ system: the prior term D^T W D, built from the stencil diagonals of the
 divergence D, is exactly self-adjoint in the discrete inner product, so the
 variational structure, and B <= B_max for every admissible v, hold on the grid.
 
-B_max is reported as the Gill-Levit bound of v*: its three functionals come
-from the kernel that evaluates every field (`bounds._functionals`), so <P>
-is the direct sum of w [(1/rho) div(rho v*)]^2, not <v*, L v*> - n<F>,
-which would cancel digits once n<F> dwarfs <P>.
+`bmax` is the q = 1 case of the q coupled fields of `vectoral_bmax`: both
+take the one path `_operator`, `_solve_fields`, `bounds._bound_report`, and
+so report B_max as the Gill-Levit bound of v*, with <P> the direct sum of
+w [(1/rho) div(rho v*)]^2, not <v*, L v*> - n<F>, which would cancel digits
+once n<F> dwarfs <P>.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, solveh_banded
 
-from .bounds import BoundReport, VectoralWeight, _check_n, _functionals
+from .bounds import BoundReport, VectoralWeight, _bound_report, _check_n
 from .errors import GridValueError, OperatorRangeError
 from .geometry import StatisticalModel
 from .grids import (
@@ -37,17 +38,13 @@ from .grids import (
     VectorField,
     _tiny_density_mask,
     check_symmetric,
-    gradient,
     metric_sqrt_det,
     rho_weights,
-    weighted_divergence,
 )
 
 SOLVE_RTOL = 1e-8          # target relative residual of the sparse solve
 RANGE_RTOL = 1e-6          # above this residual the RHS is declared out of range
 CG_MAXITER = 5000          # PCG cap, over 5x the worst count measured on 2-D 321^2 grids (919)
-SELF_ADJOINTNESS_TRIALS = 8   # random field pairs probed by self_adjointness_defect
-SELF_ADJOINTNESS_SEED = 0
 ASSEMBLY_BLOCK = 8192      # grid nodes per row block of the field-equation assembly
 
 
@@ -76,15 +73,11 @@ class OperatorL:
     ``w @ matrix @ v`` equals the discrete inner product <w, Lv>_rho, and
     ``weight`` is the diagonal of quadrature weights so that
     ``w @ weight @ v`` is <w, v>_rho (``node_weights``: the same weights at
-    every node, flattened).  ``apply`` evaluates the operator on a full-grid
-    field (boundary values included) with the composition of divergence and
-    gradient stencils, for pointwise diagnostics.
+    every node, flattened).  With q coupled fields the matrix holds q such
+    blocks and ``weight`` is that of one.
     """
 
     grid: ParameterGrid
-    n: float
-    rho: ScalarField
-    model: StatisticalModel
     matrix: sp.csr_matrix
     weight: np.ndarray
     interior: np.ndarray  # flat indices of interior nodes
@@ -94,26 +87,6 @@ class OperatorL:
         """<v, u>_rho over the full grid."""
         w = self.node_weights.reshape(self.grid.shape)
         return float(np.sum(w * np.einsum("...a,...a->...", v.values, u.values)))
-
-    def apply(self, v: VectorField) -> VectorField:
-        """(Lv)_a = n F_ab v^b - d_a[(1/rho) div(rho v)] on the full grid."""
-        self.grid.require_same(v.grid, "OperatorL.apply")
-        div = weighted_divergence(self.rho, v, self.model.metric)
-        grad_div = gradient(div).values
-        fv = np.einsum("...ab,...b->...a", self.model.fisher.values, v.values)
-        return VectorField(self.grid, self.n * fv - grad_div, variance="covariant")
-
-    def self_adjointness_defect(self) -> float:
-        """max |<w,Lv> - <Lw,v>| over random interior fields, scaled by ||L||."""
-        rng = np.random.default_rng(SELF_ADJOINTNESS_SEED)
-        dim = self.matrix.shape[0]
-        norm = spla.norm(self.matrix, np.inf)
-        worst = 0.0
-        for _ in range(SELF_ADJOINTNESS_TRIALS):
-            v = rng.normal(size=dim)
-            w = rng.normal(size=dim)
-            worst = max(worst, abs(w @ (self.matrix @ v) - (self.matrix @ w) @ v))
-        return worst / max(norm, 1e-300)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,18 +188,16 @@ def _assemble_system(
     return sp.csr_matrix((data, indices, np.concatenate(ends)), shape=(size, size)), w, interior
 
 
-def assemble_L(
-    model: StatisticalModel,
-    prior: ScalarField,
-    n: float,
-) -> OperatorL:
+def _operator(model, prior, n, gamma_inv) -> OperatorL:
+    """The operator of q fields coupled by ``gamma_inv``, shape ``(num_nodes, q, q)``."""
+    matrix, w, interior = _assemble_system(model, prior, n, gamma_inv)
+    return OperatorL(model.grid, matrix, np.tile(w[interior], model.grid.dim), interior, w)
+
+
+def assemble_L(model: StatisticalModel, prior: ScalarField, n: float) -> OperatorL:
     """Build the discrete operator n*F + (prior-curvature term)."""
-    grid = model.grid
-    grid.require_same(prior.grid, "assemble_L prior")
-    matrix, w, interior = _assemble_system(
-        model, prior, n, np.ones((grid.num_nodes, 1, 1)))
-    weight = np.tile(w[interior], grid.dim)
-    return OperatorL(grid, float(n), prior, model, matrix, weight, interior, w)
+    model.grid.require_same(prior.grid, "assemble_L prior")
+    return _operator(model, prior, n, np.ones((model.grid.num_nodes, 1, 1)))
 
 
 def _pcg(matrix: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -302,6 +273,15 @@ def _solve_system(matrix: sp.csr_matrix, rhs: np.ndarray, p: int) -> tuple[np.nd
     return sol, SolveInfo(solver, iterations, resid, fallback=fallback, **size)
 
 
+def _solve_fields(op: OperatorL, weights) -> tuple[list[np.ndarray], SolveInfo]:
+    """The q full-grid fields that solve ``op`` for the q weights, and how."""
+    rhs = np.empty((len(weights), op.weight.size))  # one block per weight
+    for block, u in zip(rhs, weights):
+        np.multiply(op.weight, _interior_dofs(u.values, op.interior), out=block)
+    sol, info = _solve_system(op.matrix, rhs.ravel(), op.grid.dim)
+    return [_full_grid(op.grid, op.interior, block) for block in sol.reshape(rhs.shape)], info
+
+
 def solve_least_favorable(op: OperatorL, u: VectorField) -> LeastFavorableField:
     """Solve Lv = u; the solution maximizes the bound over all fields.
 
@@ -309,10 +289,8 @@ def solve_least_favorable(op: OperatorL, u: VectorField) -> LeastFavorableField:
     the numerical range of the operator (no least-favorable field exists).
     """
     op.grid.require_same(u.grid, "solve_least_favorable")
-    rhs = op.weight * _interior_dofs(u.values, op.interior)
-    sol, info = _solve_system(op.matrix, rhs, op.grid.dim)
-    return LeastFavorableField(op.grid, _full_grid(op.grid, op.interior, sol),
-                               "contravariant", info)
+    (values,), info = _solve_fields(op, (u,))
+    return LeastFavorableField(op.grid, values, "contravariant", info)
 
 
 def bmax(
@@ -321,23 +299,13 @@ def bmax(
     n: float = 1.0,
     v_choice: str = "least_favorable",
 ) -> BoundReport:
-    """The optimal bound <u, L^{-1} u>_rho with the attaining field.
-
-    The diagnostics carry the boundary residual, the grid and the
-    :class:`SolveInfo` fields of the solve.
-    """
-    if prior is None:
-        prior = model.prior
+    """The optimal bound <u, L^{-1} u>_rho with the attaining field."""
+    prior = model.prior if prior is None else prior
     if prior is None:
         raise GridValueError("bmax needs a prior density")
-    op = assemble_L(model, prior, n)
-    v = solve_least_favorable(op, model.weight)
-    align, info_val, prior_val, residual = _functionals(
-        model, prior, (model.weight,), (v,), np.ones((1, 1)))
-    diagnostics = {"boundary_residual": residual, "grid": model.grid.describe(),
-                   **asdict(v.solve)}
-    return BoundReport.assemble(align, info_val, prior_val, n, v_choice, diagnostics,
-                                attaining_v=v, allow_zero=True)
+    v = solve_least_favorable(assemble_L(model, prior, n), model.weight)
+    return _bound_report(model, prior, (model.weight,), (v,), np.ones((1, 1)), n, v_choice,
+                         solve=v.solve, attaining_v=v, allow_zero=True)
 
 
 def gaussian_closed_form(fisher, prior_curvature, weight, n: float) -> float:
@@ -351,6 +319,9 @@ def gaussian_closed_form(fisher, prior_curvature, weight, n: float) -> float:
     f = np.atleast_2d(np.asarray(fisher, dtype=float))
     g = np.atleast_2d(np.asarray(prior_curvature, dtype=float))
     u = np.atleast_1d(np.asarray(weight, dtype=float))
+    for name, m in (("fisher", f), ("prior_curvature", g), ("weight", u)):
+        if not np.all(np.isfinite(m)):
+            raise GridValueError(f"{name} has non-finite entries")
     for name, m in (("fisher", f), ("prior_curvature", g)):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise GridValueError(f"{name} has shape {m.shape}; it must be a square matrix")
@@ -382,19 +353,10 @@ def vectoral_bmax(
     grid = model.grid
     grid.require_same(prior.grid, "vectoral_bmax prior")
     grid.require_same(weights.grid, "vectoral_bmax weights")
-    p = grid.dim
     q = weights.q
     gamma_inv = weights.gamma_inverse()
-    matrix, w, interior = _assemble_system(
-        model, prior, n, gamma_inv.reshape(grid.num_nodes, q, q))
-    weight = np.tile(w[interior], p)
-    rhs = np.concatenate([weight * _interior_dofs(u.values, interior) for u in weights.weights])
-    sol, info = _solve_system(matrix, rhs, p)
-    fields = tuple(VectorField(grid, _full_grid(grid, interior, block))
-                   for block in np.split(sol, q))
-    align, info_val, prior_val, residual = _functionals(
-        model, prior, weights.weights, fields, gamma_inv)
-    return BoundReport.assemble(
-        align, info_val, prior_val, n, f"vectoral_least_favorable(q={q})",
-        {"boundary_residual": residual, "grid": grid.describe(), **asdict(info)},
-        allow_zero=True)
+    op = _operator(model, prior, n, gamma_inv.reshape(grid.num_nodes, q, q))
+    values, info = _solve_fields(op, weights.weights)
+    return _bound_report(model, prior, weights.weights,
+                         tuple(VectorField(grid, v) for v in values), gamma_inv, n,
+                         f"vectoral_least_favorable(q={q})", solve=info, allow_zero=True)

@@ -320,11 +320,29 @@ class TestVectoralBound:
         assert abs(b2.prior_information - b1.prior_information / 2.0) <= 1e-12
         assert abs(b2.bound - 2.0 * b1.bound) <= 1e-10 * b1.bound
 
-    def test_non_pd_gamma_rejected(self, gauss_model):
-        grid = gauss_model.grid
-        with pytest.raises(GridValueError, match="positive definite"):
-            VectoralWeight(grid, np.array([[-1.0]]), (gauss_model.weight,),
-                           (unit_field(grid),))
+    @pytest.mark.parametrize("gamma, match", [
+        ([[-1.0]], "positive definite"),
+        ([[np.nan]], "gamma values contain non-finite"),
+        ([[1.0, 0.0], [0.0, np.inf]], "gamma values contain non-finite"),
+        # the assembly reads one triangle of its inverse, the functionals both
+        ([[1.0, 0.9], [0.0, 1.0]], "gamma asymmetry"),
+    ], ids=["non_pd", "nan", "inf", "asymmetric"])
+    def test_non_pd_gamma_rejected(self, gamma, match):
+        grid = ParameterGrid([(-1.0, 1.0)] * 2, [5, 5])
+        axes = np.eye(2)[:len(gamma)]
+        with pytest.raises(GridValueError, match=match):
+            VectoralWeight(grid, np.array(gamma),
+                           tuple(VectorField.constant(grid, a, "covariant") for a in axes),
+                           tuple(VectorField.constant(grid, a) for a in axes))
+
+    def test_gamma_stored_symmetric(self):
+        grid = ParameterGrid([(-1.0, 1.0)] * 2, [5, 5])
+        gamma = np.array([[2.0, 0.5], [0.5 + 1e-13, 1.0]])
+        axes = np.eye(2)
+        weights = VectoralWeight(grid, gamma,
+                                 tuple(VectorField.constant(grid, a, "covariant") for a in axes),
+                                 tuple(VectorField.constant(grid, a) for a in axes))
+        assert np.array_equal(weights.gamma, np.swapaxes(weights.gamma, -1, -2))
 
 
 class TestNaturalVOnImagingInformation:
