@@ -268,6 +268,15 @@ def decoupled_2d_model(n_nodes=161):
     )
 
 
+def axis_weights(gamma):
+    """VectoralWeight of the first q coordinate axes on a 5 x 5 grid."""
+    grid = ParameterGrid([(-1.0, 1.0)] * 2, [5, 5])
+    axes = np.eye(2)[:len(gamma)]
+    return VectoralWeight(grid, np.array(gamma),
+                          tuple(VectorField.constant(grid, a, "covariant") for a in axes),
+                          tuple(VectorField.constant(grid, a) for a in axes))
+
+
 class TestVectoralBound:
     def test_q1_reduces_to_scalar(self, gauss_model):
         grid = gauss_model.grid
@@ -328,20 +337,11 @@ class TestVectoralBound:
         ([[1.0, 0.9], [0.0, 1.0]], "gamma asymmetry"),
     ], ids=["non_pd", "nan", "inf", "asymmetric"])
     def test_non_pd_gamma_rejected(self, gamma, match):
-        grid = ParameterGrid([(-1.0, 1.0)] * 2, [5, 5])
-        axes = np.eye(2)[:len(gamma)]
         with pytest.raises(GridValueError, match=match):
-            VectoralWeight(grid, np.array(gamma),
-                           tuple(VectorField.constant(grid, a, "covariant") for a in axes),
-                           tuple(VectorField.constant(grid, a) for a in axes))
+            axis_weights(gamma)
 
     def test_gamma_stored_symmetric(self):
-        grid = ParameterGrid([(-1.0, 1.0)] * 2, [5, 5])
-        gamma = np.array([[2.0, 0.5], [0.5 + 1e-13, 1.0]])
-        axes = np.eye(2)
-        weights = VectoralWeight(grid, gamma,
-                                 tuple(VectorField.constant(grid, a, "covariant") for a in axes),
-                                 tuple(VectorField.constant(grid, a) for a in axes))
+        weights = axis_weights([[2.0, 0.5], [0.5 + 1e-13, 1.0]])
         assert np.array_equal(weights.gamma, np.swapaxes(weights.gamma, -1, -2))
 
 
