@@ -44,9 +44,6 @@ from .grids import (
 NONNEGATIVE_ATOL = 1e-12
 SINGULAR_RTOL = 1e-10   # natural_v: smallest eigenvalue of F relative to its trace
 
-CSV_HEADER = ["n", "alignment", "information", "prior_information", "bound",
-              "v_choice", "boundary_residual"]
-
 
 def _check_n(n: float) -> None:
     """Raise :class:`GridValueError` unless the sample size n is finite and >= 0."""
@@ -116,14 +113,6 @@ class BoundReport:
             "v_choice": self.v_choice,
             "diagnostics": self.diagnostics,
         }
-
-    def to_csv_row(self) -> list[str]:
-        res = self.diagnostics.get("boundary_residual", float("nan"))
-        return (
-            ["%.12e" % x for x in
-             (self.n, self.alignment, self.information, self.prior_information, self.bound)]
-            + [self.v_choice, "%.12e" % res]
-        )
 
 
 @dataclass(frozen=True, eq=False)

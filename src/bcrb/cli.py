@@ -20,6 +20,7 @@ from .scenarios import (
     RUNNERS,
     ScenarioResult,
     canonical_json,
+    format_value,
     load_config,
     run_scenario_config,
 )
@@ -45,7 +46,7 @@ def emit_report(result: ScenarioResult, out_dir) -> list[str]:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(str(x) for x in row) + "\n")
+                fh.write(",".join(format_value(x) for x in row) + "\n")
         written.append(path)
     return written
 

@@ -474,13 +474,6 @@ class RateFitResult:
     trial_energy_slope: float
     width_exponent: float
 
-    def table(self) -> list[tuple[float, float, float]]:
-        """(n, E_min, B_worst) rows for CSV export."""
-        return [
-            (float(n), float(e), float(b))
-            for n, e, b in zip(self.n_values, self.ground_energies, self.bounds)
-        ]
-
 
 def rate_fit(
     problem: SchrodingerProblem,

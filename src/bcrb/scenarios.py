@@ -4,7 +4,8 @@ Scenarios are JSON documents validated against the shipped schema
 (``bcrb/schema/scenario.schema.json``).  Grids, models and priors in configs
 are scalar (one-dimensional parameter); the library API handles higher
 dimensions directly.  Every runner returns a plain-dict report plus optional
-CSV tables; serialization is canonical (sorted keys, fixed float format) so
+CSV tables, both of plain values; `format_value` writes every value, in one
+fixed float format, and serialization is canonical (sorted keys) so
 identical inputs produce byte-identical outputs.
 """
 
@@ -29,12 +30,12 @@ DEFAULT_SEED = 0
 # ---------------------------------------------------------------------------
 # canonical serialization
 
-def _format_float(x: float) -> str:
-    if np.isnan(x):
-        return '"nan"'
-    if np.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return "%.12e" % x
+def format_value(x) -> str:
+    """A report value as text: ``%.12e`` for a float, numpy floats included
+    (``nan``, ``inf`` or ``-inf`` when not finite), ``str`` for the rest."""
+    if isinstance(x, (float, np.floating)):
+        return "%.12e" % x
+    return str(x)
 
 
 def canonical_json(obj, indent: int = 0) -> str:
@@ -57,7 +58,7 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+        return format_value(obj) if np.isfinite(obj) else json.dumps(format_value(obj))
     if obj is None:
         return "null"
     return json.dumps(str(obj))
@@ -245,7 +246,16 @@ def _build_spectra(spec: dict, grid_scale: int, path: str) -> waveform.SpectralM
 @dataclass
 class ScenarioResult:
     report: dict
-    tables: dict = dc_field(default_factory=dict)  # name -> (header, rows)
+    tables: dict = dc_field(default_factory=dict)  # name -> (header, rows of values)
+
+
+def _bound_table(rep: bounds.BoundReport) -> tuple[list[str], list[list]]:
+    """``bound.csv``: one row of n, the functionals, B, the field and its residual."""
+    header = ["n", "alignment", "information", "prior_information", "bound",
+              "v_choice", "boundary_residual"]
+    row = [rep.n, rep.alignment, rep.information, rep.prior_information, rep.bound,
+           rep.v_choice, rep.diagnostics["boundary_residual"]]
+    return header, [row]
 
 
 def _run_bound(config, grid_scale, rng) -> ScenarioResult:
@@ -255,27 +265,21 @@ def _run_bound(config, grid_scale, rng) -> ScenarioResult:
     else:
         v, label, _ = _build_v(config, model)
         rep = bounds.gill_levit_bound(model, model.prior, v, float(config["n"]), label)
-    return ScenarioResult(
-        {"bound_report": rep.to_dict()},
-        {"bound": (bounds.CSV_HEADER, [rep.to_csv_row()])},
-    )
+    return ScenarioResult({"bound_report": rep.to_dict()}, {"bound": _bound_table(rep)})
 
 
 def _run_optimal(config, grid_scale, rng) -> ScenarioResult:
     model = _build_model(config, grid_scale)
     rep = optimal.bmax(model, n=float(config["n"]))
-    tables = {"bound": (bounds.CSV_HEADER, [rep.to_csv_row()])}
+    tables = {"bound": _bound_table(rep)}
     if rep.attaining_v is not None:
-        th = model.grid.coordinates[..., 0]
-        rows = [["%.12e" % t, "%.12e" % val]
-                for t, val in zip(th, rep.attaining_v.values[..., 0])]
+        rows = list(zip(model.grid.coordinates[..., 0], rep.attaining_v.values[..., 0]))
         tables["least_favorable"] = (["theta_1", "v_1"], rows)
     return ScenarioResult({"bmax": rep.bound, "bound_report": rep.to_dict()}, tables)
 
 
-def _rates_table(res: minimax.RateFitResult) -> tuple[list[str], list[list[str]]]:
-    rows = [["%.12e" % n, "%.12e" % e, "%.12e" % b] for n, e, b in res.table()]
-    return ["n", "e_min", "b_worst"], rows
+def _rates_table(res: minimax.RateFitResult) -> tuple[list[str], list[tuple]]:
+    return ["n", "e_min", "b_worst"], list(zip(res.n_values, res.ground_energies, res.bounds))
 
 
 def _run_minimax(config, grid_scale, rng) -> ScenarioResult:
@@ -356,8 +360,7 @@ def _run_waveform(config, grid_scale, rng) -> ScenarioResult:
             disc = waveform.TimeDiscretization.instant_weight(
                 slots * disc_spec["dt"], slots)
             val = waveform.build_circulant_bound(disc, spectra)
-            rows.append(["%d" % slots, "%.12e" % val,
-                         "%.12e" % abs(val - report["qmax"])])
+            rows.append([slots, val, abs(val - report["qmax"])])
         report["circulant_bound"] = val
         tables["circulant"] = (["slots", "bound", "abs_error"], rows)
     return ScenarioResult(report, tables)
@@ -379,12 +382,10 @@ def _run_imaging(config, grid_scale, rng) -> ScenarioResult:
         sep = config.get("separations", {"start": 3e-3, "stop": 3e-1, "count": 8})
         fit = imaging.exponent_fit(
             psf, config.get("direction", [1.0, -1.0]), _n_values(sep))
-        rows = [["%.12e" % t, "%.12e" % f]
-                for t, f in zip(fit.taus, fit.information)]
         return ScenarioResult(
             {"exponent": fit.exponent, "amplitude": fit.amplitude,
              "r_squared": fit.r_squared},
-            {"information": (["tau", "information"], rows)},
+            {"information": (["tau", "information"], list(zip(fit.taus, fit.information)))},
         )
     if task == "helstrom_rank":
         base = imaging.SourceConfiguration(config.get("sources", [-0.4, 0.05, 0.45]))
@@ -395,7 +396,7 @@ def _run_imaging(config, grid_scale, rng) -> ScenarioResult:
             scale = 0.5**k
             rep = imaging.imaging_helstrom(psf, base.scaled(scale))
             eigs = rep.eigenvalue_row()
-            rows.append(["%.12e" % scale] + ["%.12e" % e for e in eigs[:3]])
+            rows.append([scale, *eigs[:3]])
             if len(eigs) >= 3:
                 ratios.append(eigs[2] / eigs[1])
         return ScenarioResult(

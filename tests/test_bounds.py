@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from bcrb import scenarios
 from bcrb.bounds import (
-    CSV_HEADER,
     BoundReport,
     VectoralWeight,
     functionals,
@@ -138,8 +138,9 @@ class TestBoundReport:
 
     def test_csv_round_trip_columns(self, gauss_model):
         rep = gill_levit_bound(gauss_model, gauss_model.prior, unit_field(gauss_model.grid), 10.0)
-        row = rep.to_csv_row()
-        assert len(row) == len(CSV_HEADER)
+        header, (values,) = scenarios._bound_table(rep)
+        row = [scenarios.format_value(x) for x in values]
+        assert len(row) == len(header)
         assert float(row[0]) == 10.0
         assert abs(float(row[4]) - rep.bound) <= 1e-12 * rep.bound
         assert row[5] == "custom"

@@ -11,7 +11,7 @@ import bcrb
 from bcrb import scenarios
 from bcrb.cli import main
 from bcrb.errors import ScenarioError
-from bcrb.scenarios import canonical_json, load_config, load_schema, scenario_hash
+from bcrb.scenarios import canonical_json, format_value, load_config, load_schema, scenario_hash
 
 SHIPPED_CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -47,6 +47,11 @@ class TestCanonicalJson:
         out = canonical_json({"x": float("inf"), "y": float("nan")})
         parsed = json.loads(out)
         assert parsed["x"] == "inf" and parsed["y"] == "nan"
+
+    def test_format_value_row(self):
+        row = [2048, 0.5, np.float64(1.0 / 3.0), "unit", float("nan"), np.float32(-np.inf)]
+        assert [format_value(x) for x in row] == [
+            "2048", "5.000000000000e-01", "3.333333333333e-01", "unit", "nan", "-inf"]
 
     def test_hash_stable_under_reserialization(self):
         cfg = gaussian_optimal_config()

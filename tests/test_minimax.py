@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from bcrb import imaging, minimax
+from bcrb import imaging, minimax, scenarios
 from bcrb.bounds import functionals
 from bcrb.errors import (
     BoundaryConditionError,
@@ -393,7 +393,7 @@ class TestRateFit:
     def test_table_format(self):
         prob = SchrodingerProblem((-0.5, 0.5), lambda t: np.asarray(t) ** 2, nodes=1001)
         res = rate_fit(prob, [1e2, 1e4, 1e6])
-        rows = res.table()
+        _, rows = scenarios._rates_table(res)
         assert len(rows) == 3
         assert all(len(r) == 3 for r in rows)
         assert rows[0][0] == 1e2
