@@ -81,9 +81,12 @@ class BoundReport:
     def assemble(cls, alignment, information, prior_information, n, v_choice,
                  diagnostics=None, attaining_v=None, allow_zero=False) -> "BoundReport":
         _check_n(n)
-        for name, value in (("information", information),
+        for name, value in (("alignment", alignment), ("information", information),
                             ("prior_information", prior_information)):
-            if 0 < abs(value) < np.finfo(float).tiny:
+            if not np.isfinite(value):
+                raise GridValueError(f"{name} is {value!r} at n = {n!r}; the bound needs "
+                                     "finite functionals")
+            if name != "alignment" and 0 < abs(value) < np.finfo(float).tiny:
                 raise GridValueError(f"{name} {value!r} underflowed to a subnormal at "
                                      f"n = {n!r}; the bound is not resolved in floating point")
         information = max(float(information), 0.0)

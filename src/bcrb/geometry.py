@@ -78,7 +78,7 @@ class StatisticalModel:
         if self.prior is not None:
             self.grid.require_same(self.prior.grid, "model prior")
             total = integrate(self.prior, self.metric)
-            if abs(total - 1.0) > PRIOR_NORMALIZATION_ATOL:
+            if not abs(total - 1.0) <= PRIOR_NORMALIZATION_ATOL:  # true for NaN too
                 raise GridValueError(
                     f"prior integrates to {total!r}, expected 1 within "
                     f"{PRIOR_NORMALIZATION_ATOL:.0e}; normalize it first"

@@ -72,9 +72,12 @@ class ParameterGrid:
                 f"bounds and shape must be nonempty and equal length, "
                 f"got {len(bounds)} and {len(shape)}"
             )
-        for (lo, hi), n in zip(bounds, shape):
+        for axis, ((lo, hi), n) in enumerate(zip(bounds, shape)):
             if not hi > lo:
                 raise GridValueError(f"axis bounds must increase, got ({lo}, {hi})")
+            if not np.isfinite(hi - lo):  # an infinite bound gives an infinite width too
+                raise GridValueError(f"axis {axis} bounds ({lo}, {hi}) must be finite and "
+                                     "their width a finite double")
             if n < 3:
                 raise GridValueError(f"need >= 3 nodes per axis for central differences, got {n}")
         object.__setattr__(self, "bounds", bounds)

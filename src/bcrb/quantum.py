@@ -225,9 +225,15 @@ def snr_observable(family: DensityFamily, theta, v, observable: np.ndarray) -> f
     vanish (constant observable); raises when only the variance does.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
+    y = np.asarray(observable, dtype=complex)
+    for name, value, shape in (("v", v, (family.num_parameters,)),
+                               ("observable", y, (family.dim, family.dim))):
+        if value.shape != shape:
+            raise GridValueError(f"{name} has shape {value.shape}, expected {shape}")
+        if not np.all(np.isfinite(value)):
+            raise GridValueError(f"{name} must be finite, got {value[~np.isfinite(value)][0]}")
     rho = family.rho(theta)
     drho = family.drho(theta)
-    y = np.asarray(observable, dtype=complex)
     if np.max(np.abs(y - y.conj().T)) > HERMITIAN_ATOL * max(1.0, np.abs(y).max()):
         raise GridValueError("observable must be Hermitian")
     mean = np.trace(rho @ y).real

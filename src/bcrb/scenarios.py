@@ -133,8 +133,11 @@ def _scaled_nodes(nodes: int, grid_scale: int) -> int:
 def _build_grid(spec: dict, grid_scale: int) -> ParameterGrid:
     if spec["upper"] <= spec["lower"]:
         raise ScenarioError("upper must exceed lower", "grid.upper")
-    return ParameterGrid([(spec["lower"], spec["upper"])],
-                         [_scaled_nodes(spec["nodes"], grid_scale)])
+    try:
+        return ParameterGrid([(spec["lower"], spec["upper"])],
+                             [_scaled_nodes(spec["nodes"], grid_scale)])
+    except GridValueError as exc:  # upper - lower overflows
+        raise ScenarioError(str(exc), "grid") from exc
 
 
 def _field_callable(spec: dict) -> Callable:
@@ -354,14 +357,14 @@ def _run_waveform(config, grid_scale, rng) -> ScenarioResult:
     tables = {}
     if "discretization" in config:
         disc_spec = config["discretization"]
-        sweep = disc_spec.get("sweep", [disc_spec["slots"]])
-        rows = []
-        for slots in sweep:
-            disc = waveform.TimeDiscretization.instant_weight(
-                slots * disc_spec["dt"], slots)
-            val = waveform.build_circulant_bound(disc, spectra)
-            rows.append([slots, val, abs(val - report["qmax"])])
-        report["circulant_bound"] = val
+        slots = disc_spec["slots"]
+        sweep = disc_spec.get("sweep", [slots])
+        bound_at = {}
+        for p in dict.fromkeys([*sweep, slots]):  # each count once, slots even if unswept
+            disc = waveform.TimeDiscretization.instant_weight(p * disc_spec["dt"], p)
+            bound_at[p] = waveform.build_circulant_bound(disc, spectra)
+        report["circulant_bound"] = bound_at[slots]
+        rows = [[p, bound_at[p], abs(bound_at[p] - report["qmax"])] for p in sweep]
         tables["circulant"] = (["slots", "bound", "abs_error"], rows)
     return ScenarioResult(report, tables)
 

@@ -145,6 +145,9 @@ class TimeDiscretization:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.slots,):
             raise GridValueError(f"weights have shape {w.shape}, expected ({self.slots},)")
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            raise GridValueError(f"weights must be finite, got {w[bad[0]]} at slot {bad[0]}")
         object.__setattr__(self, "weights", w)
 
     @property

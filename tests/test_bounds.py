@@ -152,6 +152,15 @@ class TestBoundReport:
                           "bound", "v_choice", "diagnostics"}
 
 
+class TestNonFiniteFunctionals:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("which", ["alignment", "information", "prior_information"])
+    def test_assemble_rejects_and_names_it(self, which, bad):
+        values = {"alignment": 1.0, "information": 1.0, "prior_information": 1.0, which: bad}
+        with pytest.raises(GridValueError, match=rf"^{which} is {bad!r} at n = 2.0"):
+            BoundReport.assemble(*values.values(), 2.0, "x")
+
+
 class TestInvalidN:
     """Every bound rejects n < 0, NaN and infinite n; the Gill-Levit family
     checks it in one place, `BoundReport.assemble`."""

@@ -369,6 +369,18 @@ class TestWaveformScenario:
         rows = (out / "circulant.csv").read_text().strip().splitlines()
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("sweep", [[2048, 128], [128]], ids=["slots_first", "slots_unswept"])
+    def test_circulant_bound_is_the_bound_at_slots(self, tmp_path, sweep):
+        cfg = {"kind": "waveform", "name": "rectangle",
+               "spectra": {"type": "rectangle", "nodes": 200001},
+               "discretization": {"slots": 2048, "dt": 0.25, "sweep": sweep}}
+        out = tmp_path / "o"
+        assert main(["waveform", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert '"circulant_bound": 5.004882812500e-01,' in (out / "report.json").read_text()
+        rows = (out / "circulant.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["slots", *map(str, sweep)]
+        assert rows[-1].startswith("128,5.078124999999e-01,")
+
     def test_empty_sweep_exit_2(self, tmp_path, capsys):
         cfg = {
             "kind": "waveform",
@@ -573,6 +585,26 @@ class TestObservedOrder:
 
 
 class TestNumericalFailureExit:
+    def test_overflowing_grid_exit_2(self, tmp_path, capsys):
+        cfg = gaussian_optimal_config(nodes=11)
+        cfg.update(kind="bound", v={"choice": "unit"}, prior={"type": "uniform"})
+        cfg["grid"].update(lower=-1e308, upper=1e308)  # upper - lower overflows
+        code = main(["bound", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: grid: axis 0 bounds")
+        assert not (tmp_path / "o").exists()
+
+    def test_infinite_information_exit_3(self, tmp_path, capsys):
+        cfg = gaussian_optimal_config()
+        cfg.update(kind="bound", v={"choice": "polynomial", "coeffs": [1e10]})
+        cfg["model"]["fisher"]["value"] = 1e300  # <F> = 1e320 overflows
+        code = main(["bound", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "information is inf at n = 10.0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_boundary_violation_exit_3(self, tmp_path, capsys):
         cfg = gaussian_optimal_config(nodes=201)
         cfg["kind"] = "bound"

@@ -62,6 +62,12 @@ class TestGridConstruction:
         with pytest.raises(GridValueError):
             ParameterGrid([(1.0, 1.0)], [5])
 
+    @pytest.mark.parametrize("bounds", [(-1e308, 1e308), (0.0, np.inf), (-np.inf, 0.0)],
+                             ids=["overflowing_width", "inf_upper", "inf_lower"])
+    def test_non_finite_width_rejected(self, bounds):
+        with pytest.raises(GridValueError, match=r"^axis 1 bounds .* must be finite"):
+            ParameterGrid([(0.0, 1.0), bounds], [5, 11])
+
     def test_grid_mismatch_error_names_both(self):
         a, b = line(0, 1, 5), line(0, 2, 5)
         with pytest.raises(GridMismatchError) as exc:

@@ -315,6 +315,16 @@ class TestSnrObservable:
         with pytest.raises(GridValueError, match="zero-variance"):
             snr_observable(fam, [0.0], [1.0], np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("v, observable, message", [
+        ([np.nan], np.eye(2), "v must be finite, got nan"),
+        ([1.0, 1.0], np.eye(2), r"v has shape \(2,\), expected \(1,\)"),
+        ([1.0], np.diag([np.nan, 1.0]), r"observable must be finite, got \(nan"),
+        ([1.0], np.eye(3), r"observable has shape \(3, 3\), expected \(2, 2\)"),
+    ], ids=["nan_v", "long_v", "nan_observable", "wrong_size_observable"])
+    def test_bad_inputs_named(self, v, observable, message):
+        with pytest.raises(GridValueError, match=message):
+            snr_observable(diagonal_qubit_family(), [0.3], v, observable)
+
 
 class TestGaussianShift:
     def test_scalar_example(self):

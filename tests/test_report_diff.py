@@ -1,5 +1,5 @@
 """``tools/report_diff.py`` lists every output file that differs in bytes or
-exists under one output root only."""
+exists under one output root only, and says how a differing text file moved."""
 
 import importlib.util
 from pathlib import Path
@@ -21,3 +21,13 @@ def test_differing_files(tmp_path, monkeypatch):
     (change / "a_x1" / "extra.csv").write_text("n\n")
     assert report_diff.differing_files(parent, change) == ["a_x1/extra.csv", "a_x1/rates.csv"]
     assert report_diff.differing_files(parent, parent) == []
+
+    moved = report_diff.describe_move(*((root / "a_x1" / "rates.csv").read_text()
+                                        for root in (parent, change)))
+    assert moved == [
+        "  line 2: parent '1.000000000000', change '1.000000000001'",
+        "  largest relative difference 1.000e-12 at line 2 (1.000000000000 -> 1.000000000001)",
+    ]
+    assert report_diff.describe_move("x\n", "y\n")[1] == "  no numeric cell differs"
+    assert (report_diff.describe_move('{\n  "b": 2.0,\n}\n', '{\n  "b": nan,\n}\n')[1]
+            == "  largest relative difference inf at line 2 (2.0 -> nan)")

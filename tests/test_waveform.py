@@ -288,6 +288,13 @@ class TestCirculantBound:
         with pytest.raises(GridValueError, match="total_time must be finite and positive"):
             TimeDiscretization(total_time, 64, np.zeros(64))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        w = np.zeros(64)
+        w[[5, 9]] = bad
+        with pytest.raises(GridValueError, match=f"weights must be finite, got {bad} at slot 5"):
+            TimeDiscretization(16.0, 64, w)
+
 
 class TestCirculantFFT:
     @pytest.mark.parametrize("p", [2, 3, 127, 128, 1001, 2048])
