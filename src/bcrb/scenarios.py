@@ -136,7 +136,7 @@ def _build_grid(spec: dict, grid_scale: int) -> ParameterGrid:
     try:
         return ParameterGrid([(spec["lower"], spec["upper"])],
                              [_scaled_nodes(spec["nodes"], grid_scale)])
-    except GridValueError as exc:  # upper - lower overflows
+    except GridValueError as exc:  # such as an upper - lower that overflows
         raise ScenarioError(str(exc), "grid") from exc
 
 

@@ -75,8 +75,8 @@ def describe_move(parent_text: str, change_text: str) -> list[str]:
     old, new = parent_text.splitlines(), change_text.splitlines()
     first = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b),
                  min(len(old), len(new)))
-    show = lambda lines: repr(lines[first]) if first < len(lines) else "<end of file>"
-    out = [f"  line {first + 1}: parent {show(old)}, change {show(new)}"]
+    shown = [repr(lines[first]) if first < len(lines) else "<end of file>" for lines in (old, new)]
+    out = [f"  line {first + 1}: parent {shown[0]}, change {shown[1]}"]
     moves = []  # (relative difference, line number, parent cell, change cell)
     for number, (old_line, new_line) in enumerate(zip(old, new), start=1):
         old_cells, new_cells = _cells(old_line), _cells(new_line)
@@ -118,20 +118,20 @@ def main(argv=None) -> int:
                                if codes["parent"].get(name) != codes["change"].get(name))
         changed_files = differing_files(outs["parent"], outs["change"])
         compared = sum(1 for p in outs["parent"].rglob("*") if p.is_file())
-        moves = {}
+        how_moved = {}
         for rel in changed_files:
             try:
                 texts = [(outs[rev] / rel).read_text() for rev in ("parent", "change")]
             except (FileNotFoundError, UnicodeDecodeError):  # one side only, or not text
                 continue
-            moves[rel] = describe_move(*texts)
+            how_moved[rel] = describe_move(*texts)
 
     for name in changed_codes:
         print(f"exit code differs: {name} ({codes['parent'].get(name)} -> "
               f"{codes['change'].get(name)})")
     for rel in changed_files:
         print(f"differs: {rel}")
-        for line in moves.get(rel, []):
+        for line in how_moved.get(rel, []):
             print(line)
     if changed_codes or changed_files:
         print(f"{len(changed_files)} of {compared} output files differ")
