@@ -46,7 +46,7 @@ def emit_report(result: ScenarioResult, out_dir) -> list[str]:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(format_value(x) for x in row) + "\n")
+                fh.write(",".join(map(format_value, row)) + "\n")
         written.append(path)
     return written
 
