@@ -92,6 +92,10 @@ class BoundReport:
         information = max(float(information), 0.0)
         prior_information = max(float(prior_information), 0.0)
         denom = n * information + prior_information
+        if not np.isfinite(denom):
+            raise GridValueError(f"n * information + prior_information overflows at n = {n!r} "
+                                 f"with information {information!r}; the bound is not "
+                                 "resolved in floating point")
         if denom <= 0:
             # 0/0 extends continuously to 0 when the numerator vanishes too
             if allow_zero and alignment == 0.0:

@@ -80,11 +80,17 @@ def load_schema() -> dict:
 
 @functools.cache
 def _validator():
-    """The shipped schema's validator (the schema's own validity is a test)."""
+    """The shipped schema's validator (the schema's own validity is a test).
+
+    Its "integer" is a JSON integer: the standard type also admits an
+    integral float such as 2048.0, which no count in a builder accepts."""
     import jsonschema
 
     schema = load_schema()
-    return jsonschema.validators.validator_for(schema)(schema)
+    cls = jsonschema.validators.validator_for(schema)
+    checker = cls.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+    return jsonschema.validators.extend(cls, type_checker=checker)(schema)
 
 
 def validate_config(config: dict) -> None:

@@ -47,26 +47,29 @@ def _as_spectrum(values, n, name) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (n,):
         raise GridValueError(f"{name} has shape {arr.shape}, expected ({n},)")
-    # x >= 0 fails for NaN too; a stride-0 spectrum is checked at its one value
-    checked = arr[:1] if arr.strides == (0,) else arr
-    if not all(np.all(checked[a:b] >= 0) for a, b in _blocks(len(checked))):
+    # the minimum is NaN if any entry is; a stride-0 spectrum is checked at its one value
+    if not np.min(arr[:1] if arr.strides == (0,) else arr) >= 0:
         raise GridValueError(f"{name} must be nonnegative (inf allowed)")
     return arr
 
 
 def _is_even(arr) -> bool:
     """Infinities mirror exactly, finite values to within EVENNESS_RTOL of the
-    largest finite value (at least 1); compares each block with its mirror."""
+    largest finite value (at least 1); compares each block of the first half
+    with its mirror.  |x - mirror| is NaN where both are inf, which fmax skips,
+    and inf where only one is, which fails."""
     n = len(arr)
     largest = worst = 0.0
-    for a, b in _blocks(n):
-        block, mirror = arr[a:b], arr[n - b:n - a][::-1]
-        finite = np.isfinite(block)
-        if not np.array_equal(finite, np.isfinite(mirror)):
-            return False
-        largest = max(largest, float(np.max(block, where=finite, initial=0.0)))
-        diff = np.subtract(block, mirror, out=np.zeros(b - a), where=finite)
-        worst = max(worst, float(np.max(np.abs(diff, out=diff))))
+    for a, b in _blocks((n + 1) // 2):
+        block, mirror = arr[a:b], arr[n - b:n - a]
+        with np.errstate(invalid="ignore"):
+            diff = np.subtract(block, mirror[::-1])
+        worst = max(worst, float(np.fmax.reduce(np.abs(diff, out=diff), initial=0.0)))
+        for half in (block, mirror):
+            top = np.max(half)
+            if top == np.inf:
+                top = np.max(half, where=np.isfinite(half), initial=0.0)
+            largest = max(largest, float(top))
     return worst <= EVENNESS_RTOL * max(largest, 1.0)
 
 
@@ -99,10 +102,17 @@ class SpectralModel:
             raise GridValueError("need at least 3 frequency nodes")
         if not 0 < self.hbar < np.inf:
             raise GridValueError(f"hbar must be finite and positive, got {self.hbar}")
+        # every step positive and np.allclose(steps, step, rtol=1e-9), from the
+        # extreme steps of each block (both NaN if one step is); allclose's
+        # x == y alone admits an infinite step
         step = omega[1] - omega[0]
+        tol = 1e-8 + 1e-9 * abs(step)
         for a, b in _blocks(n - 1):
             steps = omega[a + 1:b + 1] - omega[a:b]
-            if np.any(steps <= 0) or not np.allclose(steps, step, rtol=1e-9):
+            lo, hi = np.min(steps), np.max(steps)
+            close = lo == hi == step or (
+                np.isfinite(step) and hi - step <= tol and step - lo <= tol)
+            if not (lo > 0 and close):
                 raise GridValueError("frequency grid must be uniform and increasing")
         if abs(omega[0] + omega[-1]) > 1e-9 * max(abs(omega[0]), 1.0):
             raise GridValueError("frequency grid must be symmetric about zero")
@@ -198,9 +208,15 @@ def _interp_spectrum(omega_grid, values, omega_out, name):
 
 
 def _inverse_prior(s_theta):
+    """1/S_theta with 1/0 = inf and 1/inf = 0; the magnitude turns 1/-0.0 into inf."""
     with np.errstate(divide="ignore"):
-        inv = np.where(s_theta > 0, 1.0 / s_theta, np.inf)
-    return np.where(np.isinf(s_theta), 0.0, inv)
+        inv = np.divide(1.0, s_theta)
+    return np.abs(inv, out=inv)
+
+
+def _segment(spectrum, a, b):
+    """``spectrum`` on nodes [a, b), or the one value of a constant (stride-0) one."""
+    return spectrum[0] if spectrum.strides == (0,) else spectrum[a:b]
 
 
 def build_circulant_bound(disc: TimeDiscretization, spectra: SpectralModel) -> float:
@@ -234,32 +250,48 @@ def _spectral_integral(omega, num, den_block) -> float:
     and finite; raises when a zero denominator carries weight or the integrand
     does not decay at the grid edges.
 
-    ``den_block(a, b)`` returns the denominator on nodes [a, b).  The integrand
-    is the one full-length buffer: it is filled block by block, then
-    overwritten in place by np.trapezoid's own terms and summed in one
-    contiguous reduction, so the value is np.trapezoid's, bit for bit.
+    ``den_block(a, b)`` returns the denominator on nodes [a, b).  One pass over
+    the blocks checks each block's denominator, fills its integrand into a
+    buffer that also holds the previous block's last value, keeps the running
+    peak and writes np.trapezoid's terms (w[i+1] - w[i]) * (f[i+1] + f[i]) / 2.0
+    into the one full-length buffer, the n - 1 terms.  Their sum is the same
+    contiguous reduction np.trapezoid makes, so the value is np.trapezoid's,
+    bit for bit.
     """
     n = len(omega)
-    integrand = np.zeros(n)
+    terms = np.empty(n - 1)
+    # the integrand on nodes [a - 1, b) of a block, and its sums f[i] + f[i + 1]
+    values, pairs = np.empty(BLOCK + 1), np.empty(BLOCK)
+    peak = 0.0
     for a, b in _blocks(n):
-        den, weight = den_block(a, b), num[a:b]
-        if np.any((den == 0) & (weight > 0)):
+        den, weight = den_block(a, b), _segment(num, a, b)
+        lo, hi = np.min(den), np.max(den)
+        if not lo > 0 and np.any((den == 0) & (weight > 0)):
             raise GridValueError("zero denominator at a frequency carrying weight")
-        good = (den > 0) & np.isfinite(den)
-        np.divide(weight, den, out=integrand[a:b], where=good)
-    peak = float(np.max(integrand)) if n else 0.0
+        integrand = values[1:b - a + 1]
+        if lo > 0 and hi < np.inf:  # every node counts: no mask
+            np.divide(weight, den, out=integrand)
+        else:
+            integrand.fill(0.0)
+            np.divide(weight, den, out=integrand, where=(den > 0) & np.isfinite(den))
+        peak = max(peak, float(np.max(integrand)))
+        if a == 0:
+            first = integrand[0]
+        # the integrand on nodes [s, b) gives the terms of intervals [s, b - 1)
+        s = max(a - 1, 0)
+        f, t = values[s - a + 1:b - a + 1], terms[s:b - 1]
+        np.subtract(omega[s + 1:b], omega[s:b - 1], out=t)
+        t *= np.add(f[1:], f[:-1], out=pairs[:b - 1 - s])
+        t /= 2.0
+        values[0] = integrand[-1]
     if peak > 0:
-        edge = max(integrand[0], integrand[-1])
+        edge = max(first, values[0])
         if edge > EDGE_DECAY_RTOL * peak:
             raise SpectralDomainError(
                 f"integrand does not decay at the grid edges "
                 f"(edge {edge:.3e} vs peak {peak:.3e}); widen the frequency grid"
             )
-    # term i needs integrand[i + 1] before it is overwritten: go forward
-    for a, b in _blocks(n - 1):
-        integrand[a:b] = (omega[a + 1:b + 1] - omega[a:b]) * (
-            integrand[a + 1:b + 1] + integrand[a:b]) / 2.0
-    return float(integrand[:n - 1].sum() / (2.0 * np.pi))
+    return float(terms.sum() / (2.0 * np.pi))
 
 
 def continuum_qmax(spectra: SpectralModel) -> float:
@@ -268,8 +300,9 @@ def continuum_qmax(spectra: SpectralModel) -> float:
         raise GridValueError("continuum_qmax needs the h_abs2 transfer spectrum")
 
     def den(a, b):
-        return (4.0 * spectra.s_q[a:b] / spectra.hbar**2
-                + _inverse_prior(spectra.s_theta[a:b]))
+        inv = _inverse_prior(spectra.s_theta[a:b])
+        inv += 4.0 * _segment(spectra.s_q, a, b) / spectra.hbar**2
+        return inv
 
     return _spectral_integral(spectra.omega, spectra.h_abs2, den)
 
@@ -372,8 +405,8 @@ def rectangle_spectra(
     with the defaults, 0.5.
     """
     omega = np.linspace(-span_factor * band, span_factor * band, nodes)
-    s_theta = np.empty(nodes)
-    for a, b in _blocks(nodes):
-        inside = np.abs(omega[a:b]) <= band + 1e-12
-        s_theta[a:b] = np.where(inside, s_theta_level, 0.0)
+    # on an increasing grid |omega| <= c is -c <= omega <= c: one run of nodes
+    c = band + 1e-12
+    s_theta = np.zeros(nodes)
+    s_theta[np.searchsorted(omega, -c, "left"):np.searchsorted(omega, c, "right")] = s_theta_level
     return SpectralModel(omega, s_q=s_q_level, s_theta=s_theta, h_abs2=1.0, hbar=hbar)

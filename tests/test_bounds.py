@@ -160,6 +160,12 @@ class TestNonFiniteFunctionals:
         with pytest.raises(GridValueError, match=rf"^{which} is {bad!r} at n = 2.0"):
             BoundReport.assemble(*values.values(), 2.0, "x")
 
+    def test_assemble_rejects_overflowing_denominator(self):
+        # each functional is finite, but n * <F> is not: the bound would read 0
+        with pytest.raises(GridValueError, match=r"overflows at n = 10000000000\.0 "
+                                                 r"with information 1e\+300"):
+            BoundReport.assemble(1.0, 1e300, 1.0, 1e10, "x")
+
 
 class TestInvalidN:
     """Every bound rejects n < 0, NaN and infinite n; the Gill-Levit family

@@ -102,6 +102,26 @@ class TestValidation:
         assert err.startswith("error:") and f"non-finite number {literal};" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config, section, key, value, field", [
+        ("waveform_rectangle.json", "discretization", "slots", 2048.0,
+         "discretization.slots"),
+        ("waveform_rectangle.json", "discretization", "sweep", [128, 256.0],
+         "discretization.sweep.1"),
+        ("gill_levit_bound.json", "grid", "nodes", 2001.0, "grid.nodes"),
+        ("gill_levit_bound.json", "grid", "nodes", True, "grid.nodes"),
+    ], ids=["slots", "sweep_entry", "grid_nodes", "bool_nodes"])
+    def test_integral_float_in_integer_field_exit_2(self, tmp_path, capsys, config, section,
+                                                    key, value, field):
+        with open(os.path.join(SHIPPED_CONFIGS, config)) as fh:
+            cfg = json.load(fh)
+        cfg[section][key] = value
+        code = main([cfg["kind"], "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "is not of type 'integer'" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
     def test_missing_field_names_path(self, tmp_path):
         cfg = gaussian_optimal_config()
         del cfg["prior"]
@@ -603,6 +623,16 @@ class TestNumericalFailureExit:
                      "--out", str(tmp_path / "o")])
         assert code == 3
         assert "information is inf at n = 10.0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_denominator_exit_3(self, tmp_path, capsys):
+        cfg = gaussian_optimal_config()
+        cfg.update(kind="bound", v={"choice": "unit"}, n=1e10)
+        cfg["model"]["fisher"]["value"] = 1e300  # <F> is finite, n <F> is not
+        code = main(["bound", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "overflows at n = 10000000000.0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_boundary_violation_exit_3(self, tmp_path, capsys):

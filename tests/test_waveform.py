@@ -193,10 +193,89 @@ class TestBlockwiseChecks:
         assert continuum_qmax(decaying) > 0.0
 
 
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_uniform_step_as_allclose(self, factor):
+        # one node moved by factor times the tolerance of np.allclose(rtol=1e-9):
+        # the steps on either side of it move by plus and minus that much
+        omega = self.omega()
+        step = omega[1] - omega[0]
+        omega[self.LATE[1]] += factor * (1e-8 + 1e-9 * abs(step))
+        accepted = np.allclose(np.diff(omega), step, rtol=1e-9)
+        assert accepted == (factor < 1.0)
+        if accepted:
+            SpectralModel(omega, s_q=1.0, s_theta=1.0)
+        else:
+            with pytest.raises(GridValueError, match="uniform and increasing"):
+                SpectralModel(omega, s_q=1.0, s_theta=1.0)
+
+    def test_infinite_mirrored_blocks_accepted(self):
+        # inf - inf is NaN in the mirror difference, which the evenness check
+        # skips, also next to a finite mismatch in the same block
+        s_theta = np.full(self.N, 0.5)
+        s_theta[:waveform.BLOCK] = s_theta[-waveform.BLOCK:] = np.inf
+        model = SpectralModel(self.omega(), s_q=1.0, s_theta=s_theta)
+        assert np.array_equal(model.s_theta, s_theta)
+        k = waveform.BLOCK // 2
+        s_theta[k] = s_theta[self.N - 1 - k] = 0.5
+        s_theta[k] += 1e-8  # beyond 1e-9 of the largest finite value
+        with pytest.raises(GridValueError, match="s_theta must be an even"):
+            SpectralModel(self.omega(), s_q=1.0, s_theta=s_theta)
+
+    def spectra_with_zeros_and_infinities(self):
+        omega = self.omega()
+        pairs = lambda *nodes: np.r_[nodes, self.N - 1 - np.array(nodes)]  # noqa: E731
+        B = waveform.BLOCK
+        s_theta = 1.0 / (1.0 + omega**2)
+        s_theta[pairs(B // 2, 3 * B // 2 - 2, 2 * B)] = np.inf
+        s_theta[pairs(7, B, 2 * B + 5)] = 0.0
+        s_q = np.full(self.N, 0.25)
+        s_q[pairs(20, B - 1, 2 * B + 5)] = np.inf
+        s_q[pairs(30, B + 1)] = 0.0
+        h_abs2 = np.exp(-omega**2 / 4.0)
+        h_abs2[np.abs(omega) < 0.5] = 0.0
+        s_z = np.where(np.abs(omega) > 8.0, np.inf, 2.0 + np.cos(omega))
+        hx_abs2 = np.where(np.abs(omega) < 1.0, 0.0, 1.0 / (1.0 + omega**2))
+        return SpectralModel(omega, s_q=s_q, s_theta=s_theta, h_abs2=h_abs2,
+                             s_z=s_z, hx_abs2=hx_abs2)
+
+    def test_integrals_equal_trapezoid_reference(self):
+        spectra = self.spectra_with_zeros_and_infinities()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.where(spectra.s_theta > 0, 1.0 / spectra.s_theta, np.inf)
+            inv = np.where(np.isinf(spectra.s_theta), 0.0, inv)
+            s_z, hx_abs2 = spectra.s_z, spectra.hx_abs2
+            meas = np.where(s_z > 0, hx_abs2 / s_z, np.inf)
+        meas = np.where(np.isinf(s_z), 0.0, meas)
+        meas = np.where((hx_abs2 == 0) & (s_z == 0), 0.0, meas)
+        assert (meas + inv == 0).any()  # where the weight is 0
+        for den, value in ((4.0 * spectra.s_q / spectra.hbar**2 + inv, continuum_qmax(spectra)),
+                           (meas + inv, wiener_risk(spectra))):
+            good = (den > 0) & np.isfinite(den)
+            assert np.isinf(den).any()
+            integrand = np.divide(spectra.h_abs2, den, out=np.zeros(self.N), where=good)
+            assert value == np.trapezoid(integrand, spectra.omega) / (2.0 * np.pi)
+            assert value > 0.0
+
+    # at 301 and 381 nodes the edge nodes round to just outside the band, and
+    # the 1e-12 slack keeps them in it
+    @pytest.mark.parametrize("nodes, span_factor", [
+        (5, 2.0), (9, 2.0), (10, 2.0), (301, 2.0), (381, 2.0), (401, 1.0), (1001, 3.0),
+        (N, 2.0), (N + 1, 2.0), (N + 2, 1.5),
+    ])
+    def test_rectangle_prior_is_the_band(self, nodes, span_factor):
+        band, level = 2.0 * np.pi, 0.625
+        spectra = rectangle_spectra(band=band, s_theta_level=level, span_factor=span_factor,
+                                    nodes=nodes)
+        inside = np.abs(spectra.omega) <= band + 1e-12
+        assert np.array_equal(spectra.s_theta, np.where(inside, level, 0.0))
+        if (nodes - 1) % (2 * span_factor) == 0:  # the band edges sit on nodes, inside it
+            assert inside.sum() == (nodes - 1) / span_factor + 1
+
+
 class TestSpectralMemory:
     def test_traced_peak_proportional_to_grid(self):
         # omega and s_theta are the rectangle's only full-length arrays, and
-        # the integrand is continuum_qmax's only one
+        # the trapezoid terms are continuum_qmax's only one
         n = 2_000_001
         tracemalloc.start()
         try:
