@@ -192,7 +192,6 @@ class TestBlockwiseChecks:
         decaying = SpectralModel(omega, s_q=0.75, s_theta=1.0, h_abs2=h_abs2)
         assert continuum_qmax(decaying) > 0.0
 
-
     @pytest.mark.parametrize("factor", [0.9, 1.1])
     def test_uniform_step_as_allclose(self, factor):
         # one node moved by factor times the tolerance of np.allclose(rtol=1e-9):
@@ -222,8 +221,10 @@ class TestBlockwiseChecks:
             SpectralModel(self.omega(), s_q=1.0, s_theta=s_theta)
 
     def spectra_with_zeros_and_infinities(self):
+        def pairs(*nodes):  # each node and its mirror
+            return np.r_[nodes, self.N - 1 - np.array(nodes)]
+
         omega = self.omega()
-        pairs = lambda *nodes: np.r_[nodes, self.N - 1 - np.array(nodes)]  # noqa: E731
         B = waveform.BLOCK
         s_theta = 1.0 / (1.0 + omega**2)
         s_theta[pairs(B // 2, 3 * B // 2 - 2, 2 * B)] = np.inf
