@@ -33,12 +33,13 @@ from .grids import (
     ScalarField,
     VectorField,
     _check_values,
+    _quotient_divergence,
+    _tiny_density_mask,
     boundary_residual,
     check_symmetric,
     gradient,
     metric_sqrt_det,
     rho_weights,
-    weighted_divergence,
 )
 
 NONNEGATIVE_ATOL = 1e-12
@@ -188,13 +189,16 @@ def _functionals(model, prior, weights, fields, gamma_inv) -> tuple[float, float
     shape ``(*grid, q, q)`` or one ``(q, q)`` matrix for all nodes:
     <A> = sum_j <v_j . u_j>, <F> = sum_jk <g^{jk} v_j F v_k> and
     <P> = sum_jk <g^{jk} div_j div_k>, with div_j = (1/rho) div(rho v_j).
-    The scalar bound is q = 1 with g = 1.
+    The scalar bound is q = 1 with g = 1.  Raises unless every field is
+    contravariant.
     """
     grid = model.grid
     grid.require_same(prior.grid, "functionals prior")
     residuals = []
     for v in fields:
         grid.require_same(v.grid, "functionals field")
+        if v.variance != "contravariant":
+            raise GridValueError("the functionals need a contravariant field v")
         residuals.append(_check_boundary(prior, v))
 
     w = rho_weights(prior, model.metric)
@@ -202,7 +206,9 @@ def _functionals(model, prior, weights, fields, gamma_inv) -> tuple[float, float
     for u, v in zip(weights, fields):
         a_val += float(np.sum(w * np.einsum("...a,...a->...", v.values, u.values)))
 
-    divs = [weighted_divergence(prior, v, model.metric).values for v in fields]
+    dens = metric_sqrt_det(model.metric, grid) * prior.values
+    ok = ~_tiny_density_mask(grid, prior.values)
+    divs = [_quotient_divergence(grid, dens, v.values, ok) for v in fields]
     f_val = 0.0
     p_val = 0.0
     for j, vj in enumerate(fields):

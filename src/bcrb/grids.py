@@ -250,20 +250,32 @@ class MatrixField:
         """Per-node eigenvalues, shape ``(*shape, p)``, ascending."""
         return np.linalg.eigvalsh(self.values)
 
+    @cached_property
+    def volume_element(self) -> np.ndarray:
+        """sqrt(det g) per node of this field read as a metric g, read-only.
+
+        Checked and computed once per field object.  Raises, on every access,
+        if the metric is not positive definite at some node.
+        """
+        ev = self.eigenvalues()
+        if np.any(ev <= 0):
+            bad = np.argwhere(ev.min(axis=-1) <= 0)[0]
+            raise GridValueError(f"metric is not positive definite at node index {tuple(bad)}")
+        sqrtg = np.sqrt(np.linalg.det(self.values))
+        sqrtg.setflags(write=False)
+        return sqrtg
+
 
 def metric_sqrt_det(metric: MatrixField | None, grid: ParameterGrid) -> np.ndarray:
     """sqrt(det g) per node; identity metric when ``metric`` is None.
 
-    Raises if the metric is not positive definite at some node.
+    Raises if the metric is not positive definite at some node; the metric's
+    own :attr:`MatrixField.volume_element` holds the value.
     """
     if metric is None:
         return np.ones(grid.shape)
     grid.require_same(metric.grid, "metric")
-    ev = np.linalg.eigvalsh(metric.values)
-    if np.any(ev <= 0):
-        bad = np.argwhere(ev.min(axis=-1) <= 0)[0]
-        raise GridValueError(f"metric is not positive definite at node index {tuple(bad)}")
-    return np.sqrt(np.linalg.det(metric.values))
+    return metric.volume_element
 
 
 def rho_weights(rho: ScalarField, metric: MatrixField | None) -> np.ndarray:
@@ -279,8 +291,6 @@ def rho_weights(rho: ScalarField, metric: MatrixField | None) -> np.ndarray:
 def integrate(field: ScalarField, metric: MatrixField | None = None) -> float:
     """Trapezoidal quadrature of ``field * sqrt(det g)`` over the box."""
     grid = field.grid
-    if metric is not None:
-        grid.require_same(metric.grid, "integrate")
     sqrtg = metric_sqrt_det(metric, grid)
     return float(np.sum(grid.trapezoid_weights * field.values * sqrtg))
 
@@ -295,10 +305,19 @@ def gradient(field: ScalarField) -> VectorField:
     return VectorField(grid, np.stack(comps, axis=-1), variance="covariant")
 
 
-def _divergence_of(grid: ParameterGrid, flux_components: np.ndarray) -> np.ndarray:
-    out = np.zeros(grid.shape)
+def _quotient_divergence(grid: ParameterGrid, dens: np.ndarray, v_values: np.ndarray,
+                         ok: np.ndarray | bool = True) -> np.ndarray:
+    """The quotient ``(1/d) d_a(d v^a)`` per node of the density ``d``.
+
+    Zero where ``ok`` is False: the nodes below the density floor of
+    :func:`_tiny_density_mask`.
+    """
+    flux = dens[..., None] * v_values
+    div = np.zeros(grid.shape)
     for ax in range(grid.dim):
-        out += np.gradient(flux_components[..., ax], grid.spacing[ax], axis=ax, edge_order=2)
+        div += np.gradient(flux[..., ax], grid.spacing[ax], axis=ax, edge_order=2)
+    out = np.zeros(grid.shape)
+    np.divide(div, dens, out=out, where=ok)
     return out
 
 
@@ -357,9 +376,7 @@ def weighted_divergence(
     grid.require_same(v.grid, "weighted_divergence")
     if v.variance != "contravariant":
         raise GridValueError("weighted_divergence needs a contravariant field")
-    sqrtg = metric_sqrt_det(metric, grid)
-
-    dens = sqrtg * rho.values
+    dens = metric_sqrt_det(metric, grid) * rho.values
     ok = ~_tiny_density_mask(grid, rho.values)
 
     res = boundary_residual(rho, v)
@@ -370,11 +387,7 @@ def weighted_divergence(
             stacklevel=2,
         )
 
-    flux = dens[..., None] * v.values
-    div = _divergence_of(grid, flux)
-    out = np.zeros(grid.shape)
-    np.divide(div, dens, out=out, where=ok)
-    return ScalarField(grid, out)
+    return ScalarField(grid, _quotient_divergence(grid, dens, v.values, ok))
 
 
 def boundary_residual(rho: ScalarField, v: VectorField) -> float:

@@ -34,7 +34,7 @@ from .grids import (
     ParameterGrid,
     ScalarField,
     VectorField,
-    _divergence_of,
+    _quotient_divergence,
     gradient,
     integrate,
     metric_sqrt_det,
@@ -636,8 +636,7 @@ def wave_functionals(
     f_val = float(np.sum(w * np.einsum("...a,...ab,...b->...", v.values,
                                        model.fisher.values, v.values)))
     sqrtg = metric_sqrt_det(model.metric, grid)
-    div_v = _divergence_of(grid, sqrtg[..., None] * v.values)
-    div_v /= sqrtg
+    div_v = _quotient_divergence(grid, sqrtg, v.values)
     grad_psi = gradient(ScalarField(grid, psi.values)).values
     d_psi = div_v * psi.values + 2.0 * np.einsum("...a,...a->...", v.values, grad_psi)
     p_val = float(np.sum(grid.trapezoid_weights * sqrtg * d_psi**2))

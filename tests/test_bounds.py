@@ -75,6 +75,18 @@ class TestGillLevitBound:
         rep = gill_levit_bound(gauss_model, gauss_model.prior, unit_field(gauss_model.grid), 10.0)
         assert abs(rep.bound - 1.0 / 11.0) <= 1e-6
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda model, v: functionals(model, model.prior, v),
+        lambda model, v: gill_levit_bound(model, model.prior, v, 1.0),
+    ], ids=["functionals", "gill_levit_bound"])
+    def test_covariant_field_refused(self, evaluate):
+        # the bound is invariant only for a contravariant v; a covariant one
+        # with the same components would give a finite bound in one chart
+        model = gaussian_scalar_model(n_nodes=401)
+        v = VectorField.constant(model.grid, [1.0], variance="covariant")
+        with pytest.raises(GridValueError, match="contravariant"):
+            evaluate(model, v)
+
     def test_zero_weight_gives_zero(self):
         model = gaussian_scalar_model(weight=0.0)
         rep = gill_levit_bound(model, model.prior, unit_field(model.grid), 10.0)

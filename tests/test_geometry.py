@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,3 +251,28 @@ class TestCatalogInvarianceForVChoices:
             rep = invariance_report(bump_model, bump_model.prior, v, map_obj,
                                     10.0, target_grid=tgt, v_fn=v_fn)
             assert rep.relative_difference <= 1e-6, map_obj.name
+
+
+class TestVolumeElementReuse:
+    def test_x4_invariance_config_checks_each_metric_once(self, monkeypatch):
+        seen = {"det": [], "eigvalsh": []}
+        for name, calls in seen.items():
+            real = getattr(np.linalg, name)
+
+            def counting(a, *args, _real=real, _calls=calls, **kwargs):
+                _calls.append(a)
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        config = scenarios.load_config(
+            Path(__file__).parent.parent / "configs" / "invariance_cube_map.json")
+        scenarios.run_scenario_config(config, grid_scale=4)
+        # two Jacobians and the two pushed metrics; 10 when every reader
+        # recomputed sqrt(det g)
+        assert len(seen["det"]) <= 4
+        # a metric is an array both decomposed: each is checked exactly once
+        metrics = {id(a): a for a in seen["eigvalsh"] if any(a is d for d in seen["det"])}
+        assert len(metrics) == 2
+        for metric in metrics.values():
+            assert sum(a is metric for a in seen["eigvalsh"]) == 1
+            assert sum(a is metric for a in seen["det"]) == 1

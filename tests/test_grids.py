@@ -13,7 +13,9 @@ from bcrb.grids import (
     divergence_matrix,
     gradient,
     integrate,
+    metric_sqrt_det,
     read_csv,
+    rho_weights,
     trapezoid_weights_1d,
     weighted_divergence,
 )
@@ -113,6 +115,74 @@ class TestIntegrate:
             errs.append(abs(integrate(f) - exact))
         order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
         assert all(1.8 <= o <= 2.2 for o in order)
+
+
+def count_linalg_calls(monkeypatch, *names):
+    """Wrap each named ``np.linalg`` routine; returns name -> list of the
+    arrays it was called on, in call order."""
+    seen = {name: [] for name in names}
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def counting(a, *args, _real=real, _seen=seen[name], **kwargs):
+            _seen.append(a)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return seen
+
+
+class TestVolumeElement:
+    def curved(self, g):
+        th = g.coordinates[..., 0]
+        return MatrixField(g, (2.0 + np.sin(th))[..., None, None])
+
+    def test_checked_and_computed_once_per_metric_field(self, monkeypatch):
+        g = line(0, 1, 201)
+        metric = self.curved(g)
+        rho = ScalarField(g, np.sin(np.pi * g.coordinates[..., 0]) ** 4)
+        v = VectorField.constant(g, [1.0])
+        seen = count_linalg_calls(monkeypatch, "eigvalsh", "det")
+        sqrtg = metric_sqrt_det(metric, g)
+        integrate(rho, metric)
+        rho_weights(rho, metric)
+        weighted_divergence(rho, v, metric)
+        divergence_matrix(g, rho, metric)
+        assert metric_sqrt_det(metric, g) is sqrtg
+        assert [len(seen["eigvalsh"]), len(seen["det"])] == [1, 1]
+        # a second field object with the same values runs its own check
+        twin = MatrixField(g, metric.values)
+        assert np.array_equal(metric_sqrt_det(twin, g), sqrtg)
+        assert [len(seen["eigvalsh"]), len(seen["det"])] == [2, 2]
+        exact = np.sqrt(2.0 + np.sin(g.coordinates[..., 0]))
+        assert np.allclose(sqrtg, exact, rtol=1e-14, atol=0)
+
+    def test_read_only(self):
+        g = line(0, 1, 11)
+        metric = self.curved(g)
+        with pytest.raises(ValueError, match="read-only"):
+            metric.volume_element[3] = 1.0
+        with pytest.raises(AttributeError):
+            metric.volume_element = np.ones(11)
+
+    def test_non_pd_metric_raises_on_every_call(self, monkeypatch):
+        g = line(0, 1, 11)
+        vals = np.ones((11, 1, 1))
+        vals[3] = -1.0
+        metric = MatrixField(g, vals)
+        seen = count_linalg_calls(monkeypatch, "eigvalsh")
+        # numpy 2 writes the index as np.int64(3)
+        node = r"metric is not positive definite at node index \((np\.int64\()?3\)?,\)"
+        for calls in (1, 2):
+            with pytest.raises(GridValueError, match=node):
+                metric_sqrt_det(metric, g)
+            assert len(seen["eigvalsh"]) == calls
+        with pytest.raises(GridValueError, match=node):
+            integrate(ScalarField(g, np.ones(11)), metric)
+
+    def test_metric_on_another_grid_rejected(self):
+        with pytest.raises(GridMismatchError):
+            integrate(ScalarField(line(0, 1, 11), np.ones(11)), self.curved(line(0, 1, 12)))
 
 
 class TestGradient:

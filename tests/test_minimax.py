@@ -10,7 +10,7 @@ from bcrb.errors import (
     EigensolverError,
     GridValueError,
 )
-from bcrb.geometry import StatisticalModel
+from bcrb.geometry import StatisticalModel, odd_power_map, pushforward_model
 from bcrb.grids import ScalarField, VectorField
 from bcrb.minimax import (
     DiscretizedHamiltonian,
@@ -26,6 +26,7 @@ from bcrb.minimax import (
 )
 
 from conftest import (
+    bump_scalar_model,
     const_matrix_fn,
     const_vector_fn,
     gaussian_scalar_model,
@@ -99,6 +100,22 @@ class TestWaveFunctionals:
         assert abs(aw - ad) <= 1e-8
         assert abs(fw - fd) <= 1e-8
         assert abs(pw - pd_) <= 1e-8
+
+    def test_pushed_metric_matches_density_route(self):
+        # in the cube coordinate t the bump model carries the metric (3 t^(2/3))^-2;
+        # <A> and <F> share the density route's weights, <P> converges to it
+        gaps = []
+        for nodes in (1601, 6401):
+            model = pushforward_model(bump_scalar_model(n_nodes=nodes), odd_power_map(3))
+            assert model.metric is not None
+            psi = Wavefunction.normalized(model.grid, np.sqrt(model.prior.values))
+            v = unit_field(model.grid)
+            aw, fw, pw = wave_functionals(psi, v, model)
+            ad, fd, pd_ = functionals(model, psi.density(), v)
+            assert (aw, fw) == (ad, fd)
+            gaps.append(abs(pw - pd_) / pd_)
+        assert gaps[0] <= 5e-4 and gaps[1] <= 3e-5
+        assert gaps[0] / gaps[1] >= 12.0  # second order: 16 per halving of dx, twice
 
 
 class TestAssembleH:
