@@ -102,6 +102,10 @@ class SpectralModel:
             raise GridValueError("need at least 3 frequency nodes")
         if not 0 < self.hbar < np.inf:
             raise GridValueError(f"hbar must be finite and positive, got {self.hbar}")
+        # finite ends and the increasing steps checked next make every node finite
+        if not (np.isfinite(omega[0]) and np.isfinite(omega[-1])):
+            raise GridValueError(
+                f"frequency grid must be finite, got endpoints {omega[0]} and {omega[-1]}")
         # every step positive and np.allclose(steps, step, rtol=1e-9), from the
         # extreme steps of each block (both NaN if one step is); allclose's
         # x == y alone admits an infinite step

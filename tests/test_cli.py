@@ -806,6 +806,24 @@ class TestNonFinitePsf:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+class TestInfiniteFrequencyEndpoints:
+    def test_exit_2_naming_spectra_csv(self, tmp_path, capsys):
+        csv_path = tmp_path / "spectra.csv"
+        csv_path.write_text("omega,s_q,s_theta,h_abs2\n"
+                            "-inf,1,1,0\n0,1,1,1\ninf,1,1,0\n")
+        cfg = {"kind": "waveform", "name": "infinite-omega",
+               "spectra": {"csv": str(csv_path)}}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["waveform", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "spectra.csv" in err and "frequency grid must be finite" in err
+        assert not caught
+        assert not (tmp_path / "o").exists()
+
+
 class TestRepeatedPsfX:
     @pytest.mark.parametrize("task", ["fisher", "helstrom_rank", "exponent"])
     def test_exit_2_naming_psf_csv(self, tmp_path, capsys, task):

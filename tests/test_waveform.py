@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,18 @@ class TestSpectralModel:
         model = SpectralModel.from_csv(path)
         assert np.allclose(model.omega, omega)
         assert np.allclose(model.s_q, 0.5)
+
+    @pytest.mark.parametrize("omega", [[-np.inf, 0.0, np.inf], [-1.0, 0.0, np.inf],
+                                       [np.nan, 0.0, 1.0]],
+                             ids=["both_infinite", "one_infinite", "nan"])
+    def test_rejects_non_finite_frequency(self, omega):
+        # an infinite step passes the uniform-step test, and -inf + inf is a
+        # NaN that would slip through the symmetry test with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridValueError, match="frequency grid must be finite"):
+                SpectralModel(np.array(omega), s_q=1.0, s_theta=1.0,
+                              h_abs2=np.array([0.0, 1.0, 0.0]))
 
     @pytest.mark.parametrize("hbar", [np.nan, 0.0, -1.0, np.inf])
     def test_hbar_must_be_finite_and_positive(self, hbar):
