@@ -7,6 +7,21 @@ from bcrb.geometry import StatisticalModel
 from bcrb.grids import ParameterGrid, VectorField
 
 
+def count_linalg_calls(monkeypatch, *names):
+    """Wrap each named ``np.linalg`` routine; returns name -> list of the
+    arrays it was called on, in call order."""
+    seen = {name: [] for name in names}
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def counting(a, *args, _real=real, _seen=seen[name], **kwargs):
+            _seen.append(a)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return seen
+
+
 def line_grid(lo, hi, n):
     return ParameterGrid([(lo, hi)], [n])
 

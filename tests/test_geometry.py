@@ -23,6 +23,7 @@ from bcrb.grids import ParameterGrid, VectorField, integrate
 from conftest import (
     bump_scalar_model,
     const_vector_fn,
+    count_linalg_calls,
     line_grid,
     unit_field,
 )
@@ -255,15 +256,7 @@ class TestCatalogInvarianceForVChoices:
 
 class TestVolumeElementReuse:
     def test_x4_invariance_config_checks_each_metric_once(self, monkeypatch):
-        seen = {"det": [], "eigvalsh": []}
-        for name, calls in seen.items():
-            real = getattr(np.linalg, name)
-
-            def counting(a, *args, _real=real, _calls=calls, **kwargs):
-                _calls.append(a)
-                return _real(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
+        seen = count_linalg_calls(monkeypatch, "det", "eigvalsh")
         config = scenarios.load_config(
             Path(__file__).parent.parent / "configs" / "invariance_cube_map.json")
         scenarios.run_scenario_config(config, grid_scale=4)

@@ -20,6 +20,8 @@ from bcrb.grids import (
     weighted_divergence,
 )
 
+from conftest import count_linalg_calls
+
 
 def line(lo, hi, n):
     return ParameterGrid([(lo, hi)], [n])
@@ -117,21 +119,6 @@ class TestIntegrate:
         assert all(1.8 <= o <= 2.2 for o in order)
 
 
-def count_linalg_calls(monkeypatch, *names):
-    """Wrap each named ``np.linalg`` routine; returns name -> list of the
-    arrays it was called on, in call order."""
-    seen = {name: [] for name in names}
-    for name in names:
-        real = getattr(np.linalg, name)
-
-        def counting(a, *args, _real=real, _seen=seen[name], **kwargs):
-            _seen.append(a)
-            return _real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return seen
-
-
 class TestVolumeElement:
     def curved(self, g):
         th = g.coordinates[..., 0]
@@ -177,12 +164,6 @@ class TestVolumeElement:
             with pytest.raises(GridValueError, match=node):
                 metric_sqrt_det(metric, g)
             assert len(seen["eigvalsh"]) == calls
-        with pytest.raises(GridValueError, match=node):
-            integrate(ScalarField(g, np.ones(11)), metric)
-
-    def test_metric_on_another_grid_rejected(self):
-        with pytest.raises(GridMismatchError):
-            integrate(ScalarField(line(0, 1, 11), np.ones(11)), self.curved(line(0, 1, 12)))
 
 
 class TestGradient:
