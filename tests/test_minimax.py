@@ -115,7 +115,7 @@ class TestWaveFunctionals:
             assert (aw, fw) == (ad, fd)
             gaps.append(abs(pw - pd_) / pd_)
         assert gaps[0] <= 5e-4 and gaps[1] <= 3e-5
-        assert gaps[0] / gaps[1] >= 12.0  # second order: 16 per halving of dx, twice
+        assert gaps[0] / gaps[1] >= 12.0  # second order: dx is quartered, so 16
 
 
 class TestAssembleH:
