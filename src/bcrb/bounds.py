@@ -33,12 +33,11 @@ from .grids import (
     ScalarField,
     VectorField,
     _check_values,
+    _density,
+    _first_node,
     _quotient_divergence,
-    _tiny_density_mask,
     boundary_residual,
     check_symmetric,
-    gradient,
-    metric_sqrt_det,
     rho_weights,
 )
 
@@ -206,8 +205,7 @@ def _functionals(model, prior, weights, fields, gamma_inv) -> tuple[float, float
     for u, v in zip(weights, fields):
         a_val += float(np.sum(w * np.einsum("...a,...a->...", v.values, u.values)))
 
-    dens = metric_sqrt_det(model.metric, grid) * prior.values
-    ok = ~_tiny_density_mask(grid, prior.values)
+    dens, ok = _density(grid, prior, model.metric)
     divs = [_quotient_divergence(grid, dens, v.values, ok) for v in fields]
     f_val = 0.0
     p_val = 0.0
@@ -263,9 +261,8 @@ def natural_v(model: StatisticalModel) -> VectorField:
     trace = np.trace(f, axis1=-2, axis2=-1)
     singular = ev[..., 0] <= SINGULAR_RTOL * np.maximum(trace, 1e-300)
     if np.any(singular):
-        bad = np.argwhere(singular)[0]
         raise SingularInformationError(
-            f"information matrix is rank deficient at node {tuple(bad)}; the weight "
+            f"information matrix is rank deficient at node {_first_node(singular)}; the weight "
             "vector must lie in its range for the per-point natural field to exist"
         )
     v_vals = np.linalg.solve(f, model.weight.values[..., None])[..., 0]
@@ -283,48 +280,35 @@ def van_trees_v(
 ) -> tuple[VectorField, BoundReport]:
     """Constant field from averaged information plus prior curvature.
 
-    v = [(n <F> + <G>)^{-1}] <u> with G_ab = (d_a log pi)(d_b log pi); the
-    resulting bound is <u> (n<F> + <G>)^{-1} <u>.  This v is generally not
-    contravariant, so the bound can change under reparametrization; the
-    report flags that.
+    v = [(n <F> + <G>)^{-1}] <u> with G_ab = s_a s_b for the prior score
+    s_a = (1/d) d_a d, d = sqrt(det g) rho, taken by the quotient of the
+    bound's own <P>; the report is the Gill-Levit bound of v, which equals
+    <u> (n<F> + <G>)^{-1} <u>.  This v is generally not contravariant, so the
+    bound can change under reparametrization; the report flags that.
     """
     _check_n(n)
     grid = model.grid
     grid.require_same(prior.grid, "van_trees prior")
-    w = rho_weights(prior, model.metric)
-
-    pi_vals = prior.values * metric_sqrt_det(model.metric, grid)
-    if np.any(pi_vals <= 0):
-        raise GridValueError(
-            "van_trees_v needs a strictly positive prior on the grid (log derivative)"
-        )
-    log_pi = ScalarField(grid, np.log(pi_vals))
+    dens, ok = _density(grid, prior, model.metric)
+    if np.any(dens <= 0):
+        raise GridValueError("van_trees_v needs a strictly positive prior on the grid")
     p = grid.dim
-    wf = w.ravel()
-    dlog = gradient(log_pi).values.reshape(-1, p)
-    g_avg = np.einsum("n,na,nb->ab", wf, dlog, dlog)
+    score = np.stack([_quotient_divergence(grid, dens, e, ok) for e in np.eye(p)],
+                     axis=-1).reshape(-1, p)
+    wf = rho_weights(prior, model.metric).ravel()
+    g_avg = np.einsum("n,na,nb->ab", wf, score, score)
     f_avg = np.einsum("n,nab->ab", wf, model.fisher.values.reshape(-1, p, p))
     u_avg = np.einsum("n,na->a", wf, model.weight.values.reshape(-1, p))
-
-    mat = n * f_avg + g_avg
     try:
-        v_const = np.linalg.solve(mat, u_avg)
+        v_const = np.linalg.solve(n * f_avg + g_avg, u_avg)
     except np.linalg.LinAlgError as exc:
         raise SingularInformationError(
             f"averaged matrix n<F> + <G> is singular: {exc}"
         ) from exc
 
     v_field = VectorField.constant(grid, v_const)
-    res = _check_boundary(prior, v_field)
-    align = float(v_const @ u_avg)
-    info = float(v_const @ f_avg @ v_const)
-    p_val = float(v_const @ g_avg @ v_const)
-    report = BoundReport.assemble(
-        align, info, p_val, n, "van_trees (usually not contravariant)",
-        {"boundary_residual": res, "grid": grid.describe()},
-        allow_zero=True,
-    )
-    return v_field, report
+    return v_field, _bound_report(model, prior, (model.weight,), (v_field,), np.ones((1, 1)), n,
+                                  "van_trees (usually not contravariant)", allow_zero=True)
 
 
 def vectoral_bound(

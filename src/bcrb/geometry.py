@@ -26,6 +26,7 @@ from .grids import (
     ParameterGrid,
     ScalarField,
     VectorField,
+    _first_node,
     integrate,
 )
 
@@ -66,10 +67,9 @@ class StatisticalModel:
         ev = self.fisher.eigenvalues()
         trace = np.trace(self.fisher.values, axis1=-2, axis2=-1)
         scale = np.maximum(np.abs(trace), 1e-300)
-        if np.any(ev[..., 0] < -PSD_RTOL * scale):
-            bad = np.argwhere(ev[..., 0] < -PSD_RTOL * scale)[0]
+        if np.any(not_psd := ev[..., 0] < -PSD_RTOL * scale):
             raise GridValueError(
-                f"information matrix not positive semidefinite at node {tuple(bad)}"
+                f"information matrix not positive semidefinite at node {_first_node(not_psd)}"
             )
         if self.metric is not None:
             self.grid.require_same(self.metric.grid, "model metric")
@@ -298,10 +298,10 @@ def pushforward_model(
     jac = map.jacobian_at(pts_src, lengths)  # J at theta(theta~)
     det = np.linalg.det(jac)
     if np.any(det == 0) or not np.all(np.isfinite(det)):
-        bad = np.argwhere((det == 0) | ~np.isfinite(det))[0]
+        bad = _first_node((det == 0) | ~np.isfinite(det))
         raise GridValueError(
-            f"singular Jacobian at target node {tuple(bad)}, "
-            f"coordinates {target_grid.coordinates[tuple(bad)]}"
+            f"singular Jacobian at target node {bad}, "
+            f"coordinates {target_grid.coordinates[bad]}"
         )
     jac_inv = np.linalg.inv(jac)
 

@@ -259,11 +259,16 @@ class MatrixField:
         """
         ev = self.eigenvalues()
         if np.any(ev <= 0):
-            bad = np.argwhere(ev.min(axis=-1) <= 0)[0]
-            raise GridValueError(f"metric is not positive definite at node index {tuple(bad)}")
+            raise GridValueError("metric is not positive definite at node index "
+                                 f"{_first_node(ev.min(axis=-1) <= 0)}")
         sqrtg = np.sqrt(np.linalg.det(self.values))
         sqrtg.setflags(write=False)
         return sqrtg
+
+
+def _first_node(mask: np.ndarray) -> tuple[int, ...]:
+    """Index of the first True entry of ``mask``, as plain ints for messages."""
+    return tuple(int(i) for i in np.argwhere(mask)[0])
 
 
 def metric_sqrt_det(metric: MatrixField | None, grid: ParameterGrid) -> np.ndarray:
@@ -307,7 +312,8 @@ def gradient(field: ScalarField) -> VectorField:
 
 def _quotient_divergence(grid: ParameterGrid, dens: np.ndarray, v_values: np.ndarray,
                          ok: np.ndarray | bool = True) -> np.ndarray:
-    """The quotient ``(1/d) d_a(d v^a)`` per node of the density ``d``.
+    """The quotient ``(1/d) d_a(d v^a)`` per node of the density ``d``, with
+    ``v_values`` per node or one p-vector for every node.
 
     Zero where ``ok`` is False: the nodes below the density floor of
     :func:`_tiny_density_mask`.
@@ -349,14 +355,21 @@ def _tiny_density_mask(grid: ParameterGrid, rho_values: np.ndarray):
         neighbor_max > HOLE_NEIGHBOR_RATIO * np.maximum(rho_values, floor / HOLE_NEIGHBOR_RATIO**2)
     )
     if np.any(hole):
-        nodes = np.argwhere(hole)
-        coords = grid.coordinates[tuple(nodes[0])]
+        node = _first_node(hole)
         raise GridValueError(
-            f"density below floor {floor:.3e} at {len(nodes)} interior node(s) "
+            f"density below floor {floor:.3e} at {int(hole.sum())} interior node(s) "
             f"with non-vanishing neighborhoods; first offender index "
-            f"{tuple(int(i) for i in nodes[0])} at coordinates {coords}"
+            f"{node} at coordinates {grid.coordinates[node]}"
         )
     return tiny
+
+
+def _density(grid: ParameterGrid, rho: ScalarField,
+             metric: MatrixField | None) -> tuple[np.ndarray, np.ndarray]:
+    """The density ``d = sqrt(det g) rho`` per node and the mask of nodes at
+    or above the floor of :func:`_tiny_density_mask`, the nodes where the
+    quotient ``(1/d) d_a(d v^a)`` is taken."""
+    return metric_sqrt_det(metric, grid) * rho.values, ~_tiny_density_mask(grid, rho.values)
 
 
 def weighted_divergence(
@@ -376,8 +389,7 @@ def weighted_divergence(
     grid.require_same(v.grid, "weighted_divergence")
     if v.variance != "contravariant":
         raise GridValueError("weighted_divergence needs a contravariant field")
-    dens = metric_sqrt_det(metric, grid) * rho.values
-    ok = ~_tiny_density_mask(grid, rho.values)
+    dens, ok = _density(grid, rho, metric)
 
     res = boundary_residual(rho, v)
     if res > BOUNDARY_RESIDUAL_TOL:
@@ -435,9 +447,7 @@ def divergence_matrix(
     Shape ``(num_nodes, num_nodes * p)`` with component blocks concatenated;
     same floor semantics as :func:`weighted_divergence`.
     """
-    sqrtg = metric_sqrt_det(metric, grid)
-    dens = (sqrtg * rho.values).ravel()
-    ok = ~_tiny_density_mask(grid, rho.values).ravel()
+    dens, ok = (a.ravel() for a in _density(grid, rho, metric))
     inv = np.zeros_like(dens)
     inv[ok] = 1.0 / dens[ok]
     blocks = [

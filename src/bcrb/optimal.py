@@ -36,9 +36,8 @@ from .grids import (
     ParameterGrid,
     ScalarField,
     VectorField,
-    _tiny_density_mask,
+    _density,
     check_symmetric,
-    metric_sqrt_det,
     rho_weights,
 )
 
@@ -72,21 +71,14 @@ class OperatorL:
     interior fields v, w (component blocks concatenated),
     ``w @ matrix @ v`` equals the discrete inner product <w, Lv>_rho, and
     ``weight`` is the diagonal of quadrature weights so that
-    ``w @ weight @ v`` is <w, v>_rho (``node_weights``: the same weights at
-    every node, flattened).  With q coupled fields the matrix holds q such
-    blocks and ``weight`` is that of one.
+    ``w @ weight @ v`` is <w, v>_rho.  With q coupled fields the matrix holds
+    q such blocks and ``weight`` is that of one.
     """
 
     grid: ParameterGrid
     matrix: sp.csr_matrix
     weight: np.ndarray
     interior: np.ndarray  # flat indices of interior nodes
-    node_weights: np.ndarray
-
-    def inner(self, v: VectorField, u: VectorField) -> float:
-        """<v, u>_rho over the full grid."""
-        w = self.node_weights.reshape(self.grid.shape)
-        return float(np.sum(w * np.einsum("...a,...a->...", v.values, u.values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +123,8 @@ def _assemble_system(
     _check_n(n)
     p, num, shape, q = grid.dim, grid.num_nodes, grid.shape, gamma_inv.shape[-1]
     w = rho_weights(prior, model.metric).ravel()
-    d = (metric_sqrt_det(model.metric, grid) * prior.values).ravel()
-    c = np.divide(w, d * d, out=np.zeros(num),
-                  where=~_tiny_density_mask(grid, prior.values).ravel())
+    d, ok = (a.ravel() for a in _density(grid, prior, model.metric))
+    c = np.divide(w, d * d, out=np.zeros(num), where=ok)
     interior = np.flatnonzero(inner := ~grid.boundary_mask.ravel())
     size, step = q * p * interior.size, [int(np.prod(shape[a + 1:])) for a in range(p)]
     pad = 2 * step[0]  # the widest shift: two nodes along axis 0
@@ -191,7 +182,7 @@ def _assemble_system(
 def _operator(model, prior, n, gamma_inv) -> OperatorL:
     """The operator of q fields coupled by ``gamma_inv``, shape ``(num_nodes, q, q)``."""
     matrix, w, interior = _assemble_system(model, prior, n, gamma_inv)
-    return OperatorL(model.grid, matrix, np.tile(w[interior], model.grid.dim), interior, w)
+    return OperatorL(model.grid, matrix, np.tile(w[interior], model.grid.dim), interior)
 
 
 def assemble_L(model: StatisticalModel, prior: ScalarField, n: float) -> OperatorL:

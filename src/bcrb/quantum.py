@@ -19,7 +19,7 @@ import numpy as np
 from .bounds import BoundReport
 from .errors import GridValueError
 from .geometry import StatisticalModel
-from .grids import ScalarField
+from .grids import ScalarField, _first_node
 from .optimal import bmax, gaussian_closed_form
 
 TRACE_ATOL = 1e-10
@@ -89,7 +89,7 @@ def _check(bad: np.ndarray, message: Callable, at) -> None:
     (m, p)); ``message`` gets its index, and ``at[i]``, when given, names the
     stack entry."""
     if np.any(bad):
-        index = tuple(int(k) for k in np.argwhere(bad)[0])
+        index = _first_node(bad)
         where = "" if at is None else f" at {at[index[0]]}"
         raise GridValueError(message(*index) + where)
 

@@ -269,11 +269,8 @@ def _bound_table(rep: bounds.BoundReport) -> tuple[list[str], list[list]]:
 
 def _run_bound(config, grid_scale, rng) -> ScenarioResult:
     model = _build_model(config, grid_scale)
-    if config["v"]["choice"] == "van_trees":
-        _, rep = bounds.van_trees_v(model, model.prior, float(config["n"]))
-    else:
-        v, label, _ = _build_v(config, model)
-        rep = bounds.gill_levit_bound(model, model.prior, v, float(config["n"]), label)
+    v, label, _ = _build_v(config, model)
+    rep = bounds.gill_levit_bound(model, model.prior, v, float(config["n"]), label)
     return ScenarioResult({"bound_report": rep.to_dict()}, {"bound": _bound_table(rep)})
 
 

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from bcrb.errors import (
     SingularInformationError,
 )
 from bcrb.geometry import StatisticalModel, odd_power_map, pushforward_model
-from bcrb.grids import MatrixField, ParameterGrid, VectorField
+from bcrb.grids import MatrixField, ParameterGrid, VectorField, rho_weights, weighted_divergence
 from bcrb.optimal import bmax, gaussian_closed_form
 
 from conftest import (
@@ -235,6 +237,15 @@ class TestNaturalV:
         with pytest.raises(SingularInformationError, match="rank deficient"):
             natural_v(model)
 
+    def test_rank_deficient_names_node_with_plain_ints(self):
+        grid = ParameterGrid([(-1, 1), (-1, 1)], [3, 3])
+        f = np.broadcast_to(np.eye(2), (3, 3, 2, 2)).copy()
+        f[1, 2] = 0.25  # rank 1 at node (1, 2) only
+        model = StatisticalModel(grid, MatrixField(grid, f),
+                                 VectorField.constant(grid, [1.0, -1.0], variance="covariant"))
+        with pytest.raises(SingularInformationError, match=r"rank deficient at node \(1, 2\);"):
+            natural_v(model)
+
     def test_natural_bound_matches_borovkov_form(self, gauss_model):
         # B = <C>^2/(n<C> + <P>) with C = u F^-1 u = 1 here
         v = natural_v(gauss_model)
@@ -256,13 +267,7 @@ class TestVanTrees:
         assert rep.bound == 0.0
 
     def test_2d_diagonal(self):
-        grid = ParameterGrid([(-6.5, 6.5), (-6.5, 6.5)], [201, 201])
-        model = StatisticalModel.from_callables(
-            grid,
-            fisher_fn=const_matrix_fn([[2.0, 0.0], [0.0, 2.0]]),
-            weight_fn=const_vector_fn([1.0, 0.0]),
-            prior_fn=lambda c: np.exp(-np.sum(np.asarray(c) ** 2, axis=-1) / 2.0),
-        )
+        model = contract_model("2d")
         _, rep = van_trees_v(model, model.prior, 1.0)
         assert abs(rep.bound - 1.0 / 3.0) <= 1e-6
 
@@ -276,6 +281,102 @@ class TestVanTrees:
         )
         with pytest.raises(GridValueError, match="strictly positive"):
             van_trees_v(model, model.prior, 1.0)
+
+
+@lru_cache(maxsize=None)
+def contract_model(name):
+    """The 1-D Gaussian model (F = u = 1 on [-8, 8]) at ``name`` nodes, or
+    "2d": F = 2I, u = (1, 0) under a standard Gaussian on [-6.5, 6.5]^2."""
+    if name != "2d":
+        return gaussian_scalar_model(n_nodes=name)
+    grid = ParameterGrid([(-6.5, 6.5), (-6.5, 6.5)], [201, 201])
+    return StatisticalModel.from_callables(
+        grid,
+        fisher_fn=const_matrix_fn([[2.0, 0.0], [0.0, 2.0]]),
+        weight_fn=const_vector_fn([1.0, 0.0]),
+        prior_fn=lambda c: np.exp(-np.sum(np.asarray(c) ** 2, axis=-1) / 2.0),
+    )
+
+
+CONTRACT_CASES = [(nodes, n) for nodes in (101, 401, 2001) for n in (0.1, 1.0, 10.0, 1e3)]
+CONTRACT_CASES.append(("2d", 1.0))
+
+
+@pytest.mark.parametrize("name, n", CONTRACT_CASES)
+class TestEveryFieldBelowBmax:
+    """B <= B_max on the grid for every field the library builds, and the van
+    Trees report is the Gill-Levit bound of its own field."""
+
+    def test_no_field_exceeds_bmax(self, name, n):
+        model = contract_model(name)
+        grid = model.grid
+        v_van_trees, van_trees = van_trees_v(model, model.prior, n)
+        fields = {
+            "unit": unit_field(grid),
+            "natural": natural_v(model),
+            "van_trees": v_van_trees,
+            "polynomial": VectorField(grid, 1.0 + grid.coordinates / 2.0),
+        }
+        b_max = bmax(model, n=n).bound
+        assert van_trees.bound <= b_max * (1 + 1e-10)
+        for label, v in fields.items():
+            assert gill_levit_bound(model, model.prior, v, n).bound <= b_max * (1 + 1e-10), label
+
+    def test_van_trees_report_is_that_of_its_field(self, name, n):
+        model = contract_model(name)
+        grid = model.grid
+        v, rep = van_trees_v(model, model.prior, n)
+        direct = gill_levit_bound(model, model.prior, v, n)
+        for key in ("alignment", "information", "prior_information", "bound"):
+            assert getattr(rep, key) == getattr(direct, key), key
+        # the closed form u (nF + G)^-1 u of the averaged matrices, G from the
+        # prior score (1/d) d_a d of weighted_divergence on the axis fields
+        p = grid.dim
+        w = rho_weights(model.prior, model.metric).ravel()
+        score = np.stack([weighted_divergence(model.prior, VectorField.constant(grid, e)).values
+                          for e in np.eye(p)], axis=-1).reshape(-1, p)
+        g_bar = np.einsum("n,na,nb->ab", w, score, score)
+        f_bar = np.einsum("n,nab->ab", w, model.fisher.values.reshape(-1, p, p))
+        u_bar = np.einsum("n,na->a", w, model.weight.values.reshape(-1, p))
+        closed = u_bar @ np.linalg.solve(n * f_bar + g_bar, u_bar)
+        assert abs(rep.bound - closed) <= 1e-13 * closed
+
+
+def sin_power_model(n_nodes, power):
+    """F = u = 1 under the prior sin^power(pi theta) on [0, 1]."""
+    return StatisticalModel.from_callables(
+        line_grid(0.0, 1.0, n_nodes),
+        fisher_fn=const_matrix_fn([[1.0]]),
+        weight_fn=const_vector_fn([1.0]),
+        prior_fn=window_bump_fn(0.0, 1.0, power),
+    )
+
+
+class TestEdgeSlopeConvergence:
+    """A prior whose sqrt has a nonzero slope at the box edge (sin^2) converges
+    at first order: the density form of <P> weights the quotient by rho = 0
+    at the edge node and drops the edge value of rho'^2 / rho.  With sin^4
+    the slope vanishes and the order is second."""
+
+    NODES = (401, 801, 1601)
+
+    @pytest.mark.parametrize("power, prior_information, ratio", [
+        (2, 4.0 * np.pi**2, 2.0),
+        (4, 16.0 * np.pi**2 / 3.0, 4.0),
+    ], ids=["sin2", "sin4"])
+    def test_unit_field_error_ratio(self, power, prior_information, ratio):
+        exact = 1.0 / (10.0 + prior_information)
+        errors = []
+        for nodes in self.NODES:
+            model = sin_power_model(nodes, power)
+            errors.append(gill_levit_bound(model, model.prior, unit_field(model.grid),
+                                           10.0).bound - exact)
+        for coarse, fine in zip(errors, errors[1:]):
+            assert abs(coarse / fine - ratio) <= 0.1 * ratio
+
+    def test_bmax_sin_squared_first_order(self):
+        b = [bmax(sin_power_model(nodes, 2), n=10.0).bound for nodes in self.NODES]
+        assert abs((b[0] - b[1]) / (b[1] - b[2]) - 2.0) <= 0.2
 
 
 def decoupled_2d_model(n_nodes=161):

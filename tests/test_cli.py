@@ -205,6 +205,18 @@ class TestOptimalScenario:
         rows = (out / "least_favorable.csv").read_text().strip().splitlines()
         assert len(rows) - 1 == 801
 
+    def test_bump_prior_above_unit_field_bound(self, tmp_path):
+        # rho ~ sin^4(pi theta) on [0, 1]: the unit field's bound is
+        # 1/(n + 16 pi^2/3), and B_max is the largest over all fields
+        cfg = gaussian_optimal_config(nodes=801)
+        cfg["grid"] |= {"lower": 0.0, "upper": 1.0}
+        cfg["prior"] = {"type": "bump", "power": 4}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["optimal", "--config", path, "--out", str(out)]) == 0
+        bmax = json.loads((out / "report.json").read_text())["results"]["bmax"]
+        assert bmax >= 1.0 / (10.0 + 16.0 * np.pi**2 / 3.0)
+
     def test_grid_scale_zero_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, gaussian_optimal_config(nodes=201))
         assert main(["optimal", "--config", path, "--out", str(tmp_path / "o"),
@@ -224,22 +236,14 @@ class TestBoundScenario:
         report = json.loads((out / "report.json").read_text())
         assert abs(report["results"]["bound_report"]["bound"] - 1.0 / 11.0) <= 1e-6
 
-    def test_van_trees_choice(self, tmp_path):
-        cfg = gaussian_optimal_config()
-        cfg["kind"] = "bound"
-        cfg["v"] = {"choice": "van_trees"}
-        path = write_config(tmp_path, cfg)
-        out = tmp_path / "o"
-        assert main(["bound", "--config", path, "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert abs(report["results"]["bound_report"]["bound"] - 1.0 / 11.0) <= 1e-6
-
     # F = u = 1 under a standard Gaussian prior with n = 10: the natural
-    # field is v = 1, and v = 1 + theta/2 gives <A> = 1, <F> = 5/4, <P> = 3/2
+    # field is v = 1, the van Trees field v = 1/11, and v = 1 + theta/2 gives
+    # <A> = 1, <F> = 5/4, <P> = 3/2
     @pytest.mark.parametrize("v, expected", [
         ({"choice": "natural"}, 1.0 / 11.0),
+        ({"choice": "van_trees"}, 1.0 / 11.0),
         ({"choice": "polynomial", "coeffs": [1.0, 0.5]}, 1.0 / 14.0),
-    ], ids=["natural", "polynomial"])
+    ], ids=["natural", "van_trees", "polynomial"])
     def test_field_choice(self, tmp_path, v, expected):
         cfg = gaussian_optimal_config()
         cfg["kind"] = "bound"
@@ -552,6 +556,19 @@ class TestInvarianceScenario:
         assert main(["invariance", "--config", path, "--out", str(out)]) == 0
         res = json.loads((out / "report.json").read_text())["results"]
         assert res["map"] == map_spec["catalog"]
+        assert res["invariant"] is True
+
+    def test_van_trees_field_under_affine_map(self, tmp_path):
+        cfg = invariance_config({"catalog": "affine", "scale": 2.0, "offset": 0.5})
+        cfg["grid"] |= {"lower": -1.0, "upper": 3.4}
+        cfg["prior"] = {"type": "gaussian", "center": 1.2, "variance": 0.09}
+        cfg["v"] = {"choice": "van_trees"}
+        out = tmp_path / "o"
+        assert main(["invariance", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert res["v_choice"] == "van_trees"
+        assert res["relative_difference"] <= 1e-12
         assert res["invariant"] is True
 
     @pytest.mark.parametrize("map_spec, message", [

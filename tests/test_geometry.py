@@ -18,7 +18,7 @@ from bcrb.geometry import (
     pushforward_model,
     transform_vector_field,
 )
-from bcrb.grids import ParameterGrid, VectorField, integrate
+from bcrb.grids import MatrixField, ParameterGrid, ScalarField, VectorField, integrate
 
 from conftest import (
     bump_scalar_model,
@@ -114,6 +114,18 @@ class TestPushforward:
         with pytest.raises(GridValueError, match="singular Jacobian"):
             pushforward_model(bump_model, bad)
 
+    def test_singular_jacobian_names_node_with_plain_ints(self):
+        model = bump_scalar_model(n_nodes=11)
+        bad_theta = model.grid.axes[0][3]
+        bad = Diffeomorphism(
+            lambda c: np.asarray(c, dtype=float),
+            lambda c: np.asarray(c, dtype=float),
+            lambda c: np.where(np.asarray(c) == bad_theta, 0.0, 1.0)[..., None],
+            "vanishing at node 3",
+        )
+        with pytest.raises(GridValueError, match=r"singular Jacobian at target node \(3,\), "):
+            pushforward_model(model, bad, model.grid)
+
     def test_round_trip_tensor_property(self):
         # no callbacks: exercises the cubic-interpolation path
         model = bump_scalar_model(n_nodes=801)
@@ -129,6 +141,24 @@ class TestPushforward:
         assert np.max(np.abs(back.fisher.values[inner] - model.fisher.values[inner])) <= tol
         assert np.max(np.abs(back.weight.values[inner] - model.weight.values[inner])) <= tol
         assert np.max(np.abs(back.prior.values[inner] - model.prior.values[inner])) <= tol
+
+
+class TestModelChecks:
+    def test_non_psd_information_names_node_with_plain_ints(self):
+        grid = line_grid(0.0, 1.0, 11)
+        fisher = np.ones((11, 1, 1))
+        fisher[3] = -1.0
+        weight = VectorField.constant(grid, [1.0], variance="covariant")
+        with pytest.raises(GridValueError, match=r"not positive semidefinite at node \(3,\)$"):
+            StatisticalModel(grid, MatrixField(grid, fisher), weight)
+
+    def test_unnormalized_prior_rejected(self):
+        grid = line_grid(0.0, 1.0, 11)
+        weight = VectorField.constant(grid, [1.0], variance="covariant")
+        with pytest.raises(GridValueError, match=r"prior integrates to 2\.0, expected 1 "
+                                                 r"within 1e-08; normalize it first"):
+            StatisticalModel(grid, MatrixField.identity(grid), weight,
+                             prior=ScalarField(grid, np.full(11, 2.0)))
 
 
 class TestTransformVectorField:

@@ -158,8 +158,7 @@ class TestVolumeElement:
         vals[3] = -1.0
         metric = MatrixField(g, vals)
         seen = count_linalg_calls(monkeypatch, "eigvalsh")
-        # numpy 2 writes the index as np.int64(3)
-        node = r"metric is not positive definite at node index \((np\.int64\()?3\)?,\)"
+        node = r"metric is not positive definite at node index \(3,\)$"
         for calls in (1, 2):
             with pytest.raises(GridValueError, match=node):
                 metric_sqrt_det(metric, g)
