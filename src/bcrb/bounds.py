@@ -9,9 +9,9 @@ an information matrix F, the three prior expectations
 
 combine into the lower bound  B = <A>^2 / (n <F> + <P>)  on the Bayesian
 mean-square risk of any estimator, provided rho*v vanishes on the boundary.
-The field v is free; this module also provides the two classical choices
-(per-point natural field and the constant averaged-information field) and
-the vector-parameter generalization with a positive-definite weight matrix.
+The field v is free, and every bound takes it as an argument.  This module
+also builds the two classical fields (per-point natural and constant van
+Trees) and bounds vector parameters under a positive-definite weight matrix.
 """
 
 from __future__ import annotations
@@ -124,18 +124,18 @@ class BoundReport:
 
 @dataclass(frozen=True, eq=False)
 class VectoralWeight:
-    """Vector parameter of interest: weight matrix, per-component fields.
+    """Vector parameter of interest: risk-weight matrix and component weights.
 
     ``gamma`` holds the symmetric positive-definite q x q risk-weight matrix
     per node; ``weights[j]`` is the covariant gradient field of the j-th
-    component of the parameter of interest and ``fields[j]`` the
-    corresponding contravariant free field.
+    component of the parameter of interest.  The free fields are not part of
+    the weight: `vectoral_bound` takes them as an argument, as
+    `gill_levit_bound` takes v, and `vectoral_bmax` solves for them.
     """
 
     grid: ParameterGrid
     gamma: np.ndarray
     weights: tuple[VectorField, ...]
-    fields: tuple[VectorField, ...]
 
     def __post_init__(self):
         gamma = np.array(self.gamma, dtype=float)
@@ -145,8 +145,6 @@ class VectoralWeight:
         if gamma.shape == (q, q):
             gamma = np.broadcast_to(gamma, self.grid.shape + (q, q)).copy()
         _check_values(self.grid, gamma, (q, q), "weight matrix gamma")
-        if len(self.fields) != q:
-            raise GridValueError("need one field per weight component")
         check_symmetric(gamma, "weight matrix gamma")
         gamma = (gamma + np.swapaxes(gamma, -1, -2)) / 2
         if np.any(np.linalg.eigvalsh(gamma)[..., 0] <= 0):
@@ -155,10 +153,6 @@ class VectoralWeight:
             self.grid.require_same(u.grid, "vectoral weight")
             if u.variance != "covariant":
                 raise GridValueError("weight components must be covariant")
-        for v in self.fields:
-            self.grid.require_same(v.grid, "vectoral field")
-            if v.variance != "contravariant":
-                raise GridValueError("free fields must be contravariant")
         gamma.setflags(write=False)
         object.__setattr__(self, "gamma", gamma)
 
@@ -188,11 +182,14 @@ def _functionals(model, prior, weights, fields, gamma_inv) -> tuple[float, float
     shape ``(*grid, q, q)`` or one ``(q, q)`` matrix for all nodes:
     <A> = sum_j <v_j . u_j>, <F> = sum_jk <g^{jk} v_j F v_k> and
     <P> = sum_jk <g^{jk} div_j div_k>, with div_j = (1/rho) div(rho v_j).
-    The scalar bound is q = 1 with g = 1.  Raises unless every field is
-    contravariant.
+    The scalar bound is q = 1 with g = 1.  Raises unless there is one field
+    per weight and every field is contravariant and on the model's grid.
     """
     grid = model.grid
     grid.require_same(prior.grid, "functionals prior")
+    if len(fields) != len(weights):
+        raise GridValueError(f"got {len(fields)} fields for {len(weights)} weights; "
+                             "need one field per weight component")
     residuals = []
     for v in fields:
         grid.require_same(v.grid, "functionals field")
@@ -277,21 +274,23 @@ def van_trees_v(
     model: StatisticalModel,
     prior: ScalarField,
     n: float,
-) -> tuple[VectorField, BoundReport]:
+) -> VectorField:
     """Constant field from averaged information plus prior curvature.
 
     v = [(n <F> + <G>)^{-1}] <u> with G_ab = s_a s_b for the prior score
     s_a = (1/d) d_a d, d = sqrt(det g) rho, taken by the quotient of the
-    bound's own <P>; the report is the Gill-Levit bound of v, which equals
-    <u> (n<F> + <G>)^{-1} <u>.  This v is generally not contravariant, so the
-    bound can change under reparametrization; the report flags that.
+    bound's own <P> (zero below the density floor, so the prior may vanish
+    at nodes).  The van Trees bound is
+    ``gill_levit_bound(model, prior, van_trees_v(model, prior, n), n)``,
+    which equals <u> (n<F> + <G>)^{-1} <u>; a zero weight gives the zero
+    field, whose bound raises :class:`DegenerateBoundError`.  This v is
+    generally not contravariant, so the bound can change under
+    reparametrization.
     """
     _check_n(n)
     grid = model.grid
     grid.require_same(prior.grid, "van_trees prior")
     dens, ok = _density(grid, prior, model.metric)
-    if np.any(dens <= 0):
-        raise GridValueError("van_trees_v needs a strictly positive prior on the grid")
     p = grid.dim
     score = np.stack([_quotient_divergence(grid, dens, e, ok) for e in np.eye(p)],
                      axis=-1).reshape(-1, p)
@@ -305,19 +304,18 @@ def van_trees_v(
         raise SingularInformationError(
             f"averaged matrix n<F> + <G> is singular: {exc}"
         ) from exc
-
-    v_field = VectorField.constant(grid, v_const)
-    return v_field, _bound_report(model, prior, (model.weight,), (v_field,), np.ones((1, 1)), n,
-                                  "van_trees (usually not contravariant)", allow_zero=True)
+    return VectorField.constant(grid, v_const)
 
 
 def vectoral_bound(
     model: StatisticalModel,
     prior: ScalarField,
     weights: VectoralWeight,
+    fields: tuple[VectorField, ...],
     n: float,
 ) -> BoundReport:
-    """Gill-Levit bound for a vector parameter of interest."""
+    """Gill-Levit bound of a vector parameter of interest for the ``fields``,
+    one contravariant field per component, coupled by the inverse of gamma."""
     model.grid.require_same(weights.grid, "vectoral weights")
-    return _bound_report(model, prior, weights.weights, weights.fields,
+    return _bound_report(model, prior, weights.weights, fields,
                          weights.gamma_inverse(), n, f"vectoral(q={weights.q})")

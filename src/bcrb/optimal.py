@@ -340,6 +340,7 @@ def vectoral_bmax(
     The block operator couples the q component fields through the inverse of
     the weight matrix:
     (Lv)^j_a = n g^{jk} F_ab v_k^b - d_a[(g^{jk}/rho) div(rho v_k)].
+    The report is `vectoral_bound` of the q least-favorable fields it solves for.
     """
     grid = model.grid
     grid.require_same(prior.grid, "vectoral_bmax prior")

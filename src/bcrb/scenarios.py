@@ -188,21 +188,20 @@ def _build_model(config: dict, grid_scale: int):
     return model
 
 
-def _build_v(config: dict, model) -> tuple[VectorField, str, Callable | None]:
+def _build_v(config: dict, model) -> tuple[VectorField, Callable | None]:
     spec = config["v"]
     choice = spec["choice"]
     if choice == "unit":
         fn = lambda c: np.ones_like(np.asarray(c, dtype=float))
-        return VectorField.from_callable(model.grid, fn), "unit", fn
+        return VectorField.from_callable(model.grid, fn), fn
     if choice == "natural":
-        return bounds.natural_v(model), "natural", None
+        return bounds.natural_v(model), None
     if choice == "van_trees":
-        v, _ = bounds.van_trees_v(model, model.prior, float(config["n"]))
-        return v, "van_trees", None
+        return bounds.van_trees_v(model, model.prior, float(config["n"])), None
     coeffs = [float(c) for c in spec.get("coeffs", [1.0])]
     fn = lambda c: np.polynomial.polynomial.polyval(
         np.asarray(c, dtype=float)[..., 0], coeffs)[..., None]
-    return VectorField.from_callable(model.grid, fn), "polynomial", fn
+    return VectorField.from_callable(model.grid, fn), fn
 
 
 def _build_map(spec: dict) -> geometry.Diffeomorphism:
@@ -269,8 +268,9 @@ def _bound_table(rep: bounds.BoundReport) -> tuple[list[str], list[list]]:
 
 def _run_bound(config, grid_scale, rng) -> ScenarioResult:
     model = _build_model(config, grid_scale)
-    v, label, _ = _build_v(config, model)
-    rep = bounds.gill_levit_bound(model, model.prior, v, float(config["n"]), label)
+    v, _ = _build_v(config, model)
+    rep = bounds.gill_levit_bound(model, model.prior, v, float(config["n"]),
+                                  config["v"]["choice"])
     return ScenarioResult({"bound_report": rep.to_dict()}, {"bound": _bound_table(rep)})
 
 
@@ -429,7 +429,7 @@ def _run_imaging(config, grid_scale, rng) -> ScenarioResult:
 
 def _run_invariance(config, grid_scale, rng) -> ScenarioResult:
     model = _build_model(config, grid_scale)
-    v, label, v_fn = _build_v(config, model)
+    v, v_fn = _build_v(config, model)
     map_obj = _build_map(config["map"])
     target_nodes = config["map"].get("target_nodes")
     target = None
@@ -443,7 +443,7 @@ def _run_invariance(config, grid_scale, rng) -> ScenarioResult:
         model, model.prior, v, map_obj, n, target_grid=target,
         transform_v=False, v_fn=v_fn)
     return ScenarioResult({
-        "v_choice": label,
+        "v_choice": config["v"]["choice"],
         "map": map_obj.name,
         "bound_source": rep.bound_source.bound,
         "bound_target": rep.bound_target.bound,

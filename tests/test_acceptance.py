@@ -327,8 +327,7 @@ def test_criterion_10_imaging_structure():
 
 def test_criterion_11_vectoral_reduction():
     model = gaussian_scalar_model()
-    weights_q1 = VectoralWeight(
-        model.grid, np.array([[1.0]]), (model.weight,), (unit_field(model.grid),))
+    weights_q1 = VectoralWeight(model.grid, np.array([[1.0]]), (model.weight,))
     vec_rep = vectoral_bmax(model, model.prior, weights_q1, 10.0)
     scl_rep = bmax(model, n=10.0)
     q1_gap = abs(vec_rep.bound - scl_rep.bound)
@@ -352,8 +351,6 @@ def test_criterion_11_vectoral_reduction():
         grid2, np.eye(2),
         (VectorField.constant(grid2, [1.0, 0.0], variance="covariant"),
          VectorField.constant(grid2, [0.0, 1.0], variance="covariant")),
-        (VectorField.constant(grid2, [1.0, 0.0]),
-         VectorField.constant(grid2, [0.0, 1.0])),
     )
     block_rep = vectoral_bmax(model2, model2.prior, weights_q2, 4.0)
 

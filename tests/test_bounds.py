@@ -21,7 +21,7 @@ from bcrb.errors import (
 )
 from bcrb.geometry import StatisticalModel, odd_power_map, pushforward_model
 from bcrb.grids import MatrixField, ParameterGrid, VectorField, rho_weights, weighted_divergence
-from bcrb.optimal import bmax, gaussian_closed_form
+from bcrb.optimal import bmax, gaussian_closed_form, vectoral_bmax
 
 from conftest import (
     bump_scalar_model,
@@ -80,7 +80,9 @@ class TestGillLevitBound:
     @pytest.mark.parametrize("evaluate", [
         lambda model, v: functionals(model, model.prior, v),
         lambda model, v: gill_levit_bound(model, model.prior, v, 1.0),
-    ], ids=["functionals", "gill_levit_bound"])
+        lambda model, v: vectoral_bound(
+            model, model.prior, VectoralWeight(model.grid, [[1.0]], (model.weight,)), (v,), 1.0),
+    ], ids=["functionals", "gill_levit_bound", "vectoral_bound"])
     def test_covariant_field_refused(self, evaluate):
         # the bound is invariant only for a contravariant v; a covariant one
         # with the same components would give a finite bound in one chart
@@ -193,10 +195,10 @@ class TestInvalidN:
     def test_every_bound_rejects_invalid_n(self, small_model, n):
         model = small_model
         v = unit_field(model.grid)
-        weights = VectoralWeight(model.grid, np.array([[1.0]]), (model.weight,), (v,))
+        weights = VectoralWeight(model.grid, np.array([[1.0]]), (model.weight,))
         calls = [
             lambda: gill_levit_bound(model, model.prior, v, n),
-            lambda: vectoral_bound(model, model.prior, weights, n),
+            lambda: vectoral_bound(model, model.prior, weights, (v,), n),
             lambda: BoundReport.assemble(1.0, 1.0, 1.0, n, "custom"),
             lambda: bmax(model, n=n),
             lambda: van_trees_v(model, model.prior, n),
@@ -254,33 +256,38 @@ class TestNaturalV:
 
 
 class TestVanTrees:
+    """The van Trees bound is the Gill-Levit bound of the van Trees field."""
+
     def test_scalar_gaussian(self, gauss_model):
-        v, rep = van_trees_v(gauss_model, gauss_model.prior, 10.0)
+        v = van_trees_v(gauss_model, gauss_model.prior, 10.0)
+        rep = gill_levit_bound(gauss_model, gauss_model.prior, v, 10.0)
         assert abs(rep.bound - 1.0 / 11.0) <= 1e-6
         assert np.allclose(v.values, 1.0 / 11.0, atol=1e-6)
-        assert "not contravariant" in rep.v_choice
 
     def test_zero_weight(self):
+        # the zero field has no information and no prior term, as for any
+        # zero field: the bound is degenerate, not 0
         model = gaussian_scalar_model(weight=0.0)
-        v, rep = van_trees_v(model, model.prior, 10.0)
+        v = van_trees_v(model, model.prior, 10.0)
         assert np.max(np.abs(v.values)) == 0.0
-        assert rep.bound == 0.0
+        with pytest.raises(DegenerateBoundError, match="degenerate direction"):
+            gill_levit_bound(model, model.prior, v, 10.0)
 
     def test_2d_diagonal(self):
         model = contract_model("2d")
-        _, rep = van_trees_v(model, model.prior, 1.0)
-        assert abs(rep.bound - 1.0 / 3.0) <= 1e-6
+        v = van_trees_v(model, model.prior, 1.0)
+        assert abs(gill_levit_bound(model, model.prior, v, 1.0).bound - 1.0 / 3.0) <= 1e-6
 
-    def test_nonpositive_prior_rejected(self):
-        grid = line_grid(0.0, 1.0, 101)
-        model = StatisticalModel.from_callables(
-            grid,
-            fisher_fn=const_matrix_fn([[1.0]]),
-            weight_fn=const_vector_fn([1.0]),
-            prior_fn=window_bump_fn(0.0, 1.0),
-        )
-        with pytest.raises(GridValueError, match="strictly positive"):
-            van_trees_v(model, model.prior, 1.0)
+    def test_prior_vanishing_at_edges(self):
+        # sin^4 on [0, 1] is zero at both edge nodes; the quotient score is
+        # zeroed there, and B does not change when v is scaled, so the constant
+        # van Trees field gives the unit field's bound
+        model = sin_power_model(101, 4)
+        v = van_trees_v(model, model.prior, 1.0)
+        rep = gill_levit_bound(model, model.prior, v, 1.0)
+        unit = gill_levit_bound(model, model.prior, unit_field(model.grid), 1.0)
+        assert rep.bound <= bmax(model, n=1.0).bound * (1 + 1e-10)
+        assert abs(rep.bound - unit.bound) <= 1e-12 * unit.bound
 
 
 @lru_cache(maxsize=None)
@@ -305,30 +312,25 @@ CONTRACT_CASES.append(("2d", 1.0))
 @pytest.mark.parametrize("name, n", CONTRACT_CASES)
 class TestEveryFieldBelowBmax:
     """B <= B_max on the grid for every field the library builds, and the van
-    Trees report is the Gill-Levit bound of its own field."""
+    Trees bound, the Gill-Levit bound of its field, has its closed form."""
 
     def test_no_field_exceeds_bmax(self, name, n):
         model = contract_model(name)
         grid = model.grid
-        v_van_trees, van_trees = van_trees_v(model, model.prior, n)
         fields = {
             "unit": unit_field(grid),
             "natural": natural_v(model),
-            "van_trees": v_van_trees,
+            "van_trees": van_trees_v(model, model.prior, n),
             "polynomial": VectorField(grid, 1.0 + grid.coordinates / 2.0),
         }
         b_max = bmax(model, n=n).bound
-        assert van_trees.bound <= b_max * (1 + 1e-10)
         for label, v in fields.items():
             assert gill_levit_bound(model, model.prior, v, n).bound <= b_max * (1 + 1e-10), label
 
     def test_van_trees_report_is_that_of_its_field(self, name, n):
         model = contract_model(name)
         grid = model.grid
-        v, rep = van_trees_v(model, model.prior, n)
-        direct = gill_levit_bound(model, model.prior, v, n)
-        for key in ("alignment", "information", "prior_information", "bound"):
-            assert getattr(rep, key) == getattr(direct, key), key
+        rep = gill_levit_bound(model, model.prior, van_trees_v(model, model.prior, n), n)
         # the closed form u (nF + G)^-1 u of the averaged matrices, G from the
         # prior score (1/d) d_a d of weighted_divergence on the axis fields
         p = grid.dim
@@ -340,6 +342,54 @@ class TestEveryFieldBelowBmax:
         u_bar = np.einsum("n,na->a", w, model.weight.values.reshape(-1, p))
         closed = u_bar @ np.linalg.solve(n * f_bar + g_bar, u_bar)
         assert abs(rep.bound - closed) <= 1e-13 * closed
+
+
+@lru_cache(maxsize=None)
+def coupled_2d_model():
+    """F = [[1 + t1^2, 0.4 tanh(t1 t2)], [0.4 tanh(t1 t2), 1 + t2^2 / 2]] under
+    a standard Gaussian prior on [-6.5, 6.5]^2 at 81^2 nodes."""
+    grid = ParameterGrid([(-6.5, 6.5), (-6.5, 6.5)], [81, 81])
+
+    def fisher_fn(c):
+        c = np.asarray(c)
+        out = np.empty(c.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 1.0 + c[..., 0] ** 2
+        out[..., 1, 1] = 1.0 + c[..., 1] ** 2 / 2.0
+        out[..., 0, 1] = out[..., 1, 0] = 0.4 * np.tanh(c[..., 0] * c[..., 1])
+        return out
+
+    return StatisticalModel.from_callables(
+        grid,
+        fisher_fn=fisher_fn,
+        weight_fn=const_vector_fn([1.0, 0.0]),
+        prior_fn=lambda c: np.exp(-np.sum(np.asarray(c) ** 2, axis=-1) / 2.0),
+    )
+
+
+@pytest.mark.parametrize("n", [1.0, 10.0])
+class TestEveryVectoralFieldBelowBmax:
+    """B <= B_max for a vector parameter: u_j = e_j weighted by a constant
+    gamma on the coupled model, for fields the solve does not produce."""
+
+    def test_no_field_pair_exceeds_vectoral_bmax(self, n):
+        model = coupled_2d_model()
+        grid = model.grid
+        axes = np.eye(2)
+        weights = VectoralWeight(grid, np.array([[2.0, 0.5], [0.5, 1.0]]), tuple(
+            VectorField.constant(grid, a, "covariant") for a in axes))
+        t1, t2 = grid.coordinates[..., 0], grid.coordinates[..., 1]
+        pairs = {
+            "axes": tuple(VectorField.constant(grid, a) for a in axes),
+            "inverse_information": tuple(
+                VectorField(grid, np.linalg.solve(model.fisher.values, np.broadcast_to(
+                    a, grid.shape + (2,))[..., None])[..., 0]) for a in axes),
+            "polynomial": (VectorField(grid, np.stack([1.0 + t1 / 2.0, t2 / 3.0], axis=-1)),
+                           VectorField(grid, np.stack([-t2 / 4.0, 1.0 - t1 / 3.0], axis=-1))),
+        }
+        b_max = vectoral_bmax(model, model.prior, weights, n).bound
+        for label, fields in pairs.items():
+            bound = vectoral_bound(model, model.prior, weights, fields, n).bound
+            assert bound <= b_max * (1 + 1e-10), label
 
 
 def sin_power_model(n_nodes, power):
@@ -402,18 +452,15 @@ def axis_weights(gamma):
     grid = ParameterGrid([(-1.0, 1.0)] * 2, [5, 5])
     axes = np.eye(2)[:len(gamma)]
     return VectoralWeight(grid, np.array(gamma),
-                          tuple(VectorField.constant(grid, a, "covariant") for a in axes),
-                          tuple(VectorField.constant(grid, a) for a in axes))
+                          tuple(VectorField.constant(grid, a, "covariant") for a in axes))
 
 
 class TestVectoralBound:
     def test_q1_reduces_to_scalar(self, gauss_model):
         grid = gauss_model.grid
         v = unit_field(grid)
-        weights = VectoralWeight(
-            grid, np.array([[1.0]]), (gauss_model.weight,), (v,),
-        )
-        rep_vec = vectoral_bound(gauss_model, gauss_model.prior, weights, 10.0)
+        weights = VectoralWeight(grid, np.array([[1.0]]), (gauss_model.weight,))
+        rep_vec = vectoral_bound(gauss_model, gauss_model.prior, weights, (v,), 10.0)
         rep_scl = gill_levit_bound(gauss_model, gauss_model.prior, v, 10.0)
         assert abs(rep_vec.bound - rep_scl.bound) <= 1e-12
 
@@ -422,8 +469,8 @@ class TestVectoralBound:
         # the two paths agree bit for bit, not just to rounding
         model = pushforward_model(bump_scalar_model(n_nodes=1601), odd_power_map(3))
         v = natural_v(model)
-        weights = VectoralWeight(model.grid, np.array([[1.0]]), (model.weight,), (v,))
-        rep_vec = vectoral_bound(model, model.prior, weights, 2.0)
+        weights = VectoralWeight(model.grid, np.array([[1.0]]), (model.weight,))
+        rep_vec = vectoral_bound(model, model.prior, weights, (v,), 2.0)
         rep_scl = gill_levit_bound(model, model.prior, v, 2.0)
         for name in ("alignment", "information", "prior_information", "bound"):
             assert getattr(rep_vec, name) == getattr(rep_scl, name), name
@@ -435,8 +482,8 @@ class TestVectoralBound:
         u2 = VectorField.constant(grid, [0.0, 1.0], variance="covariant")
         v1 = VectorField.constant(grid, [1.0, 0.0])
         v2 = VectorField.constant(grid, [0.0, 1.0])
-        weights = VectoralWeight(grid, np.eye(2), (u1, u2), (v1, v2))
-        rep = vectoral_bound(model, model.prior, weights, 4.0)
+        weights = VectoralWeight(grid, np.eye(2), (u1, u2))
+        rep = vectoral_bound(model, model.prior, weights, (v1, v2), 4.0)
 
         a1 = gill_levit_bound(
             StatisticalModel(grid, model.fisher, u1, prior=model.prior), model.prior, v1, 4.0
@@ -449,10 +496,10 @@ class TestVectoralBound:
     def test_gamma_scaling_doubles_bound(self, gauss_model):
         grid = gauss_model.grid
         v = unit_field(grid)
-        w1 = VectoralWeight(grid, np.array([[1.0]]), (gauss_model.weight,), (v,))
-        w2 = VectoralWeight(grid, np.array([[2.0]]), (gauss_model.weight,), (v,))
-        b1 = vectoral_bound(gauss_model, gauss_model.prior, w1, 10.0)
-        b2 = vectoral_bound(gauss_model, gauss_model.prior, w2, 10.0)
+        w1 = VectoralWeight(grid, np.array([[1.0]]), (gauss_model.weight,))
+        w2 = VectoralWeight(grid, np.array([[2.0]]), (gauss_model.weight,))
+        b1 = vectoral_bound(gauss_model, gauss_model.prior, w1, (v,), 10.0)
+        b2 = vectoral_bound(gauss_model, gauss_model.prior, w2, (v,), 10.0)
         assert abs(b2.alignment - b1.alignment) <= 1e-14
         assert abs(b2.information - b1.information / 2.0) <= 1e-12
         assert abs(b2.prior_information - b1.prior_information / 2.0) <= 1e-12
@@ -468,6 +515,15 @@ class TestVectoralBound:
     def test_non_pd_gamma_rejected(self, gamma, match):
         with pytest.raises(GridValueError, match=match):
             axis_weights(gamma)
+
+    @pytest.mark.parametrize("q_fields", [1, 3])
+    def test_field_count_must_match_weights(self, q_fields):
+        model = decoupled_2d_model(21)
+        weights = VectoralWeight(model.grid, np.eye(2), tuple(
+            VectorField.constant(model.grid, a, "covariant") for a in np.eye(2)))
+        fields = (unit_field(model.grid),) * q_fields
+        with pytest.raises(GridValueError, match=f"got {q_fields} fields for 2 weights"):
+            vectoral_bound(model, model.prior, weights, fields, 1.0)
 
     def test_gamma_stored_symmetric(self):
         weights = axis_weights([[2.0, 0.5], [0.5 + 1e-13, 1.0]])

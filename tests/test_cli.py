@@ -255,6 +255,18 @@ class TestBoundScenario:
         assert report["v_choice"] == v["choice"]
         assert abs(report["bound"] - expected) <= 1e-6
 
+    def test_van_trees_under_prior_vanishing_at_edges(self, tmp_path):
+        # the sin^4 bump is zero at both edge nodes of [0, 1]; B -> 1/(n + 16 pi^2/3)
+        cfg = gaussian_optimal_config(nodes=401)
+        cfg["kind"] = "bound"
+        cfg["grid"] |= {"lower": 0.0, "upper": 1.0}
+        cfg["prior"] = {"type": "bump"}
+        cfg["v"] = {"choice": "van_trees"}
+        out = tmp_path / "o"
+        assert main(["bound", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())["results"]["bound_report"]
+        assert abs(report["bound"] - 1.0 / (10.0 + 16.0 * np.pi**2 / 3.0)) <= 1e-5
+
 
 class TestMinimaxScenario:
     def test_quadratic_rate_csv(self, tmp_path):

@@ -40,7 +40,6 @@ from conftest import (
     gaussian_scalar_model,
     line_grid,
     square_model,
-    unit_field,
 )
 
 
@@ -298,10 +297,7 @@ def decoupled_setup(n_nodes=81):
 
 class TestVectoralBmax:
     def test_q1_equals_scalar(self, gauss_model):
-        weights = VectoralWeight(
-            gauss_model.grid, np.array([[1.0]]), (gauss_model.weight,),
-            (unit_field(gauss_model.grid),),
-        )
+        weights = VectoralWeight(gauss_model.grid, np.array([[1.0]]), (gauss_model.weight,))
         rep_vec = vectoral_bmax(gauss_model, gauss_model.prior, weights, 10.0)
         rep_scl = bmax(gauss_model, n=10.0)
         # one operator, solve and report path: bit for bit, not to rounding
@@ -312,10 +308,7 @@ class TestVectoralBmax:
     def test_decoupled_blocks_sum(self):
         model, u1, u2 = decoupled_setup()
         grid = model.grid
-        weights = VectoralWeight(
-            grid, np.eye(2), (u1, u2),
-            (VectorField.constant(grid, [1.0, 0.0]), VectorField.constant(grid, [0.0, 1.0])),
-        )
+        weights = VectoralWeight(grid, np.eye(2), (u1, u2))
         rep = vectoral_bmax(model, model.prior, weights, 4.0)
 
         def scalar_bmax(fisher, n_nodes=81):
@@ -332,14 +325,8 @@ class TestVectoralBmax:
         assert abs(rep.bound - expected) <= 1e-8
 
     def test_gamma_scaling(self, gauss_model):
-        base = VectoralWeight(
-            gauss_model.grid, np.array([[1.0]]), (gauss_model.weight,),
-            (unit_field(gauss_model.grid),),
-        )
-        scaled = VectoralWeight(
-            gauss_model.grid, np.array([[3.0]]), (gauss_model.weight,),
-            (unit_field(gauss_model.grid),),
-        )
+        base = VectoralWeight(gauss_model.grid, np.array([[1.0]]), (gauss_model.weight,))
+        scaled = VectoralWeight(gauss_model.grid, np.array([[3.0]]), (gauss_model.weight,))
         b1 = vectoral_bmax(gauss_model, gauss_model.prior, base, 10.0).bound
         b3 = vectoral_bmax(gauss_model, gauss_model.prior, scaled, 10.0).bound
         assert abs(b3 - 3.0 * b1) <= 1e-10 * b1
@@ -376,10 +363,7 @@ class TestOneFunctionalKernel:
     def test_vectoral_bmax_functionals_are_those_of_its_fields(self):
         model, u1, u2 = decoupled_setup(41)
         grid, n = model.grid, 1e8
-        weights = VectoralWeight(
-            grid, np.eye(2), (u1, u2),
-            (VectorField.constant(grid, [1.0, 0.0]), VectorField.constant(grid, [0.0, 1.0])),
-        )
+        weights = VectoralWeight(grid, np.eye(2), (u1, u2))
         rep = vectoral_bmax(model, model.prior, weights, n)
 
         gamma_inv = weights.gamma_inverse().reshape(grid.num_nodes, 2, 2)
@@ -389,8 +373,7 @@ class TestOneFunctionalKernel:
         sol, _ = optimal._solve_system(matrix, rhs, grid.dim)
         fields = tuple(VectorField(grid, optimal._full_grid(grid, interior, block))
                        for block in np.split(sol, 2))
-        ref = vectoral_bound(model, model.prior,
-                             VectoralWeight(grid, np.eye(2), (u1, u2), fields), n)
+        ref = vectoral_bound(model, model.prior, weights, fields, n)
         assert (rep.alignment, rep.information, rep.prior_information) == (
             ref.alignment, ref.information, ref.prior_information)
         assert rep.diagnostics["boundary_residual"] == ref.diagnostics["boundary_residual"]
@@ -482,8 +465,7 @@ class TestStencilAssembly:
         gamma[..., 0, 0] = 2.0 + np.sin(x[..., 0])
         gamma[..., 1, 1] = 1.5 + 0.5 * np.cos(x[..., 1])
         gamma[..., 0, 1] = gamma[..., 1, 0] = 0.4 * np.cos(x[..., 0] * x[..., 1])
-        weights = VectoralWeight(model.grid, gamma, (u1, u2),
-                                 (unit_field(model.grid), unit_field(model.grid)))
+        weights = VectoralWeight(model.grid, gamma, (u1, u2))
         gamma_inv = weights.gamma_inverse().reshape(model.grid.num_nodes, 2, 2)
         assert_matches_triple_product(model, 4.0, gamma_inv)
 
@@ -614,10 +596,7 @@ class TestSolverPolicy:
     def test_vectoral_carries_solve_fields(self):
         model, u1, u2 = decoupled_setup(41)
         grid = model.grid
-        weights = VectoralWeight(
-            grid, np.eye(2), (u1, u2),
-            (VectorField.constant(grid, [1.0, 0.0]), VectorField.constant(grid, [0.0, 1.0])),
-        )
+        weights = VectoralWeight(grid, np.eye(2), (u1, u2))
         rep = vectoral_bmax(model, model.prior, weights, 4.0)
         assert SOLVE_KEYS <= set(rep.diagnostics)
         assert rep.diagnostics["solver"] == "pcg"
