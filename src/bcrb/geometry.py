@@ -41,9 +41,9 @@ INVARIANCE_RTOL = 1e-5   # source/target bound gap of an invariant report
 class StatisticalModel:
     """Pointwise information, weight, metric, and prior on a grid.
 
-    Optional callables (`fisher_fn`, `weight_fn`, `prior_fn`,
-    `helstrom_fn`) evaluate the same quantities at arbitrary points; when
-    present they are used for reparametrization instead of interpolation.
+    Optional callables (`fisher_fn`, `weight_fn`, `prior_fn`) evaluate the
+    same quantities at arbitrary points; when present they are used for
+    reparametrization instead of interpolation.
     All callables are batched: they map ``(..., p)`` coordinate arrays to
     arrays with the matching trailing shape.
     """
@@ -53,11 +53,9 @@ class StatisticalModel:
     weight: VectorField
     metric: MatrixField | None = None
     prior: ScalarField | None = None
-    helstrom: MatrixField | None = None
     fisher_fn: Callable | None = None
     weight_fn: Callable | None = None
     prior_fn: Callable | None = None
-    helstrom_fn: Callable | None = None
 
     def __post_init__(self):
         self.grid.require_same(self.fisher.grid, "model fisher")
@@ -73,8 +71,6 @@ class StatisticalModel:
             )
         if self.metric is not None:
             self.grid.require_same(self.metric.grid, "model metric")
-        if self.helstrom is not None:
-            self.grid.require_same(self.helstrom.grid, "model helstrom")
         if self.prior is not None:
             self.grid.require_same(self.prior.grid, "model prior")
             total = integrate(self.prior, self.metric)
@@ -91,17 +87,20 @@ class StatisticalModel:
         fisher_fn: Callable,
         weight_fn: Callable,
         prior_fn: Callable | None = None,
-        helstrom_fn: Callable | None = None,
     ) -> "StatisticalModel":
         """Model sampled from the callables (flat metric), its prior
         normalized (``prior_fn`` rescaled to match)."""
         fisher = MatrixField.from_callable(grid, fisher_fn)
         weight = VectorField.from_callable(grid, weight_fn, variance="covariant")
-        helstrom = MatrixField.from_callable(grid, helstrom_fn) if helstrom_fn else None
         prior = None
         if prior_fn is not None:
             prior = ScalarField.from_callable(grid, prior_fn)
             norm = integrate(prior)
+            if not 0.0 < norm < np.inf:  # false for NaN too
+                raise GridValueError(
+                    f"prior integrates to {norm!r} on the grid; it needs positive, "
+                    "finite mass to be normalized"
+                )
             prior = ScalarField(grid, prior.values / norm)
             scaled_prior_fn = prior_fn
             prior_fn = lambda c, _f=scaled_prior_fn, _z=norm: np.asarray(_f(c)) / _z
@@ -111,19 +110,13 @@ class StatisticalModel:
             weight,
             None,
             prior,
-            helstrom,
             fisher_fn,
             weight_fn,
             prior_fn,
-            helstrom_fn,
         )
 
     def with_prior(self, prior: ScalarField):
         return replace(self, prior=prior, prior_fn=None)
-
-    def with_information(self, fisher: MatrixField, fisher_fn: Callable | None = None):
-        """Same model with the information matrix replaced (e.g. by a quantum one)."""
-        return replace(self, fisher=fisher, fisher_fn=fisher_fn)
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,21 +323,12 @@ def pushforward_model(
             inv_fn = map.inverse
             prior_fn_new = lambda c: np.asarray(src_fn(np.asarray(inv_fn(c)))) / norm
 
-    helstrom_new = None
-    if model.helstrom is not None:
-        k_src = _eval(model.helstrom, model.helstrom_fn, pts_src)
-        helstrom_new = MatrixField(
-            target_grid,
-            np.ascontiguousarray(np.einsum("...ca,...cd,...db->...ab", jac_inv, k_src, jac_inv)),
-        )
-
     return StatisticalModel(
         target_grid,
         MatrixField(target_grid, np.ascontiguousarray(f_new)),
         VectorField(target_grid, np.ascontiguousarray(u_new), variance="covariant"),
         metric_new,
         prior_new,
-        helstrom_new,
         prior_fn=prior_fn_new,
     )
 

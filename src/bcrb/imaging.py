@@ -575,7 +575,7 @@ def quantum_vs_classical(
         MatrixField(grid, f_vals[:, None, None]),
         VectorField.constant(grid, [1.0], variance="covariant"),
         prior=prior,
-        helstrom=MatrixField(grid, k_vals[:, None, None]),
     )
-    quantum, classical = _quantum_and_classical(model, None, n)
+    quantum, classical = _quantum_and_classical(
+        model, MatrixField(grid, k_vals[:, None, None]), None, n)
     return classical, quantum

@@ -4,9 +4,12 @@ For a family of density matrices rho(theta), the score operators S_a solve
 the Jordan-product equation  d_a rho = (rho S_a + S_a rho) / 2  and the
 Helstrom information matrix is  K_ab = Re tr[rho (S_a o S_b)].  K upper
 -bounds the Fisher information of every measurement, so replacing F by K in
-any bound of this package yields a measurement-independent quantum bound;
-in particular the optimal quantum bound is <u, R^{-1} u>_rho with R built
-from K exactly as the field operator is built from F.
+any bound of this package, by passing ``replace(model, fisher=K,
+fisher_fn=None)`` in place of the model, yields a measurement-independent
+quantum bound (K obeys F's law, so `pushforward_model` of that model carries
+K to new coordinates); in particular the optimal quantum bound `qmax` is
+<u, R^{-1} u>_rho with R built from K exactly as the field operator is built
+from F.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .bounds import BoundReport
 from .errors import GridValueError
 from .geometry import StatisticalModel
-from .grids import ScalarField, _first_node
+from .grids import MatrixField, ScalarField, _first_node
 from .optimal import bmax, gaussian_closed_form
 
 TRACE_ATOL = 1e-10
@@ -183,30 +186,35 @@ def helstrom_matrix(family: DensityFamily, theta) -> np.ndarray:
 
 def qmax(
     model: StatisticalModel,
+    helstrom: MatrixField,
     prior: ScalarField | None = None,
     n: float = 1.0,
 ) -> BoundReport:
-    """Optimal quantum bound: the field-equation solve with K in place of F.
+    """Optimal quantum bound: the field-equation solve with the Helstrom
+    information ``helstrom`` (K, on the model's grid) in place of the
+    model's F.
 
-    The classical optimal bound is computed alongside and the ordering
-    Q_max <= B_max is verified; both values, and the classical solve's
-    ``fallback``, land in the report diagnostics.
+    The classical optimal bound of ``model`` is computed alongside and the
+    ordering Q_max <= B_max is verified; both values, and the classical
+    solve's ``fallback``, land in the report diagnostics.
     """
-    return _quantum_and_classical(model, prior, n)[0]
+    return _quantum_and_classical(model, helstrom, prior, n)[0]
 
 
 def _quantum_and_classical(
     model: StatisticalModel,
+    helstrom: MatrixField,
     prior: ScalarField | None,
     n: float,
 ) -> tuple[BoundReport, BoundReport]:
-    """`qmax`'s report and the classical `bmax` report it checks against."""
-    if model.helstrom is None:
-        raise GridValueError("qmax needs a model with a Helstrom information field")
-    quantum_model = model.with_information(model.helstrom, model.helstrom_fn)
+    """`qmax`'s report and the classical `bmax` report it checks against.
+
+    The quantum model is ``model`` with F replaced by K, so K passes the
+    model's grid and PSD checks."""
+    quantum_model = replace(model, fisher=helstrom, fisher_fn=None)
     rep = bmax(quantum_model, prior, n, v_choice="quantum_least_favorable")
     classical = bmax(model, prior, n)
-    if rep.bound > classical.bound + QUANTUM_ORDER_SLACK:
+    if rep.bound > classical.bound + QUANTUM_ORDER_SLACK * max(1.0, classical.bound):
         raise GridValueError(
             f"quantum bound {rep.bound!r} exceeds the classical bound "
             f"{classical.bound!r}; the information fields are inconsistent "

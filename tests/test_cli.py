@@ -664,6 +664,28 @@ class TestNumericalFailureExit:
         assert "overflows at n = 10000000000.0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_prior_without_mass_exit_3(self, tmp_path, capsys):
+        cfg = gaussian_optimal_config(nodes=201)
+        cfg["prior"] = {"type": "gaussian", "center": 100.0, "variance": 0.01}
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["optimal", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: GridValueError: prior integrates to 0.0 on the grid; it needs "
+            "positive, finite mass to be normalized\n")
+        assert not caught
+        assert not (tmp_path / "o").exists()
+        # numerical warnings raised as errors: still the named error, not a traceback
+        src = os.path.dirname(os.path.dirname(bcrb.__file__))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "bcrb.cli", "optimal",
+             "--config", path, "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == 3
+        assert "prior integrates to 0.0" in done.stderr and "Traceback" not in done.stderr
+
     def test_boundary_violation_exit_3(self, tmp_path, capsys):
         cfg = gaussian_optimal_config(nodes=201)
         cfg["kind"] = "bound"

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,8 +23,10 @@ from bcrb.grids import MatrixField, ParameterGrid, ScalarField, VectorField, int
 
 from conftest import (
     bump_scalar_model,
+    const_matrix_fn,
     const_vector_fn,
     count_linalg_calls,
+    gaussian_prior_fn,
     line_grid,
     unit_field,
 )
@@ -63,29 +66,16 @@ class TestPushforward:
         assert np.max(np.abs(pushed.weight.values - bump_model.weight.values)) <= 1e-12
         assert np.max(np.abs(pushed.prior.values - bump_model.prior.values)) <= 1e-12
 
-    def test_cube_map_fisher_law(self, bump_model):
-        # F~(t) = F(t^(1/3)) / (9 t^(4/3))
-        pushed = pushforward_model(bump_model, cube_map())
+    @pytest.mark.parametrize("analytic", [True, False], ids=["callable", "interpolated"])
+    def test_cube_map_fisher_law(self, bump_model, analytic):
+        # F~(t) = F(t^(1/3)) / (9 t^(4/3)), from the callable or from the
+        # interpolated samples; a Helstrom information K obeys the same law
+        model = bump_model if analytic else replace(bump_model, fisher_fn=None)
+        pushed = pushforward_model(model, cube_map())
         tt = pushed.grid.coordinates[..., 0]
         th = tt ** (1.0 / 3.0)
         expected = (1.0 + th**2) / (9.0 * tt ** (4.0 / 3.0))
         got = pushed.fisher.values[..., 0, 0]
-        assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-6
-
-    @pytest.mark.parametrize("analytic", [True, False], ids=["callable", "interpolated"])
-    def test_cube_map_helstrom_law(self, bump_model, analytic):
-        # K~(t) = K(t^(1/3)) / (9 t^(4/3)), the (0,2) law of F
-        helstrom_fn = lambda c: (2.0 + np.asarray(c)[..., 0] ** 2)[..., None, None]
-        model = StatisticalModel.from_callables(
-            bump_model.grid, bump_model.fisher_fn, bump_model.weight_fn,
-            helstrom_fn=helstrom_fn)
-        if not analytic:
-            model = replace(model, helstrom_fn=None)
-        pushed = pushforward_model(model, cube_map())
-        tt = pushed.grid.coordinates[..., 0]
-        th = tt ** (1.0 / 3.0)
-        expected = (2.0 + th**2) / (9.0 * tt ** (4.0 / 3.0))
-        got = pushed.helstrom.values[..., 0, 0]
         assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-6
 
     def test_affine_density_change_of_variables(self):
@@ -159,6 +149,20 @@ class TestModelChecks:
                                                  r"within 1e-08; normalize it first"):
             StatisticalModel(grid, MatrixField.identity(grid), weight,
                              prior=ScalarField(grid, np.full(11, 2.0)))
+
+    @pytest.mark.parametrize("prior_fn, total", [
+        (gaussian_prior_fn(0.01, center=100.0), r"0\.0"),  # underflows on the grid
+        (lambda c: -np.ones(np.shape(c)[:-1]), r"-15\.9+6"),  # -16 to rounding
+    ], ids=["no-mass", "negative"])
+    def test_prior_without_positive_mass_rejected(self, prior_fn, total):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridValueError,
+                               match=rf"^prior integrates to {total} on the grid; it needs "
+                                     "positive, finite mass"):
+                StatisticalModel.from_callables(line_grid(-8.0, 8.0, 201),
+                                                const_matrix_fn([[1.0]]),
+                                                const_vector_fn([1.0]), prior_fn)
 
 
 class TestTransformVectorField:

@@ -361,9 +361,9 @@ class TestQuantumVsClassical:
             MatrixField(grid, f_vals[:, None, None]),
             VectorField.constant(grid, [1.0], variance="covariant"),
             prior=ScalarField(grid, bump).normalized(),
-            helstrom=MatrixField(grid, f_vals[:, None, None]),
         )
-        assert abs(qmax(model).bound - bmax(model).bound) <= 1e-12
+        helstrom = MatrixField(grid, f_vals[:, None, None])
+        assert abs(qmax(model, helstrom).bound - bmax(model).bound) <= 1e-12
 
     def test_zero_weight_pair(self, gpsf):
         from bcrb.geometry import StatisticalModel
@@ -380,10 +380,9 @@ class TestQuantumVsClassical:
             MatrixField(grid, f_vals[:, None, None]),
             VectorField.constant(grid, [0.0], variance="covariant"),
             prior=ScalarField(grid, bump).normalized(),
-            helstrom=MatrixField(grid, f_vals[:, None, None]),
         )
         assert bmax(model).bound == 0.0
-        assert qmax(model).bound == 0.0
+        assert qmax(model, MatrixField(grid, f_vals[:, None, None])).bound == 0.0
 
 
 class TestSincPsf:

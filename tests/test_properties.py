@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bcrb.bounds import gill_levit_bound
 from bcrb.geometry import (StatisticalModel, affine_map, derive_target_grid,
                            invariance_report, odd_power_map)
-from bcrb.grids import VectorField
+from bcrb.grids import MatrixField, VectorField
 from bcrb.optimal import bmax
 from bcrb.quantum import qmax
 
@@ -72,10 +72,11 @@ def test_quantum_bound_below_classical(f, extra, n):
         th = np.asarray(c)[..., 0]
         return fisher_fn(c) + (e0 + e1 * np.sin(freq * th) ** 2)[..., None, None]
 
+    grid = line_grid(-6.0, 6.0, 401)
     model = StatisticalModel.from_callables(
-        line_grid(-6.0, 6.0, 401), fisher_fn=fisher_fn, weight_fn=const_vector_fn([1.0]),
-        prior_fn=gaussian_prior_fn(1.0), helstrom_fn=helstrom_fn)
-    q = qmax(model, n=n).bound
+        grid, fisher_fn=fisher_fn, weight_fn=const_vector_fn([1.0]),
+        prior_fn=gaussian_prior_fn(1.0))
+    q = qmax(model, MatrixField.from_callable(grid, helstrom_fn), n=n).bound
     assert q <= bmax(model, n=n).bound * (1.0 + 1e-10)
 
 

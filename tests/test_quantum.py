@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bcrb.errors import GridValueError
+from bcrb.errors import GridMismatchError, GridValueError
 from bcrb.geometry import StatisticalModel
+from bcrb.grids import MatrixField
 from bcrb.optimal import bmax
 from bcrb.quantum import (
     DensityFamily,
@@ -241,9 +242,9 @@ class TestQmax:
             fisher_fn=const_matrix_fn([[1.0]]),
             weight_fn=const_vector_fn([1.0]),
             prior_fn=gaussian_prior_fn(1.0),
-            helstrom_fn=const_matrix_fn([[1.0]]),
         )
-        quantum = qmax(model, n=10.0)
+        helstrom = MatrixField.from_callable(grid, const_matrix_fn([[1.0]]))
+        quantum = qmax(model, helstrom, n=10.0)
         classical = bmax(model, n=10.0)
         assert abs(quantum.bound - classical.bound) <= 1e-12
 
@@ -254,9 +255,10 @@ class TestQmax:
             fisher_fn=lambda c: (0.5 + 0.4 * np.tanh(np.asarray(c)[..., 0]) ** 2)[..., None, None],
             weight_fn=const_vector_fn([1.0]),
             prior_fn=gaussian_prior_fn(1.0),
-            helstrom_fn=lambda c: (1.0 + 0.1 * np.asarray(c)[..., 0] ** 2)[..., None, None],
         )
-        rep = qmax(model, n=3.0)
+        helstrom = MatrixField.from_callable(
+            grid, lambda c: (1.0 + 0.1 * np.asarray(c)[..., 0] ** 2)[..., None, None])
+        rep = qmax(model, helstrom, n=3.0)
         assert rep.bound <= rep.diagnostics["classical_bound"] + 1e-10
 
     def test_gaussian_scalar_closed_form(self):
@@ -266,14 +268,43 @@ class TestQmax:
             fisher_fn=const_matrix_fn([[2.0]]),
             weight_fn=const_vector_fn([1.0]),
             prior_fn=gaussian_prior_fn(1.0),
-            helstrom_fn=const_matrix_fn([[2.0]]),
         )
-        rep = qmax(model, n=1.0)
+        rep = qmax(model, MatrixField.from_callable(grid, const_matrix_fn([[2.0]])), n=1.0)
         assert abs(rep.bound - 1.0 / 3.0) <= 1e-6
 
-    def test_missing_helstrom_rejected(self, gauss_model):
-        with pytest.raises(GridValueError, match="Helstrom"):
-            qmax(gauss_model, n=1.0)
+    def test_helstrom_on_another_grid_rejected(self, gauss_model):
+        other = line_grid(-8.0, 8.0, 11)
+        with pytest.raises(GridMismatchError):
+            qmax(gauss_model, MatrixField.identity(other), n=1.0)
+
+    def test_non_psd_helstrom_names_node(self, gauss_model):
+        values = np.ones(gauss_model.fisher.values.shape)
+        values[3] = -1.0
+        with pytest.raises(GridValueError, match=r"not positive semidefinite at node \(3,\)$"):
+            qmax(gauss_model, MatrixField(gauss_model.grid, values), n=1.0)
+
+    @staticmethod
+    def _large_bound_case(scale):
+        # u = 1e4 puts both bounds near 7.7e6, where the two solves of K
+        # one ulp above F differ by a few ulps
+        grid = line_grid(-8.0, 8.0, 201)
+        fisher_fn = lambda c: (1.0 + 0.5 * np.sin(np.asarray(c)[..., 0]) ** 2)[..., None, None]
+        model = StatisticalModel.from_callables(
+            grid, fisher_fn=fisher_fn, weight_fn=const_vector_fn([1e4]),
+            prior_fn=gaussian_prior_fn(1.0))
+        return model, MatrixField.from_callable(grid, lambda c: fisher_fn(c) * scale)
+
+    def test_order_slack_scales_with_the_bound(self):
+        model, helstrom = self._large_bound_case(1.0 + 2.0**-52)
+        rep = qmax(model, helstrom, n=10.0)
+        classical = rep.diagnostics["classical_bound"]
+        assert classical > 1e6
+        assert abs(rep.bound - classical) <= 1e-12 * classical
+
+    def test_dominated_helstrom_still_rejected_at_large_bounds(self):
+        model, helstrom = self._large_bound_case(1.0 - 1e-6)
+        with pytest.raises(GridValueError, match="K must dominate F"):
+            qmax(model, helstrom, n=10.0)
 
 
 class TestSnrObservable:
