@@ -230,8 +230,13 @@ def logistic_map() -> Diffeomorphism:
 # evaluation helpers
 
 def _interpolator(grid: ParameterGrid, values: np.ndarray):
-    from scipy.interpolate import RegularGridInterpolator  # slow import, needed only here
+    # slow imports, needed only here
+    from scipy.interpolate import RegularGridInterpolator, make_interp_spline
 
+    if grid.dim == 1 and grid.shape[0] >= 4:
+        # what cubic_legacy computes in 1-D, without its per-point copy loop
+        spline = make_interp_spline(grid.axes[0], values, k=3)
+        return lambda pts: spline(np.asarray(pts, dtype=float)[..., 0])
     # cubic_legacy reproduces nodal values exactly; the windowed "cubic" does not
     method = "cubic_legacy" if min(grid.shape) >= 4 else "linear"
     return RegularGridInterpolator(grid.axes, values, method=method, bounds_error=False,

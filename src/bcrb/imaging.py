@@ -17,6 +17,7 @@ sources but degenerates to rank two for three or more as they merge.
 
 from __future__ import annotations
 
+import inspect
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -60,7 +61,10 @@ class PointSpreadFunction:
     pair (amplitude, spatial derivative), both evaluated exactly and from one
     pass over the points; otherwise a cubic spline of the stored samples,
     fitted once per instance, is used, with zero extension outside the
-    stored window.
+    stored window.  A ``pair_fn`` that takes an ``out`` keyword (the catalog
+    pairs do) is called as ``pair_fn(pts, out=(amp, damp))`` by `pair_at`
+    when it is given arrays, and must write the pair into them and return
+    them; any other ``pair_fn`` only has to return the pair.
     """
 
     x: np.ndarray
@@ -86,9 +90,13 @@ class PointSpreadFunction:
             if self.pair_fn is not None:
                 fn = self.pair_fn
 
-                def scaled(pts, _f=fn, _c=factor):
-                    a, d = _f(pts)
-                    return _c * np.asarray(a), _c * np.asarray(d)
+                def scaled(pts, out=None, _f=fn, _w=_writes_out(fn), _c=factor):
+                    a, d = _pair_into(_f, _w, pts, out)
+                    if out is None:
+                        return _c * a, _c * d
+                    np.multiply(_c, a, out=a)
+                    np.multiply(_c, d, out=d)
+                    return a, d
 
                 object.__setattr__(self, "pair_fn", scaled)
         x.setflags(write=False)
@@ -97,33 +105,89 @@ class PointSpreadFunction:
         object.__setattr__(self, "amplitude", amp)
 
     @cached_property
-    def _splines(self):
+    def _pair(self) -> tuple[Callable, bool]:
+        """The pair function and whether it writes into ``out``: ``pair_fn``,
+        or else the spline pair, fitted here once per instance."""
+        if self.pair_fn is not None:
+            return self.pair_fn, _writes_out(self.pair_fn)
         from scipy.interpolate import CubicSpline  # slow import, needed only here
 
         spline = CubicSpline(self.x, self.amplitude, extrapolate=False)
-        return spline, spline.derivative()
+        dspline = spline.derivative()
+        return (lambda pts: (np.nan_to_num(spline(pts), nan=0.0),
+                             np.nan_to_num(dspline(pts), nan=0.0))), False
 
-    def pair_at(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Amplitude and its derivative at ``pts``, from one evaluation."""
-        if self.pair_fn is not None:
-            a, d = self.pair_fn(pts)
-            return np.asarray(a, dtype=float), np.asarray(d, dtype=float)
-        spline, dspline = self._splines
-        return np.nan_to_num(spline(pts), nan=0.0), np.nan_to_num(dspline(pts), nan=0.0)
+    def pair_at(self, pts: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Amplitude and its derivative at ``pts``, from one evaluation.
+
+        With ``out = (amp, damp)``, two float arrays of the points' shape that
+        do not overlap them, the pair is written into those arrays, which are
+        returned: the catalog pairs compute straight into them, while a
+        one-argument ``pair_fn`` and the spline are evaluated as without
+        ``out`` and copied in.
+        """
+        fn, writes = self._pair
+        return _pair_into(fn, writes, pts, out)
+
+
+def _writes_out(pair_fn: Callable) -> bool:
+    return "out" in inspect.signature(pair_fn).parameters
+
+
+def _pair_into(pair_fn: Callable, writes: bool, pts, out):
+    """``pair_fn``'s pair at ``pts``, as float arrays; written into ``out``
+    when given, by ``pair_fn`` itself when it ``writes``, else copied in."""
+    if out is not None and writes:
+        return pair_fn(pts, out=out)
+    a, d = pair_fn(pts)
+    a, d = np.asarray(a, dtype=float), np.asarray(d, dtype=float)
+    if out is None:
+        return a, d
+    np.copyto(out[0], a)
+    np.copyto(out[1], d)
+    return out
+
+
+def _pair_buffers(x: np.ndarray, out):
+    return (np.empty(x.shape), np.empty(x.shape)) if out is None else out
 
 
 def _catalog_grid(sigma: float, span: float = 24.0, nodes: int = 8193) -> np.ndarray:
     return np.linspace(-span * sigma, span * sigma, nodes)
 
 
+def _gaussian_constants(sigma: float, cube: bool = False) -> tuple[float, ...]:
+    """(2 pi sigma^2)^(-1/4), 4 sigma^2, 2 sigma^2 and, with ``cube``,
+    2 sigma^3, each refused by name unless it is a finite normal float."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        s = np.float64(sigma)
+        consts = ((2.0 * np.pi * s**2) ** -0.25, 4.0 * s**2, 2.0 * s**2) + (
+            (2.0 * s**3,) if cube else ())
+    if not all(np.isfinite(c) and c >= np.finfo(float).tiny for c in consts):
+        raise GridValueError(
+            f"sigma = {sigma!r} is out of range: the PSF's normalization and width "
+            "constants overflow or underflow the normal floats")
+    return tuple(float(c) for c in consts)
+
+
 def gaussian_psf(sigma: float = 1.0) -> PointSpreadFunction:
     """Gaussian amplitude; intensity is the normal density with scale sigma."""
-    norm = (2.0 * np.pi * sigma**2) ** -0.25
+    norm, four_s2, two_s2 = _gaussian_constants(sigma)
 
-    def pair(x):
-        x = np.asarray(x)
-        amp = norm * np.exp(-x**2 / (4.0 * sigma**2))
-        return amp, amp * (-x / (2.0 * sigma**2))
+    def pair(x, out=None):
+        x = np.asarray(x, dtype=float)
+        amp, damp = _pair_buffers(x, out)
+        # amp = norm exp(-x^2 / 4 s^2), damp = amp (-x / 2 s^2)
+        np.square(x, out=amp)
+        np.negative(amp, out=amp)
+        np.divide(amp, four_s2, out=amp)
+        np.exp(amp, out=amp)
+        np.multiply(norm, amp, out=amp)
+        np.negative(x, out=damp)
+        np.divide(damp, two_s2, out=damp)
+        np.multiply(amp, damp, out=damp)
+        return amp, damp
 
     x = _catalog_grid(sigma)
     return PointSpreadFunction(x, pair(x)[0], sigma, pair, "gaussian")
@@ -131,13 +195,26 @@ def gaussian_psf(sigma: float = 1.0) -> PointSpreadFunction:
 
 def hermite_gauss_psf(sigma: float = 1.0) -> PointSpreadFunction:
     """First-order Hermite-Gaussian amplitude: a zero at the origin."""
-    norm = (2.0 * np.pi * sigma**2) ** -0.25
+    norm, four_s2, _, two_s3 = _gaussian_constants(sigma, cube=True)
 
-    def pair(x):
-        x = np.asarray(x)
-        envelope = np.exp(-(x**2) / (4.0 * sigma**2))
-        return (norm * (x / sigma) * envelope,
-                norm * envelope * (1.0 / sigma - x**2 / (2.0 * sigma**3)))
+    def pair(x, out=None):
+        x = np.asarray(x, dtype=float)
+        amp, damp = _pair_buffers(x, out)
+        # amp = norm (x / s) e, damp = norm e (1 / s - x^2 / 2 s^3) with the
+        # envelope e = exp(-x^2 / 4 s^2), the one scratch array
+        envelope = np.square(x)
+        np.negative(envelope, out=envelope)
+        np.divide(envelope, four_s2, out=envelope)
+        np.exp(envelope, out=envelope)
+        np.divide(x, sigma, out=amp)
+        np.multiply(norm, amp, out=amp)
+        np.multiply(amp, envelope, out=amp)
+        np.square(x, out=damp)
+        np.divide(damp, two_s3, out=damp)
+        np.subtract(1.0 / sigma, damp, out=damp)
+        np.multiply(norm, envelope, out=envelope)
+        np.multiply(envelope, damp, out=damp)
+        return amp, damp
 
     x = _catalog_grid(sigma)
     return PointSpreadFunction(x, pair(x)[0], sigma, pair, "first_order_hermite")
@@ -146,16 +223,23 @@ def hermite_gauss_psf(sigma: float = 1.0) -> PointSpreadFunction:
 def sinc_psf(sigma: float = 1.0) -> PointSpreadFunction:
     """Band-limited amplitude sin(pi x / s) / (pi x / s): periodic zeros."""
 
-    def pair(x):
-        x = np.asarray(x) / sigma
-        amp = np.sinc(x)
-        out = np.zeros_like(x)
-        nz = np.abs(x) > 1e-8
-        xs = x[nz]
-        out[nz] = (np.cos(np.pi * xs) - amp[nz]) / xs / sigma
-        small = ~nz
-        out[small] = -(np.pi**2 / 3.0) * x[small] / sigma
-        return amp, out
+    def pair(x, out=None):
+        u = np.divide(x, sigma)  # the one scratch array
+        amp, damp = _pair_buffers(u, out)
+        # amp = np.sinc(u), as numpy computes it: sin(y) / y, y = pi u or eps
+        np.multiply(np.pi, u, out=damp)
+        np.copyto(damp, np.finfo(float).eps, where=damp == 0)
+        np.sin(damp, out=amp)
+        np.divide(amp, damp, out=amp)
+        # damp = (cos(pi u) - amp) / u / s, and its Taylor form near u = 0
+        nz = np.absolute(u, out=damp) > 1e-8
+        np.multiply(np.pi, u, out=damp)
+        np.cos(damp, out=damp)
+        np.subtract(damp, amp, out=damp)
+        np.divide(damp, u, out=damp, where=nz)
+        np.multiply(-(np.pi**2 / 3.0), u, out=damp, where=~nz)
+        np.divide(damp, sigma, out=damp)
+        return amp, damp
 
     x = _catalog_grid(sigma, span=400.0, nodes=65537)
     return PointSpreadFunction(x, pair(x)[0], sigma, pair, "sinc")
@@ -221,18 +305,6 @@ def _measurement_grid(psf: PointSpreadFunction, positions: np.ndarray,
     return positions.mean() + np.linspace(lo - positions.mean(), hi - positions.mean(), nodes)
 
 
-def _mixture_scores(psf: PointSpreadFunction, thetas: np.ndarray,
-                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mixture density f = mean_a h(x - theta^a) and its scores d_a f.
-
-    ``thetas`` has shape ``(..., p)``.  Returns f, shape ``(..., nx)``, and
-    d_a f = -2 a a' / p, shape ``(..., p, nx)``, with a and a' the amplitude
-    and its derivative at ``x - theta^a``.
-    """
-    amp, damp = psf.pair_at(x - thetas[..., None])
-    return (amp**2).mean(axis=-2), -2.0 * amp * damp / thetas.shape[-1]
-
-
 def _submodel(direction, taus, origin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """v, the separations tau (0-D or 1-D) and the rows theta(tau) = origin +
     v tau (origin 0 by default), each input checked by name."""
@@ -256,9 +328,14 @@ def _information_gram(psf: PointSpreadFunction, thetas: np.ndarray,
     """Per row theta (of nt, p), the exactly symmetric k x k Gram
     sum_x w (D_i.df)(D_j.df)/f over the k directions D (zero where f is below
     the support floor) and the captured mass sum_x w f, with w the trapezoid
-    weights of the uniform grid x.  Batched in blocks of about
-    INFORMATION_BLOCK elements of each (rows, p, nodes) temporary, so the
-    working set stays in cache whatever the number of rows.
+    weights of the uniform grid x, f = mean_a a^2 the mixture density and
+    d_a f = -2 a a' / p its scores (a and a' the amplitude and its derivative
+    at x - theta^a).  Batched in blocks of about INFORMATION_BLOCK elements of
+    each (rows, p, nodes) array, so the working set stays in cache whatever
+    the number of rows.  Every block runs its steps with ``out=`` into the
+    same arrays, allocated once per call: temporaries of this size lie above
+    glibc's mmap threshold, so fresh ones per block were mapped and
+    page-faulted anew each time.
     """
     w = trapezoid_weights_1d(len(x), x[1] - x[0])
     nt, p = thetas.shape
@@ -267,15 +344,30 @@ def _information_gram(psf: PointSpreadFunction, thetas: np.ndarray,
     # whole groups of four rows: OpenBLAS's dgemv sums four rows at a time and
     # a leftover row in another order, so blocking keeps every row's sum
     rows = 4 * max(1, INFORMATION_BLOCK // (4 * p * len(x)))
+    nb, nx = min(rows, nt), len(x)
+    buffers = (np.empty((nb, p, nx)), np.empty((nb, p, nx)), np.empty((nb, p, nx)),
+               np.empty((nb, nx)), np.empty((nb, nx), dtype=bool),
+               np.empty((nb, len(directions), nx)), np.empty((nb, len(i), nx)),
+               np.empty((nb, len(i))))
     for start in range(0, nt, rows):
-        f, df = _mixture_scores(psf, thetas[start:start + rows], x)  # (nb, nx), (nb, p, nx)
-        proj = np.einsum("ka,bax->bkx", directions, df)
-        ok = (f > INTENSITY_SUPPORT_FLOOR)[:, None, :]
-        num = proj[:, i] * proj[:, j]                                # (nb, pairs, nx)
-        ratio = np.divide(num, f[:, None, :], out=np.zeros_like(num), where=ok)
-        sums = (ratio.reshape(-1, len(x)) @ w).reshape(len(f), -1)
-        gram[start:start + rows, i, j] = gram[start:start + rows, j, i] = sums
-        mass[start:start + rows] = f @ w
+        nb = min(rows, nt - start)
+        block = slice(start, start + nb)
+        pts, amp, damp, f, ok, proj, ratio, sums = (buf[:nb] for buf in buffers)
+        np.subtract(x, thetas[block, :, None], out=pts)
+        psf.pair_at(pts, out=(amp, damp))
+        np.mean(np.square(amp, out=pts), axis=-2, out=f)  # the points are spent
+        np.multiply(-2.0, amp, out=amp)                   # the scores d_a f, into amp
+        np.multiply(amp, damp, out=amp)
+        np.divide(amp, p, out=amp)
+        np.einsum("ka,bax->bkx", directions, amp, out=proj)
+        np.greater(f, INTENSITY_SUPPORT_FLOOR, out=ok)
+        ratio.fill(0.0)
+        for q, (di, dj) in enumerate(zip(i, j)):
+            np.multiply(proj[:, di], proj[:, dj], out=ratio[:, q], where=ok)
+        np.divide(ratio, f[:, None, :], out=ratio, where=ok[:, None, :])
+        np.matmul(ratio.reshape(-1, nx), w, out=sums.reshape(-1))
+        gram[block, i, j] = gram[block, j, i] = sums
+        np.matmul(f, w, out=mass[block])
     return gram, mass
 
 
@@ -429,21 +521,22 @@ def _span_coefficients(psf: PointSpreadFunction, positions: np.ndarray, rows: np
     """Coefficients of the displaced states and their derivatives in an
     orthonormal basis of their span, for sources at ``positions``.
 
-    The 2p rows of ``rows`` (each HELSTROM_GRID_NODES long) receive the
-    weighted columns sqrt(w) psi_a and -sqrt(w) d psi_a, which are
-    unit-scaled in place; R comes from LAPACK ``dgeqrf`` on the rows'
-    transpose, which overwrites them.  Returns the coefficients of the
-    states and of their derivatives, each (p, dim), and the projection
-    deficit; ``at`` names the point in errors.
+    The 2p rows of ``rows`` (each HELSTROM_GRID_NODES long) receive each
+    source's pair straight from `PointSpreadFunction.pair_at`, evaluated at
+    points shifted in one buffer per call, and are weighted in place into
+    the columns sqrt(w) psi_a and -sqrt(w) d psi_a, then unit-scaled; R comes
+    from LAPACK ``dgeqrf`` on the rows' transpose, which overwrites them.
+    Returns the coefficients of the states and of their derivatives, each
+    (p, dim), and the projection deficit; ``at`` names the point in errors.
     """
     p = len(positions)
     x = _measurement_grid(psf, positions, HELSTROM_SPAN_SIGMAS, HELSTROM_GRID_NODES)
     root_w = np.sqrt(trapezoid_weights_1d(len(x), x[1] - x[0]))
-    # one source at a time, so every temporary stays one grid long
+    pts = np.empty_like(x)
     for a, t in enumerate(positions):
-        amp, damp = psf.pair_at(x - t)
-        np.multiply(amp, root_w, out=rows[a])
-        np.multiply(damp, root_w, out=rows[p + a])
+        np.subtract(x, t, out=pts)
+        psf.pair_at(pts, out=(rows[a], rows[p + a]))
+    rows *= root_w
     rows[p:] *= -1.0
     # row by row, so no temporary is as large as the buffer
     squares = np.array([np.square(row).sum() for row in rows])

@@ -228,7 +228,10 @@ def _build_psf(spec: dict, path: str) -> imaging.PointSpreadFunction:
             return imaging.psf_from_csv(spec["csv"])
         except (GridValueError, OSError) as exc:  # a missing or malformed input file
             raise ScenarioError(str(exc), f"{path}.csv") from exc
-    return imaging.PSF_CATALOG[spec["catalog"]](float(spec.get("sigma", 1.0)))
+    try:
+        return imaging.PSF_CATALOG[spec["catalog"]](float(spec.get("sigma", 1.0)))
+    except GridValueError as exc:  # a width whose constants leave the floats
+        raise ScenarioError(str(exc), f"{path}.sigma") from exc
 
 
 def _build_spectra(spec: dict, grid_scale: int, path: str) -> waveform.SpectralModel:

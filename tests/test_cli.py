@@ -857,6 +857,29 @@ class TestNonFinitePsf:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+class TestCatalogWidthOutOfRange:
+    def test_exit_2_naming_psf_sigma(self, tmp_path, capsys):
+        with open(os.path.join(SHIPPED_CONFIGS, "imaging_rank_trend.json")) as fh:
+            cfg = json.load(fh)
+        cfg["psf"]["sigma"] = 1e-200  # its squared width underflows to 0
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["imaging", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: psf.sigma: sigma = 1e-200 ")
+        assert not caught
+        # numerical warnings raised as errors: still the named error
+        src = os.path.dirname(os.path.dirname(bcrb.__file__))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "bcrb.cli", "imaging",
+             "--config", path, "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: psf.sigma: ") and "Traceback" not in done.stderr
+        assert not (tmp_path / "o").exists()
+
+
 class TestInfiniteFrequencyEndpoints:
     def test_exit_2_naming_spectra_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "spectra.csv"

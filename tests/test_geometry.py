@@ -288,6 +288,23 @@ class TestCatalogInvarianceForVChoices:
             assert rep.relative_difference <= 1e-6, map_obj.name
 
 
+class TestOneDimensionalInterpolator:
+    @pytest.mark.parametrize("nodes", [4, 5, 41])
+    def test_equals_cubic_legacy_bitwise(self, nodes):
+        from scipy.interpolate import RegularGridInterpolator
+
+        from bcrb.geometry import _interpolator
+
+        grid = line_grid(-1.5, 2.0, nodes)
+        x = grid.axes[0]
+        values = np.sin(3.0 * x) + x**2
+        pts = np.concatenate([x, (x[1:] + x[:-1]) / 2.0,
+                              [x[0] - 1e-12, x[-1] + 1e-12, np.nan]])[:, None]
+        reference = RegularGridInterpolator(grid.axes, values, method="cubic_legacy",
+                                            bounds_error=False, fill_value=None)(pts)
+        assert np.array_equal(_interpolator(grid, values)(pts), reference, equal_nan=True)
+
+
 class TestVolumeElementReuse:
     def test_x4_invariance_config_checks_each_metric_once(self, monkeypatch):
         seen = count_linalg_calls(monkeypatch, "det", "eigvalsh")

@@ -1,5 +1,7 @@
 import csv
+import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -578,6 +580,104 @@ class TestJointEvaluation:
         a, d = psf.pair_at(self.pts)
         assert np.array_equal(a, factor * np.asarray(amp(self.pts)))
         assert np.array_equal(d, factor * np.asarray(damp(self.pts)))
+
+
+class TestPairIntoBuffers:
+    """``pair_at(pts, out)`` writes the pair that ``pair_at(pts)`` returns."""
+
+    # 0 and +-1e-9 reach the sinc's small-argument branch
+    pts = np.concatenate([np.linspace(-20.0, 20.0, 3081), [0.0, 1e-9, -1e-9]]).reshape(4, 3, 257)
+
+    def through_out(self, psf):
+        out = (np.full(self.pts.shape, np.nan), np.full(self.pts.shape, np.nan))
+        got = psf.pair_at(self.pts, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        return got
+
+    @pytest.mark.parametrize("name,sigma", [("gaussian", 1.0), ("gaussian", 0.7),
+                                            ("first_order_hermite", 1.0),
+                                            ("sinc", 1.0), ("sinc", 2.0)])
+    def test_catalog_pair_written_in_place(self, name, sigma):
+        psf = PSF_CATALOG[name](sigma)
+        a, d = self.through_out(psf)
+        expected_a, expected_d = psf.pair_at(self.pts)
+        assert np.array_equal(a, expected_a) and np.array_equal(d, expected_d)
+
+    def test_custom_pair_copied_in(self, gpsf):
+        def pair(pts):  # one argument: returns its own arrays
+            return gpsf.pair_fn(pts)
+
+        psf = PointSpreadFunction(gpsf.x, gpsf.amplitude, gpsf.width, pair)
+        a, d = self.through_out(psf)
+        expected_a, expected_d = psf.pair_at(self.pts)
+        assert np.array_equal(a, expected_a) and np.array_equal(d, expected_d)
+
+    def test_csv_spline_copied_in(self, tmp_path, gpsf):
+        psf = psf_from_csv(write_psf_csv(tmp_path, gpsf, stride=16))
+        a, d = self.through_out(psf)
+        expected_a, expected_d = psf.pair_at(self.pts)
+        assert np.array_equal(a, expected_a) and np.array_equal(d, expected_d)
+
+
+class TestKernelBuffersReused:
+    """The image-plane kernels hand ``pair_at`` the same buffers every time."""
+
+    @staticmethod
+    def record_outs(monkeypatch):
+        seen = []
+
+        def recording(self, pts, out=None):
+            seen.append(out)
+            return pair_at(self, pts, out)
+
+        pair_at = PointSpreadFunction.pair_at
+        monkeypatch.setattr(PointSpreadFunction, "pair_at", recording)
+        return seen
+
+    def test_information_blocks_share_two_buffers(self, gpsf, monkeypatch):
+        seen = self.record_outs(monkeypatch)
+        taus = TestInformationAlongBlocks.taus  # the 2,130 separations of a level
+        information_along(gpsf, [1.0, -1.0], taus)
+        assert len(seen) > 100  # one call per block
+        buffers = {(a.ctypes.data, d.ctypes.data, a.base is d.base) for a, d in seen}
+        assert len(buffers) == 1 and not buffers.pop()[2]
+        assert all(a.base is seen[0][0].base and d.base is seen[0][1].base for a, d in seen)
+
+    def test_helstrom_writes_rows_of_one_buffer(self, gpsf, monkeypatch):
+        seen = self.record_outs(monkeypatch)
+        taus = np.linspace(0.2, 0.8, 41)
+        helstrom_along(gpsf, [-0.5, 0.5], taus)
+        assert len(seen) == 2 * len(taus)  # one call per source and point
+        buf = seen[0][0].base
+        assert buf.shape == (4, imaging.HELSTROM_GRID_NODES)
+        assert all(a.base is buf and d.base is buf for a, d in seen)
+        rows = {a.ctypes.data: d.ctypes.data for a, d in seen}
+        row = buf.strides[0]
+        assert rows == {buf.ctypes.data: buf.ctypes.data + 2 * row,
+                        buf.ctypes.data + row: buf.ctypes.data + 3 * row}
+
+
+class TestCatalogWidthRange:
+    """A width whose normalization or scale constants leave the normal floats
+    is refused by name, without a numerical warning."""
+
+    @pytest.mark.parametrize("make,sigma", [(gaussian_psf, 1e-200), (gaussian_psf, 1e-160),
+                                            (gaussian_psf, 1e160), (hermite_gauss_psf, 1e-120),
+                                            (hermite_gauss_psf, 1e120)])
+    def test_refused(self, make, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridValueError,
+                               match=re.escape(f"sigma = {sigma!r} is out of range")):
+                make(sigma)
+
+    def test_narrow_gaussian_still_accepted(self):
+        sigma = 1e-120
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = imaging_helstrom(gaussian_psf(sigma),
+                                      SourceConfiguration([-0.4, 0.05, 0.45]).scaled(sigma))
+        assert report.numerical_rank == 3
 
 
 def per_separation_information(psf, direction, taus):

@@ -86,8 +86,39 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(runs: dict[str, list[dict]]) -> dict:
-    """Compact record of one workload from the parent and change runs."""
+def end_to_end_bounds() -> dict[str, float]:
+    """Each end-to-end metric's bound, relative to the parent's median."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
+
+
+def verdict(parent: list[float], change: list[float], bound: float) -> str:
+    """How a lower-is-better metric moved over paired runs.
+
+    - ``gain``: the change is lower in at least nine tenths of the pairs (a
+      tie counts for neither side), and the parent's median exceeds the
+      change's by more than the parent's interquartile range;
+    - ``worse``: the change's median exceeds the parent's by more than
+      ``bound`` times the parent's median;
+    - ``unresolved``: neither, and the parent's interquartile range is wider
+      than that bound, unless every change run is below every parent run;
+    - ``within_bound`` otherwise.
+    """
+    p, c = spread(parent), spread(change)
+    iqr = p["q3"] - p["q1"]
+    lower = sum(ci < pi for pi, ci in zip(parent, change))
+    if 10 * lower >= 9 * len(change) and p["median"] - c["median"] > iqr:
+        return "gain"
+    if c["median"] - p["median"] > bound * p["median"]:
+        return "worse"
+    if iqr > bound * p["median"] and not max(change) < min(parent):
+        return "unresolved"
+    return "within_bound"
+
+
+def summarize(runs: dict[str, list[dict]], bounds: dict[str, float]) -> dict:
+    """Compact record of one workload from the parent and change runs;
+    ``bounds`` maps each metric to its relative bound."""
     out = {"pairs": len(runs["change"]), "metrics": {}, "cases": {}}
     for name in METRICS:
         per_rev = {rev: [r["metrics"][name] for r in runs[rev]] for rev in runs}
@@ -95,6 +126,7 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
             **{rev: spread(v) for rev, v in per_rev.items()},
             "change_lower_pairs": sum(c < p for p, c in zip(per_rev["parent"],
                                                             per_rev["change"])),
+            "verdict": verdict(per_rev["parent"], per_rev["change"], bounds[name]),
         }
     for rev in runs:
         out.setdefault("failed", {})[rev] = sum(r["failed"] for r in runs[rev])
@@ -123,6 +155,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     shas = {"parent": resolve(args.parent), "change": resolve(args.change)}
+    bounds = end_to_end_bounds()
     seeds = parse_seeds(args.seeds)
     record = {
         "revisions": shas,
@@ -143,7 +176,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed={seed} {rev}: " + ", ".join(
                         f"{name}={v:.4g}" for name, v in run["metrics"].items())
                         + f", failed={run['failed']}/{run['attempted']}", flush=True)
-            record["workloads"][workload] = summarize(runs)
+            record["workloads"][workload] = summarize(runs, bounds)
             record["environment"] = runs["change"][-1]["environment"]
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
