@@ -37,7 +37,6 @@ from .grids import (
     VectorField,
     gradient,
     integrate,
-    weighted_divergence,
 )
 from .imaging import (
     PSF_CATALOG,
@@ -92,7 +91,7 @@ __all__ = [
     "Diffeomorphism", "InvarianceReport", "StatisticalModel",
     "invariance_report", "pushforward_model", "transform_vector_field",
     "MatrixField", "ParameterGrid", "ScalarField", "VectorField",
-    "gradient", "integrate", "weighted_divergence",
+    "gradient", "integrate",
     "PSF_CATALOG", "PointSpreadFunction", "SourceConfiguration",
     "direct_imaging_fisher", "exponent_fit", "imaging_helstrom",
     "minimax_rate", "quantum_vs_classical",

@@ -32,7 +32,7 @@ from .grids import (
 
 PSD_RTOL = 1e-10
 PRIOR_NORMALIZATION_ATOL = 1e-8
-ROUND_TRIP_ATOL = 1e-8
+ROUND_TRIP_RTOL = 1e-8  # relative to max(1, |theta|)
 JACOBIAN_FD_STEP = 1e-6  # relative to axis length
 INVARIANCE_RTOL = 1e-5   # source/target bound gap of an invariant report
 
@@ -41,11 +41,10 @@ INVARIANCE_RTOL = 1e-5   # source/target bound gap of an invariant report
 class StatisticalModel:
     """Pointwise information, weight, metric, and prior on a grid.
 
-    Optional callables (`fisher_fn`, `weight_fn`, `prior_fn`) evaluate the
-    same quantities at arbitrary points; when present they are used for
-    reparametrization instead of interpolation.
-    All callables are batched: they map ``(..., p)`` coordinate arrays to
-    arrays with the matching trailing shape.
+    A field sampled from a callable keeps it as its ``fn``, and
+    reparametrization evaluates that callable at arbitrary points instead of
+    interpolating the samples.  Replacing a field replaces its callable with
+    it: ``replace(model, fisher=K)`` carries K, never F.
     """
 
     grid: ParameterGrid
@@ -53,16 +52,13 @@ class StatisticalModel:
     weight: VectorField
     metric: MatrixField | None = None
     prior: ScalarField | None = None
-    fisher_fn: Callable | None = None
-    weight_fn: Callable | None = None
-    prior_fn: Callable | None = None
 
     def __post_init__(self):
         self.grid.require_same(self.fisher.grid, "model fisher")
         self.grid.require_same(self.weight.grid, "model weight")
         if self.weight.variance != "covariant":
             raise GridValueError("model weight field must be covariant")
-        ev = self.fisher.eigenvalues()
+        ev = self.fisher.eigenvalues  # computed once per information field
         trace = np.trace(self.fisher.values, axis1=-2, axis2=-1)
         scale = np.maximum(np.abs(trace), 1e-300)
         if np.any(not_psd := ev[..., 0] < -PSD_RTOL * scale):
@@ -88,35 +84,11 @@ class StatisticalModel:
         weight_fn: Callable,
         prior_fn: Callable | None = None,
     ) -> "StatisticalModel":
-        """Model sampled from the callables (flat metric), its prior
-        normalized (``prior_fn`` rescaled to match)."""
+        """Fields sampled from the callables, which they keep (flat metric)."""
         fisher = MatrixField.from_callable(grid, fisher_fn)
         weight = VectorField.from_callable(grid, weight_fn, variance="covariant")
-        prior = None
-        if prior_fn is not None:
-            prior = ScalarField.from_callable(grid, prior_fn)
-            norm = integrate(prior)
-            if not 0.0 < norm < np.inf:  # false for NaN too
-                raise GridValueError(
-                    f"prior integrates to {norm!r} on the grid; it needs positive, "
-                    "finite mass to be normalized"
-                )
-            prior = ScalarField(grid, prior.values / norm)
-            scaled_prior_fn = prior_fn
-            prior_fn = lambda c, _f=scaled_prior_fn, _z=norm: np.asarray(_f(c)) / _z
-        return cls(
-            grid,
-            fisher,
-            weight,
-            None,
-            prior,
-            fisher_fn,
-            weight_fn,
-            prior_fn,
-        )
-
-    def with_prior(self, prior: ScalarField):
-        return replace(self, prior=prior, prior_fn=None)
+        prior = None if prior_fn is None else ScalarField.from_callable(grid, prior_fn).normalized()
+        return cls(grid, fisher, weight, prior=prior)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,10 +124,10 @@ class Diffeomorphism:
         return out
 
     def check_round_trip(self, grid: ParameterGrid) -> float:
-        """Max |inverse(forward(theta)) - theta| over grid nodes."""
+        """Max |inverse(forward(theta)) - theta| / max(1, |theta|) over nodes."""
         coords = grid.coordinates
         back = np.asarray(self.inverse(np.asarray(self.forward(coords))))
-        return float(np.max(np.abs(back - coords)))
+        return float(np.max(np.abs(back - coords) / np.maximum(1.0, np.abs(coords))))
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +215,12 @@ def _interpolator(grid: ParameterGrid, values: np.ndarray):
                                    fill_value=None)
 
 
-def _eval(field: ScalarField | VectorField | MatrixField, fn, points: np.ndarray) -> np.ndarray:
-    """A scalar, vector or matrix field at ``points``: ``fn`` when given,
-    else each trailing component interpolated (matrix fields are stored
-    exactly symmetric, so both triangles interpolate to mirrored values)."""
-    if fn is not None:
-        return np.asarray(fn(points), dtype=float)
+def _eval(field: ScalarField | VectorField | MatrixField, points: np.ndarray) -> np.ndarray:
+    """A field at ``points``: its ``fn`` when it has one, else each trailing
+    component interpolated (matrix fields are stored exactly symmetric, so
+    both triangles interpolate to mirrored values)."""
+    if field.fn is not None:
+        return np.asarray(field.fn(points), dtype=float)
     grid = field.grid
     comps = field.values.reshape(grid.shape + (-1,))
     out = np.stack([_interpolator(grid, comps[..., k])(points)
@@ -284,9 +256,9 @@ def pushforward_model(
     covariantly, the prior as a scalar.
     """
     rt = map.check_round_trip(model.grid)
-    if rt > ROUND_TRIP_ATOL:
+    if rt > ROUND_TRIP_RTOL:
         raise GridValueError(
-            f"map inverse does not undo forward on the grid (max error {rt:.3e})"
+            f"map inverse does not undo forward on the grid (max error {rt:.3e} relative)"
         )
     if target_grid is None:
         target_grid = derive_target_grid(map, model.grid)
@@ -303,30 +275,28 @@ def pushforward_model(
         )
     jac_inv = np.linalg.inv(jac)
 
-    f_src = _eval(model.fisher, model.fisher_fn, pts_src)
-    u_src = _eval(model.weight, model.weight_fn, pts_src)
+    f_src = _eval(model.fisher, pts_src)
+    u_src = _eval(model.weight, pts_src)
     f_new = np.einsum("...ca,...cd,...db->...ab", jac_inv, f_src, jac_inv)
     u_new = np.einsum("...ba,...b->...a", jac_inv, u_src)
 
     if model.metric is not None:
-        g_src = _eval(model.metric, None, pts_src)
+        g_src = _eval(model.metric, pts_src)
     else:
         g_src = np.broadcast_to(np.eye(model.grid.dim), pts_src.shape + (model.grid.dim,))
     g_new = np.einsum("...ca,...cd,...db->...ab", jac_inv, g_src, jac_inv)
     metric_new = MatrixField(target_grid, np.ascontiguousarray(g_new))
 
     prior_new = None
-    prior_fn_new = None
     if model.prior is not None:
-        rho_vals = np.clip(_eval(model.prior, model.prior_fn, pts_src), 0.0, None)
+        pulled = lambda c: np.clip(
+            _eval(model.prior, np.asarray(map.inverse(c), dtype=float)), 0.0, None)
+        # a prior sampled from a callable is pushed as one, rho o theta
+        rho = (ScalarField.from_callable(target_grid, pulled) if model.prior.fn is not None
+               else ScalarField(target_grid, pulled(target_grid.coordinates)))
         # re-normalize against the target quadrature so the pushed model is
         # itself valid; the factor is 1 + O(dx^2)
-        norm = integrate(ScalarField(target_grid, rho_vals), metric_new)
-        prior_new = ScalarField(target_grid, rho_vals / norm)
-        if model.prior_fn is not None:
-            src_fn = model.prior_fn
-            inv_fn = map.inverse
-            prior_fn_new = lambda c: np.asarray(src_fn(np.asarray(inv_fn(c)))) / norm
+        prior_new = rho._divided(integrate(rho, metric_new))
 
     return StatisticalModel(
         target_grid,
@@ -334,7 +304,6 @@ def pushforward_model(
         VectorField(target_grid, np.ascontiguousarray(u_new), variance="covariant"),
         metric_new,
         prior_new,
-        prior_fn=prior_fn_new,
     )
 
 
@@ -342,7 +311,6 @@ def transform_vector_field(
     v: VectorField,
     map: Diffeomorphism,
     target_grid: ParameterGrid | None = None,
-    v_fn: Callable | None = None,
 ) -> VectorField:
     """Contravariant push of a vector field: ``v~^b = v^a J_a^b`` at preimages."""
     if v.variance != "contravariant":
@@ -354,7 +322,7 @@ def transform_vector_field(
         target_grid = derive_target_grid(map, v.grid)
     pts_src = np.asarray(map.inverse(target_grid.coordinates), dtype=float)
     jac = map.jacobian_at(pts_src, _axis_lengths(v.grid))
-    vals = _eval(v, v_fn, pts_src)
+    vals = _eval(v, pts_src)
     new_vals = np.einsum("...a,...ab->...b", vals, jac)
     return VectorField(target_grid, np.ascontiguousarray(new_vals), variance="contravariant")
 
@@ -385,20 +353,23 @@ def invariance_report(
 
     With ``transform_v=False`` the raw component values are reused in the new
     coordinates (the classic mistake); the resulting bound belongs to a
-    different vector field and the report flags it as non-invariant.
+    different vector field and the report flags it as non-invariant.  A
+    ``v_fn`` resamples ``v``, which then is pushed as that callable.
     """
     from .bounds import gill_levit_bound  # local import to avoid a cycle
 
-    model_src = model.with_prior(prior)
+    if v_fn is not None:
+        v = VectorField.from_callable(v.grid, v_fn, v.variance)
+    model_src = replace(model, prior=prior)
     rep_src = gill_levit_bound(model_src, prior, v, n)
 
     model_tgt = pushforward_model(model_src, map, target_grid)
     tgt_grid = model_tgt.grid
     if transform_v:
-        v_tgt = transform_vector_field(v, map, tgt_grid, v_fn)
+        v_tgt = transform_vector_field(v, map, tgt_grid)
     else:
         pts_src = np.asarray(map.inverse(tgt_grid.coordinates), dtype=float)
-        v_tgt = VectorField(tgt_grid, _eval(v, v_fn, pts_src))
+        v_tgt = VectorField(tgt_grid, _eval(v, pts_src))
     rep_tgt = gill_levit_bound(model_tgt, model_tgt.prior, v_tgt, n)
 
     scale = max(abs(rep_src.bound), abs(rep_tgt.bound), 1e-300)

@@ -14,7 +14,7 @@ central differences with second-order one-sided stencils on the boundary.
 from __future__ import annotations
 
 import csv
-import warnings
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -154,10 +154,18 @@ def _check_values(grid: ParameterGrid, values: np.ndarray, trailing: tuple[int, 
         raise GridValueError(f"{kind} values contain non-finite entries")
 
 
+def _with_fn(field, fn: Callable | None):
+    """Set a field's ``fn``: the batched callable its values were sampled from.
+    Only ``from_callable`` and ``normalized`` set it, so ``replace`` drops it."""
+    object.__setattr__(field, "fn", fn)
+    return field
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     grid: ParameterGrid
     values: np.ndarray
+    fn: Callable | None = dataclasses.field(init=False, default=None)
 
     def __post_init__(self):
         vals = _readonly(self.values)
@@ -167,14 +175,21 @@ class ScalarField:
     @classmethod
     def from_callable(cls, grid: ParameterGrid, fn: Callable) -> "ScalarField":
         """Evaluate ``fn`` on node coordinates; ``fn`` maps ``(..., p) -> (...)``."""
-        return cls(grid, np.asarray(fn(grid.coordinates), dtype=float))
+        return _with_fn(cls(grid, np.asarray(fn(grid.coordinates), dtype=float)), fn)
 
     def normalized(self) -> "ScalarField":
-        """Rescale so the integral over the box equals one."""
-        total = integrate(self)
-        if total <= 0:
-            raise GridValueError("cannot normalize a field with non-positive integral")
-        return ScalarField(self.grid, self.values / total)
+        """This prior, and its callable, divided by its positive, finite mass."""
+        with np.errstate(over="ignore"):  # an infinite mass raises below instead
+            mass = integrate(self)
+        if not 0.0 < mass < np.inf:  # false for NaN too
+            raise GridValueError(f"prior integrates to {mass!r} on the grid; it needs "
+                                 "positive, finite mass to be normalized")
+        return self._divided(mass)
+
+    def _divided(self, z: float) -> "ScalarField":
+        """Values, and the callable when there is one, divided by ``z``."""
+        fn = None if self.fn is None else lambda c, f=self.fn: np.asarray(f(c)) / z
+        return _with_fn(ScalarField(self.grid, self.values / z), fn)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,6 +199,7 @@ class VectorField:
     grid: ParameterGrid
     values: np.ndarray
     variance: str = "contravariant"
+    fn: Callable | None = dataclasses.field(init=False, default=None)
 
     def __post_init__(self):
         if self.variance not in ("contravariant", "covariant"):
@@ -194,8 +210,7 @@ class VectorField:
 
     @classmethod
     def from_callable(cls, grid, fn, variance="contravariant") -> "VectorField":
-        vals = np.asarray(fn(grid.coordinates), dtype=float)
-        return cls(grid, vals, variance)
+        return _with_fn(cls(grid, np.asarray(fn(grid.coordinates), dtype=float), variance), fn)
 
     @classmethod
     def constant(cls, grid, components, variance="contravariant") -> "VectorField":
@@ -222,6 +237,7 @@ class MatrixField:
 
     grid: ParameterGrid
     values: np.ndarray
+    fn: Callable | None = dataclasses.field(init=False, default=None)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -232,7 +248,7 @@ class MatrixField:
 
     @classmethod
     def from_callable(cls, grid, fn) -> "MatrixField":
-        return cls(grid, np.asarray(fn(grid.coordinates), dtype=float))
+        return _with_fn(cls(grid, np.asarray(fn(grid.coordinates), dtype=float)), fn)
 
     @classmethod
     def identity(cls, grid: ParameterGrid) -> "MatrixField":
@@ -246,9 +262,13 @@ class MatrixField:
             m = m.reshape(1, 1)
         return cls(grid, np.broadcast_to(m, grid.shape + m.shape).copy())
 
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Per-node eigenvalues, shape ``(*shape, p)``, ascending."""
-        return np.linalg.eigvalsh(self.values)
+        """Per-node eigenvalues, shape ``(*shape, p)``, ascending, read-only;
+        computed once per field object."""
+        ev = np.linalg.eigvalsh(self.values)
+        ev.setflags(write=False)
+        return ev
 
     @cached_property
     def volume_element(self) -> np.ndarray:
@@ -257,7 +277,7 @@ class MatrixField:
         Checked and computed once per field object.  Raises, on every access,
         if the metric is not positive definite at some node.
         """
-        ev = self.eigenvalues()
+        ev = self.eigenvalues
         if np.any(ev <= 0):
             raise GridValueError("metric is not positive definite at node index "
                                  f"{_first_node(ev.min(axis=-1) <= 0)}")
@@ -372,36 +392,6 @@ def _density(grid: ParameterGrid, rho: ScalarField,
     return metric_sqrt_det(metric, grid) * rho.values, ~_tiny_density_mask(grid, rho.values)
 
 
-def weighted_divergence(
-    rho: ScalarField,
-    v: VectorField,
-    metric: MatrixField | None = None,
-) -> ScalarField:
-    """The scalar ``(1/rho) div(rho v)`` with the metric volume factor.
-
-    Computes ``(1 / (sqrt|g| rho)) d_a (sqrt|g| rho v^a)``.  Nodes where
-    ``rho`` falls below ``DEFAULT_RHO_FLOOR * max(rho)`` contribute zero; an
-    interior below-floor node whose neighborhood carries mass raises (see
-    ``_tiny_density_mask``).  Warns when ``rho * v`` fails to vanish on the
-    boundary.
-    """
-    grid = rho.grid
-    grid.require_same(v.grid, "weighted_divergence")
-    if v.variance != "contravariant":
-        raise GridValueError("weighted_divergence needs a contravariant field")
-    dens, ok = _density(grid, rho, metric)
-
-    res = boundary_residual(rho, v)
-    if res > BOUNDARY_RESIDUAL_TOL:
-        warnings.warn(
-            f"rho*v does not vanish on the boundary (boundary residual {res:.3e}); "
-            "enlarge the domain or use a decaying prior",
-            stacklevel=2,
-        )
-
-    return ScalarField(grid, _quotient_divergence(grid, dens, v.values, ok))
-
-
 def boundary_residual(rho: ScalarField, v: VectorField) -> float:
     """max boundary |rho v| over max overall |rho v| (0 when both vanish)."""
     rv = np.abs(rho.values[..., None] * v.values)
@@ -445,7 +435,7 @@ def divergence_matrix(
     """Sparse operator: flattened contravariant field -> ``(1/rho) div(rho v)``.
 
     Shape ``(num_nodes, num_nodes * p)`` with component blocks concatenated;
-    same floor semantics as :func:`weighted_divergence`.
+    same floor semantics as :func:`_tiny_density_mask`.
     """
     dens, ok = (a.ravel() for a in _density(grid, rho, metric))
     inv = np.zeros_like(dens)

@@ -4,12 +4,12 @@ For a family of density matrices rho(theta), the score operators S_a solve
 the Jordan-product equation  d_a rho = (rho S_a + S_a rho) / 2  and the
 Helstrom information matrix is  K_ab = Re tr[rho (S_a o S_b)].  K upper
 -bounds the Fisher information of every measurement, so replacing F by K in
-any bound of this package, by passing ``replace(model, fisher=K,
-fisher_fn=None)`` in place of the model, yields a measurement-independent
-quantum bound (K obeys F's law, so `pushforward_model` of that model carries
-K to new coordinates); in particular the optimal quantum bound `qmax` is
-<u, R^{-1} u>_rho with R built from K exactly as the field operator is built
-from F.
+any bound of this package, by passing ``replace(model, fisher=K)`` in place
+of the model, yields a measurement-independent quantum bound (K obeys F's
+law and brings its own callable, so `pushforward_model` of that model
+carries K to new coordinates); in particular the optimal quantum bound
+`qmax` is <u, R^{-1} u>_rho with R built from K exactly as the field
+operator is built from F.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def _quantum_and_classical(
 
     The quantum model is ``model`` with F replaced by K, so K passes the
     model's grid and PSD checks."""
-    quantum_model = replace(model, fisher=helstrom, fisher_fn=None)
+    quantum_model = replace(model, fisher=helstrom)
     rep = bmax(quantum_model, prior, n, v_choice="quantum_least_favorable")
     classical = bmax(model, prior, n)
     if rep.bound > classical.bound + QUANTUM_ORDER_SLACK * max(1.0, classical.bound):

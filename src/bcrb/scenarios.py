@@ -188,20 +188,18 @@ def _build_model(config: dict, grid_scale: int):
     return model
 
 
-def _build_v(config: dict, model) -> tuple[VectorField, Callable | None]:
+def _build_v(config: dict, model) -> VectorField:
     spec = config["v"]
     choice = spec["choice"]
     if choice == "unit":
-        fn = lambda c: np.ones_like(np.asarray(c, dtype=float))
-        return VectorField.from_callable(model.grid, fn), fn
+        return VectorField.from_callable(model.grid, np.ones_like)
     if choice == "natural":
-        return bounds.natural_v(model), None
+        return bounds.natural_v(model)
     if choice == "van_trees":
-        return bounds.van_trees_v(model, model.prior, float(config["n"])), None
+        return bounds.van_trees_v(model, model.prior, float(config["n"]))
     coeffs = [float(c) for c in spec.get("coeffs", [1.0])]
-    fn = lambda c: np.polynomial.polynomial.polyval(
-        np.asarray(c, dtype=float)[..., 0], coeffs)[..., None]
-    return VectorField.from_callable(model.grid, fn), fn
+    return VectorField.from_callable(model.grid, lambda c: np.polynomial.polynomial.polyval(
+        np.asarray(c, dtype=float)[..., 0], coeffs)[..., None])
 
 
 def _build_map(spec: dict) -> geometry.Diffeomorphism:
@@ -271,7 +269,7 @@ def _bound_table(rep: bounds.BoundReport) -> tuple[list[str], list[list]]:
 
 def _run_bound(config, grid_scale, rng) -> ScenarioResult:
     model = _build_model(config, grid_scale)
-    v, _ = _build_v(config, model)
+    v = _build_v(config, model)
     rep = bounds.gill_levit_bound(model, model.prior, v, float(config["n"]),
                                   config["v"]["choice"])
     return ScenarioResult({"bound_report": rep.to_dict()}, {"bound": _bound_table(rep)})
@@ -432,7 +430,7 @@ def _run_imaging(config, grid_scale, rng) -> ScenarioResult:
 
 def _run_invariance(config, grid_scale, rng) -> ScenarioResult:
     model = _build_model(config, grid_scale)
-    v, v_fn = _build_v(config, model)
+    v = _build_v(config, model)
     map_obj = _build_map(config["map"])
     target_nodes = config["map"].get("target_nodes")
     target = None
@@ -440,11 +438,9 @@ def _run_invariance(config, grid_scale, rng) -> ScenarioResult:
         target = geometry.derive_target_grid(
             map_obj, model.grid, (_scaled_nodes(target_nodes, grid_scale),))
     n = float(config["n"])
-    rep = geometry.invariance_report(
-        model, model.prior, v, map_obj, n, target_grid=target, v_fn=v_fn)
+    rep = geometry.invariance_report(model, model.prior, v, map_obj, n, target_grid=target)
     control = geometry.invariance_report(
-        model, model.prior, v, map_obj, n, target_grid=target,
-        transform_v=False, v_fn=v_fn)
+        model, model.prior, v, map_obj, n, target_grid=target, transform_v=False)
     return ScenarioResult({
         "v_choice": config["v"]["choice"],
         "map": map_obj.name,

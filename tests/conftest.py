@@ -1,10 +1,22 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders and test references for the test suite."""
+
+import warnings
 
 import numpy as np
 import pytest
 
+from bcrb.errors import GridValueError
 from bcrb.geometry import StatisticalModel
-from bcrb.grids import ParameterGrid, VectorField
+from bcrb.grids import (
+    BOUNDARY_RESIDUAL_TOL,
+    MatrixField,
+    ParameterGrid,
+    ScalarField,
+    VectorField,
+    _density,
+    _quotient_divergence,
+    boundary_residual,
+)
 
 
 def count_linalg_calls(monkeypatch, *names):
@@ -20,6 +32,36 @@ def count_linalg_calls(monkeypatch, *names):
 
         monkeypatch.setattr(np.linalg, name, counting)
     return seen
+
+
+def weighted_divergence(
+    rho: ScalarField,
+    v: VectorField,
+    metric: MatrixField | None = None,
+) -> ScalarField:
+    """The scalar ``(1/rho) div(rho v)`` with the metric volume factor.
+
+    Computes ``(1 / (sqrt|g| rho)) d_a (sqrt|g| rho v^a)``.  Nodes where
+    ``rho`` falls below ``DEFAULT_RHO_FLOOR * max(rho)`` contribute zero; an
+    interior below-floor node whose neighborhood carries mass raises (see
+    ``_tiny_density_mask``).  Warns when ``rho * v`` fails to vanish on the
+    boundary.
+    """
+    grid = rho.grid
+    grid.require_same(v.grid, "weighted_divergence")
+    if v.variance != "contravariant":
+        raise GridValueError("weighted_divergence needs a contravariant field")
+    dens, ok = _density(grid, rho, metric)
+
+    res = boundary_residual(rho, v)
+    if res > BOUNDARY_RESIDUAL_TOL:
+        warnings.warn(
+            f"rho*v does not vanish on the boundary (boundary residual {res:.3e}); "
+            "enlarge the domain or use a decaying prior",
+            stacklevel=2,
+        )
+
+    return ScalarField(grid, _quotient_divergence(grid, dens, v.values, ok))
 
 
 def line_grid(lo, hi, n):

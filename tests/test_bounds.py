@@ -20,7 +20,7 @@ from bcrb.errors import (
     SingularInformationError,
 )
 from bcrb.geometry import StatisticalModel, odd_power_map, pushforward_model
-from bcrb.grids import MatrixField, ParameterGrid, VectorField, rho_weights, weighted_divergence
+from bcrb.grids import MatrixField, ParameterGrid, VectorField, rho_weights
 from bcrb.optimal import bmax, gaussian_closed_form, vectoral_bmax
 
 from conftest import (
@@ -30,6 +30,7 @@ from conftest import (
     gaussian_scalar_model,
     line_grid,
     unit_field,
+    weighted_divergence,
     window_bump_fn,
 )
 

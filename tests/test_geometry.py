@@ -41,6 +41,19 @@ class TestDiffeomorphism:
         g = line_grid(0.5, 2.0, 101)
         assert cube_map().check_round_trip(g) <= 1e-8
 
+    def test_exact_map_far_from_the_origin_pushes(self):
+        # the round-trip error of an exact map grows with |theta|: 1.2e-7 at 1e9
+        grid = line_grid(1e9, 1e9 + 10.0, 101)
+        model = StatisticalModel.from_callables(
+            grid, const_matrix_fn([[1.0]]), const_vector_fn([1.0]),
+            gaussian_prior_fn(1.0, center=1e9 + 5.0))
+        pushed = pushforward_model(model, affine_map([3.0], [0.1]))
+        assert np.max(np.abs(pushed.fisher.values - 1.0 / 9.0)) <= 1e-15
+        wrong = Diffeomorphism(lambda c: 3.0 * np.asarray(c) + 0.1,
+                               lambda c: (np.asarray(c) - 0.1) / 2.0, None, "wrong scale")
+        with pytest.raises(GridValueError, match="map inverse does not undo forward"):
+            pushforward_model(model, wrong)
+
     def test_fd_jacobian_close_to_analytic(self):
         m = cube_map()
         fd = Diffeomorphism(m.forward, m.inverse, None)
@@ -70,13 +83,31 @@ class TestPushforward:
     def test_cube_map_fisher_law(self, bump_model, analytic):
         # F~(t) = F(t^(1/3)) / (9 t^(4/3)), from the callable or from the
         # interpolated samples; a Helstrom information K obeys the same law
-        model = bump_model if analytic else replace(bump_model, fisher_fn=None)
+        sampled = MatrixField(bump_model.grid, bump_model.fisher.values)  # no callable
+        model = bump_model if analytic else replace(bump_model, fisher=sampled)
         pushed = pushforward_model(model, cube_map())
         tt = pushed.grid.coordinates[..., 0]
         th = tt ** (1.0 / 3.0)
         expected = (1.0 + th**2) / (9.0 * tt ** (4.0 / 3.0))
         got = pushed.fisher.values[..., 0, 0]
         assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-6
+
+    def test_replaced_information_is_pushed(self):
+        # K = 2F replaces F together with its callable, so the push carries K
+        model = bump_scalar_model(n_nodes=401)
+        helstrom = MatrixField.from_callable(
+            model.grid, lambda c: 2.0 * (1.0 + np.asarray(c)[..., 0] ** 2)[..., None, None])
+        pushed_f = pushforward_model(model, cube_map()).fisher.values
+        pushed_k = pushforward_model(replace(model, fisher=helstrom), cube_map()).fisher.values
+        assert np.max(np.abs(pushed_k / pushed_f - 2.0)) <= 1e-12
+
+    def test_pushed_prior_is_pulled_callable(self, bump_model):
+        pushed = pushforward_model(bump_model, cube_map())
+        tt = pushed.grid.coordinates
+        assert np.array_equal(pushed.prior.fn(tt), pushed.prior.values)
+        stripped = replace(bump_model, prior=ScalarField(bump_model.grid,
+                                                         bump_model.prior.values))
+        assert pushforward_model(stripped, cube_map()).prior.fn is None
 
     def test_affine_density_change_of_variables(self):
         model = bump_scalar_model(n_nodes=2001)
@@ -120,7 +151,9 @@ class TestPushforward:
         # no callbacks: exercises the cubic-interpolation path
         model = bump_scalar_model(n_nodes=801)
         grid = model.grid
-        stripped = type(model)(grid, model.fisher, model.weight, prior=model.prior)
+        stripped = type(model)(grid, MatrixField(grid, model.fisher.values),
+                               VectorField(grid, model.weight.values, "covariant"),
+                               prior=ScalarField(grid, model.prior.values))
         m = cube_map()
         inv = Diffeomorphism(m.inverse, m.forward, None, "cube_inverse")
         there = pushforward_model(stripped, m)
@@ -153,7 +186,8 @@ class TestModelChecks:
     @pytest.mark.parametrize("prior_fn, total", [
         (gaussian_prior_fn(0.01, center=100.0), r"0\.0"),  # underflows on the grid
         (lambda c: -np.ones(np.shape(c)[:-1]), r"-15\.9+6"),  # -16 to rounding
-    ], ids=["no-mass", "negative"])
+        (lambda c: np.full(np.shape(c)[:-1], 1e308), r"inf"),  # the sum overflows
+    ], ids=["no-mass", "negative", "overflow"])
     def test_prior_without_positive_mass_rejected(self, prior_fn, total):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -174,8 +208,8 @@ class TestTransformVectorField:
 
     def test_cube_map_constant_field(self):
         g = line_grid(0.5, 2.0, 201)
-        v = unit_field(g)
-        out = transform_vector_field(v, cube_map(), v_fn=const_vector_fn([1.0]))
+        v = VectorField.from_callable(g, const_vector_fn([1.0]))
+        out = transform_vector_field(v, cube_map())
         tt = out.grid.coordinates[..., 0]
         expected = 3.0 * tt ** (2.0 / 3.0)
         assert np.max(np.abs(out.values[..., 0] - expected)) <= 1e-8
@@ -185,9 +219,7 @@ class TestTransformVectorField:
         amap = affine_map([2.0, 3.0], [0.0, 0.0])
         v = VectorField.from_callable(g, lambda c: np.stack(
             [c[..., 0] + 1.0, c[..., 1] - 2.0], axis=-1))
-        out = transform_vector_field(
-            v, amap, v_fn=lambda c: np.stack([c[..., 0] + 1.0, c[..., 1] - 2.0], axis=-1)
-        )
+        out = transform_vector_field(v, amap)
         src = np.asarray(amap.inverse(out.grid.coordinates))
         expected = np.stack([2.0 * (src[..., 0] + 1.0), 3.0 * (src[..., 1] - 2.0)], axis=-1)
         assert np.max(np.abs(out.values - expected)) <= 1e-12
@@ -236,7 +268,8 @@ class TestInvarianceReport:
         tgt = derive_target_grid(cube_map(), bump_model.grid,
                                  (14 * (bump_model.grid.shape[0] - 1) // 3 + 1,))
         pushed = push(bump_model, cube_map(), tgt)
-        v_t = transform_vector_field(v, cube_map(), tgt, v_fn=const_vector_fn([1.0]))
+        v_t = transform_vector_field(VectorField.from_callable(v.grid, const_vector_fn([1.0])),
+                                     cube_map(), tgt)
         a2, f2, p2 = functionals(pushed, pushed.prior, v_t)
         assert abs(a2 - a1) / abs(a1) <= 1e-6
         assert abs(f2 - f1) / abs(f1) <= 1e-6
@@ -303,6 +336,27 @@ class TestOneDimensionalInterpolator:
         reference = RegularGridInterpolator(grid.axes, values, method="cubic_legacy",
                                             bounds_error=False, fill_value=None)(pts)
         assert np.array_equal(_interpolator(grid, values)(pts), reference, equal_nan=True)
+
+
+class TestFieldCallables:
+    def test_x4_invariance_config_interpolates_nothing_and_decomposes_once(
+            self, monkeypatch):
+        from bcrb import geometry
+
+        splines = []
+        real = geometry._interpolator
+        monkeypatch.setattr(geometry, "_interpolator",
+                            lambda *args: splines.append(args) or real(*args))
+        seen = count_linalg_calls(monkeypatch, "det", "eigvalsh")
+        config = scenarios.load_config(
+            Path(__file__).parent.parent / "configs" / "invariance_cube_map.json")
+        scenarios.run_scenario_config(config, grid_scale=4)
+        # every field of the model and of v has its callable
+        assert splines == []
+        # the source information and the two pushed ones, besides two metrics
+        fisher = [a for a in seen["eigvalsh"] if not any(a is d for d in seen["det"])]
+        assert len(fisher) == 3
+        assert len({id(a) for a in seen["eigvalsh"]}) == len(seen["eigvalsh"])
 
 
 class TestVolumeElementReuse:

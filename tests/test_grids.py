@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,10 +20,9 @@ from bcrb.grids import (
     read_csv,
     rho_weights,
     trapezoid_weights_1d,
-    weighted_divergence,
 )
 
-from conftest import count_linalg_calls
+from conftest import count_linalg_calls, weighted_divergence
 
 
 def line(lo, hi, n):
@@ -159,10 +161,11 @@ class TestVolumeElement:
         metric = MatrixField(g, vals)
         seen = count_linalg_calls(monkeypatch, "eigvalsh")
         node = r"metric is not positive definite at node index \(3,\)$"
-        for calls in (1, 2):
+        for _ in range(2):
             with pytest.raises(GridValueError, match=node):
                 metric_sqrt_det(metric, g)
-            assert len(seen["eigvalsh"]) == calls
+            # the check runs on every call, on eigenvalues decomposed once
+            assert len(seen["eigvalsh"]) == 1
 
 
 class TestGradient:
@@ -298,6 +301,44 @@ class TestSparseOperators:
         flat = np.concatenate([v.values[..., a].ravel() for a in range(g.dim)])
         got = mat @ flat
         assert np.allclose(got, d.values.ravel(), atol=1e-12)
+
+
+class TestFieldCallable:
+    def test_only_sampling_sets_it(self):
+        g = line(-1.0, 1.0, 11)
+        fn = lambda c: 1.0 + c[..., 0] ** 2
+        field = ScalarField.from_callable(g, fn)
+        assert field.fn is fn
+        assert replace(field, values=np.ones(11)).fn is None
+        assert ScalarField(g, field.values).fn is None
+        vec = VectorField.from_callable(g, lambda c: c, "covariant")
+        assert vec.fn is not None and replace(vec, values=-vec.values).fn is None
+        assert MatrixField.from_callable(g, lambda c: c[..., None] ** 2).fn is not None
+        with pytest.raises(ValueError, match="init=False"):
+            replace(field, fn=fn)
+
+    def test_normalized_divides_the_callable(self):
+        g = line(-1.0, 1.0, 11)
+        rho = ScalarField.from_callable(g, lambda c: 1.0 + c[..., 0] ** 2).normalized()
+        assert integrate(rho) == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(rho.fn(g.coordinates), rho.values)
+        assert ScalarField(g, np.ones(11)).normalized().fn is None
+
+    def test_normalized_refuses_an_overflowing_mass(self):
+        g = line(0.0, 1e10, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridValueError, match=r"^prior integrates to inf on the grid"):
+                ScalarField(g, np.full(11, 1e300)).normalized()
+
+    def test_eigenvalues_cached_and_read_only(self, monkeypatch):
+        g = line(0.0, 1.0, 11)
+        metric = MatrixField.identity(g)
+        seen = count_linalg_calls(monkeypatch, "eigvalsh")
+        assert metric.eigenvalues is metric.eigenvalues
+        assert len(seen["eigvalsh"]) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            metric.eigenvalues[0, 0] = 2.0
 
 
 class TestFieldValidation:

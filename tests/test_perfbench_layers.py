@@ -1,10 +1,12 @@
 """The benchmark's traced run wraps ``bcrb.<module>.<name>`` for every key of
 ``perfbench/layers.py`` TRACED and fills span metadata from the ``after``
 hooks; a renamed or deleted function, or a signature a hook no longer reads,
-must fail here, not in the middle of ``perfbench/run.py --trace 1``."""
+must fail here, not in the middle of ``perfbench/run.py --trace 1``.  Likewise
+a library call of ``perfbench/workloads.py`` that no longer fits the API."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +20,30 @@ from conftest import gaussian_scalar_model
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture
-def layers(monkeypatch):
+def _load(monkeypatch, name):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # layers.py imports its sibling spans.py
-    spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH / "layers.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    return _load(monkeypatch, "layers")
+
+
+def test_sweeps_cases_on_the_changed_code_run_and_pass(monkeypatch):
+    workloads = _load(monkeypatch, "workloads")
+    cases = {c.id: c for c in workloads.sweeps(np.random.default_rng(3))}
+    chosen = [cid for cid in cases if cid.startswith("invariance_")] + ["bmax_nsweep_16"]
+    assert len(chosen) == 4
+    failures = []
+    for cid in chosen:
+        case = cases[cid]
+        failures += workloads.evaluate(case, case.run(), case.reference())[1]
+    assert failures == []
 
 
 def test_every_traced_name_resolves(layers):
