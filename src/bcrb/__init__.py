@@ -56,7 +56,6 @@ from .minimax import (
     ground_state,
     lambda_scan,
     rate_fit,
-    wave_functionals,
 )
 from .optimal import (
     OperatorL,
@@ -96,7 +95,7 @@ __all__ = [
     "direct_imaging_fisher", "exponent_fit", "imaging_helstrom",
     "minimax_rate", "quantum_vs_classical",
     "SchrodingerProblem", "Wavefunction", "assemble_H", "bworst",
-    "ground_state", "lambda_scan", "rate_fit", "wave_functionals",
+    "ground_state", "lambda_scan", "rate_fit",
     "OperatorL", "assemble_L", "bmax", "gaussian_closed_form",
     "solve_least_favorable", "vectoral_bmax",
     "DensityFamily", "gaussian_shift_bounds",

@@ -9,14 +9,16 @@ an information matrix F, the three prior expectations
 
 combine into the lower bound  B = <A>^2 / (n <F> + <P>)  on the Bayesian
 mean-square risk of any estimator, provided rho*v vanishes on the boundary.
-The field v is free, and every bound takes it as an argument.  This module
-also builds the two classical fields (per-point natural and constant van
-Trees) and bounds vector parameters under a positive-definite weight matrix.
+The field v is free, and every bound takes it as an argument.  The prior is
+the model's own, ``model.prior`` (`gill_levit_bound` binds the one it is
+given with ``replace(model, prior=prior)``).  This module also builds the two
+classical fields (per-point natural and constant van Trees) and bounds
+vector parameters under a positive-definite weight matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -174,7 +176,15 @@ def _check_boundary(prior: ScalarField, v: VectorField) -> float:
     return res
 
 
-def _functionals(model, prior, weights, fields, gamma_inv) -> tuple[float, float, float, float]:
+def _prior(model: StatisticalModel) -> ScalarField:
+    """The model's prior, which every bound reads; raises
+    :class:`GridValueError` naming it when the model has none."""
+    if model.prior is None:
+        raise GridValueError("the bound needs a prior density, and the model has no prior")
+    return model.prior
+
+
+def _functionals(model, weights, fields, gamma_inv) -> tuple[float, float, float, float]:
     """(<A>, <F>, <P>, worst boundary residual) of q weight/field pairs
     coupled by ``gamma_inv``.
 
@@ -182,11 +192,11 @@ def _functionals(model, prior, weights, fields, gamma_inv) -> tuple[float, float
     shape ``(*grid, q, q)`` or one ``(q, q)`` matrix for all nodes:
     <A> = sum_j <v_j . u_j>, <F> = sum_jk <g^{jk} v_j F v_k> and
     <P> = sum_jk <g^{jk} div_j div_k>, with div_j = (1/rho) div(rho v_j).
-    The scalar bound is q = 1 with g = 1.  Raises unless there is one field
-    per weight and every field is contravariant and on the model's grid.
+    The scalar bound is q = 1 with g = 1.  Raises unless the model has a
+    prior, there is one field per weight and every field is contravariant
+    and on the model's grid.
     """
-    grid = model.grid
-    grid.require_same(prior.grid, "functionals prior")
+    grid, prior = model.grid, _prior(model)
     if len(fields) != len(weights):
         raise GridValueError(f"got {len(fields)} fields for {len(weights)} weights; "
                              "need one field per weight component")
@@ -215,11 +225,11 @@ def _functionals(model, prior, weights, fields, gamma_inv) -> tuple[float, float
     return a_val, f_val, p_val, max(residuals)
 
 
-def _bound_report(model, prior, weights, fields, gamma_inv, n, v_choice, solve=None,
+def _bound_report(model, weights, fields, gamma_inv, n, v_choice, solve=None,
                   attaining_v=None, allow_zero=False) -> BoundReport:
     """The report of q weight/field pairs; its diagnostics hold the boundary
     residual, the grid and the fields of the ``SolveInfo`` ``solve``, if any."""
-    a_val, f_val, p_val, res = _functionals(model, prior, weights, fields, gamma_inv)
+    a_val, f_val, p_val, res = _functionals(model, weights, fields, gamma_inv)
     diagnostics = {"boundary_residual": res, "grid": model.grid.describe()}
     if solve is not None:
         diagnostics |= asdict(solve)
@@ -227,13 +237,9 @@ def _bound_report(model, prior, weights, fields, gamma_inv, n, v_choice, solve=N
                                 attaining_v=attaining_v, allow_zero=allow_zero)
 
 
-def functionals(
-    model: StatisticalModel,
-    prior: ScalarField,
-    v: VectorField,
-) -> tuple[float, float, float]:
+def functionals(model: StatisticalModel, v: VectorField) -> tuple[float, float, float]:
     """The three prior expectations (<A>, <F>, <P>) for a given field v."""
-    return _functionals(model, prior, (model.weight,), (v,), np.ones((1, 1)))[:3]
+    return _functionals(model, (model.weight,), (v,), np.ones((1, 1)))[:3]
 
 
 def gill_levit_bound(
@@ -243,8 +249,13 @@ def gill_levit_bound(
     n: float,
     v_choice: str = "custom",
 ) -> BoundReport:
-    """Evaluate B = <A>^2 / (n <F> + <P>) for the supplied field."""
-    return _bound_report(model, prior, (model.weight,), (v,), np.ones((1, 1)), n, v_choice)
+    """Evaluate B = <A>^2 / (n <F> + <P>) for the supplied field.
+
+    The bound is that of ``replace(model, prior=prior)``, so ``prior`` passes
+    the model's grid and normalization checks.
+    """
+    return _bound_report(replace(model, prior=prior), (model.weight,), (v,), np.ones((1, 1)),
+                         n, v_choice)
 
 
 def natural_v(model: StatisticalModel) -> VectorField:
@@ -270,26 +281,21 @@ def natural_v(model: StatisticalModel) -> VectorField:
     return VectorField(model.grid, v_vals, variance="contravariant")
 
 
-def van_trees_v(
-    model: StatisticalModel,
-    prior: ScalarField,
-    n: float,
-) -> VectorField:
+def van_trees_v(model: StatisticalModel, n: float) -> VectorField:
     """Constant field from averaged information plus prior curvature.
 
     v = [(n <F> + <G>)^{-1}] <u> with G_ab = s_a s_b for the prior score
     s_a = (1/d) d_a d, d = sqrt(det g) rho, taken by the quotient of the
     bound's own <P> (zero below the density floor, so the prior may vanish
     at nodes).  The van Trees bound is
-    ``gill_levit_bound(model, prior, van_trees_v(model, prior, n), n)``,
+    ``gill_levit_bound(model, model.prior, van_trees_v(model, n), n)``,
     which equals <u> (n<F> + <G>)^{-1} <u>; a zero weight gives the zero
     field, whose bound raises :class:`DegenerateBoundError`.  This v is
     generally not contravariant, so the bound can change under
     reparametrization.
     """
     _check_n(n)
-    grid = model.grid
-    grid.require_same(prior.grid, "van_trees prior")
+    grid, prior = model.grid, _prior(model)
     dens, ok = _density(grid, prior, model.metric)
     p = grid.dim
     score = np.stack([_quotient_divergence(grid, dens, e, ok) for e in np.eye(p)],
@@ -307,15 +313,10 @@ def van_trees_v(
     return VectorField.constant(grid, v_const)
 
 
-def vectoral_bound(
-    model: StatisticalModel,
-    prior: ScalarField,
-    weights: VectoralWeight,
-    fields: tuple[VectorField, ...],
-    n: float,
-) -> BoundReport:
+def vectoral_bound(model: StatisticalModel, weights: VectoralWeight,
+                   fields: tuple[VectorField, ...], n: float) -> BoundReport:
     """Gill-Levit bound of a vector parameter of interest for the ``fields``,
     one contravariant field per component, coupled by the inverse of gamma."""
     model.grid.require_same(weights.grid, "vectoral weights")
-    return _bound_report(model, prior, weights.weights, fields,
+    return _bound_report(model, weights.weights, fields,
                          weights.gamma_inverse(), n, f"vectoral(q={weights.q})")

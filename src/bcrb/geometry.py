@@ -30,9 +30,9 @@ from .grids import (
     integrate,
 )
 
-PSD_RTOL = 1e-10
 PRIOR_NORMALIZATION_ATOL = 1e-8
-ROUND_TRIP_RTOL = 1e-8  # relative to max(1, |theta|)
+ROUND_TRIP_SPACINGS = 1e-6  # round-trip error allowed beyond rounding, in grid spacings
+ROUND_TRIP_ULPS = 4         # the rounding allowance, in ulps of |theta|
 JACOBIAN_FD_STEP = 1e-6  # relative to axis length
 INVARIANCE_RTOL = 1e-5   # source/target bound gap of an invariant report
 
@@ -58,13 +58,8 @@ class StatisticalModel:
         self.grid.require_same(self.weight.grid, "model weight")
         if self.weight.variance != "covariant":
             raise GridValueError("model weight field must be covariant")
-        ev = self.fisher.eigenvalues  # computed once per information field
-        trace = np.trace(self.fisher.values, axis1=-2, axis2=-1)
-        scale = np.maximum(np.abs(trace), 1e-300)
-        if np.any(not_psd := ev[..., 0] < -PSD_RTOL * scale):
-            raise GridValueError(
-                f"information matrix not positive semidefinite at node {_first_node(not_psd)}"
-            )
+        if (node := self.fisher.definiteness[0]) is not None:  # once per information field
+            raise GridValueError(f"information matrix not positive semidefinite at node {node}")
         if self.metric is not None:
             self.grid.require_same(self.metric.grid, "model metric")
         if self.prior is not None:
@@ -124,10 +119,13 @@ class Diffeomorphism:
         return out
 
     def check_round_trip(self, grid: ParameterGrid) -> float:
-        """Max |inverse(forward(theta)) - theta| / max(1, |theta|) over nodes."""
+        """Max |inverse(forward(theta)) - theta| over nodes and axes, beyond
+        ROUND_TRIP_ULPS ulps of |theta|, in grid spacings of the axis: 0 for a
+        map exact to rounding, however far from the origin."""
         coords = grid.coordinates
         back = np.asarray(self.inverse(np.asarray(self.forward(coords))))
-        return float(np.max(np.abs(back - coords) / np.maximum(1.0, np.abs(coords))))
+        excess = np.abs(back - coords) - ROUND_TRIP_ULPS * np.spacing(np.abs(coords))
+        return float(np.max(np.maximum(excess, 0.0) / np.asarray(grid.spacing)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +254,9 @@ def pushforward_model(
     covariantly, the prior as a scalar.
     """
     rt = map.check_round_trip(model.grid)
-    if rt > ROUND_TRIP_RTOL:
-        raise GridValueError(
-            f"map inverse does not undo forward on the grid (max error {rt:.3e} relative)"
-        )
+    if not rt <= ROUND_TRIP_SPACINGS:  # true for NaN too
+        raise GridValueError(f"map inverse does not undo forward on the grid (max error "
+                             f"{rt:.3e} grid spacings beyond rounding)")
     if target_grid is None:
         target_grid = derive_target_grid(map, model.grid)
     lengths = _axis_lengths(model.grid)

@@ -37,6 +37,10 @@ HOLE_NEIGHBOR_RATIO = 1e6
 # max boundary |rho v| may not exceed this fraction of the overall max
 BOUNDARY_RESIDUAL_TOL = 1e-8
 
+# a matrix is positive semidefinite when its smallest eigenvalue is at least
+# -PSD_RTOL |trace|
+PSD_RTOL = 1e-10
+
 
 def trapezoid_weights_1d(n: int, dx: float) -> np.ndarray:
     """Trapezoidal quadrature weights of ``n`` uniform nodes ``dx`` apart."""
@@ -263,12 +267,18 @@ class MatrixField:
         return cls(grid, np.broadcast_to(m, grid.shape + m.shape).copy())
 
     @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Per-node eigenvalues, shape ``(*shape, p)``, ascending, read-only;
-        computed once per field object."""
-        ev = np.linalg.eigvalsh(self.values)
-        ev.setflags(write=False)
-        return ev
+    def definiteness(self) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+        """The first node that is not positive semidefinite (smallest
+        eigenvalue below -PSD_RTOL |trace|) and the first that is not positive
+        definite, each None when there is none.
+
+        Decomposed once per field object; the verdict is kept, the
+        eigenvalues are not.
+        """
+        smallest = np.linalg.eigvalsh(self.values)[..., 0]
+        scale = np.maximum(np.abs(np.trace(self.values, axis1=-2, axis2=-1)), 1e-300)
+        bad = (smallest < -PSD_RTOL * scale, smallest <= 0)
+        return tuple(_first_node(mask) if mask.any() else None for mask in bad)
 
     @cached_property
     def volume_element(self) -> np.ndarray:
@@ -277,10 +287,8 @@ class MatrixField:
         Checked and computed once per field object.  Raises, on every access,
         if the metric is not positive definite at some node.
         """
-        ev = self.eigenvalues
-        if np.any(ev <= 0):
-            raise GridValueError("metric is not positive definite at node index "
-                                 f"{_first_node(ev.min(axis=-1) <= 0)}")
+        if (node := self.definiteness[1]) is not None:
+            raise GridValueError(f"metric is not positive definite at node index {node}")
         sqrtg = np.sqrt(np.linalg.det(self.values))
         sqrtg.setflags(write=False)
         return sqrtg

@@ -669,6 +669,5 @@ def quantum_vs_classical(
         VectorField.constant(grid, [1.0], variance="covariant"),
         prior=prior,
     )
-    quantum, classical = _quantum_and_classical(
-        model, MatrixField(grid, k_vals[:, None, None]), None, n)
+    quantum, classical = _quantum_and_classical(model, MatrixField(grid, k_vals[:, None, None]), n)
     return classical, quantum

@@ -27,20 +27,9 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .bounds import _check_boundary, _check_n
+from .bounds import _check_n
 from .errors import EigensolverError, GridValueError
-from .geometry import StatisticalModel
-from .grids import (
-    ParameterGrid,
-    ScalarField,
-    VectorField,
-    _quotient_divergence,
-    gradient,
-    integrate,
-    metric_sqrt_det,
-    rho_weights,
-    trapezoid_weights_1d,
-)
+from .grids import ParameterGrid, ScalarField, integrate, trapezoid_weights_1d
 
 KINETIC_COEFFICIENT = 4.0
 NORMALIZATION_ATOL = 1e-10
@@ -609,35 +598,3 @@ def lambda_scan(
         lam, cand = np.concatenate([lam, more]), np.concatenate([cand, candidates(vecs)])
     k = int(np.argmax(cand))
     return LambdaScanResult(float(lam[k]), float(cand[k]), lam, cand)
-
-
-def wave_functionals(
-    psi: Wavefunction,
-    v: VectorField,
-    model: StatisticalModel,
-) -> tuple[float, float, float]:
-    """(<A>, <F>, <P>) computed from the wavefunction quadratic forms.
-
-    <P> uses the first-order form D psi = (div v) psi + 2 v . grad psi, so
-    only psi and its gradient are differentiated; agrees with the density
-    -based functionals for rho = psi^2 up to discretization.  Like them, it
-    raises :class:`BoundaryConditionError` when psi^2 v does not vanish on
-    the boundary.
-    """
-    grid = model.grid
-    grid.require_same(psi.grid, "wave_functionals")
-    grid.require_same(v.grid, "wave_functionals field")
-    if v.variance != "contravariant":
-        raise GridValueError("wave_functionals needs a contravariant field")
-    rho = psi.density()
-    _check_boundary(rho, v)
-    w = rho_weights(rho, model.metric)
-    a_val = float(np.sum(w * np.einsum("...a,...a->...", v.values, model.weight.values)))
-    f_val = float(np.sum(w * np.einsum("...a,...ab,...b->...", v.values,
-                                       model.fisher.values, v.values)))
-    sqrtg = metric_sqrt_det(model.metric, grid)
-    div_v = _quotient_divergence(grid, sqrtg, v.values)
-    grad_psi = gradient(ScalarField(grid, psi.values)).values
-    d_psi = div_v * psi.values + 2.0 * np.einsum("...a,...a->...", v.values, grad_psi)
-    p_val = float(np.sum(grid.trapezoid_weights * sqrtg * d_psi**2))
-    return a_val, f_val, p_val

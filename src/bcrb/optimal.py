@@ -6,7 +6,8 @@ v, maximized by solving the second-order field equation
     n F_ab v^b - d_a[ (1/rho) div(rho v) ] = u_a,      v = 0 on the boundary,
 
 after which  B_max = B(v*) = <u, v*>_rho  at the least-favorable solution v*,
-with the rho-weighted inner product <v, u>_rho = int (v.u) rho eps.
+with the rho-weighted inner product <v, u>_rho = int (v.u) rho eps, where rho
+is the model's own prior.
 Discretely the equation becomes a symmetric positive-semidefinite sparse
 system: the prior term D^T W D, built from the stencil diagonals of the
 divergence D, is exactly self-adjoint in the discrete inner product, so the
@@ -29,12 +30,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, solveh_banded
 
-from .bounds import BoundReport, VectoralWeight, _bound_report, _check_n
+from .bounds import BoundReport, VectoralWeight, _bound_report, _check_n, _prior
 from .errors import GridValueError, OperatorRangeError
 from .geometry import StatisticalModel
 from .grids import (
     ParameterGrid,
-    ScalarField,
     VectorField,
     _density,
     check_symmetric,
@@ -100,12 +100,8 @@ def _full_grid(grid: ParameterGrid, interior: np.ndarray, dofs: np.ndarray) -> n
     return out.reshape(grid.shape + (grid.dim,))
 
 
-def _assemble_system(
-    model: StatisticalModel,
-    prior: ScalarField,
-    n: float,
-    gamma_inv: np.ndarray,
-) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+def _assemble_system(model: StatisticalModel, n: float,
+                     gamma_inv: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """The q x q block field-equation matrix on interior unknowns.
 
     Block (j, k) is  n g^{jk} W F + D^T (g^{jk} W) D  with W the node weights,
@@ -122,6 +118,7 @@ def _assemble_system(
     grid = model.grid
     _check_n(n)
     p, num, shape, q = grid.dim, grid.num_nodes, grid.shape, gamma_inv.shape[-1]
+    prior = _prior(model)
     w = rho_weights(prior, model.metric).ravel()
     d, ok = (a.ravel() for a in _density(grid, prior, model.metric))
     c = np.divide(w, d * d, out=np.zeros(num), where=ok)
@@ -179,16 +176,15 @@ def _assemble_system(
     return sp.csr_matrix((data, indices, np.concatenate(ends)), shape=(size, size)), w, interior
 
 
-def _operator(model, prior, n, gamma_inv) -> OperatorL:
+def _operator(model, n, gamma_inv) -> OperatorL:
     """The operator of q fields coupled by ``gamma_inv``, shape ``(num_nodes, q, q)``."""
-    matrix, w, interior = _assemble_system(model, prior, n, gamma_inv)
+    matrix, w, interior = _assemble_system(model, n, gamma_inv)
     return OperatorL(model.grid, matrix, np.tile(w[interior], model.grid.dim), interior)
 
 
-def assemble_L(model: StatisticalModel, prior: ScalarField, n: float) -> OperatorL:
-    """Build the discrete operator n*F + (prior-curvature term)."""
-    model.grid.require_same(prior.grid, "assemble_L prior")
-    return _operator(model, prior, n, np.ones((model.grid.num_nodes, 1, 1)))
+def assemble_L(model: StatisticalModel, n: float) -> OperatorL:
+    """Build the discrete operator n*F + (prior-curvature term) of the model's prior."""
+    return _operator(model, n, np.ones((model.grid.num_nodes, 1, 1)))
 
 
 def _pcg(matrix: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -284,18 +280,11 @@ def solve_least_favorable(op: OperatorL, u: VectorField) -> LeastFavorableField:
     return LeastFavorableField(op.grid, values, "contravariant", info)
 
 
-def bmax(
-    model: StatisticalModel,
-    prior: ScalarField | None = None,
-    n: float = 1.0,
-    v_choice: str = "least_favorable",
-) -> BoundReport:
+def bmax(model: StatisticalModel, n: float = 1.0,
+         v_choice: str = "least_favorable") -> BoundReport:
     """The optimal bound <u, L^{-1} u>_rho with the attaining field."""
-    prior = model.prior if prior is None else prior
-    if prior is None:
-        raise GridValueError("bmax needs a prior density")
-    v = solve_least_favorable(assemble_L(model, prior, n), model.weight)
-    return _bound_report(model, prior, (model.weight,), (v,), np.ones((1, 1)), n, v_choice,
+    v = solve_least_favorable(assemble_L(model, n), model.weight)
+    return _bound_report(model, (model.weight,), (v,), np.ones((1, 1)), n, v_choice,
                          solve=v.solve, attaining_v=v, allow_zero=True)
 
 
@@ -329,12 +318,7 @@ def gaussian_closed_form(fisher, prior_curvature, weight, n: float) -> float:
     return float(half @ half)
 
 
-def vectoral_bmax(
-    model: StatisticalModel,
-    prior: ScalarField,
-    weights: VectoralWeight,
-    n: float,
-) -> BoundReport:
+def vectoral_bmax(model: StatisticalModel, weights: VectoralWeight, n: float) -> BoundReport:
     """Optimal bound for a vector parameter of interest (block sparse solve).
 
     The block operator couples the q component fields through the inverse of
@@ -343,12 +327,11 @@ def vectoral_bmax(
     The report is `vectoral_bound` of the q least-favorable fields it solves for.
     """
     grid = model.grid
-    grid.require_same(prior.grid, "vectoral_bmax prior")
     grid.require_same(weights.grid, "vectoral_bmax weights")
     q = weights.q
     gamma_inv = weights.gamma_inverse()
-    op = _operator(model, prior, n, gamma_inv.reshape(grid.num_nodes, q, q))
+    op = _operator(model, n, gamma_inv.reshape(grid.num_nodes, q, q))
     values, info = _solve_fields(op, weights.weights)
-    return _bound_report(model, prior, weights.weights,
+    return _bound_report(model, weights.weights,
                          tuple(VectorField(grid, v) for v in values), gamma_inv, n,
                          f"vectoral_least_favorable(q={q})", solve=info, allow_zero=True)

@@ -9,7 +9,7 @@ of the model, yields a measurement-independent quantum bound (K obeys F's
 law and brings its own callable, so `pushforward_model` of that model
 carries K to new coordinates); in particular the optimal quantum bound
 `qmax` is <u, R^{-1} u>_rho with R built from K exactly as the field
-operator is built from F.
+operator is built from F, and rho the model's prior.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .bounds import BoundReport
 from .errors import GridValueError
 from .geometry import StatisticalModel
-from .grids import MatrixField, ScalarField, _first_node
+from .grids import MatrixField, _first_node
 from .optimal import bmax, gaussian_closed_form
 
 TRACE_ATOL = 1e-10
@@ -184,12 +184,7 @@ def helstrom_matrix(family: DensityFamily, theta) -> np.ndarray:
                            family._derivatives(theta)[None])[0][0]
 
 
-def qmax(
-    model: StatisticalModel,
-    helstrom: MatrixField,
-    prior: ScalarField | None = None,
-    n: float = 1.0,
-) -> BoundReport:
+def qmax(model: StatisticalModel, helstrom: MatrixField, n: float = 1.0) -> BoundReport:
     """Optimal quantum bound: the field-equation solve with the Helstrom
     information ``helstrom`` (K, on the model's grid) in place of the
     model's F.
@@ -198,22 +193,18 @@ def qmax(
     ordering Q_max <= B_max is verified; both values, and the classical
     solve's ``fallback``, land in the report diagnostics.
     """
-    return _quantum_and_classical(model, helstrom, prior, n)[0]
+    return _quantum_and_classical(model, helstrom, n)[0]
 
 
-def _quantum_and_classical(
-    model: StatisticalModel,
-    helstrom: MatrixField,
-    prior: ScalarField | None,
-    n: float,
-) -> tuple[BoundReport, BoundReport]:
+def _quantum_and_classical(model: StatisticalModel, helstrom: MatrixField,
+                           n: float) -> tuple[BoundReport, BoundReport]:
     """`qmax`'s report and the classical `bmax` report it checks against.
 
     The quantum model is ``model`` with F replaced by K, so K passes the
     model's grid and PSD checks."""
     quantum_model = replace(model, fisher=helstrom)
-    rep = bmax(quantum_model, prior, n, v_choice="quantum_least_favorable")
-    classical = bmax(model, prior, n)
+    rep = bmax(quantum_model, n, v_choice="quantum_least_favorable")
+    classical = bmax(model, n)
     if rep.bound > classical.bound + QUANTUM_ORDER_SLACK * max(1.0, classical.bound):
         raise GridValueError(
             f"quantum bound {rep.bound!r} exceeds the classical bound "

@@ -196,7 +196,7 @@ def _build_v(config: dict, model) -> VectorField:
     if choice == "natural":
         return bounds.natural_v(model)
     if choice == "van_trees":
-        return bounds.van_trees_v(model, model.prior, float(config["n"]))
+        return bounds.van_trees_v(model, float(config["n"]))
     coeffs = [float(c) for c in spec.get("coeffs", [1.0])]
     return VectorField.from_callable(model.grid, lambda c: np.polynomial.polynomial.polyval(
         np.asarray(c, dtype=float)[..., 0], coeffs)[..., None])

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bcrb.bounds import _check_boundary
 from bcrb.errors import GridValueError
 from bcrb.geometry import StatisticalModel
 from bcrb.grids import (
@@ -16,6 +17,9 @@ from bcrb.grids import (
     _density,
     _quotient_divergence,
     boundary_residual,
+    gradient,
+    metric_sqrt_det,
+    rho_weights,
 )
 
 
@@ -62,6 +66,33 @@ def weighted_divergence(
         )
 
     return ScalarField(grid, _quotient_divergence(grid, dens, v.values, ok))
+
+
+def wave_functionals(model: StatisticalModel, v: VectorField) -> tuple[float, float, float]:
+    """(<A>, <F>, <P>) of the model's prior rho from the wavefunction psi = sqrt(rho).
+
+    <A> and <F> take the density route's weights.  <P> uses the first-order
+    form D psi = (div v) psi + 2 v . grad psi, so only psi and its gradient
+    are differentiated; it agrees with the density route up to
+    discretization.  Like that route, it raises BoundaryConditionError when
+    rho v does not vanish on the boundary.
+    """
+    grid, rho = model.grid, model.prior
+    grid.require_same(v.grid, "wave_functionals field")
+    if v.variance != "contravariant":
+        raise GridValueError("wave_functionals needs a contravariant field")
+    _check_boundary(rho, v)
+    w = rho_weights(rho, model.metric)
+    a_val = float(np.sum(w * np.einsum("...a,...a->...", v.values, model.weight.values)))
+    f_val = float(np.sum(w * np.einsum("...a,...ab,...b->...", v.values,
+                                       model.fisher.values, v.values)))
+    sqrtg = metric_sqrt_det(model.metric, grid)
+    div_v = _quotient_divergence(grid, sqrtg, v.values)
+    psi = np.sqrt(rho.values)
+    grad_psi = gradient(ScalarField(grid, psi)).values
+    d_psi = div_v * psi + 2.0 * np.einsum("...a,...a->...", v.values, grad_psi)
+    p_val = float(np.sum(grid.trapezoid_weights * sqrtg * d_psi**2))
+    return a_val, f_val, p_val
 
 
 def line_grid(lo, hi, n):

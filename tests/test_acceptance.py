@@ -67,7 +67,7 @@ def record(num: int, ok: bool, detail: str):
 
 def test_criterion_01_gaussian_closed_form():
     model = gaussian_scalar_model()
-    op = assemble_L(model, model.prior, 10.0)
+    op = assemble_L(model, 10.0)
     v = solve_least_favorable(op, model.weight)
     w = rho_weights(model.prior, model.metric)
     value = float(np.sum(w * np.einsum("...a,...a->...", model.weight.values, v.values)))
@@ -328,7 +328,7 @@ def test_criterion_10_imaging_structure():
 def test_criterion_11_vectoral_reduction():
     model = gaussian_scalar_model()
     weights_q1 = VectoralWeight(model.grid, np.array([[1.0]]), (model.weight,))
-    vec_rep = vectoral_bmax(model, model.prior, weights_q1, 10.0)
+    vec_rep = vectoral_bmax(model, weights_q1, 10.0)
     scl_rep = bmax(model, n=10.0)
     q1_gap = abs(vec_rep.bound - scl_rep.bound)
 
@@ -352,7 +352,7 @@ def test_criterion_11_vectoral_reduction():
         (VectorField.constant(grid2, [1.0, 0.0], variance="covariant"),
          VectorField.constant(grid2, [0.0, 1.0], variance="covariant")),
     )
-    block_rep = vectoral_bmax(model2, model2.prior, weights_q2, 4.0)
+    block_rep = vectoral_bmax(model2, weights_q2, 4.0)
 
     def scalar_block(fisher):
         g1 = line_grid(-6.5, 6.5, 81)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -19,14 +20,16 @@ from bcrb.errors import (
     GridValueError,
     SingularInformationError,
 )
-from bcrb.geometry import StatisticalModel, odd_power_map, pushforward_model
-from bcrb.grids import MatrixField, ParameterGrid, VectorField, rho_weights
+from bcrb.geometry import StatisticalModel, invariance_report, odd_power_map, pushforward_model
+from bcrb.grids import MatrixField, ParameterGrid, ScalarField, VectorField, rho_weights
 from bcrb.optimal import bmax, gaussian_closed_form, vectoral_bmax
+from bcrb.quantum import qmax
 
 from conftest import (
     bump_scalar_model,
     const_matrix_fn,
     const_vector_fn,
+    count_linalg_calls,
     gaussian_scalar_model,
     line_grid,
     unit_field,
@@ -38,14 +41,14 @@ from conftest import (
 class TestFunctionals:
     def test_gaussian_unit_triple(self, gauss_model):
         v = unit_field(gauss_model.grid)
-        a, f, p = functionals(gauss_model, gauss_model.prior, v)
+        a, f, p = functionals(gauss_model, v)
         assert abs(a - 1.0) <= 1e-6
         assert abs(f - 1.0) <= 1e-6
         assert abs(p - 1.0) <= 1e-6
 
     def test_zero_field(self, gauss_model):
         v = VectorField.constant(gauss_model.grid, [0.0])
-        a, f, p = functionals(gauss_model, gauss_model.prior, v)
+        a, f, p = functionals(gauss_model, v)
         assert (a, f, p) == (0.0, 0.0, 0.0)
 
     def test_zero_information_positive_prior_term(self):
@@ -57,7 +60,7 @@ class TestFunctionals:
             prior_fn=window_bump_fn(0.0, 1.0),
         )
         v = VectorField.from_callable(grid, lambda c: np.ones_like(c))
-        a, f, p = functionals(model, model.prior, v)
+        a, f, p = functionals(model, v)
         assert f == 0.0
         assert p > 0.0
 
@@ -70,7 +73,7 @@ class TestFunctionals:
             prior_fn=lambda c: np.ones(np.asarray(c).shape[:-1]),
         )
         with pytest.raises(BoundaryConditionError, match="enlarge the domain"):
-            functionals(model, model.prior, unit_field(grid))
+            functionals(model, unit_field(grid))
 
 
 class TestGillLevitBound:
@@ -79,10 +82,10 @@ class TestGillLevitBound:
         assert abs(rep.bound - 1.0 / 11.0) <= 1e-6
 
     @pytest.mark.parametrize("evaluate", [
-        lambda model, v: functionals(model, model.prior, v),
+        lambda model, v: functionals(model, v),
         lambda model, v: gill_levit_bound(model, model.prior, v, 1.0),
         lambda model, v: vectoral_bound(
-            model, model.prior, VectoralWeight(model.grid, [[1.0]], (model.weight,)), (v,), 1.0),
+            model, VectoralWeight(model.grid, [[1.0]], (model.weight,)), (v,), 1.0),
     ], ids=["functionals", "gill_levit_bound", "vectoral_bound"])
     def test_covariant_field_refused(self, evaluate):
         # the bound is invariant only for a contravariant v; a covariant one
@@ -144,6 +147,37 @@ class TestGillLevitBound:
                 assert rep.alignment == 0.0
 
 
+class TestTheModelOwnsItsPrior:
+    @pytest.mark.parametrize("call", [
+        lambda m: bmax(m, n=1.0),
+        lambda m: vectoral_bmax(m, VectoralWeight(m.grid, [[1.0]], (m.weight,)), 1.0),
+        lambda m: van_trees_v(m, 1.0),
+        lambda m: functionals(m, unit_field(m.grid)),
+        lambda m: qmax(m, m.fisher, n=1.0),
+    ], ids=["bmax", "vectoral_bmax", "van_trees_v", "functionals", "qmax"])
+    def test_a_model_without_a_prior_is_refused_by_name(self, gauss_model, call):
+        with pytest.raises(GridValueError,
+                           match=r"^the bound needs a prior density, and the model has no prior$"):
+            call(replace(gauss_model, prior=None))
+
+    def test_a_prior_of_mass_two_is_refused_by_name(self, bump_model):
+        # the bound of 2 rho would read twice the bound of rho
+        doubled = ScalarField(bump_model.grid, 2.0 * bump_model.prior.values)
+        v = unit_field(bump_model.grid)
+        with pytest.raises(GridValueError, match=r"^prior integrates to 2\.0"):
+            gill_levit_bound(bump_model, doubled, v, 10.0)
+        with pytest.raises(GridValueError, match=r"^prior integrates to 2\.0"):
+            invariance_report(bump_model, doubled, v, odd_power_map(3), 10.0)
+
+    def test_bounds_on_a_built_model_decompose_nothing(self, monkeypatch):
+        model = bump_scalar_model(n_nodes=2001)
+        v = unit_field(model.grid)
+        seen = count_linalg_calls(monkeypatch, "eigvalsh")
+        for n in np.logspace(0.0, 4.0, 16):
+            gill_levit_bound(model, model.prior, v, n)
+        assert seen["eigvalsh"] == []
+
+
 class TestBoundReport:
     def test_stored_identity_enforced(self):
         with pytest.raises(GridValueError):
@@ -199,10 +233,10 @@ class TestInvalidN:
         weights = VectoralWeight(model.grid, np.array([[1.0]]), (model.weight,))
         calls = [
             lambda: gill_levit_bound(model, model.prior, v, n),
-            lambda: vectoral_bound(model, model.prior, weights, (v,), n),
+            lambda: vectoral_bound(model, weights, (v,), n),
             lambda: BoundReport.assemble(1.0, 1.0, 1.0, n, "custom"),
             lambda: bmax(model, n=n),
-            lambda: van_trees_v(model, model.prior, n),
+            lambda: van_trees_v(model, n),
             lambda: gaussian_closed_form(1.0, 1.0, 1.0, n),
         ]
         for call in calls:
@@ -260,7 +294,7 @@ class TestVanTrees:
     """The van Trees bound is the Gill-Levit bound of the van Trees field."""
 
     def test_scalar_gaussian(self, gauss_model):
-        v = van_trees_v(gauss_model, gauss_model.prior, 10.0)
+        v = van_trees_v(gauss_model, 10.0)
         rep = gill_levit_bound(gauss_model, gauss_model.prior, v, 10.0)
         assert abs(rep.bound - 1.0 / 11.0) <= 1e-6
         assert np.allclose(v.values, 1.0 / 11.0, atol=1e-6)
@@ -269,14 +303,14 @@ class TestVanTrees:
         # the zero field has no information and no prior term, as for any
         # zero field: the bound is degenerate, not 0
         model = gaussian_scalar_model(weight=0.0)
-        v = van_trees_v(model, model.prior, 10.0)
+        v = van_trees_v(model, 10.0)
         assert np.max(np.abs(v.values)) == 0.0
         with pytest.raises(DegenerateBoundError, match="degenerate direction"):
             gill_levit_bound(model, model.prior, v, 10.0)
 
     def test_2d_diagonal(self):
         model = contract_model("2d")
-        v = van_trees_v(model, model.prior, 1.0)
+        v = van_trees_v(model, 1.0)
         assert abs(gill_levit_bound(model, model.prior, v, 1.0).bound - 1.0 / 3.0) <= 1e-6
 
     def test_prior_vanishing_at_edges(self):
@@ -284,7 +318,7 @@ class TestVanTrees:
         # zeroed there, and B does not change when v is scaled, so the constant
         # van Trees field gives the unit field's bound
         model = sin_power_model(101, 4)
-        v = van_trees_v(model, model.prior, 1.0)
+        v = van_trees_v(model, 1.0)
         rep = gill_levit_bound(model, model.prior, v, 1.0)
         unit = gill_levit_bound(model, model.prior, unit_field(model.grid), 1.0)
         assert rep.bound <= bmax(model, n=1.0).bound * (1 + 1e-10)
@@ -321,7 +355,7 @@ class TestEveryFieldBelowBmax:
         fields = {
             "unit": unit_field(grid),
             "natural": natural_v(model),
-            "van_trees": van_trees_v(model, model.prior, n),
+            "van_trees": van_trees_v(model, n),
             "polynomial": VectorField(grid, 1.0 + grid.coordinates / 2.0),
         }
         b_max = bmax(model, n=n).bound
@@ -331,7 +365,7 @@ class TestEveryFieldBelowBmax:
     def test_van_trees_report_is_that_of_its_field(self, name, n):
         model = contract_model(name)
         grid = model.grid
-        rep = gill_levit_bound(model, model.prior, van_trees_v(model, model.prior, n), n)
+        rep = gill_levit_bound(model, model.prior, van_trees_v(model, n), n)
         # the closed form u (nF + G)^-1 u of the averaged matrices, G from the
         # prior score (1/d) d_a d of weighted_divergence on the axis fields
         p = grid.dim
@@ -387,9 +421,9 @@ class TestEveryVectoralFieldBelowBmax:
             "polynomial": (VectorField(grid, np.stack([1.0 + t1 / 2.0, t2 / 3.0], axis=-1)),
                            VectorField(grid, np.stack([-t2 / 4.0, 1.0 - t1 / 3.0], axis=-1))),
         }
-        b_max = vectoral_bmax(model, model.prior, weights, n).bound
+        b_max = vectoral_bmax(model, weights, n).bound
         for label, fields in pairs.items():
-            bound = vectoral_bound(model, model.prior, weights, fields, n).bound
+            bound = vectoral_bound(model, weights, fields, n).bound
             assert bound <= b_max * (1 + 1e-10), label
 
 
@@ -461,7 +495,7 @@ class TestVectoralBound:
         grid = gauss_model.grid
         v = unit_field(grid)
         weights = VectoralWeight(grid, np.array([[1.0]]), (gauss_model.weight,))
-        rep_vec = vectoral_bound(gauss_model, gauss_model.prior, weights, (v,), 10.0)
+        rep_vec = vectoral_bound(gauss_model, weights, (v,), 10.0)
         rep_scl = gill_levit_bound(gauss_model, gauss_model.prior, v, 10.0)
         assert abs(rep_vec.bound - rep_scl.bound) <= 1e-12
 
@@ -471,7 +505,7 @@ class TestVectoralBound:
         model = pushforward_model(bump_scalar_model(n_nodes=1601), odd_power_map(3))
         v = natural_v(model)
         weights = VectoralWeight(model.grid, np.array([[1.0]]), (model.weight,))
-        rep_vec = vectoral_bound(model, model.prior, weights, (v,), 2.0)
+        rep_vec = vectoral_bound(model, weights, (v,), 2.0)
         rep_scl = gill_levit_bound(model, model.prior, v, 2.0)
         for name in ("alignment", "information", "prior_information", "bound"):
             assert getattr(rep_vec, name) == getattr(rep_scl, name), name
@@ -484,7 +518,7 @@ class TestVectoralBound:
         v1 = VectorField.constant(grid, [1.0, 0.0])
         v2 = VectorField.constant(grid, [0.0, 1.0])
         weights = VectoralWeight(grid, np.eye(2), (u1, u2))
-        rep = vectoral_bound(model, model.prior, weights, (v1, v2), 4.0)
+        rep = vectoral_bound(model, weights, (v1, v2), 4.0)
 
         a1 = gill_levit_bound(
             StatisticalModel(grid, model.fisher, u1, prior=model.prior), model.prior, v1, 4.0
@@ -499,8 +533,8 @@ class TestVectoralBound:
         v = unit_field(grid)
         w1 = VectoralWeight(grid, np.array([[1.0]]), (gauss_model.weight,))
         w2 = VectoralWeight(grid, np.array([[2.0]]), (gauss_model.weight,))
-        b1 = vectoral_bound(gauss_model, gauss_model.prior, w1, (v,), 10.0)
-        b2 = vectoral_bound(gauss_model, gauss_model.prior, w2, (v,), 10.0)
+        b1 = vectoral_bound(gauss_model, w1, (v,), 10.0)
+        b2 = vectoral_bound(gauss_model, w2, (v,), 10.0)
         assert abs(b2.alignment - b1.alignment) <= 1e-14
         assert abs(b2.information - b1.information / 2.0) <= 1e-12
         assert abs(b2.prior_information - b1.prior_information / 2.0) <= 1e-12
@@ -524,7 +558,7 @@ class TestVectoralBound:
             VectorField.constant(model.grid, a, "covariant") for a in np.eye(2)))
         fields = (unit_field(model.grid),) * q_fields
         with pytest.raises(GridValueError, match=f"got {q_fields} fields for 2 weights"):
-            vectoral_bound(model, model.prior, weights, fields, 1.0)
+            vectoral_bound(model, weights, fields, 1.0)
 
     def test_gamma_stored_symmetric(self):
         weights = axis_weights([[2.0, 0.5], [0.5 + 1e-13, 1.0]])

@@ -49,10 +49,22 @@ class TestDiffeomorphism:
             gaussian_prior_fn(1.0, center=1e9 + 5.0))
         pushed = pushforward_model(model, affine_map([3.0], [0.1]))
         assert np.max(np.abs(pushed.fisher.values - 1.0 / 9.0)) <= 1e-15
-        wrong = Diffeomorphism(lambda c: 3.0 * np.asarray(c) + 0.1,
-                               lambda c: (np.asarray(c) - 0.1) / 2.0, None, "wrong scale")
+        # the forgotten offset moves every preimage by 0.1 / 3, a third of the
+        # grid spacing, though only by 3.3e-11 relative to |theta|
+        for inverse, name in ((lambda c: (np.asarray(c) - 0.1) / 2.0, "wrong scale"),
+                              (lambda c: np.asarray(c) / 3.0, "forgotten offset")):
+            wrong = Diffeomorphism(lambda c: 3.0 * np.asarray(c) + 0.1, inverse, None, name)
+            with pytest.raises(GridValueError, match="map inverse does not undo forward"):
+                pushforward_model(model, wrong)
+
+    def test_nan_inverse_is_refused(self):
+        grid = line_grid(0.5, 2.0, 11)
+        model = StatisticalModel.from_callables(grid, const_matrix_fn([[1.0]]),
+                                                const_vector_fn([1.0]))
+        nan = Diffeomorphism(lambda c: np.asarray(c, dtype=float),
+                             lambda c: np.full(np.shape(c), np.nan), None, "nan inverse")
         with pytest.raises(GridValueError, match="map inverse does not undo forward"):
-            pushforward_model(model, wrong)
+            pushforward_model(model, nan)
 
     def test_fd_jacobian_close_to_analytic(self):
         m = cube_map()
@@ -264,13 +276,13 @@ class TestInvarianceReport:
         from bcrb.geometry import pushforward_model as push
 
         v = unit_field(bump_model.grid)
-        a1, f1, p1 = functionals(bump_model, bump_model.prior, v)
+        a1, f1, p1 = functionals(bump_model, v)
         tgt = derive_target_grid(cube_map(), bump_model.grid,
                                  (14 * (bump_model.grid.shape[0] - 1) // 3 + 1,))
         pushed = push(bump_model, cube_map(), tgt)
         v_t = transform_vector_field(VectorField.from_callable(v.grid, const_vector_fn([1.0])),
                                      cube_map(), tgt)
-        a2, f2, p2 = functionals(pushed, pushed.prior, v_t)
+        a2, f2, p2 = functionals(pushed, v_t)
         assert abs(a2 - a1) / abs(a1) <= 1e-6
         assert abs(f2 - f1) / abs(f1) <= 1e-6
         assert abs(p2 - p1) / abs(p1) <= 1e-6

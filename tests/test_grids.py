@@ -331,14 +331,22 @@ class TestFieldCallable:
             with pytest.raises(GridValueError, match=r"^prior integrates to inf on the grid"):
                 ScalarField(g, np.full(11, 1e300)).normalized()
 
-    def test_eigenvalues_cached_and_read_only(self, monkeypatch):
-        g = line(0.0, 1.0, 11)
-        metric = MatrixField.identity(g)
+    def test_definiteness_decomposed_once_and_no_array_kept(self, monkeypatch):
+        g = ParameterGrid([(0.0, 1.0), (0.0, 1.0)], [5, 5])
+        vals = np.broadcast_to(np.eye(2), (5, 5, 2, 2)).copy()
+        vals[1, 2] = [[1.0, 0.0], [0.0, -1.0]]
+        vals[3, 4] = 0.0
+        field = MatrixField(g, vals)
         seen = count_linalg_calls(monkeypatch, "eigvalsh")
-        assert metric.eigenvalues is metric.eigenvalues
-        assert len(seen["eigvalsh"]) == 1
-        with pytest.raises(ValueError, match="read-only"):
-            metric.eigenvalues[0, 0] = 2.0
+        assert field.definiteness == ((1, 2), (1, 2))
+        assert MatrixField(g, np.where(vals < 0, 0.0, vals)).definiteness == (None, (1, 2))
+        assert field.definiteness is field.definiteness
+        assert len(seen["eigvalsh"]) == 2
+        # the verdict holds node indices only: the p eigenvalues per node are gone
+        kept = {name: value for name, value in vars(field).items() if name != "values"}
+        assert set(kept) == {"grid", "definiteness"}
+        assert not any(isinstance(value, np.ndarray) for value in kept.values())
+        assert all(isinstance(i, int) for node in field.definiteness for i in node)
 
 
 class TestFieldValidation:

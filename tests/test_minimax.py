@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,7 +24,6 @@ from bcrb.minimax import (
     ground_state,
     lambda_scan,
     rate_fit,
-    wave_functionals,
 )
 
 from conftest import (
@@ -32,6 +33,7 @@ from conftest import (
     gaussian_scalar_model,
     line_grid,
     unit_field,
+    wave_functionals,
 )
 
 
@@ -56,8 +58,7 @@ def diagonal_hamiltonian(problem, n):
 class TestWaveFunctionals:
     def test_gaussian_unit_triple(self):
         model = gaussian_scalar_model(n_nodes=20001)
-        psi = Wavefunction.normalized(model.grid, np.sqrt(model.prior.values))
-        a, f, p = wave_functionals(psi, unit_field(model.grid), model)
+        a, f, p = wave_functionals(model, unit_field(model.grid))
         assert abs(a - 1.0) <= 1e-6
         assert abs(f - 1.0) <= 1e-6
         assert abs(p - 1.0) <= 1e-6
@@ -71,32 +72,29 @@ class TestWaveFunctionals:
             weight_fn=lambda c: np.asarray(c).copy(),  # odd weight u = theta
         )
         psi = Wavefunction.normalized(grid, np.exp(-(th**2) / 4.0))
-        a, _, _ = wave_functionals(psi, unit_field(grid), model)
+        a, _, _ = wave_functionals(replace(model, prior=psi.density()), unit_field(grid))
         assert abs(a) <= 1e-12
 
     def test_zero_field(self):
         model = gaussian_scalar_model(n_nodes=801)
-        psi = Wavefunction.normalized(model.grid, np.sqrt(model.prior.values))
-        a, f, p = wave_functionals(psi, VectorField.constant(model.grid, [0.0]), model)
+        a, f, p = wave_functionals(model, VectorField.constant(model.grid, [0.0]))
         assert (a, f, p) == (0.0, 0.0, 0.0)
 
     def test_boundary_violation_same_error_as_density_route(self):
         # psi^2 v does not vanish at +-2: both routes reject the hypothesis
         model = gaussian_scalar_model(lo=-2.0, hi=2.0, n_nodes=401)
-        psi = Wavefunction.normalized(model.grid, np.sqrt(model.prior.values))
         v = unit_field(model.grid)
         with pytest.raises(BoundaryConditionError, match="boundary residual"):
-            functionals(model, psi.density(), v)
+            functionals(model, v)
         with pytest.raises(BoundaryConditionError, match="boundary residual"):
-            wave_functionals(psi, v, model)
+            wave_functionals(model, v)
 
     def test_matches_density_route(self):
         # same functionals through the rho = psi^2 path, second-order close
         model = gaussian_scalar_model(n_nodes=200001)
-        psi = Wavefunction.normalized(model.grid, np.sqrt(model.prior.values))
         v = unit_field(model.grid)
-        aw, fw, pw = wave_functionals(psi, v, model)
-        ad, fd, pd_ = functionals(model, model.prior, v)
+        aw, fw, pw = wave_functionals(model, v)
+        ad, fd, pd_ = functionals(model, v)
         assert abs(aw - ad) <= 1e-8
         assert abs(fw - fd) <= 1e-8
         assert abs(pw - pd_) <= 1e-8
@@ -108,10 +106,9 @@ class TestWaveFunctionals:
         for nodes in (1601, 6401):
             model = pushforward_model(bump_scalar_model(n_nodes=nodes), odd_power_map(3))
             assert model.metric is not None
-            psi = Wavefunction.normalized(model.grid, np.sqrt(model.prior.values))
             v = unit_field(model.grid)
-            aw, fw, pw = wave_functionals(psi, v, model)
-            ad, fd, pd_ = functionals(model, psi.density(), v)
+            aw, fw, pw = wave_functionals(model, v)
+            ad, fd, pd_ = functionals(model, v)
             assert (aw, fw) == (ad, fd)
             gaps.append(abs(pw - pd_) / pd_)
         assert gaps[0] <= 5e-4 and gaps[1] <= 3e-5
@@ -343,7 +340,7 @@ class TestBworst:
                 fisher_fn=lambda c: (np.asarray(c)[..., 0] ** 2)[..., None, None],
                 weight_fn=const_vector_fn([1.0]),
             )
-            a, f, p = wave_functionals(psi, unit_field(psi.grid), model)
+            a, f, p = wave_functionals(replace(model, prior=psi.density()), unit_field(psi.grid))
             return a * a / (100.0 * f + p) - 1.0 / e
 
         g1, g2 = gap(20001), gap(40001)

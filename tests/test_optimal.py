@@ -55,7 +55,7 @@ class TestAssembleL:
         # (L c)(theta) = (n F0 + 1/s2) c for a Gaussian prior, any box
         n, f0, c, s2 = 10.0, 1.0, 0.7, 1.0
         model = gaussian_scalar_model(lo=-2.0, hi=2.0, n_nodes=8001, fisher=f0)
-        op = assemble_L(model, model.prior, n)
+        op = assemble_L(model, n)
         out = applied(op, VectorField.constant(model.grid, [c]))
         expected = (n * f0 + 1.0 / s2) * c
         # the matrix holds v = 0 on the boundary and the composed stencils
@@ -72,7 +72,7 @@ class TestAssembleL:
             weight_fn=const_vector_fn([1.0]),
             prior_fn=lambda coords: np.ones(np.asarray(coords).shape[:-1]),
         )
-        op = assemble_L(model, model.prior, 0.0)
+        op = assemble_L(model, 0.0)
         th = grid.coordinates[..., 0]
         out = applied(op, VectorField(grid, np.sin(np.pi * th)[..., None]))
         expected = np.pi**2 * np.sin(np.pi * th)
@@ -89,12 +89,12 @@ class TestAssembleL:
             weight_fn=const_vector_fn([1.0]),
             prior_fn=lambda coords: np.ones(np.asarray(coords).shape[:-1]),
         )
-        op = assemble_L(model, model.prior, 0.0)
+        op = assemble_L(model, 0.0)
         out = applied(op, VectorField.constant(grid, [0.0]))
         assert np.max(np.abs(out)) == 0.0
 
     def test_self_adjoint_and_psd(self, gauss_model):
-        op = assemble_L(gauss_model, gauss_model.prior, 3.0)
+        op = assemble_L(gauss_model, 3.0)
         assert (op.matrix != op.matrix.T).nnz == 0
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -105,7 +105,7 @@ class TestAssembleL:
 class TestSolveLeastFavorable:
     def test_gaussian_constant_solution(self):
         model = gaussian_scalar_model(n_nodes=8001)
-        op = assemble_L(model, model.prior, 10.0)
+        op = assemble_L(model, 10.0)
         v = solve_least_favorable(op, model.weight)
         th = model.grid.coordinates[..., 0]
         # constant away from the Dirichlet boundary layer and the prior tail
@@ -113,7 +113,7 @@ class TestSolveLeastFavorable:
         assert np.max(np.abs(v.values[core, 0] - 1.0 / 11.0)) <= 1e-6
 
     def test_zero_weight_zero_solution(self, gauss_model):
-        op = assemble_L(gauss_model, gauss_model.prior, 10.0)
+        op = assemble_L(gauss_model, 10.0)
         zero = VectorField.constant(gauss_model.grid, [0.0], variance="covariant")
         v = solve_least_favorable(op, zero)
         assert np.max(np.abs(v.values)) == 0.0
@@ -127,7 +127,7 @@ class TestSolveLeastFavorable:
                 weight_fn=const_vector_fn([1.0]),
                 prior_fn=gaussian_prior_fn(1.0),
             )
-            op = assemble_L(model, model.prior, 4.0)
+            op = assemble_L(model, 4.0)
             return grid, solve_least_favorable(op, model.weight)
 
         g_coarse, coarse = solve(2001)
@@ -139,7 +139,7 @@ class TestSolveLeastFavorable:
         assert np.max(np.abs(coarse.values[core, 0] - ref[core])) / scale <= 1e-4
 
     def test_out_of_range_detected(self, gauss_model):
-        op = assemble_L(gauss_model, gauss_model.prior, 10.0)
+        op = assemble_L(gauss_model, 10.0)
         broken = sp.csr_matrix(op.matrix.shape)
         object.__setattr__(op, "matrix", broken)
         with warnings.catch_warnings():
@@ -298,7 +298,7 @@ def decoupled_setup(n_nodes=81):
 class TestVectoralBmax:
     def test_q1_equals_scalar(self, gauss_model):
         weights = VectoralWeight(gauss_model.grid, np.array([[1.0]]), (gauss_model.weight,))
-        rep_vec = vectoral_bmax(gauss_model, gauss_model.prior, weights, 10.0)
+        rep_vec = vectoral_bmax(gauss_model, weights, 10.0)
         rep_scl = bmax(gauss_model, n=10.0)
         # one operator, solve and report path: bit for bit, not to rounding
         for name in ("alignment", "information", "prior_information", "bound"):
@@ -309,7 +309,7 @@ class TestVectoralBmax:
         model, u1, u2 = decoupled_setup()
         grid = model.grid
         weights = VectoralWeight(grid, np.eye(2), (u1, u2))
-        rep = vectoral_bmax(model, model.prior, weights, 4.0)
+        rep = vectoral_bmax(model, weights, 4.0)
 
         def scalar_bmax(fisher, n_nodes=81):
             g1 = line_grid(-6.5, 6.5, n_nodes)
@@ -327,8 +327,8 @@ class TestVectoralBmax:
     def test_gamma_scaling(self, gauss_model):
         base = VectoralWeight(gauss_model.grid, np.array([[1.0]]), (gauss_model.weight,))
         scaled = VectoralWeight(gauss_model.grid, np.array([[3.0]]), (gauss_model.weight,))
-        b1 = vectoral_bmax(gauss_model, gauss_model.prior, base, 10.0).bound
-        b3 = vectoral_bmax(gauss_model, gauss_model.prior, scaled, 10.0).bound
+        b1 = vectoral_bmax(gauss_model, base, 10.0).bound
+        b3 = vectoral_bmax(gauss_model, scaled, 10.0).bound
         assert abs(b3 - 3.0 * b1) <= 1e-10 * b1
 
 
@@ -341,7 +341,7 @@ class TestOneFunctionalKernel:
         model = request.getfixturevalue(name)
         rep = bmax(model, n=n)
         assert (rep.alignment, rep.information, rep.prior_information) == functionals(
-            model, model.prior, rep.attaining_v)
+            model, rep.attaining_v)
 
     def test_prior_functional_summed_directly_at_large_n(self, gauss_model):
         # v* = 1/(n+1) for F = 1 and a unit Gaussian prior, so <P> = 1/(n+1)^2;
@@ -364,16 +364,16 @@ class TestOneFunctionalKernel:
         model, u1, u2 = decoupled_setup(41)
         grid, n = model.grid, 1e8
         weights = VectoralWeight(grid, np.eye(2), (u1, u2))
-        rep = vectoral_bmax(model, model.prior, weights, n)
+        rep = vectoral_bmax(model, weights, n)
 
         gamma_inv = weights.gamma_inverse().reshape(grid.num_nodes, 2, 2)
-        matrix, w, interior = optimal._assemble_system(model, model.prior, n, gamma_inv)
+        matrix, w, interior = optimal._assemble_system(model, n, gamma_inv)
         rhs = np.concatenate([np.tile(w[interior], 2) * optimal._interior_dofs(u.values, interior)
                               for u in (u1, u2)])
         sol, _ = optimal._solve_system(matrix, rhs, grid.dim)
         fields = tuple(VectorField(grid, optimal._full_grid(grid, interior, block))
                        for block in np.split(sol, 2))
-        ref = vectoral_bound(model, model.prior, weights, fields, n)
+        ref = vectoral_bound(model, weights, fields, n)
         assert (rep.alignment, rep.information, rep.prior_information) == (
             ref.alignment, ref.information, ref.prior_information)
         assert rep.diagnostics["boundary_residual"] == ref.diagnostics["boundary_residual"]
@@ -431,7 +431,7 @@ def cube_model(dim, nodes, half, fisher_fn=coupled_fisher_fn):
 
 
 def assert_matches_triple_product(model, n, gamma_inv):
-    got = optimal._assemble_system(model, model.prior, n, gamma_inv)
+    got = optimal._assemble_system(model, n, gamma_inv)
     ref = triple_product_system(model, model.prior, n, gamma_inv)
     mat, want = got[0], ref[0]
     assert abs(mat - want).max() <= 1e-14 * abs(want).max()
@@ -473,10 +473,10 @@ class TestStencilAssembly:
     def test_memory_bounded(self, dim, nodes, half):
         # the benchmark's Gaussian ladder models; the first call fills the grid caches
         model = cube_model(dim, nodes, half, const_matrix_fn(np.eye(dim)))
-        assemble_L(model, model.prior, 10.0)
+        assemble_L(model, 10.0)
         tracemalloc.start()
         try:
-            mat = assemble_L(model, model.prior, 10.0).matrix
+            mat = assemble_L(model, 10.0).matrix
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -519,7 +519,7 @@ HARD_SET = {
 
 def direct_alignment(model, n):
     """<u, L^{-1} u> from a direct sparse solve of the assembled system."""
-    op = assemble_L(model, model.prior, n)
+    op = assemble_L(model, n)
     rhs = op.weight * optimal._interior_dofs(model.weight.values, op.interior)
     return float(rhs @ spla.spsolve(sp.csc_matrix(op.matrix), rhs))
 
@@ -527,7 +527,7 @@ def direct_alignment(model, n):
 class TestSolverPolicy:
     def test_one_dimensional_is_direct(self, gauss_model):
         rep = bmax(gauss_model, n=10.0)
-        op = assemble_L(gauss_model, gauss_model.prior, 10.0)
+        op = assemble_L(gauss_model, 10.0)
         assert SOLVE_KEYS <= set(rep.diagnostics)
         assert rep.diagnostics["solver"] == "banded_cholesky"
         assert rep.diagnostics["iterations"] == 0
@@ -547,7 +547,7 @@ class TestSolverPolicy:
         assert rep.diagnostics["fallback"] == (
             "banded Cholesky failed: 3th leading minor not positive definite")
         # the fallback's field is the direct sparse solve of the same system
-        op = assemble_L(gauss_model, gauss_model.prior, 10.0)
+        op = assemble_L(gauss_model, 10.0)
         rhs = op.weight * optimal._interior_dofs(gauss_model.weight.values, op.interior)
         direct = spla.spsolve(sp.csc_matrix(op.matrix), rhs)
         assert np.array_equal(
@@ -585,7 +585,7 @@ class TestSolverPolicy:
         assert rep.diagnostics["iterations"] == 2
         assert "pcg flag 2" in rep.diagnostics["fallback"]
         # the fallback's field is the direct sparse solve of the same system
-        op = assemble_L(model, model.prior, 1.0)
+        op = assemble_L(model, 1.0)
         rhs = op.weight * optimal._interior_dofs(model.weight.values, op.interior)
         direct = spla.spsolve(sp.csc_matrix(op.matrix), rhs)
         assert np.array_equal(
@@ -597,7 +597,7 @@ class TestSolverPolicy:
         model, u1, u2 = decoupled_setup(41)
         grid = model.grid
         weights = VectoralWeight(grid, np.eye(2), (u1, u2))
-        rep = vectoral_bmax(model, model.prior, weights, 4.0)
+        rep = vectoral_bmax(model, weights, 4.0)
         assert SOLVE_KEYS <= set(rep.diagnostics)
         assert rep.diagnostics["solver"] == "pcg"
         assert rep.diagnostics["unknowns"] == 2 * 2 * 39 * 39

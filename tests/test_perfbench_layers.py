@@ -37,10 +37,21 @@ def layers(monkeypatch):
 def test_sweeps_cases_on_the_changed_code_run_and_pass(monkeypatch):
     workloads = _load(monkeypatch, "workloads")
     cases = {c.id: c for c in workloads.sweeps(np.random.default_rng(3))}
-    chosen = [cid for cid in cases if cid.startswith("invariance_")] + ["bmax_nsweep_16"]
-    assert len(chosen) == 4
+    chosen = [cid for cid in cases if cid.startswith("invariance_")] + [
+        "bmax_nsweep_16", "quantum_vs_classical_257"]
+    assert len(chosen) == 5
     failures = []
     for cid in chosen:
+        case = cases[cid]
+        failures += workloads.evaluate(case, case.run(), case.reference())[1]
+    assert failures == []
+
+
+def test_small_solve_ladder_bmax_cases_run_and_pass(monkeypatch):
+    workloads = _load(monkeypatch, "workloads")
+    cases = {c.id: c for c in workloads.solve_ladder(np.random.default_rng(3))}
+    failures = []
+    for cid in ("bmax_1d_2001", "bmax_2d_81", "bmax_3d_21"):
         case = cases[cid]
         failures += workloads.evaluate(case, case.run(), case.reference())[1]
     assert failures == []

@@ -1,3 +1,4 @@
+import inspect
 import re
 from pathlib import Path
 
@@ -13,6 +14,15 @@ def test_every_export_resolves():
 
 def test_exports_listed_once():
     assert len(bcrb.__all__) == len(set(bcrb.__all__))
+
+
+def test_only_the_two_pinned_bounds_take_a_prior():
+    # every other bound reads the model's own prior
+    takes_prior = sorted(
+        name for name in bcrb.__all__
+        if inspect.isfunction(obj := getattr(bcrb, name))
+        and "prior" in inspect.signature(obj).parameters)
+    assert takes_prior == ["gill_levit_bound", "invariance_report"]
 
 
 def test_readme_quick_start_runs_as_written(capsys):
