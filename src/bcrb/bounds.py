@@ -252,10 +252,11 @@ def gill_levit_bound(
     """Evaluate B = <A>^2 / (n <F> + <P>) for the supplied field.
 
     The bound is that of ``replace(model, prior=prior)``, so ``prior`` passes
-    the model's grid and normalization checks.
+    the model's grid and normalization checks; the model's own prior binds
+    without a rebuild.
     """
-    return _bound_report(replace(model, prior=prior), (model.weight,), (v,), np.ones((1, 1)),
-                         n, v_choice)
+    model = model if prior is model.prior else replace(model, prior=prior)
+    return _bound_report(model, (model.weight,), (v,), np.ones((1, 1)), n, v_choice)
 
 
 def natural_v(model: StatisticalModel) -> VectorField:

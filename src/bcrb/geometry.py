@@ -357,7 +357,7 @@ def invariance_report(
 
     if v_fn is not None:
         v = VectorField.from_callable(v.grid, v_fn, v.variance)
-    model_src = replace(model, prior=prior)
+    model_src = model if prior is model.prior else replace(model, prior=prior)
     rep_src = gill_levit_bound(model_src, prior, v, n)
 
     model_tgt = pushforward_model(model_src, map, target_grid)

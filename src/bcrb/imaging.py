@@ -17,7 +17,6 @@ sources but degenerates to rank two for three or more as they merge.
 
 from __future__ import annotations
 
-import inspect
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -57,14 +56,13 @@ RANK_RTOL = 1e-6
 class PointSpreadFunction:
     """Real amplitude on an image-plane grid, unit-normalized intensity.
 
-    ``pair_fn``, when present (catalog entries), maps arbitrary points to the
-    pair (amplitude, spatial derivative), both evaluated exactly and from one
-    pass over the points; otherwise a cubic spline of the stored samples,
-    fitted once per instance, is used, with zero extension outside the
-    stored window.  A ``pair_fn`` that takes an ``out`` keyword (the catalog
-    pairs do) is called as ``pair_fn(pts, out=(amp, damp))`` by `pair_at`
-    when it is given arrays, and must write the pair into them and return
-    them; any other ``pair_fn`` only has to return the pair.
+    ``pair_fn``, when present (catalog entries), is called as
+    ``pair_fn(pts, out)`` with ``out = (amp, damp)``, two float arrays of the
+    points' shape: it writes the exact pair (amplitude, spatial derivative)
+    into them from one pass over the points and returns them.  Otherwise a
+    cubic spline of the stored samples, fitted once per instance, is used,
+    with zero extension outside the stored window.  The sampled intensity
+    must have positive, finite mass.
     """
 
     x: np.ndarray
@@ -82,18 +80,14 @@ class PointSpreadFunction:
             raise GridValueError("point-spread function samples must be finite")
         if not 0 < self.width < np.inf:
             raise GridValueError(f"width scale must be finite and positive, got {self.width}")
-        norm = np.trapezoid(amp**2, x)
+        norm = _intensity_mass(x, amp)
         if abs(norm - 1.0) > INTENSITY_NORMALIZATION_ATOL:
             factor = 1.0 / np.sqrt(norm)
             amp = amp * factor
             # keep the analytic pair consistent with the stored samples
             if self.pair_fn is not None:
-                fn = self.pair_fn
-
-                def scaled(pts, out=None, _f=fn, _w=_writes_out(fn), _c=factor):
-                    a, d = _pair_into(_f, _w, pts, out)
-                    if out is None:
-                        return _c * a, _c * d
+                def scaled(pts, out, _f=self.pair_fn, _c=factor):
+                    a, d = _f(pts, out)
                     np.multiply(_c, a, out=a)
                     np.multiply(_c, d, out=d)
                     return a, d
@@ -105,56 +99,53 @@ class PointSpreadFunction:
         object.__setattr__(self, "amplitude", amp)
 
     @cached_property
-    def _pair(self) -> tuple[Callable, bool]:
-        """The pair function and whether it writes into ``out``: ``pair_fn``,
-        or else the spline pair, fitted here once per instance."""
+    def _pair(self) -> Callable:
+        """``pair_fn``, or else the spline pair, fitted here once per instance."""
         if self.pair_fn is not None:
-            return self.pair_fn, _writes_out(self.pair_fn)
+            return self.pair_fn
         from scipy.interpolate import CubicSpline  # slow import, needed only here
 
         spline = CubicSpline(self.x, self.amplitude, extrapolate=False)
         dspline = spline.derivative()
-        return (lambda pts: (np.nan_to_num(spline(pts), nan=0.0),
-                             np.nan_to_num(dspline(pts), nan=0.0))), False
+
+        def pair(pts, out):
+            for buf, fn in zip(out, (spline, dspline)):
+                np.copyto(buf, fn(pts))
+                np.nan_to_num(buf, copy=False, nan=0.0)
+            return out
+
+        return pair
 
     def pair_at(self, pts: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Amplitude and its derivative at ``pts``, from one evaluation.
-
-        With ``out = (amp, damp)``, two float arrays of the points' shape that
-        do not overlap them, the pair is written into those arrays, which are
-        returned: the catalog pairs compute straight into them, while a
-        one-argument ``pair_fn`` and the spline are evaluated as without
-        ``out`` and copied in.
-        """
-        fn, writes = self._pair
-        return _pair_into(fn, writes, pts, out)
+        """Amplitude and its derivative at ``pts``, from one evaluation,
+        written into ``out = (amp, damp)``, two float arrays of the points'
+        shape that do not overlap them, and returned; without ``out`` the
+        two arrays are allocated here."""
+        pts = np.asarray(pts, dtype=float)
+        if out is None:
+            out = (np.empty(pts.shape), np.empty(pts.shape))
+        return self._pair(pts, out)
 
 
-def _writes_out(pair_fn: Callable) -> bool:
-    return "out" in inspect.signature(pair_fn).parameters
+def _intensity_mass(x: np.ndarray, amp: np.ndarray) -> float:
+    """The trapezoid mass of amp**2 on x; raises :class:`GridValueError`
+    unless it is positive and finite, the rule priors obey."""
+    with np.errstate(over="ignore"):  # an infinite mass raises below instead
+        mass = float(np.trapezoid(amp**2, x))
+    if not 0.0 < mass < np.inf:  # false for NaN too
+        raise GridValueError(f"PSF intensity integrates to {mass!r}; it needs positive, "
+                             "finite mass to be normalized")
+    return mass
 
 
-def _pair_into(pair_fn: Callable, writes: bool, pts, out):
-    """``pair_fn``'s pair at ``pts``, as float arrays; written into ``out``
-    when given, by ``pair_fn`` itself when it ``writes``, else copied in."""
-    if out is not None and writes:
-        return pair_fn(pts, out=out)
-    a, d = pair_fn(pts)
-    a, d = np.asarray(a, dtype=float), np.asarray(d, dtype=float)
-    if out is None:
-        return a, d
-    np.copyto(out[0], a)
-    np.copyto(out[1], d)
-    return out
-
-
-def _pair_buffers(x: np.ndarray, out):
-    return (np.empty(x.shape), np.empty(x.shape)) if out is None else out
-
-
-def _catalog_grid(sigma: float, span: float = 24.0, nodes: int = 8193) -> np.ndarray:
-    return np.linspace(-span * sigma, span * sigma, nodes)
+def _catalog_psf(sigma: float, pair: Callable, name: str, span: float = 24.0,
+                 nodes: int = 8193) -> PointSpreadFunction:
+    """The PSF of ``pair``, sampled through the same call on ``nodes`` even
+    points within ``span`` widths of the origin."""
+    x = np.linspace(-span * sigma, span * sigma, nodes)
+    amp = pair(x, (np.empty(nodes), np.empty(nodes)))[0]
+    return PointSpreadFunction(x, amp, sigma, pair, name)
 
 
 def _gaussian_constants(sigma: float, cube: bool = False) -> tuple[float, ...]:
@@ -175,9 +166,8 @@ def gaussian_psf(sigma: float = 1.0) -> PointSpreadFunction:
     """Gaussian amplitude; intensity is the normal density with scale sigma."""
     norm, four_s2, two_s2 = _gaussian_constants(sigma)
 
-    def pair(x, out=None):
-        x = np.asarray(x, dtype=float)
-        amp, damp = _pair_buffers(x, out)
+    def pair(x, out):
+        amp, damp = out
         # amp = norm exp(-x^2 / 4 s^2), damp = amp (-x / 2 s^2)
         np.square(x, out=amp)
         np.negative(amp, out=amp)
@@ -189,17 +179,15 @@ def gaussian_psf(sigma: float = 1.0) -> PointSpreadFunction:
         np.multiply(amp, damp, out=damp)
         return amp, damp
 
-    x = _catalog_grid(sigma)
-    return PointSpreadFunction(x, pair(x)[0], sigma, pair, "gaussian")
+    return _catalog_psf(sigma, pair, "gaussian")
 
 
 def hermite_gauss_psf(sigma: float = 1.0) -> PointSpreadFunction:
     """First-order Hermite-Gaussian amplitude: a zero at the origin."""
     norm, four_s2, _, two_s3 = _gaussian_constants(sigma, cube=True)
 
-    def pair(x, out=None):
-        x = np.asarray(x, dtype=float)
-        amp, damp = _pair_buffers(x, out)
+    def pair(x, out):
+        amp, damp = out
         # amp = norm (x / s) e, damp = norm e (1 / s - x^2 / 2 s^3) with the
         # envelope e = exp(-x^2 / 4 s^2), the one scratch array
         envelope = np.square(x)
@@ -216,16 +204,15 @@ def hermite_gauss_psf(sigma: float = 1.0) -> PointSpreadFunction:
         np.multiply(envelope, damp, out=damp)
         return amp, damp
 
-    x = _catalog_grid(sigma)
-    return PointSpreadFunction(x, pair(x)[0], sigma, pair, "first_order_hermite")
+    return _catalog_psf(sigma, pair, "first_order_hermite")
 
 
 def sinc_psf(sigma: float = 1.0) -> PointSpreadFunction:
     """Band-limited amplitude sin(pi x / s) / (pi x / s): periodic zeros."""
 
-    def pair(x, out=None):
+    def pair(x, out):
         u = np.divide(x, sigma)  # the one scratch array
-        amp, damp = _pair_buffers(u, out)
+        amp, damp = out
         # amp = np.sinc(u), as numpy computes it: sin(y) / y, y = pi u or eps
         np.multiply(np.pi, u, out=damp)
         np.copyto(damp, np.finfo(float).eps, where=damp == 0)
@@ -241,8 +228,7 @@ def sinc_psf(sigma: float = 1.0) -> PointSpreadFunction:
         np.divide(damp, sigma, out=damp)
         return amp, damp
 
-    x = _catalog_grid(sigma, span=400.0, nodes=65537)
-    return PointSpreadFunction(x, pair(x)[0], sigma, pair, "sinc")
+    return _catalog_psf(sigma, pair, "sinc", span=400.0, nodes=65537)
 
 
 PSF_CATALOG: dict[str, Callable[..., PointSpreadFunction]] = {
@@ -256,7 +242,8 @@ def psf_from_csv(path) -> PointSpreadFunction:
     """Columns: x, amplitude.  The width is the intensity std dev.
 
     Raises :class:`GridValueError`, naming the path, when the samples are not
-    finite or an ``x`` value repeats.
+    finite, an ``x`` value repeats or the intensity has no positive, finite
+    mass.
     """
     header, rows = read_csv(path)
     if len(header) < 2:
@@ -267,8 +254,11 @@ def psf_from_csv(path) -> PointSpreadFunction:
     x, amp = rows[order, 0], rows[order, 1]
     if np.any(np.diff(x) <= 0):
         raise GridValueError(f"{path}: x values must be distinct")
-    h = amp**2
-    h = h / np.trapezoid(h, x)
+    try:
+        mass = _intensity_mass(x, amp)
+    except GridValueError as exc:
+        raise GridValueError(f"{path}: {exc}") from None
+    h = amp**2 / mass
     mean = np.trapezoid(x * h, x)
     width = float(np.sqrt(np.trapezoid((x - mean) ** 2 * h, x)))
     return PointSpreadFunction(x, amp, width, name="csv")

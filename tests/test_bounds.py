@@ -169,6 +169,21 @@ class TestTheModelOwnsItsPrior:
         with pytest.raises(GridValueError, match=r"^prior integrates to 2\.0"):
             invariance_report(bump_model, doubled, v, odd_power_map(3), 10.0)
 
+    def test_invariance_report_builds_only_the_pushed_model(self, monkeypatch):
+        model = bump_scalar_model(n_nodes=2001)
+        built = []
+        post_init = StatisticalModel.__post_init__
+
+        def counting(self):
+            built.append(self.grid)
+            post_init(self)
+
+        monkeypatch.setattr(StatisticalModel, "__post_init__", counting)
+        rep = invariance_report(model, model.prior, unit_field(model.grid), odd_power_map(3), 10.0)
+        # the pushed model, on the target grid; the source model is reused
+        assert len(built) == 1 and built[0] is not model.grid
+        assert rep.invariant
+
     def test_bounds_on_a_built_model_decompose_nothing(self, monkeypatch):
         model = bump_scalar_model(n_nodes=2001)
         v = unit_field(model.grid)

@@ -857,6 +857,23 @@ class TestNonFinitePsf:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+class TestPsfWithoutIntensityMass:
+    def test_exit_2_naming_psf_csv(self, tmp_path, capsys):
+        path = tmp_path / "psf.csv"
+        path.write_text("x,amplitude\n" + "".join(
+            "%.17g,0\n" % x for x in np.linspace(-24.0, 24.0, 481)))
+        cfg = {"kind": "imaging", "name": "zero-psf", "psf": {"csv": str(path)},
+               "task": "fisher"}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["imaging", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: psf.csv: ") and "psf.csv: PSF intensity integrates to 0.0" in err
+        assert not caught
+
+
 class TestCatalogWidthOutOfRange:
     def test_exit_2_naming_psf_sigma(self, tmp_path, capsys):
         with open(os.path.join(SHIPPED_CONFIGS, "imaging_rank_trend.json")) as fh:

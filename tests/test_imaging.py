@@ -118,6 +118,24 @@ class TestPointSpreadFunction:
         imaging_helstrom(psf, SourceConfiguration([-0.2, 0.2]))
         assert len(fits) == 1
 
+    @pytest.mark.parametrize("scale, mass", [(0.0, "0.0"), (1e-170, "0.0"), (1e200, "inf")],
+                             ids=["zero", "underflowing_square", "overflowing_square"])
+    def test_no_finite_intensity_mass_refused_by_name(self, gpsf, scale, mass):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridValueError, match=rf"^PSF intensity integrates to {mass}; "
+                                                     "it needs positive, finite mass"):
+                PointSpreadFunction(gpsf.x, scale * gpsf.amplitude, 1.0, gpsf.pair_fn)
+
+    def test_csv_without_intensity_mass_refused_naming_the_path(self, tmp_path, gpsf):
+        path = tmp_path / "psf.csv"
+        path.write_text("x,amplitude\n" + "".join("%.17g,0\n" % x for x in gpsf.x[::64]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridValueError,
+                               match=f"^{re.escape(str(path))}: PSF intensity integrates to 0.0"):
+                psf_from_csv(path)
+
     @pytest.mark.parametrize("width", [np.nan, np.inf])
     def test_non_finite_width_rejected(self, gpsf, width):
         with pytest.raises(GridValueError, match="width scale must be finite and positive"):
@@ -494,10 +512,11 @@ class TestSeparationHelstromConstant:
     def test_failing_point_named_by_tau(self, gpsf, factor, stem):
         # the amplitude is off at the point tau = 0.3 only, where the
         # displaced arguments are centred on -0.15 and +0.15
-        def pair(pts):
-            amp, damp = gpsf.pair_fn(pts)
+        def pair(pts, out):
+            amp, damp = gpsf.pair_fn(pts, out)
             if abs(abs(np.mean(pts)) - 0.15) < 1e-9:
-                return factor * amp, factor * damp
+                amp *= factor
+                damp *= factor
             return amp, damp
 
         psf = PointSpreadFunction(gpsf.x, gpsf.amplitude, gpsf.width, pair)
@@ -573,8 +592,13 @@ class TestJointEvaluation:
             x = np.asarray(x)
             return -3.0 * x * np.exp(-x**2 / 2.0)
 
+        def pair(pts, out):
+            np.copyto(out[0], amp(pts))
+            np.copyto(out[1], damp(pts))
+            return out
+
         x = np.linspace(-12.0, 12.0, 2001)
-        psf = PointSpreadFunction(x, amp(x), 1.0, lambda pts: (amp(pts), damp(pts)))
+        psf = PointSpreadFunction(x, amp(x), 1.0, pair)
         factor = 1.0 / np.sqrt(np.trapezoid(amp(x) ** 2, x))
         assert abs(np.trapezoid(psf.amplitude**2, psf.x) - 1.0) <= 1e-12
         a, d = psf.pair_at(self.pts)
@@ -603,12 +627,16 @@ class TestPairIntoBuffers:
         expected_a, expected_d = psf.pair_at(self.pts)
         assert np.array_equal(a, expected_a) and np.array_equal(d, expected_d)
 
-    def test_custom_pair_copied_in(self, gpsf):
-        def pair(pts):  # one argument: returns its own arrays
-            return gpsf.pair_fn(pts)
+    def test_custom_pair_writes_into_the_callers_arrays(self, gpsf):
+        given = []
+
+        def pair(pts, out):
+            given.append(out)
+            return gpsf.pair_fn(pts, out)
 
         psf = PointSpreadFunction(gpsf.x, gpsf.amplitude, gpsf.width, pair)
         a, d = self.through_out(psf)
+        assert given[0][0] is a and given[0][1] is d
         expected_a, expected_d = psf.pair_at(self.pts)
         assert np.array_equal(a, expected_a) and np.array_equal(d, expected_d)
 
