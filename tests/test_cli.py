@@ -870,7 +870,8 @@ class TestPsfWithoutIntensityMass:
                          "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: psf.csv: ") and "psf.csv: PSF intensity integrates to 0.0" in err
+        assert err.startswith("error: psf.csv: ")
+        assert "psf.csv: PSF intensity integrates to 0.0" in err
         assert not caught
 
 
