@@ -60,6 +60,8 @@ class BoundReport:
     The stored ``bound`` always equals ``alignment^2 / (n*information +
     prior_information)`` exactly; ``diagnostics`` carries the boundary
     residual and a grid descriptor, and optionally solver details.
+    ``attaining_v`` is the field that attains an optimal bound, or the tuple
+    of q fields for a vector parameter of interest.
     """
 
     alignment: float
@@ -69,7 +71,7 @@ class BoundReport:
     bound: float
     v_choice: str
     diagnostics: dict = dc_field(default_factory=dict)
-    attaining_v: VectorField | None = None
+    attaining_v: VectorField | tuple[VectorField, ...] | None = None
 
     def __post_init__(self):
         if self.information < -NONNEGATIVE_ATOL or self.prior_information < -NONNEGATIVE_ATOL:

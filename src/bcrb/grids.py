@@ -17,12 +17,14 @@ import csv
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GridMismatchError, GridValueError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Relative floor under which a prior density value is treated as numerically
 # zero for the quotient (1/rho) d(rho v).  Such nodes contribute zero to the
@@ -418,6 +420,8 @@ def diff_matrix(grid: ParameterGrid, axis: int) -> sp.csr_matrix:
     Matches the stencils of :func:`gradient` exactly: central differences at
     interior nodes, second-order one-sided stencils at the boundary.
     """
+    import scipy.sparse as sp  # slow import, needed only by the sparse operators
+
     n = grid.shape[axis]
     dx = grid.spacing[axis]
     inner = np.arange(1, n - 1)
@@ -445,6 +449,8 @@ def divergence_matrix(
     Shape ``(num_nodes, num_nodes * p)`` with component blocks concatenated;
     same floor semantics as :func:`_tiny_density_mask`.
     """
+    import scipy.sparse as sp  # slow import, needed only by the sparse operators
+
     dens, ok = (a.ravel() for a in _density(grid, rho, metric))
     inv = np.zeros_like(dens)
     inv[ok] = 1.0 / dens[ok]

@@ -23,7 +23,6 @@ from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf
 
 from .errors import GridValueError, ProjectionError
 from .geometry import StatisticalModel
@@ -519,6 +518,8 @@ def _span_coefficients(psf: PointSpreadFunction, positions: np.ndarray, rows: np
     Returns the coefficients of the states and of their derivatives, each
     (p, dim), and the projection deficit; ``at`` names the point in errors.
     """
+    from scipy.linalg.lapack import dgeqrf  # slow import, needed only by the Helstrom path
+
     p = len(positions)
     x = _measurement_grid(psf, positions, HELSTROM_SPAN_SIGMAS, HELSTROM_GRID_NODES)
     root_w = np.sqrt(trapezoid_weights_1d(len(x), x[1] - x[0]))

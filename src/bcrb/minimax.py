@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .bounds import _check_n
 from .errors import EigensolverError, GridValueError
@@ -153,6 +151,8 @@ class DiscretizedHamiltonian:
         with a residual ||H phi - lambda phi|| above RESIDUAL_RTOL *
         max(||H||_inf, 1), raises :class:`EigensolverError`.
         """
+        from scipy.linalg import eigh_tridiagonal  # slow import, needed only by the solvers
+
         try:
             vals, vecs = eigh_tridiagonal(self.diagonal, self.off_diagonal,
                                           select=select, select_range=select_range)
@@ -207,6 +207,8 @@ def _positive_definite_factors(ham: DiscretizedHamiltonian, shift: float,
     holds at least one entry: the wrapper rejects an empty off-diagonal, so a
     1 x 1 H keeps a dummy zero.
     """
+    from scipy.linalg.lapack import dpttrf
+
     np.subtract(ham.diagonal, shift, out=d)
     e[:ham.off_diagonal.size] = ham.off_diagonal
     d, e, info = dpttrf(d, e, overwrite_d=True, overwrite_e=True)
@@ -247,6 +249,8 @@ def _certified_inverse_iteration(
     call: two (d, e) pairs, the accepted shift's and a trial's, swapped when
     a trial is accepted, and two iterates solved in place.
     """
+    from scipy.linalg.lapack import dpttrs
+
     e = ham.off_diagonal
     lowest, norm = ham.gershgorin()
     gap = CERTIFIED_GAP_EPS * np.finfo(float).eps * norm

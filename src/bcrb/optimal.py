@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import LinAlgError, solveh_banded
+from numpy.linalg import LinAlgError  # the class scipy.linalg raises too
 
 from .bounds import BoundReport, VectoralWeight, _bound_report, _check_n, _prior
 from .errors import GridValueError, OperatorRangeError
@@ -40,6 +39,9 @@ from .grids import (
     check_symmetric,
     rho_weights,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 SOLVE_RTOL = 1e-8          # target relative residual of the sparse solve
 RANGE_RTOL = 1e-6          # above this residual the RHS is declared out of range
@@ -115,6 +117,8 @@ def _assemble_system(model: StatisticalModel, n: float,
     and each lower entry the product of its upper mirror, so exactly
     symmetric.  Returns it, the node weights and the interior node indices.
     """
+    import scipy.sparse as sp  # slow imports, needed only by the sparse solves
+
     grid = model.grid
     _check_n(n)
     p, num, shape, q = grid.dim, grid.num_nodes, grid.shape, gamma_inv.shape[-1]
@@ -189,6 +193,9 @@ def assemble_L(model: StatisticalModel, n: float) -> OperatorL:
 
 def _pcg(matrix: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Jacobi-preconditioned CG capped at CG_MAXITER: solution, flag, iterations."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     diag = matrix.diagonal()
     diag[diag <= 0] = 1.0
     count = [0]
@@ -210,6 +217,8 @@ def _banded_cholesky(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     pentadiagonal, so only its main and two upper diagonals are read.
     Raises ``LinAlgError`` when a leading minor is not positive definite.
     """
+    from scipy.linalg import solveh_banded
+
     band = np.zeros((3, matrix.shape[0]))
     for k in range(3):
         band[2 - k, k:] = matrix.diagonal(k)
@@ -249,6 +258,9 @@ def _solve_system(matrix: sp.csr_matrix, rhs: np.ndarray, p: int) -> tuple[np.nd
     if fallback is not None:
         warnings.warn(f"{fallback}; falling back to the direct solve", RuntimeWarning,
                       stacklevel=3)
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         sol = spla.spsolve(sp.csc_matrix(matrix), rhs)
     resid = float(np.linalg.norm(matrix @ sol - rhs) / rhs_norm)
     if not np.all(np.isfinite(sol)) or resid > RANGE_RTOL:
@@ -324,7 +336,8 @@ def vectoral_bmax(model: StatisticalModel, weights: VectoralWeight, n: float) ->
     The block operator couples the q component fields through the inverse of
     the weight matrix:
     (Lv)^j_a = n g^{jk} F_ab v_k^b - d_a[(g^{jk}/rho) div(rho v_k)].
-    The report is `vectoral_bound` of the q least-favorable fields it solves for.
+    The report is `vectoral_bound` of the q least-favorable fields it solves
+    for, and holds them as ``attaining_v``.
     """
     grid = model.grid
     grid.require_same(weights.grid, "vectoral_bmax weights")
@@ -332,6 +345,7 @@ def vectoral_bmax(model: StatisticalModel, weights: VectoralWeight, n: float) ->
     gamma_inv = weights.gamma_inverse()
     op = _operator(model, n, gamma_inv.reshape(grid.num_nodes, q, q))
     values, info = _solve_fields(op, weights.weights)
-    return _bound_report(model, weights.weights,
-                         tuple(VectorField(grid, v) for v in values), gamma_inv, n,
-                         f"vectoral_least_favorable(q={q})", solve=info, allow_zero=True)
+    fields = tuple(VectorField(grid, v) for v in values)
+    return _bound_report(model, weights.weights, fields, gamma_inv, n,
+                         f"vectoral_least_favorable(q={q})", solve=info,
+                         attaining_v=fields, allow_zero=True)

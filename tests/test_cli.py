@@ -929,11 +929,30 @@ class TestRepeatedPsfX:
 
 
 class TestStartup:
-    def test_cli_import_leaves_scipy_interpolate_unloaded(self):
-        # scipy.interpolate costs about half a second of every start; only
-        # the code that interpolates imports it, when it first runs
+    """scipy loads on first use: only the code that calls it imports it."""
+
+    def fresh_process(self, code: str) -> str:
         src = os.path.dirname(os.path.dirname(bcrb.__file__))
-        code = "import sys, bcrb.cli; print('scipy.interpolate' in sys.modules)"
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-        assert done.stdout.strip() == "False"
+        return done.stdout.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("module", ["bcrb", "bcrb.cli"])
+    def test_import_loads_no_scipy(self, module):
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert self.fresh_process(code) == "[]"
+
+    @pytest.mark.parametrize("config, solves", [
+        ("gill_levit_bound", False), ("invariance_cube_map", False),
+        ("quantum_qubit_snr", False), ("waveform_rectangle", False),
+        ("gaussian_closed_form", True),  # the control: the optimal kind solves
+    ])
+    def test_kind_loads_sparse_and_linalg_only_when_it_solves(self, tmp_path, config, solves):
+        path = os.path.join(SHIPPED_CONFIGS, f"{config}.json")
+        with open(path) as fh:
+            kind = json.load(fh)["kind"]
+        code = ("import sys; from bcrb.cli import main; "
+                f"code = main([{kind!r}, '--config', {path!r}, '--out', {str(tmp_path)!r}]); "
+                "print(code, 'scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)")
+        assert self.fresh_process(code) == f"0 {solves} {solves}"

@@ -263,7 +263,7 @@ class TestCertifiedGroundState:
         def not_definite(d, e, **_):
             return d, e, 1
 
-        monkeypatch.setattr(minimax, "dpttrf", not_definite)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", not_definite)
         with pytest.raises(EigensolverError, match="not positive definite"):
             ground_state(assemble_H(harmonic_problem(nodes=201), 100.0))
 
@@ -278,7 +278,7 @@ class TestCertifiedGroundState:
             d_f, e_f, info = exact(d, e, **kwargs)
             return d_f, e_f, info if len(calls) == 1 else 1
 
-        monkeypatch.setattr(minimax, "dpttrf", first_only)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", first_only)
         with pytest.raises(EigensolverError, match="not certified"):
             ground_state(assemble_H(harmonic_problem(nodes=201), 100.0))
 
@@ -517,7 +517,7 @@ class TestWarmStart:
             calls.append(None)
             return exact(d, e, **kwargs)
 
-        monkeypatch.setattr(minimax, "dpttrf", counting)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", counting)
         fit = rate_fit(problem, self.NS)
         warm = len(calls)
         calls.clear()
@@ -570,7 +570,7 @@ class TestLambdaScan:
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("stemr did not converge")
 
-        monkeypatch.setattr(minimax, "eigh_tridiagonal", failing)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing)
         with pytest.raises(EigensolverError, match="stemr did not converge"):
             lambda_scan(harmonic_problem(nodes=201), 100.0)
 
@@ -583,7 +583,7 @@ class TestLambdaScan:
             vecs[:, 0] += 1e-6 * np.random.default_rng(0).normal(size=len(vecs))
             return vals, vecs
 
-        monkeypatch.setattr(minimax, "eigh_tridiagonal", perturbed)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
         with pytest.raises(EigensolverError, match="residual"):
             lambda_scan(harmonic_problem(nodes=201), 100.0)
 

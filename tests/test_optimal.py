@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -377,6 +378,9 @@ class TestOneFunctionalKernel:
         assert (rep.alignment, rep.information, rep.prior_information) == (
             ref.alignment, ref.information, ref.prior_information)
         assert rep.diagnostics["boundary_residual"] == ref.diagnostics["boundary_residual"]
+        assert len(rep.attaining_v) == 2
+        for got, want in zip(rep.attaining_v, fields):
+            assert np.array_equal(got.values, want.values)
 
 
 def triple_product_system(model, prior, n, gamma_inv):
@@ -540,7 +544,7 @@ class TestSolverPolicy:
         def failing(*args, **kwargs):
             raise optimal.LinAlgError("3th leading minor not positive definite")
 
-        monkeypatch.setattr(optimal, "solveh_banded", failing)
+        monkeypatch.setattr(scipy.linalg, "solveh_banded", failing)
         with pytest.warns(RuntimeWarning, match="falling back to the direct solve"):
             rep = bmax(gauss_model, n=10.0)
         assert rep.diagnostics["solver"] == "direct"
